@@ -63,7 +63,7 @@ pub fn run(suite: &mut Suite, scale: ExpScale) -> String {
     let mut gains = vec![0.0f64; schema.len()];
     for kind in EstimatorKind::EXTENDED {
         if let Some(m) = selector.model(kind) {
-            for (f, g) in m.feature_gain.iter().enumerate() {
+            for (f, g) in m.feature_gain().iter().enumerate() {
                 gains[f] += g;
             }
         }

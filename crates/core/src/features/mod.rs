@@ -23,7 +23,7 @@ pub use schema::FeatureSchema;
 /// Extract the full feature vector (static ++ dynamic) for one pipeline.
 pub fn extract(run: &QueryRun, obs: &PipelineObs<'_>) -> Vec<f32> {
     let mut v = static_features::extract(run, obs.pipeline_id());
-    v.extend(dynamic_features::extract(obs));
+    dynamic_features::extract_into(obs, &mut v);
     debug_assert_eq!(v.len(), FeatureSchema::get().len());
     debug_assert!(v.iter().all(|x| x.is_finite()), "non-finite feature");
     v

@@ -1,6 +1,6 @@
 //! Stable names for every feature position.
 
-use prosel_engine::plan::OP_TYPE_NAMES;
+use prosel_engine::plan::{OP_TYPE_COUNT, OP_TYPE_NAMES};
 use std::sync::OnceLock;
 
 /// The x-percent markers used by dynamic features (paper §4.4.2).
@@ -15,6 +15,14 @@ pub const DIFF_PAIRS: [(&str, &str); 3] = [("DNE", "TGN"), ("DNE", "TGNINT"), ("
 /// Number of time-correlation reference points per marker (the paper's
 /// `i = 1, …, 4`).
 pub const COR_POINTS: usize = 4;
+
+/// Length of the static prefix: five encodings per operator type plus
+/// six structural features.
+pub const STATIC_LEN: usize = OP_TYPE_COUNT * 5 + 6;
+
+/// Length of the dynamic suffix.
+pub const DYNAMIC_LEN: usize =
+    (DIFF_PAIRS.len() + COR_ESTIMATORS.len() * COR_POINTS) * X_MARKERS.len();
 
 /// Named layout of the feature vector.
 pub struct FeatureSchema {
@@ -48,6 +56,7 @@ impl FeatureSchema {
         names.push("NlInnerCount".into());
         names.push("PipelineWeight".into());
         let static_len = names.len();
+        assert_eq!(static_len, STATIC_LEN);
         // Dynamic: pairwise differences at markers.
         for (a, b) in DIFF_PAIRS {
             for x in X_MARKERS {
@@ -62,6 +71,7 @@ impl FeatureSchema {
                 }
             }
         }
+        assert_eq!(names.len(), STATIC_LEN + DYNAMIC_LEN);
         FeatureSchema { names, static_len }
     }
 

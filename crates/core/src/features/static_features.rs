@@ -13,6 +13,7 @@
 //!
 //! Plus `SelAtDN` (driver-node share of E) and a few structural counts.
 
+use crate::features::schema::{DYNAMIC_LEN, STATIC_LEN};
 use prosel_engine::plan::{PhysicalPlan, OP_TYPE_COUNT};
 use prosel_engine::{Pipeline, QueryRun};
 
@@ -70,7 +71,8 @@ pub fn extract_pipeline(plan: &PhysicalPlan, pipeline: &Pipeline) -> Vec<f32> {
         }
     }
 
-    let mut out = Vec::with_capacity(OP_TYPE_COUNT * 5 + 6);
+    // Room for the dynamic suffix callers append to the static prefix.
+    let mut out = Vec::with_capacity(STATIC_LEN + DYNAMIC_LEN);
     for op in 0..OP_TYPE_COUNT {
         let bit = 1u32 << op;
         let mut count = 0.0f32;

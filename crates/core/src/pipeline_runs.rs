@@ -199,7 +199,7 @@ pub fn record_from_online(
     }
     let pipeline = obs.pipeline();
     let mut feats = features::static_features::extract_pipeline(plan, pipeline);
-    feats.extend(features::dynamic_features::extract(obs));
+    features::dynamic_features::extract_into(obs, &mut feats);
     debug_assert_eq!(feats.len(), features::FeatureSchema::get().len());
     let truth = obs.truth();
     let (errors_l1, errors_l2, oracle_l1, oracle_l2) = errors_against_truth(obs, &truth);

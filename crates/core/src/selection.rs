@@ -8,9 +8,10 @@
 //! near-identical estimators costs nothing, picking an estimator that is
 //! 10× off costs a lot.
 
+use crate::features::schema::STATIC_LEN;
 use crate::training::{FeatureMode, TrainingSet};
 use prosel_estimators::EstimatorKind;
-use prosel_mart::{BoostParams, Mart};
+use prosel_mart::{BoostParams, Forest, Mart};
 
 /// Selector configuration.
 #[derive(Debug, Clone)]
@@ -54,9 +55,36 @@ impl SelectorConfig {
 pub struct EstimatorSelector {
     config: SelectorConfig,
     models: Vec<(EstimatorKind, Mart)>,
+    /// In [`FeatureMode::StaticDynamic`], each model as seen by a vector
+    /// whose dynamic suffix is zero — what static selection scores. The
+    /// models split mostly on dynamic features, so these are a small
+    /// fraction of the full forests. Empty in [`FeatureMode::Static`].
+    static_forests: Vec<Forest>,
 }
 
 impl EstimatorSelector {
+    fn new(config: SelectorConfig, models: Vec<(EstimatorKind, Mart)>) -> EstimatorSelector {
+        let static_forests = match config.mode {
+            FeatureMode::Static => Vec::new(),
+            FeatureMode::StaticDynamic => {
+                models.iter().map(|(_, m)| m.pinned_forest(STATIC_LEN, 0.0)).collect()
+            }
+        };
+        EstimatorSelector { config, models, static_forests }
+    }
+
+    /// The candidate with the smallest of `errors` (one per candidate, in
+    /// order), under the tie rule documented on [`Self::select`].
+    fn least(&self, errors: impl Iterator<Item = f32>) -> EstimatorKind {
+        let mut best: Option<(usize, f32)> = None;
+        for (candidate, error) in errors.enumerate() {
+            if best.is_none_or(|(_, least)| least > error) {
+                best = Some((candidate, error));
+            }
+        }
+        self.models[best.expect("at least one candidate").0].0
+    }
+
     /// Train the per-estimator error models.
     pub fn train(train: &TrainingSet, config: &SelectorConfig) -> EstimatorSelector {
         assert!(!train.is_empty(), "cannot train a selector on zero pipelines");
@@ -71,7 +99,7 @@ impl EstimatorSelector {
                 (kind, Mart::train(&data, &params))
             })
             .collect();
-        EstimatorSelector { config: config.clone(), models }
+        EstimatorSelector::new(config.clone(), models)
     }
 
     /// Warm-start retraining — the online-feedback path. Continues
@@ -101,7 +129,7 @@ impl EstimatorSelector {
                 (*kind, Mart::warm_start(model, &data, &params, extra))
             })
             .collect();
-        EstimatorSelector { config, models }
+        EstimatorSelector::new(config, models)
     }
 
     pub fn config(&self) -> &SelectorConfig {
@@ -116,37 +144,48 @@ impl EstimatorSelector {
         self.config.boost = boost;
     }
 
-    /// Predicted error per candidate for one feature vector.
-    pub fn predicted_errors(&self, features: &[f32]) -> Vec<(EstimatorKind, f32)> {
+    /// Predicted error per candidate for one feature vector, written to
+    /// `out` in candidate order (`out.len()` must equal the number of
+    /// candidates). Allocation-free.
+    pub fn predict_into(&self, features: &[f32], out: &mut [f32]) {
         let dims = self.config.mode.dims();
         assert!(features.len() >= dims, "feature vector too short");
-        self.models.iter().map(|(k, m)| (*k, m.predict(&features[..dims]))).collect()
+        assert_eq!(out.len(), self.models.len(), "one output per candidate");
+        for ((_, model), out) in self.models.iter().zip(out) {
+            *out = model.predict(&features[..dims]);
+        }
     }
 
-    /// Choose the estimator with the smallest predicted error.
+    /// Predicted error per candidate for one feature vector.
+    pub fn predicted_errors(&self, features: &[f32]) -> Vec<(EstimatorKind, f32)> {
+        let mut errors = vec![0.0f32; self.models.len()];
+        self.predict_into(features, &mut errors);
+        self.models.iter().map(|(k, _)| *k).zip(errors).collect()
+    }
+
+    /// Choose the estimator with the smallest predicted error. Among
+    /// equal minima the first candidate wins, and a NaN prediction
+    /// compares equal to everything: it neither displaces an earlier
+    /// candidate nor is displaced by a later one.
     pub fn select(&self, features: &[f32]) -> EstimatorKind {
-        self.predicted_errors(features)
-            .into_iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(k, _)| k)
-            .expect("at least one candidate")
+        let dims = self.config.mode.dims();
+        assert!(features.len() >= dims, "feature vector too short");
+        self.least(self.models.iter().map(|(_, m)| m.predict(&features[..dims])))
     }
 
     /// Choose from *static features only* — the information available at
     /// pipeline registration, before any execution feedback exists.
     /// `features` may be the static prefix alone or a full vector; any
-    /// dynamic suffix is zeroed (the convention the monitor and the
-    /// Figure 3 replay both use for the pre-20%-marker phase).
+    /// dynamic suffix is taken as zero (the convention the monitor and the
+    /// Figure 3 replay both use for the pre-20%-marker phase). Same answer
+    /// as [`Self::select`] on the prefix followed by zeros, from the
+    /// forests compiled for exactly that case.
     pub fn select_static(&self, features: &[f32]) -> EstimatorKind {
-        let schema = crate::features::FeatureSchema::get();
-        let static_len = schema.static_len();
-        assert!(features.len() >= static_len, "need at least the static feature prefix");
+        assert!(features.len() >= STATIC_LEN, "need at least the static feature prefix");
         match self.config.mode {
-            FeatureMode::Static => self.select(&features[..static_len]),
+            FeatureMode::Static => self.select(&features[..STATIC_LEN]),
             FeatureMode::StaticDynamic => {
-                let mut full = vec![0.0f32; schema.len()];
-                full[..static_len].copy_from_slice(&features[..static_len]);
-                self.select(&full)
+                self.least(self.static_forests.iter().map(|f| f.predict(&features[..STATIC_LEN])))
             }
         }
     }
@@ -237,15 +276,26 @@ impl EstimatorSelector {
             if !terminated {
                 return Err(format!("model {kind} is missing its endmodel terminator"));
             }
-            models.push((kind, prosel_mart::model_io::from_str(&blob)?));
+            let model = prosel_mart::model_io::from_str(&blob)?;
+            if model.n_features() > mode.dims() {
+                // Scoring slices the feature vector to `mode.dims()`; a
+                // split past that would index out of bounds mid-ingest.
+                return Err(format!(
+                    "model {kind} is over {} features, mode {} has {}",
+                    model.n_features(),
+                    mode.name(),
+                    mode.dims()
+                ));
+            }
+            models.push((kind, model));
         }
         if models.len() != candidates.len() {
             return Err(format!("expected {} models, found {}", candidates.len(), models.len()));
         }
-        Ok(EstimatorSelector {
-            config: SelectorConfig { candidates, mode, boost: BoostParams::default() },
+        Ok(EstimatorSelector::new(
+            SelectorConfig { candidates, mode, boost: BoostParams::default() },
             models,
-        })
+        ))
     }
 
     /// Evaluate on a held-out set.
@@ -388,6 +438,80 @@ mod tests {
             assert_eq!(sel.select(&r.features), back.select(&r.features));
         }
         assert!(EstimatorSelector::from_text("junk").is_err());
+    }
+
+    /// A selector of tree-less models: candidate `i` predicts `errors[i]`
+    /// for every input.
+    fn constant_selector(errors: &[(&str, f32)]) -> EstimatorSelector {
+        let dims = FeatureSchema::get().len();
+        let names: Vec<&str> = errors.iter().map(|(n, _)| *n).collect();
+        let mut text =
+            format!("prosel-selector v1\nmode dynamic\ncandidates {}\n", names.join(","));
+        for (name, error) in errors {
+            text.push_str(&format!(
+                "model {name}\nmart v1\nbase {error} shrinkage 0.1 trees 0 features {dims}\nendmodel\n"
+            ));
+        }
+        EstimatorSelector::from_text(&text).expect("parse")
+    }
+
+    #[test]
+    fn first_minimal_candidate_wins_and_nan_compares_equal() {
+        let row = vec![0.0f32; FeatureSchema::get().len()];
+        let pick = |errors: &[(&str, f32)]| constant_selector(errors).select(&row);
+        assert_eq!(pick(&[("DNE", 0.5), ("TGN", 0.25), ("LUO", 0.25)]), EstimatorKind::Tgn);
+        assert_eq!(pick(&[("DNE", 0.25), ("TGN", 0.25), ("LUO", 0.5)]), EstimatorKind::Dne);
+        // A NaN in front is never displaced; a NaN behind never displaces.
+        assert_eq!(pick(&[("DNE", f32::NAN), ("TGN", 0.1), ("LUO", 0.05)]), EstimatorKind::Dne);
+        assert_eq!(pick(&[("DNE", 0.3), ("TGN", f32::NAN), ("LUO", 0.2)]), EstimatorKind::Luo);
+        assert_eq!(pick(&[("DNE", 0.3), ("TGN", f32::NAN), ("LUO", 0.3)]), EstimatorKind::Dne);
+        // The static entry point shares the rule, and `predicted_errors`
+        // reports the same numbers in candidate order.
+        let sel = constant_selector(&[("DNE", 0.5), ("TGN", 0.25), ("LUO", 0.25)]);
+        assert_eq!(sel.select_static(&row), EstimatorKind::Tgn);
+        assert_eq!(
+            sel.predicted_errors(&row),
+            vec![(EstimatorKind::Dne, 0.5), (EstimatorKind::Tgn, 0.25), (EstimatorKind::Luo, 0.25)]
+        );
+    }
+
+    #[test]
+    fn static_selection_equals_selection_on_a_zeroed_dynamic_suffix() {
+        use crate::pipeline_runs::collect_workload_records;
+        use prosel_planner::workload::{WorkloadKind, WorkloadSpec};
+        let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 8).with_queries(24).with_scale(0.4);
+        let records = collect_workload_records(&spec).expect("records");
+        let cfg = SelectorConfig::default()
+            .with_boost(BoostParams { iterations: 70, ..BoostParams::default() });
+        let sel = EstimatorSelector::train(&TrainingSet::from_records(&records), &cfg);
+        let splits_on_dynamic = sel.models.iter().any(|(_, m)| {
+            m.trees()
+                .iter()
+                .flat_map(|t| &t.nodes)
+                .any(|n| !n.is_leaf() && n.feature as usize >= STATIC_LEN)
+        });
+        assert!(splits_on_dynamic, "the models must split on dynamic features for this to bite");
+        for r in &records {
+            let mut zeroed = r.features.clone();
+            zeroed[STATIC_LEN..].fill(0.0);
+            for ((_, model), pinned) in sel.models.iter().zip(&sel.static_forests) {
+                assert_eq!(
+                    pinned.predict(&r.features[..STATIC_LEN]).to_bits(),
+                    model.predict(&zeroed).to_bits()
+                );
+            }
+            assert_eq!(sel.select_static(&r.features), sel.select(&zeroed));
+            assert_eq!(sel.select_static(&r.features[..STATIC_LEN]), sel.select(&zeroed));
+        }
+        // A static-mode selector has nothing to pin.
+        let static_sel = EstimatorSelector::train(
+            &TrainingSet::from_records(&records),
+            &cfg.clone().with_mode(FeatureMode::Static),
+        );
+        assert!(static_sel.static_forests.is_empty());
+        for r in records.iter().take(20) {
+            assert_eq!(static_sel.select_static(&r.features), static_sel.select(&r.features));
+        }
     }
 
     #[test]

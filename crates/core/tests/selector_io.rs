@@ -93,3 +93,39 @@ proptest! {
         );
     }
 }
+
+/// A selector blob around one hand-written DNE model section.
+fn selector_text(model: &str) -> String {
+    format!("prosel-selector v1\nmode dynamic\ncandidates DNE\nmodel DNE\n{model}endmodel\n")
+}
+
+/// Models that parse line by line but could not be scored — an empty
+/// tree, a split past the feature vector, a split the compiled node
+/// cannot address — are refused when the selector is loaded, not when a
+/// shard first scores with them.
+#[test]
+fn unscoreable_models_are_rejected_at_load() {
+    let dims = FeatureSchema::get().len();
+    let ok = selector_text(&format!(
+        "mart v1\nbase 0.5 shrinkage 0.1 trees 1 features {dims}\ntree 3\n\
+         node 2 0.5 0 1 2 0\nnode -1 0 0 0 0 0.25\nnode -1 0 0 0 0 0.75\n"
+    ));
+    let sel = EstimatorSelector::from_text(&ok).expect("well-formed");
+    assert_eq!(sel.to_text(), ok);
+    assert_eq!(sel.predicted_errors(&vec![0.0; dims]), vec![(EstimatorKind::Dne, 0.525)]);
+
+    let err = |model: String| {
+        EstimatorSelector::from_text(&selector_text(&model)).err().expect("must not load")
+    };
+    let empty_tree = format!("mart v1\nbase 0.5 shrinkage 0.1 trees 1 features {dims}\ntree 0\n");
+    assert_eq!(err(empty_tree), "tree 0 has no nodes");
+    let past_the_vector = format!(
+        "mart v1\nbase 0.5 shrinkage 0.1 trees 1 features {}\ntree 3\n\
+         node {dims} 0.5 0 1 2 0\nnode -1 0 0 0 0 0.25\nnode -1 0 0 0 0 0.75\n",
+        dims + 1
+    );
+    assert!(err(past_the_vector).contains(&format!("over {} features", dims + 1)));
+    let too_wide = "mart v1\nbase 0.5 shrinkage 0.1 trees 1 features 70000\ntree 3\n\
+                    node 66000 0.5 0 1 2 0\nnode -1 0 0 0 0 0.25\nnode -1 0 0 0 0 0.75\n";
+    assert!(err(too_wide.into()).contains("features up to 65535"));
+}

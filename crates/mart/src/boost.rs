@@ -7,6 +7,7 @@
 //! iterations, 30-leaf trees).
 
 use crate::dataset::{BinnedDataset, Dataset};
+use crate::forest::Forest;
 use crate::tree::{RegressionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -57,16 +58,34 @@ impl BoostParams {
 }
 
 /// A trained MART model.
+///
+/// The fields are private because `forest` is compiled from the others:
+/// every constructor goes through [`Mart::from_parts`], and nothing
+/// mutates a model afterwards, so the compiled form cannot go stale.
 #[derive(Debug, Clone)]
 pub struct Mart {
-    pub base: f32,
-    pub shrinkage: f32,
-    pub trees: Vec<RegressionTree>,
-    /// Gain-based feature importance accumulated over all trees.
-    pub feature_gain: Vec<f64>,
+    base: f32,
+    shrinkage: f32,
+    trees: Vec<RegressionTree>,
+    feature_gain: Vec<f64>,
+    forest: Forest,
 }
 
 impl Mart {
+    /// Assemble a model — `base + Σ shrinkage · tree(row)` over `trees`
+    /// in order, on a `feature_gain.len()`-wide feature space — and
+    /// compile its inference form. Fails on any tree [`Forest::compile`]
+    /// refuses.
+    pub fn from_parts(
+        base: f32,
+        shrinkage: f32,
+        trees: Vec<RegressionTree>,
+        feature_gain: Vec<f64>,
+    ) -> Result<Mart, String> {
+        let forest = Forest::compile(base, shrinkage, &trees, feature_gain.len())?;
+        Ok(Mart { base, shrinkage, trees, feature_gain, forest })
+    }
+
     /// Train on `data`.
     pub fn train(data: &Dataset, params: &BoostParams) -> Mart {
         let binned = BinnedDataset::build(data);
@@ -80,15 +99,14 @@ impl Mart {
         assert!(n > 0, "cannot train on an empty dataset");
         assert_eq!(binned.n_rows(), n);
         let base = data.targets().iter().map(|&t| t as f64).sum::<f64>() as f32 / n as f32;
-        let mut model = Mart {
-            base,
+        let mut grown = Grown {
             shrinkage: params.shrinkage as f32,
             trees: Vec::with_capacity(params.iterations),
             feature_gain: vec![0.0f64; data.n_features()],
         };
         let mut preds = vec![base; n];
-        boost_rounds(&mut model, data, binned, params, &mut preds, params.iterations);
-        model
+        boost_rounds(&mut grown, data, binned, params, &mut preds, params.iterations);
+        grown.into_model(base)
     }
 
     /// Continue boosting an existing model: fit up to `extra` additional
@@ -111,23 +129,33 @@ impl Mart {
             base.feature_gain.len(),
             "warm start needs the feature space the base model was trained on"
         );
-        let mut model = base.clone();
         if extra == 0 {
-            return model;
+            return base.clone();
         }
         let binned = BinnedDataset::build(data);
         let mut preds: Vec<f32> = (0..n).map(|i| base.predict(data.row(i))).collect();
-        boost_rounds(&mut model, data, &binned, params, &mut preds, extra);
-        model
+        let mut grown = Grown {
+            shrinkage: base.shrinkage,
+            trees: base.trees.clone(),
+            feature_gain: base.feature_gain.clone(),
+        };
+        boost_rounds(&mut grown, data, &binned, params, &mut preds, extra);
+        grown.into_model(base.base)
     }
 
     /// Predict one example from raw feature values.
     pub fn predict(&self, row: &[f32]) -> f32 {
-        let mut acc = self.base;
-        for t in &self.trees {
-            acc += self.shrinkage * t.predict(row);
-        }
-        acc
+        self.forest.predict(row)
+    }
+
+    /// The inference form for rows known to hold `value` in every feature
+    /// `from..` ([`Forest::compile_pinned`]): bit-identical to
+    /// [`Self::predict`] on such rows, much smaller when the model splits
+    /// mostly on the pinned features.
+    pub fn pinned_forest(&self, from: usize, value: f32) -> Forest {
+        let n_features = self.feature_gain.len();
+        Forest::compile_pinned(self.base, self.shrinkage, &self.trees, n_features, from, value)
+            .expect("trees that compiled unpinned compile pinned")
     }
 
     /// Mean squared error over a dataset.
@@ -147,6 +175,45 @@ impl Mart {
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }
+
+    /// The ensemble's trees, in boosting order.
+    pub fn trees(&self) -> &[RegressionTree] {
+        &self.trees
+    }
+
+    /// The constant the ensemble's sum starts from.
+    pub fn base(&self) -> f32 {
+        self.base
+    }
+
+    /// The shrinkage applied to every tree.
+    pub fn shrinkage(&self) -> f32 {
+        self.shrinkage
+    }
+
+    /// Width of the feature space the model was trained on.
+    pub fn n_features(&self) -> usize {
+        self.feature_gain.len()
+    }
+
+    /// Gain-based feature importance accumulated over all trees.
+    pub fn feature_gain(&self) -> &[f64] {
+        &self.feature_gain
+    }
+}
+
+/// An ensemble while it is being boosted; [`Grown::into_model`] seals it.
+struct Grown {
+    shrinkage: f32,
+    trees: Vec<RegressionTree>,
+    feature_gain: Vec<f64>,
+}
+
+impl Grown {
+    fn into_model(self, base: f32) -> Mart {
+        Mart::from_parts(base, self.shrinkage, self.trees, self.feature_gain)
+            .expect("trees grown on this dataset compile")
+    }
 }
 
 /// The boosting loop shared by fresh training and [`Mart::warm_start`]:
@@ -156,7 +223,7 @@ impl Mart {
 /// updates use `model.shrinkage` — for fresh training that equals
 /// `params.shrinkage`; for a warm start it is the base ensemble's.
 fn boost_rounds(
-    model: &mut Mart,
+    model: &mut Grown,
     data: &Dataset,
     binned: &BinnedDataset,
     params: &BoostParams,

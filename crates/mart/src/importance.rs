@@ -68,7 +68,7 @@ pub fn project(data: &Dataset, cols: &[usize]) -> Dataset {
 /// Rank features by gain importance of a trained model (descending).
 /// Returns `(feature, total_gain)` pairs.
 pub fn rank_by_gain(model: &Mart) -> Vec<(usize, f64)> {
-    let mut ranked: Vec<(usize, f64)> = model.feature_gain.iter().copied().enumerate().collect();
+    let mut ranked: Vec<(usize, f64)> = model.feature_gain().iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     ranked
 }

@@ -24,11 +24,13 @@
 
 pub mod boost;
 pub mod dataset;
+pub mod forest;
 pub mod importance;
 pub mod model_io;
 pub mod tree;
 
 pub use boost::{BoostParams, Mart};
 pub use dataset::{BinnedDataset, Dataset, MAX_BINS};
+pub use forest::Forest;
 pub use importance::{greedy_forward_selection, project, rank_by_gain, SelectionStep};
 pub use tree::{RegressionTree, TreeNode, TreeParams};

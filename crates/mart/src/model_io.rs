@@ -21,12 +21,12 @@ pub fn to_string(model: &Mart) -> String {
     let _ = writeln!(
         out,
         "base {} shrinkage {} trees {} features {}",
-        model.base,
-        model.shrinkage,
-        model.trees.len(),
-        model.feature_gain.len()
+        model.base(),
+        model.shrinkage(),
+        model.n_trees(),
+        model.n_features()
     );
-    for tree in &model.trees {
+    for tree in model.trees() {
         let _ = writeln!(out, "tree {}", tree.nodes.len());
         for n in &tree.nodes {
             let f = if n.is_leaf() { -1i64 } else { n.feature as i64 };
@@ -70,6 +70,10 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             return Err(format!("bad tree line: {tl}"));
         }
         let n_nodes: usize = tparts[1].parse().map_err(|e| format!("tree size: {e}"))?;
+        if n_nodes == 0 {
+            // Every prediction starts at node 0.
+            return Err(format!("tree {} has no nodes", trees.len()));
+        }
         let mut nodes = Vec::with_capacity(n_nodes);
         for i in 0..n_nodes {
             let nl = lines.next().ok_or("missing node line")?;
@@ -92,8 +96,8 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             // Trees are serialized in construction order, so children
             // always come *after* their parent. Requiring strictly
             // forward references both bounds the indices and makes cycles
-            // (a corrupted node pointing at itself or an ancestor, which
-            // would hang `predict`'s descent loop forever) unrepresentable.
+            // (a corrupted node pointing at itself or an ancestor)
+            // unrepresentable, with the offending line named.
             if !node.is_leaf()
                 && (node.left as usize >= n_nodes
                     || node.right as usize >= n_nodes
@@ -118,7 +122,10 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             return Err(format!("trailing garbage after the declared trees: {line}"));
         }
     }
-    Ok(Mart { base, shrinkage, trees, feature_gain: vec![0.0; n_features] })
+    // Compiles the inference form: anything the parse above let through
+    // that a compiled node cannot hold (a shared child, a feature index or
+    // node count too wide for its fields) is refused here, not truncated.
+    Mart::from_parts(base, shrinkage, trees, vec![0.0; n_features])
 }
 
 #[cfg(test)]
@@ -174,8 +181,8 @@ mod tests {
             "mart v1\nbase 0 shrinkage 0.1 trees 1 features 2\ntree 1\nnode 9 0.5 1 0 0 0.0\n"
         )
         .is_err());
-        // Backward/self child references would make predict()'s descent
-        // loop cycle forever — they must fail at parse time.
+        // Backward/self child references are cycles, not trees — they
+        // must fail at parse time.
         assert!(from_str(
             "mart v1\nbase 0 shrinkage 0.1 trees 1 features 2\ntree 1\nnode 0 0.5 1 0 0 0.0\n"
         )
@@ -185,5 +192,64 @@ mod tests {
              node 0 0.5 1 0 2 0.0\nnode -1 0 0 0 0 1.0\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_trees_the_compiled_form_cannot_hold() {
+        let parse = |trees: usize, features: usize, body: &str| {
+            from_str(&format!(
+                "mart v1\nbase 0 shrinkage 0.1 trees {trees} features {features}\n{body}"
+            ))
+        };
+        // An empty node list used to parse and panic on `nodes[0]` at the
+        // first prediction.
+        let err = parse(2, 2, "tree 1\nnode -1 0 0 0 0 1\ntree 0\n").expect_err("tree 0");
+        assert_eq!(err, "tree 1 has no nodes");
+        // A feature index wider than the compiled node's 16-bit field is
+        // an error, not a truncation to feature 464.
+        let err = parse(
+            1,
+            70_000,
+            "tree 3\nnode 66000 0.5 0 1 2 0\nnode -1 0 0 0 0 1\nnode -1 0 0 0 0 2\n",
+        )
+        .expect_err("wide feature");
+        assert!(err.contains("tree 0") && err.contains("features up to 65535"), "{err}");
+        // So is a tree with a level wider than a node's 16-bit step to its
+        // children spans: a complete tree of 2^15 splits on its last inner
+        // level.
+        let splits = (1usize << 16) - 1;
+        let mut body = format!("tree {}\n", 2 * splits + 1);
+        for i in 0..splits {
+            body.push_str(&format!("node 0 0 0 {} {} 0\n", 2 * i + 1, 2 * i + 2));
+        }
+        for i in 0..=splits {
+            body.push_str(&format!("node -1 0 0 0 0 {i}\n"));
+        }
+        let err = parse(1, 1, &body).expect_err("wide tree");
+        assert!(err.contains("tree 0") && err.contains("a compiled node reaches 32767"), "{err}");
+        // A child shared by two parents is forward-pointing but not a tree.
+        let err = parse(1, 1, "tree 2\nnode 0 0.5 0 1 1 0\nnode -1 0 0 0 0 1\n")
+            .expect_err("shared child");
+        assert!(err.contains("two paths"), "{err}");
+    }
+
+    #[test]
+    fn forward_but_scattered_children_compile_and_predict_as_written() {
+        // Children forward but not adjacent, right before left, and a
+        // node nothing points at: the compiled copy is re-laid, the text
+        // re-encodes unchanged.
+        let text = "mart v1\nbase 1 shrinkage 0.5 trees 1 features 2\ntree 6\n\
+                    node 0 0.5 3 4 2 0\nnode -1 0 0 0 0 99\nnode 1 -1 7 5 3 0\n\
+                    node -1 0 0 0 0 3\nnode -1 0 0 0 0 1\nnode -1 0 0 0 0 2\n";
+        let model = from_str(text).expect("parse");
+        assert_eq!(to_string(&model), text);
+        let tree = &model.trees()[0];
+        for row in [[0.5, 0.0], [0.6, -1.0], [0.6, -0.5], [f32::NAN, f32::NAN]] {
+            let want = 1.0 + 0.5 * tree.predict(&row);
+            assert_eq!(model.predict(&row).to_bits(), want.to_bits(), "{row:?}");
+        }
+        assert_eq!(model.predict(&[0.0, 0.0]), 1.5);
+        assert_eq!(model.predict(&[1.0, -2.0]), 2.0);
+        assert_eq!(model.predict(&[1.0, 0.0]), 2.5);
     }
 }

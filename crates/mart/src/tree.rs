@@ -159,8 +159,11 @@ impl RegressionTree {
         (tree, preds)
     }
 
-    /// Predict from raw feature values.
-    pub fn predict(&self, row: &[f32]) -> f32 {
+    /// Predict from raw feature values by walking the nodes — the oracle
+    /// the compiled [`crate::Forest`] is tested against; inference itself
+    /// goes through the forest only.
+    #[cfg(test)]
+    pub(crate) fn predict(&self, row: &[f32]) -> f32 {
         let mut n = &self.nodes[0];
         while !n.is_leaf() {
             n = if row[n.feature as usize] <= n.threshold {

@@ -19,6 +19,7 @@
 use crate::eta::{Eta, SpeedTracker, StaleEta};
 use crate::runtime::RuntimeConfig;
 use crate::state::HarvestState;
+use prosel_core::features::schema::{DYNAMIC_LEN, STATIC_LEN};
 use prosel_core::features::{dynamic_features, static_features};
 use prosel_core::pipeline_runs::{record_from_online, PipelineRecord};
 use prosel_core::selection::EstimatorSelector;
@@ -277,6 +278,12 @@ pub(crate) struct ShardCounters {
     pub(crate) events_rejected: Arc<Counter>,
     /// `TraceEvent::Delta` events whose sparse patch applied cleanly.
     pub(crate) delta_decodes: Arc<Counter>,
+    /// Re-selections that came due (a pipeline reached its
+    /// `reselect_every` cadence) …
+    pub(crate) reselect: Arc<Counter>,
+    /// … and those of them answered from the memo: the feature vector was
+    /// bit-equal to the one last scored, so the forest was not touched.
+    pub(crate) reselect_memo_hits: Arc<Counter>,
     /// Sampled per-event ingest latency (see [`ObsOptions`]).
     pub(crate) ingest_ns: Arc<Histogram>,
     /// Sampled full-snapshot / delta evaluation time (the
@@ -311,6 +318,8 @@ impl ShardCounters {
                     harvests: c("harvests_total"),
                     events_rejected: c("events_rejected_total"),
                     delta_decodes: c("delta_decodes_total"),
+                    reselect: c("reselect_total"),
+                    reselect_memo_hits: c("reselect_memo_hits_total"),
                     ingest_ns: registry.histogram(&format!("{prefix}ingest_ns")),
                     snapshot_eval_ns: registry.histogram(&format!("{prefix}snapshot_eval_ns")),
                     timing,
@@ -328,6 +337,8 @@ impl ShardCounters {
                 harvests: Arc::new(Counter::new()),
                 events_rejected: Arc::new(Counter::new()),
                 delta_decodes: Arc::new(Counter::new()),
+                reselect: Arc::new(Counter::new()),
+                reselect_memo_hits: Arc::new(Counter::new()),
                 ingest_ns: Arc::new(Histogram::new()),
                 snapshot_eval_ns: Arc::new(Histogram::new()),
                 timing,
@@ -412,9 +423,39 @@ pub(crate) struct PipeState {
     pub(crate) obs: IncrementalObs,
     pub(crate) choice: EstimatorKind,
     initial: EstimatorKind,
-    /// Static feature prefix, cached at registration (selector mode only).
-    static_feats: Vec<f32>,
+    /// The full feature vector `choice` was last scored on (selector mode
+    /// only; empty under a fixed policy): the static prefix, extracted at
+    /// registration, and the dynamic suffix of the latest re-selection —
+    /// zeros until the first one, the static-selection convention. Scoring
+    /// is a pure function of this vector and the query's captured
+    /// selector, so a re-selection whose vector is bit-equal to it keeps
+    /// `choice` without consulting the forest.
+    feats: Vec<f32>,
     since_select: usize,
+}
+
+impl PipeState {
+    /// A due re-selection: extract the dynamic features into `scratch`
+    /// and score — unless they are bit-equal to the ones scored last
+    /// time, in which case the same input to the same pure function gives
+    /// the choice already held.
+    fn rescore(
+        &mut self,
+        sel: &EstimatorSelector,
+        scratch: &mut Vec<f32>,
+        counters: &ShardCounters,
+    ) -> EstimatorKind {
+        counters.reselect.inc();
+        scratch.clear();
+        dynamic_features::extract_into(&self.obs, scratch);
+        let scored = &mut self.feats[STATIC_LEN..];
+        if scored.iter().zip(&*scratch).all(|(a, b)| a.to_bits() == b.to_bits()) {
+            counters.reselect_memo_hits.inc();
+            return self.choice;
+        }
+        scored.copy_from_slice(scratch);
+        sel.select(&self.feats)
+    }
 }
 
 /// Per-query reusable ingest scratch. One allocation set per query for
@@ -508,6 +549,9 @@ pub struct ProgressMonitor {
     /// Monotone operation counters and latency histograms — shared
     /// wait-free atomics; [`Self::shard_stats`] is a view over them.
     counters: ShardCounters,
+    /// Scratch the dynamic features of a due re-selection are extracted
+    /// into before being compared with the pipeline's last-scored vector.
+    dynamic_feats: Vec<f32>,
     /// Rolling event tick for 1-in-N latency sampling.
     obs_tick: u32,
     /// Is the event currently being ingested a sampled (timed) one? Set
@@ -547,6 +591,7 @@ impl ProgressMonitor {
             epoch: 0,
             harvester: None,
             counters,
+            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
             obs_timed: false,
         })
@@ -572,6 +617,7 @@ impl ProgressMonitor {
             epoch: 0,
             harvester: None,
             counters,
+            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
             obs_timed: false,
         }
@@ -681,10 +727,13 @@ impl ProgressMonitor {
         let pipes = pipelines
             .iter()
             .map(|p| {
-                let (static_feats, choice) = match &self.policy {
+                let (feats, choice) = match &self.policy {
                     Policy::Fixed(kind) => (Vec::new(), *kind),
                     Policy::Selector(sel) => {
-                        let feats = static_features::extract_parts(&plan, &pipelines, p.id);
+                        // Static selection scores the prefix followed by
+                        // zeros; that is the vector to remember.
+                        let mut feats = static_features::extract_parts(&plan, &pipelines, p.id);
+                        feats.resize(STATIC_LEN + DYNAMIC_LEN, 0.0);
                         let choice = sel.select_static(&feats);
                         (feats, choice)
                     }
@@ -693,7 +742,7 @@ impl ProgressMonitor {
                     obs: IncrementalObs::new(Arc::clone(&plan), p),
                     choice,
                     initial: choice,
-                    static_feats,
+                    feats,
                     since_select: 0,
                 }
             })
@@ -869,7 +918,14 @@ impl ProgressMonitor {
         // allocation once the scratch is warm) and run the shared tail.
         qs.scratch.decoder.apply_full(snapshot, windows);
         let eval_start = self.obs_timed.then(Instant::now);
-        Self::advance_query(qs, self.config.reselect_every, wall, 0);
+        Self::advance_query(
+            qs,
+            self.config.reselect_every,
+            wall,
+            0,
+            &self.counters,
+            &mut self.dynamic_feats,
+        );
         if let Some(start) = eval_start {
             self.counters.snapshot_eval_ns.record(start.elapsed().as_nanos() as u64);
         }
@@ -917,7 +973,14 @@ impl ProgressMonitor {
             .min()
             .unwrap_or(usize::MAX);
         let eval_start = self.obs_timed.then(Instant::now);
-        Self::advance_query(qs, self.config.reselect_every, wall, dirty_from);
+        Self::advance_query(
+            qs,
+            self.config.reselect_every,
+            wall,
+            dirty_from,
+            &self.counters,
+            &mut self.dynamic_feats,
+        );
         if let Some(start) = eval_start {
             self.counters.snapshot_eval_ns.record(start.elapsed().as_nanos() as u64);
         }
@@ -928,7 +991,14 @@ impl ProgressMonitor {
     /// snapshot; do the serial bookkeeping, refresh the shared bound
     /// context (the O(pipelines × plan) → O(plan) hoist, now also
     /// allocation-free), and offer the snapshot view to every pipeline.
-    fn advance_query(qs: &mut QueryState, reselect_every: usize, wall: f64, dirty_from: usize) {
+    fn advance_query(
+        qs: &mut QueryState,
+        reselect_every: usize,
+        wall: f64,
+        dirty_from: usize,
+        counters: &ShardCounters,
+        dynamic_feats: &mut Vec<f32>,
+    ) {
         let serial = qs.serial_next;
         qs.serial_next += 1;
         qs.live.push(serial);
@@ -953,9 +1023,7 @@ impl ProgressMonitor {
                 if reselect_every > 0 && pipe.since_select >= reselect_every && !pipe.obs.is_empty()
                 {
                     pipe.since_select = 0;
-                    let mut feats = pipe.static_feats.clone();
-                    feats.extend(dynamic_features::extract(&pipe.obs));
-                    let next = sel.select(&feats);
+                    let next = pipe.rescore(sel, dynamic_feats, counters);
                     if next != pipe.choice {
                         switches.push(SwitchEvent {
                             pipeline: pid,
@@ -1242,6 +1310,7 @@ impl ProgressMonitor {
             harvester: self.harvester.clone(),
             // Counters are per-instance: forks start their own tallies.
             counters: ShardCounters::from_config(&self.config, Some(shard)),
+            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
             obs_timed: false,
         }
@@ -1669,6 +1738,89 @@ mod tests {
         }
         assert_eq!(monitor.current_choice(0, 0), Some(EstimatorKind::Dne));
         assert_eq!(monitor.switch_history(0), Some(&[][..]), "no switch forced by the swap");
+    }
+
+    /// The re-selection memo is an identity, not an approximation: a
+    /// monitor that answers bit-equal feature vectors from the memo and
+    /// one forced to re-score every due re-selection must agree on every
+    /// choice, switch and served progress bit after every event — across
+    /// buffer thinning and a selector hot swap.
+    #[test]
+    fn memoised_reselection_equals_rescoring_every_time() {
+        use prosel_core::pipeline_runs::collect_workload_records;
+        use prosel_core::selection::{EstimatorSelector, SelectorConfig};
+        use prosel_core::training::TrainingSet;
+        use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
+        use prosel_mart::BoostParams;
+        use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
+        use prosel_planner::PlanBuilder;
+
+        // Trained on one workload family, serving another: the initial
+        // choices get revised.
+        let trained_on =
+            WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(16).with_scale(0.4);
+        let records = collect_workload_records(&trained_on).expect("records");
+        let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(10).with_scale(0.4);
+        let train = TrainingSet::from_records(&records);
+        let cfg = SelectorConfig::default()
+            .with_boost(BoostParams { iterations: 40, ..BoostParams::default() });
+        let first = Arc::new(EstimatorSelector::train(&train, &cfg));
+        let second = Arc::new(EstimatorSelector::retrain_from(&first, &train, 20, 0x5EC0));
+
+        let w = materialize(&spec);
+        let catalog = Catalog::new(&w.db, &w.design);
+        let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+        let config = MonitorConfig { reselect_every: 2, ..MonitorConfig::default() };
+        let mut memo = ProgressMonitor::with_selector(Arc::clone(&first), config.clone());
+        let mut rescoring = ProgressMonitor::with_selector(Arc::clone(&first), config);
+        let (mut thinned, mut switched) = (0usize, 0usize);
+        for (qi, q) in w.queries.iter().enumerate() {
+            let plan = Arc::new(builder.build(q).expect("plan"));
+            memo.register(qi, Arc::clone(&plan));
+            rescoring.register(qi, Arc::clone(&plan));
+            let (tap, rx) = std::sync::mpsc::channel();
+            let exec = ExecConfig {
+                max_snapshots: 32,
+                initial_snapshot_interval: 5.0,
+                seed: qi as u64,
+                ..ExecConfig::default()
+            };
+            run_plan_tapped(&catalog, &plan, &exec, qi, tap);
+            let mut ingested = 0;
+            while let Ok(ev) = rx.try_recv() {
+                // The swap lands while a query is in flight: it keeps the
+                // selector it registered under, later ones get the new.
+                ingested += 1;
+                if qi == w.queries.len() / 2 && ingested == 10 {
+                    assert_eq!(memo.swap_selector(Arc::clone(&second)), 1);
+                    assert_eq!(rescoring.swap_selector(Arc::clone(&second)), 1);
+                }
+                thinned += matches!(ev, TraceEvent::Thinned { .. }) as usize;
+                // No finite feature is bit-equal to NaN: the memo of the
+                // rescoring monitor never hits.
+                for pipe in &mut rescoring.queries.get_mut(&qi).expect("registered").pipes {
+                    pipe.feats[STATIC_LEN..].fill(f32::NAN);
+                }
+                memo.ingest(ev.clone());
+                rescoring.ingest(ev);
+                for pid in 0..plan.len() {
+                    assert_eq!(memo.current_choice(qi, pid), rescoring.current_choice(qi, pid));
+                }
+                assert_eq!(memo.switch_history(qi), rescoring.switch_history(qi));
+                assert_eq!(
+                    memo.query_progress(qi).map(f64::to_bits),
+                    rescoring.query_progress(qi).map(f64::to_bits)
+                );
+            }
+            assert_eq!(memo.is_finished(qi), Some(true));
+            switched += memo.switch_history(qi).expect("registered").len();
+        }
+        assert!(thinned > 0 && switched > 0, "{thinned} thinnings, {switched} switches");
+        assert_eq!(memo.selector_epoch(), 1, "the swap happened");
+        let (due, hits) = (&memo.counters.reselect, &memo.counters.reselect_memo_hits);
+        assert_eq!(due.get(), rescoring.counters.reselect.get());
+        assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
+        assert_eq!(rescoring.counters.reselect_memo_hits.get(), 0);
     }
 
     #[test]
