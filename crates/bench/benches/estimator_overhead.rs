@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{EstimatorKind, PipelineObs};
+use prosel_estimators::{EstimatorKind, PipelineObs, TraceCtx};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 use std::hint::black_box;
@@ -16,7 +16,7 @@ fn bench_estimators(c: &mut Criterion) {
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
     let plan = builder.build(&w.queries[1]).expect("plan");
     let run = run_plan(&catalog, &plan, &ExecConfig::default());
-    let ctx = prosel_estimators::TraceCtx::new(&run);
+    let ctx = TraceCtx::new(&run);
     let pid = (0..run.pipelines.len())
         .max_by_key(|&p| PipelineObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()))
         .unwrap();
@@ -24,7 +24,7 @@ fn bench_estimators(c: &mut Criterion) {
     let mut group = c.benchmark_group("estimators");
     // Building the per-pipeline observation state (bounds, aggregates).
     group.bench_function("pipeline_obs_build", |b| {
-        b.iter(|| black_box(PipelineObs::new(&run, pid).unwrap()))
+        b.iter(|| black_box(PipelineObs::with_ctx(&run, pid, &TraceCtx::new(&run)).unwrap()))
     });
     // Rendering one estimator curve from the prepared state.
     let obs = PipelineObs::with_ctx(&run, pid, &ctx).unwrap();

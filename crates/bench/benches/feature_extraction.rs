@@ -24,7 +24,7 @@ fn bench_features(c: &mut Criterion) {
     let obs = PipelineObs::with_ctx(&run, pid, &ctx).unwrap();
 
     c.bench_function("feature_extract_full", |b| {
-        b.iter(|| black_box(features::extract(&run, &obs)))
+        b.iter(|| black_box(features::extract(&run.plan, &obs)))
     });
 }
 

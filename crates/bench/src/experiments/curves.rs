@@ -14,17 +14,12 @@ use crate::suite::{ExpScale, Suite};
 use prosel_datagen::TuningLevel;
 use prosel_engine::plan::OperatorKind;
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{EstimatorKind, PipelineObs};
+use prosel_estimators::{EstimatorKind, PipelineObs, TraceCtx};
 use prosel_planner::query::{FilterSpec, JoinSpec, QuerySpec, TableRef};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::{PlanBuilder, PlannerConfig};
 
-fn curve_table(
-    title: &str,
-    obs: &PipelineObs<'_>,
-    kinds: &[EstimatorKind],
-    points: usize,
-) -> String {
+fn curve_table(title: &str, obs: &PipelineObs, kinds: &[EstimatorKind], points: usize) -> String {
     let truth = obs.truth();
     let curves: Vec<(EstimatorKind, Vec<f64>)> = kinds.iter().map(|&k| (k, obs.curve(k))).collect();
     let mut header = vec!["time%", "true"];
@@ -95,7 +90,7 @@ pub fn run_fig6(_suite: &mut Suite, _scale: ExpScale) -> String {
         .iter()
         .position(|p| !p.batch_sort_nodes.is_empty())
         .expect("batch-sort pipeline");
-    let obs = PipelineObs::new(&run, pid).expect("observations");
+    let obs = PipelineObs::with_ctx(&run, pid, &TraceCtx::new(&run)).expect("observations");
     let mut out = format!(
         "Figure 6 — nested-loop + batch-sort pipeline ({} obs)\nplan:\n{}\n",
         obs.len(),
@@ -160,7 +155,7 @@ pub fn run_fig7(_suite: &mut Suite, _scale: ExpScale) -> String {
     );
     let catalog = Catalog::new(&w.db, &w.design);
     let run = run_plan(&catalog, &plan, &ExecConfig::default());
-    let ctx = prosel_estimators::TraceCtx::new(&run);
+    let ctx = TraceCtx::new(&run);
     // Use the final (largest) probe pipeline.
     let pid = (0..run.pipelines.len())
         .filter(|&p| PipelineObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()) >= 10)

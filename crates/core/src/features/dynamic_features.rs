@@ -15,7 +15,7 @@
 //!   incorporate the actual passage of time.
 
 use crate::features::schema::{COR_ESTIMATORS, COR_POINTS, DIFF_PAIRS, DYNAMIC_LEN, X_MARKERS};
-use prosel_estimators::{EstimatorKind, ObsView};
+use prosel_estimators::{EstimatorKind, IncrementalObs};
 
 fn kind_by_name(name: &str) -> EstimatorKind {
     match name {
@@ -81,24 +81,23 @@ fn markers(df: &[f64]) -> [[usize; COR_POINTS]; X_MARKERS.len()] {
 
 /// Extract the dynamic feature suffix.
 ///
-/// Generic over [`ObsView`] so the same definitions serve the post-hoc
-/// path (batch `PipelineObs`) and the live path (`IncrementalObs` fed by
-/// the monitor): on a prefix of a run, markers not yet reached clamp to
-/// the latest observation, giving the *provisional* dynamic features the
-/// online re-selection uses until the real markers arrive.
-pub fn extract(obs: &impl ObsView) -> Vec<f32> {
+/// One definition serves post-hoc replay and the live monitor: on a
+/// prefix of a run, markers not yet reached clamp to the latest
+/// observation, giving the *provisional* dynamic features the online
+/// re-selection uses until the real markers arrive.
+pub fn extract(obs: &IncrementalObs) -> Vec<f32> {
     let mut out = Vec::with_capacity(DYNAMIC_LEN);
     extract_into(obs, &mut out);
     out
 }
 
 /// [`extract`], appending the [`DYNAMIC_LEN`] features to `out` — no
-/// allocation of its own when `out` has the room and the view lends its
-/// curves (the live path).
-pub fn extract_into(obs: &impl ObsView, out: &mut Vec<f32>) {
-    let curves = COR_ESTIMATORS.map(|name| obs.curve(kind_by_name(name)));
-    let start = obs.window_start();
-    let times = obs.obs_times();
+/// allocation of its own when `out` has the room (the maintained curves
+/// are borrowed).
+pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
+    let curves = COR_ESTIMATORS.map(|name| obs.curve_view(kind_by_name(name)));
+    let start = obs.window().0;
+    let times = obs.times();
     let at = markers(obs.driver_fraction());
 
     // Pairwise differences at t{x}.
@@ -140,7 +139,7 @@ mod tests {
     use prosel_engine::trace::thin_half;
     use prosel_engine::{run_plan, Catalog, ExecConfig};
     use prosel_estimators::soa::BoundsKernel;
-    use prosel_estimators::{IncrementalObs, PipelineObs, SnapshotCtx};
+    use prosel_estimators::{PipelineObs, SnapshotCtx, TraceCtx};
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
     use std::sync::Arc;
@@ -148,17 +147,17 @@ mod tests {
     /// First observation index where the driver fraction reaches `frac`
     /// (clamped to the last observation when never reached) — one scan
     /// per use, the definition [`markers`] resolves in a single pass.
-    fn marker(obs: &impl ObsView, frac: f64) -> usize {
+    fn marker(obs: &IncrementalObs, frac: f64) -> usize {
         let df = obs.driver_fraction();
         df.iter().position(|&a| a >= frac).unwrap_or(df.len().saturating_sub(1))
     }
 
     /// The per-feature definition [`extract_into`] must reproduce bit for
     /// bit.
-    fn extract_reference(obs: &impl ObsView) -> Vec<f32> {
+    fn extract_reference(obs: &IncrementalObs) -> Vec<f32> {
         let curve_of = |name: &str| obs.curve(kind_by_name(name));
-        let start = obs.window_start();
-        let times = obs.obs_times();
+        let start = obs.window().0;
+        let times = obs.times();
         let mut out = Vec::new();
         for (a, b) in DIFF_PAIRS {
             let (ca, cb) = (curve_of(a), curve_of(b));
@@ -186,7 +185,7 @@ mod tests {
 
     /// `extract_into` appends exactly the reference vector, leaving what
     /// `out` already held alone.
-    fn assert_matches_reference(obs: &impl ObsView, label: &str) {
+    fn assert_matches_reference(obs: &IncrementalObs, label: &str) {
         let mut got = vec![7.0f32; 3];
         extract_into(obs, &mut got);
         let want = extract_reference(obs);
@@ -199,7 +198,7 @@ mod tests {
 
     #[test]
     fn single_pass_extraction_matches_the_per_feature_definition() {
-        let (mut batch, mut prefixes, mut thinned) = (0, 0, 0);
+        let (mut replayed, mut prefixes, mut thinned) = (0, 0, 0);
         for (kind, seed) in [(WorkloadKind::TpchLike, 6), (WorkloadKind::TpcdsLike, 9)] {
             let spec = WorkloadSpec::new(kind, seed).with_queries(5).with_scale(0.4);
             let w = materialize(&spec);
@@ -209,7 +208,7 @@ mod tests {
                 let plan = builder.build(q).unwrap();
                 let cfg = ExecConfig { seed: qi as u64, ..ExecConfig::default() };
                 let run = run_plan(&catalog, &plan, &cfg);
-                let trace_ctx = prosel_estimators::TraceCtx::new(&run);
+                let trace_ctx = TraceCtx::new(&run);
                 let plan = Arc::new(run.plan.clone());
                 let kernel = BoundsKernel::new(&plan);
                 let mut ctx = SnapshotCtx::empty();
@@ -217,7 +216,7 @@ mod tests {
                     let label = format!("{kind:?} q{qi} p{pid}");
                     if let Some(obs) = PipelineObs::with_ctx(&run, pid, &trace_ctx) {
                         assert_matches_reference(&obs, &label);
-                        batch += 1;
+                        replayed += 1;
                     }
                     // The live view: every mid-run prefix, with the
                     // observation buffer halved every 24 snapshots.
@@ -242,7 +241,7 @@ mod tests {
                 }
             }
         }
-        assert!(batch > 10 && prefixes > 500 && thinned > 10, "{batch} {prefixes} {thinned}");
+        assert!(replayed > 10 && prefixes > 500 && thinned > 10, "{replayed} {prefixes} {thinned}");
     }
 
     #[test]
@@ -257,7 +256,7 @@ mod tests {
             let plan = builder.build(q).unwrap();
             let run =
                 run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
-            let ctx = prosel_estimators::TraceCtx::new(&run);
+            let ctx = TraceCtx::new(&run);
             for pid in 0..run.pipelines.len() {
                 if let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) {
                     let v = extract(&obs);
@@ -278,7 +277,7 @@ mod tests {
         let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
         let plan = builder.build(&w.queries[0]).unwrap();
         let run = run_plan(&catalog, &plan, &ExecConfig::default());
-        if let Some(obs) = PipelineObs::new(&run, 0) {
+        if let Some(obs) = PipelineObs::with_ctx(&run, 0, &TraceCtx::new(&run)) {
             let mut prev = 0usize;
             for x in X_MARKERS {
                 let j = marker(&obs, x as f64 / 100.0);

@@ -15,14 +15,14 @@ pub mod dynamic_features;
 pub mod schema;
 pub mod static_features;
 
-use prosel_engine::QueryRun;
-use prosel_estimators::PipelineObs;
+use prosel_engine::plan::PhysicalPlan;
+use prosel_estimators::IncrementalObs;
 
 pub use schema::FeatureSchema;
 
-/// Extract the full feature vector (static ++ dynamic) for one pipeline.
-pub fn extract(run: &QueryRun, obs: &PipelineObs<'_>) -> Vec<f32> {
-    let mut v = static_features::extract(run, obs.pipeline_id());
+/// Extract the full feature vector (static ++ dynamic) of `obs`'s pipeline.
+pub fn extract(plan: &PhysicalPlan, obs: &IncrementalObs) -> Vec<f32> {
+    let mut v = static_features::extract_pipeline(plan, obs.pipeline());
     dynamic_features::extract_into(obs, &mut v);
     debug_assert_eq!(v.len(), FeatureSchema::get().len());
     debug_assert!(v.iter().all(|x| x.is_finite()), "non-finite feature");

@@ -32,8 +32,8 @@ pub mod training;
 
 pub use features::FeatureSchema;
 pub use pipeline_runs::{
-    collect_from_workload, collect_workload_records, pipeline_fingerprint, records_from_run,
-    CollectConfig, PipelineRecord,
+    collect_from_workload, collect_workload_records, records_from_run, CollectConfig,
+    PipelineRecord,
 };
 pub use progress::{PipelineChoice, ProgressMonitor, ProgressPoint};
 pub use selection::{EstimatorSelector, SelectionReport, SelectorConfig};

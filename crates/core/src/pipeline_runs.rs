@@ -7,19 +7,12 @@
 use crate::features;
 use prosel_engine::plan::{OperatorKind, PhysicalPlan};
 use prosel_engine::{run_plan, Catalog, ExecConfig, Pipeline, QueryRun};
-use prosel_estimators::{
-    l1_error, l2_error, EstimatorKind, IncrementalObs, ObsView, PipelineObs, TraceCtx,
-};
+use prosel_estimators::{l1_error, l2_error, EstimatorKind, IncrementalObs, PipelineObs, TraceCtx};
 use prosel_planner::workload::{materialize, Workload, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
-/// Structural fingerprint of one pipeline of a run.
-pub fn pipeline_fingerprint(run: &QueryRun, pid: usize) -> String {
-    fingerprint_parts(&run.plan, &run.pipelines[pid])
-}
-
-/// [`pipeline_fingerprint`] from the plan and pipeline alone — the form
-/// the online harvest path uses (no completed [`QueryRun`] in hand).
+/// Structural fingerprint of one pipeline: its operator sequence plus the
+/// tables it reads.
 pub fn fingerprint_parts(plan: &PhysicalPlan, pipeline: &Pipeline) -> String {
     let mut ops = String::new();
     let mut tables: Vec<&str> = Vec::new();
@@ -105,19 +98,16 @@ impl Default for CollectConfig {
 }
 
 /// Candidate + oracle error labels of one observation sequence against its
-/// truth curve. Generic over [`ObsView`] so the batch path
-/// ([`PipelineObs`]) and the online harvest path ([`IncrementalObs`])
-/// run the identical accumulation — their label bit-identity reduces to
-/// curve bit-identity, which the incremental protocol guarantees.
+/// truth curve.
 #[allow(clippy::type_complexity)]
 fn errors_against_truth(
-    obs: &impl ObsView,
+    obs: &IncrementalObs,
     truth: &[f64],
 ) -> (Vec<f32>, Vec<f32>, [f32; 2], [f32; 2]) {
     let mut errors_l1 = Vec::with_capacity(EstimatorKind::CANDIDATES.len());
     let mut errors_l2 = Vec::with_capacity(EstimatorKind::CANDIDATES.len());
     for kind in EstimatorKind::CANDIDATES {
-        let curve = obs.curve(kind);
+        let curve = obs.curve_view(kind);
         errors_l1.push(l1_error(&curve, truth) as f32);
         errors_l2.push(l2_error(&curve, truth) as f32);
     }
@@ -126,14 +116,17 @@ fn errors_against_truth(
     for (i, kind) in
         [EstimatorKind::GetNextOracle, EstimatorKind::BytesOracle].into_iter().enumerate()
     {
-        let curve = obs.curve(kind);
+        let curve = obs.curve_view(kind);
         oracle_l1[i] = l1_error(&curve, truth) as f32;
         oracle_l2[i] = l2_error(&curve, truth) as f32;
     }
     (errors_l1, errors_l2, oracle_l1, oracle_l2)
 }
 
-/// Execute one query run and append its pipeline records.
+/// Append the records of one finished query run: replay each pipeline's
+/// trace through the incremental protocol, then [`record_from_online`] —
+/// the labels and features a monitor would have harvested live from the
+/// same execution.
 pub fn records_from_run(
     run: &QueryRun,
     workload: &str,
@@ -141,47 +134,34 @@ pub fn records_from_run(
     min_observations: usize,
     out: &mut Vec<PipelineRecord>,
 ) {
-    // One refinement-bound pass per snapshot, shared by every pipeline.
+    // The plan and one refinement-bound pass per snapshot, shared by
+    // every pipeline.
     let ctx = TraceCtx::new(run);
     for pid in 0..run.pipelines.len() {
         let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else { continue };
-        if obs.len() < min_observations {
-            continue;
-        }
-        let truth = obs.truth();
-        let (errors_l1, errors_l2, oracle_l1, oracle_l2) = errors_against_truth(&obs, &truth);
-        out.push(PipelineRecord {
-            workload: workload.to_string(),
+        let weight = run.pipeline_weight(pid);
+        out.extend(record_from_online(
+            &run.plan,
+            &obs,
+            workload,
             query_idx,
-            pipeline_id: pid,
-            features: features::extract(run, &obs),
-            errors_l1,
-            errors_l2,
-            total_getnext: obs.total_getnext(),
-            weight: run.pipeline_weight(pid),
-            n_obs: obs.len(),
-            fingerprint: pipeline_fingerprint(run, pid),
-            oracle_l1,
-            oracle_l2,
-        });
+            weight,
+            min_observations,
+        ));
     }
 }
 
-/// One labelled record harvested from a *finalized* online observation
-/// state — the monitor's feedback path (ROADMAP: "mining the logged
-/// switch points into training records"). Produces exactly what
-/// [`records_from_run`] would extract for the same pipeline of the same
-/// execution — features and labels **bit-identical** to the batch path
-/// (`tests/harvest_equivalence.rs` pins this contract) — because every
-/// ingredient is shared: static features come from the same
-/// plan-and-pipeline extraction, dynamic features from the same
-/// [`ObsView`] definitions, truth and totals from the finalized
-/// incremental state (bit-identical to the batch trace by the incremental
-/// protocol), and error accumulation from the same private helper.
+/// One labelled record from a *finalized* observation state — the unit
+/// both record sources produce: [`records_from_run`] over a replayed
+/// trace, and the monitor's harvest path over the live stream (ROADMAP:
+/// "mining the logged switch points into training records").
+/// `tests/harvest_equivalence.rs` pins that live streaming with thinning
+/// and post-hoc replay of the final trace yield bit-identical records.
 ///
 /// `weight` is the pipeline's eq. (5) weight (the monitor holds it from
 /// registration). Returns `None` when the pipeline committed fewer than
-/// `min_observations` observations — the batch skip rule.
+/// `min_observations` observations (too short to meaningfully estimate
+/// progress for).
 ///
 /// # Panics
 /// Panics if `obs` is not finalized (labels need the final window).
@@ -197,23 +177,19 @@ pub fn record_from_online(
     if obs.is_empty() || obs.len() < min_observations {
         return None;
     }
-    let pipeline = obs.pipeline();
-    let mut feats = features::static_features::extract_pipeline(plan, pipeline);
-    features::dynamic_features::extract_into(obs, &mut feats);
-    debug_assert_eq!(feats.len(), features::FeatureSchema::get().len());
     let truth = obs.truth();
     let (errors_l1, errors_l2, oracle_l1, oracle_l2) = errors_against_truth(obs, &truth);
     Some(PipelineRecord {
         workload: workload.to_string(),
         query_idx,
         pipeline_id: obs.pipeline_id(),
-        features: feats,
+        features: features::extract(plan, obs),
         errors_l1,
         errors_l2,
         total_getnext: obs.total_getnext(),
         weight,
         n_obs: obs.len(),
-        fingerprint: fingerprint_parts(plan, pipeline),
+        fingerprint: fingerprint_parts(plan, obs.pipeline()),
         oracle_l1,
         oracle_l2,
     })

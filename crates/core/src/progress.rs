@@ -11,7 +11,7 @@ use crate::features;
 use crate::selection::EstimatorSelector;
 use crate::training::FeatureMode;
 use prosel_engine::QueryRun;
-use prosel_estimators::{EstimatorKind, PipelineObs, TraceCtx};
+use prosel_estimators::{combine_pipeline_curves, EstimatorKind};
 
 /// One point of a monitored query's progress history.
 #[derive(Debug, Clone, Copy)]
@@ -48,30 +48,9 @@ impl<'a> ProgressMonitor<'a> {
     /// Replay a run, producing the query-level progress curve the monitor
     /// would have reported, plus the per-pipeline estimator choices.
     pub fn monitor(&self, run: &QueryRun) -> (Vec<ProgressPoint>, Vec<PipelineChoice>) {
-        let n_snaps = run.trace.snapshots.len();
-        let mut acc = vec![0.0f64; n_snaps];
-        let mut total_weight = 0.0f64;
         let mut choices = Vec::new();
-        // One refinement-bound pass per snapshot, shared by every pipeline.
-        let ctx = TraceCtx::new(run);
-
-        for pid in 0..run.pipelines.len() {
-            let weight = run.pipeline_weight(pid);
-            if weight <= 0.0 {
-                continue;
-            }
-            total_weight += weight;
-            let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else {
-                // Too short to observe: counts as done once its window passed.
-                let (_, end) = run.trace.pipeline_windows[pid];
-                for (j, s) in run.trace.snapshots.iter().enumerate() {
-                    if s.time >= end {
-                        acc[j] += weight;
-                    }
-                }
-                continue;
-            };
-            let feats = features::extract(run, &obs);
+        let estimates = combine_pipeline_curves(run, |pid, obs| {
+            let feats = features::extract(&run.plan, obs);
 
             // Static choice applies until the 20% driver marker; then the
             // dynamic features are fully determined and the choice is
@@ -92,34 +71,17 @@ impl<'a> ProgressMonitor<'a> {
                 .iter()
                 .position(|&a| a >= 0.20)
                 .unwrap_or(obs.len().saturating_sub(1));
-            let c_init = obs.curve(static_choice);
-            let c_rev = obs.curve(revised_choice);
-            let (start, _) = obs.window;
-            let mut ci = 0usize;
-            for (j, s) in run.trace.snapshots.iter().enumerate() {
-                if s.time < start {
-                    continue;
-                }
-                while ci + 1 < obs.obs.len() && obs.obs[ci + 1] <= j {
-                    ci += 1;
-                }
-                if j > *obs.obs.last().unwrap() {
-                    acc[j] += weight; // pipeline finished
-                } else {
-                    let v = if ci < marker { c_init[ci] } else { c_rev[ci] };
-                    acc[j] += weight * v;
-                }
-            }
-        }
+            let mut curve = obs.curve(static_choice);
+            curve[marker..].copy_from_slice(&obs.curve_view(revised_choice)[marker..]);
+            curve
+        });
 
-        let points = (0..n_snaps)
-            .map(|j| ProgressPoint {
+        let points = estimates
+            .into_iter()
+            .enumerate()
+            .map(|(j, estimate)| ProgressPoint {
                 time: run.trace.snapshots[j].time,
-                estimate: if total_weight > 0.0 {
-                    (acc[j] / total_weight).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                },
+                estimate,
                 truth: run.trace.true_progress(j),
             })
             .collect();
@@ -139,21 +101,25 @@ impl<'a> ProgressMonitor<'a> {
 mod tests {
     use super::*;
     use crate::pipeline_runs::{collect_from_workload, CollectConfig};
-    use crate::selection::SelectorConfig;
+    use crate::selection::{EstimatorSelector, SelectorConfig};
     use crate::training::TrainingSet;
     use prosel_engine::{run_plan, Catalog, ExecConfig};
     use prosel_mart::BoostParams;
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
 
+    fn fast_selector(w: &prosel_planner::workload::Workload) -> EstimatorSelector {
+        let records = collect_from_workload(w, &CollectConfig::default()).unwrap();
+        let train = TrainingSet::from_records(&records);
+        let cfg = SelectorConfig::default().with_boost(BoostParams::fast());
+        EstimatorSelector::train(&train, &cfg)
+    }
+
     #[test]
     fn monitor_produces_sane_curves() {
         let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(25).with_scale(0.5);
         let w = materialize(&spec);
-        let records = collect_from_workload(&w, &CollectConfig::default()).unwrap();
-        let train = TrainingSet::from_records(&records);
-        let cfg = SelectorConfig::default().with_boost(BoostParams::fast());
-        let selector = crate::selection::EstimatorSelector::train(&train, &cfg);
+        let selector = fast_selector(&w);
         let monitor = ProgressMonitor::new(&selector);
 
         let catalog = Catalog::new(&w.db, &w.design);
@@ -172,5 +138,28 @@ mod tests {
         assert!(points.last().unwrap().estimate > 0.9);
         let l1 = ProgressMonitor::l1_of_points(&points);
         assert!(l1 < 0.35, "monitored l1 {l1}");
+    }
+
+    #[test]
+    fn every_monitored_run_ends_at_exactly_one() {
+        // A pipeline whose window has ended is pinned to its full weight
+        // even when its estimator never reached 1 (a driver left
+        // unexhausted by early termination) and a later snapshot still
+        // counts among its observations.
+        let train = WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(25).with_scale(0.5);
+        let selector = fast_selector(&materialize(&train));
+        let monitor = ProgressMonitor::new(&selector);
+        for kind in [WorkloadKind::TpchLike, WorkloadKind::TpcdsLike] {
+            let w = materialize(&WorkloadSpec::new(kind, 0xD1FF).with_queries(30).with_scale(0.5));
+            let catalog = Catalog::new(&w.db, &w.design);
+            let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+            for (qi, q) in w.queries.iter().enumerate() {
+                let plan = builder.build(q).unwrap();
+                let run = run_plan(&catalog, &plan, &ExecConfig::default());
+                let (points, _) = monitor.monitor(&run);
+                let last = points.last().expect("snapshots").estimate;
+                assert_eq!(last, 1.0, "{kind:?} q{qi}: a finished query reads {last}");
+            }
+        }
     }
 }

@@ -3,29 +3,21 @@
 //! The worst-case bound refinement of \[6\] ([`crate::refine::bounds`]) is
 //! a bottom-up pass over the *whole plan* — it depends only on the plan and
 //! the counter vector of one snapshot, never on which pipeline is being
-//! estimated. Before this module existed, both evaluation paths recomputed
-//! it once **per pipeline per snapshot**: the batch [`PipelineObs`] inside
-//! its per-observation loop, and the online
-//! [`crate::incremental::IncrementalObs`] inside every `offer`. For a
-//! query with P pipelines that is O(P · plan) work per snapshot for a
-//! quantity that is identical across the P computations.
-//!
-//! [`SnapshotCtx`] hoists the computation: it is built **once per query
-//! per snapshot** and handed to every pipeline consumer —
-//! [`IncrementalObs::offer_shared`] on the live path,
-//! [`PipelineObs::with_ctx`] (via [`TraceCtx`]) on the batch path. Because
-//! `bounds` is a pure function of `(plan, k)`, sharing the result is
-//! exactly equivalent to recomputing it: curves are bit-identical either
-//! way (the existing online/offline equivalence property tests pin this
-//! down).
-//!
-//! [`PipelineObs`]: crate::pipeline_obs::PipelineObs
-//! [`IncrementalObs::offer_shared`]: crate::incremental::IncrementalObs::offer_shared
-//! [`PipelineObs::with_ctx`]: crate::pipeline_obs::PipelineObs::with_ctx
+//! estimated. [`SnapshotCtx`] therefore holds it **once per query per
+//! snapshot**, and every pipeline's
+//! [`IncrementalObs::offer_view`](crate::incremental::IncrementalObs::offer_view)
+//! reads the same `(lb, ub)` arrays — O(plan) per snapshot instead of
+//! O(pipelines × plan). The live monitor keeps one context per query and
+//! refreshes it in place from a compiled [`BoundsKernel`]; post-hoc
+//! evaluation builds a [`TraceCtx`] — the run's plan plus the context of
+//! every recorded snapshot, through the same kernel — and replays each
+//! pipeline against it.
 
 use crate::refine::bounds;
+use crate::soa::BoundsKernel;
 use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::{QueryRun, Snapshot};
+use std::sync::Arc;
 
 /// Per-snapshot derived state shared by every pipeline of a query: the
 /// refinement bounds `(lb, ub)` on each node's total GetNext calls, given
@@ -39,11 +31,12 @@ pub struct SnapshotCtx {
 }
 
 impl SnapshotCtx {
-    /// Compute the context for one snapshot — the single O(plan) bound
-    /// pass that all pipelines of the query then share. Allocates the two
-    /// bound vectors; long-lived consumers (the monitor shard) keep one
-    /// [`SnapshotCtx`] per query and refresh it in place with
-    /// [`Self::recompute`] instead.
+    /// Compute the context for one snapshot with the scalar reference
+    /// pass ([`crate::refine::bounds`]) — what the compiled kernel is
+    /// pinned against, and the self-computing
+    /// [`IncrementalObs::offer`](crate::incremental::IncrementalObs::offer).
+    /// Allocates the two bound vectors; production consumers refresh a
+    /// context in place with [`Self::recompute`] / [`Self::refresh_from`].
     pub fn new(plan: &PhysicalPlan, snap: &Snapshot) -> SnapshotCtx {
         let (lb, ub) = bounds(plan, &snap.k);
         SnapshotCtx { lb, ub }
@@ -57,7 +50,7 @@ impl SnapshotCtx {
     /// Refresh the bounds in place from a compiled kernel — the
     /// allocation-free per-snapshot path. Bit-identical to
     /// [`Self::new`] on the kernel's plan (see [`crate::soa`]).
-    pub fn recompute(&mut self, kernel: &crate::soa::BoundsKernel, k: &[u64]) {
+    pub fn recompute(&mut self, kernel: &BoundsKernel, k: &[u64]) {
         kernel.eval_into(k, &mut self.lb, &mut self.ub);
     }
 
@@ -69,7 +62,7 @@ impl SnapshotCtx {
     /// [`BoundsKernel::position_of`][crate::soa::BoundsKernel::position_of]).
     /// Falls back to a full evaluation when the context has not been
     /// sized for this kernel yet.
-    pub fn refresh_from(&mut self, kernel: &crate::soa::BoundsKernel, k: &[u64], from: usize) {
+    pub fn refresh_from(&mut self, kernel: &BoundsKernel, k: &[u64], from: usize) {
         if self.lb.len() != kernel.width() {
             kernel.eval_into(k, &mut self.lb, &mut self.ub);
         } else {
@@ -87,21 +80,39 @@ impl SnapshotCtx {
     }
 }
 
-/// [`SnapshotCtx`] for every snapshot of a completed run, built once and
-/// shared across all [`PipelineObs::with_ctx`] constructions for that run.
-///
-/// [`PipelineObs::with_ctx`]: crate::pipeline_obs::PipelineObs::with_ctx
+/// Per-run state of post-hoc evaluation, built once and shared by every
+/// pipeline replayed from the run
+/// ([`IncrementalObs::replay_shared`](crate::incremental::IncrementalObs::replay_shared)):
+/// the plan behind one `Arc`, and the [`SnapshotCtx`] of every snapshot
+/// in the trace.
 #[derive(Debug, Clone)]
 pub struct TraceCtx {
+    plan: Arc<PhysicalPlan>,
     snapshots: Vec<SnapshotCtx>,
 }
 
 impl TraceCtx {
-    /// Precompute the shared context of every snapshot in `run`'s trace.
+    /// Compile the run's bound kernel once and evaluate it on every
+    /// snapshot of the trace.
     pub fn new(run: &QueryRun) -> TraceCtx {
-        TraceCtx {
-            snapshots: run.trace.snapshots.iter().map(|s| SnapshotCtx::new(&run.plan, s)).collect(),
-        }
+        let kernel = BoundsKernel::new(&run.plan);
+        let snapshots = run
+            .trace
+            .snapshots
+            .iter()
+            .map(|s| {
+                let mut ctx = SnapshotCtx::empty();
+                ctx.recompute(&kernel, &s.k);
+                ctx
+            })
+            .collect();
+        TraceCtx { plan: Arc::new(run.plan.clone()), snapshots }
+    }
+
+    /// The run's plan, shared by every pipeline replayed against this
+    /// context.
+    pub(crate) fn plan(&self) -> &Arc<PhysicalPlan> {
+        &self.plan
     }
 
     /// The shared context of snapshot `j` (trace index).

@@ -63,38 +63,21 @@ pub struct EstimatorError {
     pub ratio: f64,
 }
 
-/// Evaluate `kinds` on pipeline `pid` of a run. `None` when the pipeline
-/// has no observations.
-///
-/// Evaluating **several pipelines of the same run**? Build one
-/// [`TraceCtx`] and call [`evaluate_pipeline_shared`] so the per-snapshot
-/// bound pass is shared instead of recomputed per pipeline.
-pub fn evaluate_pipeline(
-    run: &QueryRun,
-    pid: usize,
-    kinds: &[EstimatorKind],
-) -> Option<Vec<EstimatorError>> {
-    evaluate_with(PipelineObs::new(run, pid)?, kinds)
-}
-
-/// [`evaluate_pipeline`] with the per-snapshot refinement bounds shared
-/// across the run's pipelines.
+/// Evaluate `kinds` on pipeline `pid` of a run, against the run's shared
+/// [`TraceCtx`]. `None` when the pipeline has no observations.
 pub fn evaluate_pipeline_shared(
     run: &QueryRun,
     pid: usize,
     kinds: &[EstimatorKind],
     ctx: &TraceCtx,
 ) -> Option<Vec<EstimatorError>> {
-    evaluate_with(PipelineObs::with_ctx(run, pid, ctx)?, kinds)
-}
-
-fn evaluate_with(obs: PipelineObs<'_>, kinds: &[EstimatorKind]) -> Option<Vec<EstimatorError>> {
+    let obs = PipelineObs::with_ctx(run, pid, ctx)?;
     let truth = obs.truth();
     Some(
         kinds
             .iter()
             .map(|&kind| {
-                let curve = obs.curve(kind);
+                let curve = obs.curve_view(kind);
                 EstimatorError {
                     kind,
                     l1: l1_error(&curve, &truth),
@@ -106,13 +89,24 @@ fn evaluate_with(obs: PipelineObs<'_>, kinds: &[EstimatorKind]) -> Option<Vec<Es
     )
 }
 
-/// Query-level progress curve obtained by combining per-pipeline
-/// estimates as the E_i-weighted sum of eq. (5). `choose` maps a pipeline
-/// id to the estimator used for it. The curve is aligned with *all*
-/// snapshots of the run.
-pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorKind) -> Vec<f64> {
-    let n_snaps = run.trace.snapshots.len();
-    let mut acc = vec![0.0f64; n_snaps];
+/// Query-level progress aligned with *all* snapshots of the run: the
+/// E_i-weighted sum of eq. (5) over per-pipeline estimates. `curve_of`
+/// maps an observed pipeline to its estimate at each of its observations.
+///
+/// Per pipeline and snapshot — before the window: 0; inside (where every
+/// snapshot is one of the pipeline's observations): the estimate; once
+/// the pipeline has finished (snapshot time at or past the window end):
+/// pinned to its full weight. The monitor observes pipeline completion
+/// directly, so a driver that was never exhausted (e.g. the inner side of
+/// an early-terminating merge join) must not leave the pipeline's
+/// contribution stuck below its weight forever. (A pipeline too fast to
+/// observe thus contributes its full weight from the moment it finished.)
+pub fn combine_pipeline_curves(
+    run: &QueryRun,
+    mut curve_of: impl FnMut(usize, &PipelineObs) -> Vec<f64>,
+) -> Vec<f64> {
+    let snapshots = &run.trace.snapshots;
+    let mut acc = vec![0.0f64; snapshots.len()];
     let mut total_weight = 0.0;
     // One bound pass per snapshot, shared by every pipeline below.
     let ctx = TraceCtx::new(run);
@@ -122,38 +116,14 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
             continue;
         }
         total_weight += weight;
-        let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else {
-            // Pipeline too fast to observe: contributes its full weight
-            // from the moment it finished.
-            let (_, end) = run.trace.pipeline_windows[pid];
-            for (j, s) in run.trace.snapshots.iter().enumerate() {
-                if s.time >= end {
-                    acc[j] += weight;
-                }
-            }
-            continue;
-        };
-        let kind = choose(pid);
-        let curve = obs.curve(kind);
-        let (start, end) = obs.window;
-        // Before the window: 0; inside: the estimate; once the pipeline
-        // has finished (snapshot time at or past the window end): pinned
-        // to its full weight. The monitor observes pipeline completion
-        // directly, so a driver that was never exhausted (e.g. the inner
-        // side of an early-terminating merge join) must not leave the
-        // pipeline's contribution stuck below its weight forever.
-        let mut ci = 0usize;
-        for (j, s) in run.trace.snapshots.iter().enumerate() {
-            if s.time < start {
-                continue;
-            }
-            while ci + 1 < obs.obs.len() && obs.obs[ci + 1] <= j {
-                ci += 1;
-            }
-            if s.time >= end || j > *obs.obs.last().unwrap() {
-                acc[j] += weight;
-            } else {
-                acc[j] += weight * curve[ci.min(curve.len() - 1)];
+        let (start, end) = run.trace.pipeline_windows[pid];
+        let curve = PipelineObs::with_ctx(run, pid, &ctx).map(|obs| curve_of(pid, &obs));
+        let mut estimates = curve.iter().flatten();
+        for (a, s) in acc.iter_mut().zip(snapshots) {
+            if s.time >= end {
+                *a += weight;
+            } else if s.time >= start {
+                *a += weight * estimates.next().expect("a snapshot inside the window is observed");
             }
         }
     }
@@ -163,6 +133,12 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
         }
     }
     acc
+}
+
+/// [`combine_pipeline_curves`] with one estimator per pipeline: `choose`
+/// maps a pipeline id to the estimator used for it.
+pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorKind) -> Vec<f64> {
+    combine_pipeline_curves(run, |pid, obs| obs.curve(choose(pid)))
 }
 
 /// Query-level L1 error for a fixed estimator used on every pipeline.

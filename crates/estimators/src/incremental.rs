@@ -1,19 +1,20 @@
-//! Incremental (online) sibling of
-//! [`PipelineObs`](crate::pipeline_obs::PipelineObs): estimator curves
-//! over a *live* observation stream.
+//! The one place an estimator is evaluated: estimator curves over an
+//! observation stream, live or replayed.
 //!
-//! [`IncrementalObs`] ingests snapshots one at a time — never a completed
-//! trace — and maintains every estimator curve plus the refinement-bound
-//! aggregates in O(1) amortized per snapshot (each append costs O(plan),
-//! which is constant in trace length; the batch path recomputes O(n) work
-//! per estimator per observation). The committed curves are **bit
-//! identical** to the batch
-//! [`PipelineObs::curve`](crate::pipeline_obs::PipelineObs::curve) output
-//! for the same
-//! run: every aggregate is accumulated in exactly the same order, driver
-//! totals come from the same (online-knowable) sources, and the LUO speed
-//! window is located by a monotone pointer that provably reproduces the
-//! batch backward walk.
+//! [`IncrementalObs`] ingests snapshots one at a time and maintains every
+//! estimator curve plus the refinement-bound aggregates in O(1) amortized
+//! per snapshot (each append costs O(pipeline), constant in trace length).
+//! The monitor feeds it the engine's live [`TraceEvent`] stream; post-hoc
+//! evaluation of a finished [`QueryRun`] is [`IncrementalObs::replay_shared`]
+//! — the same protocol driven from the recorded trace — so training labels
+//! and dynamic features come from the very code that serves. The numbers
+//! are pinned by stored digests (`tests/curve_digest.rs`, recorded from the
+//! batch implementation this path replaced); the compiled aggregate walk
+//! and the monotone LUO window pointer each keep one independent scalar
+//! reference (`entry_for_scalar`, `rebuild_luo`).
+//!
+//! [`TraceEvent`]: prosel_engine::trace::TraceEvent
+//! [`QueryRun`]: prosel_engine::QueryRun
 //!
 //! # Streaming protocol
 //!
@@ -25,7 +26,7 @@
 //!   first tick are skipped; snapshots provably inside the window commit
 //!   immediately; snapshots past the last tick seen so far stay *pending*
 //!   until a later tick (or finalization) proves whether they fall inside
-//!   the final window — mirroring the batch
+//!   the final window — the
 //!   [`prosel_engine::trace::ObservationTrace::pipeline_observations`]
 //!   rule (all in-window snapshots plus the first one past the end).
 //! * [`IncrementalObs::thin`] when the engine thins its bounded snapshot
@@ -40,17 +41,17 @@
 //! build phase completes — strictly before the pipeline they drive takes
 //! its first observation.
 
-use crate::ctx::SnapshotCtx;
+use crate::ctx::{SnapshotCtx, TraceCtx};
 use crate::kinds::EstimatorKind;
 use crate::pipeline_obs::{
     clamp01, driver_node_total, expected_output_bytes, luo_point, luo_window_start, pipeline_top,
-    ObsView,
 };
 use crate::refine::{alpha, clamp_estimate};
 use crate::soa::PipeCols;
 use prosel_engine::plan::{NodeId, OperatorKind, PhysicalPlan};
-use prosel_engine::trace::{Snapshot, SnapshotView};
+use prosel_engine::trace::{QueryRun, Snapshot, SnapshotView};
 use prosel_engine::Pipeline;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -127,7 +128,7 @@ pub struct IncrementalObs {
     window_start: f64,
     window_end: f64,
     state: Option<DriverState>,
-    /// Committed observations (aligned with the batch observation set).
+    /// Committed observations (the trace's `pipeline_observations` set).
     entries: Vec<ObsEntry>,
     times: Vec<f64>,
     alpha_curve: Vec<f64>,
@@ -209,13 +210,11 @@ impl IncrementalObs {
         &self.alpha_curve
     }
 
-    /// Total true GetNext calls of this pipeline's nodes — the batch
-    /// [`PipelineObs::total_getnext`](crate::pipeline_obs::PipelineObs::total_getnext)
-    /// quantity, recovered online: the last committed observation lies at
-    /// or past the pipeline's activity-window end, where the pipeline's
-    /// counters are frozen at their final values (the same argument that
-    /// makes the committed GetNextOracle curve exact). Summed in integer
-    /// precision, so it equals the batch Σ `final_k` bit for bit.
+    /// Total true GetNext calls of this pipeline's nodes (Σ `final_k`),
+    /// recovered online: the last committed observation lies at or past
+    /// the pipeline's activity-window end, where the pipeline's counters
+    /// are frozen at their final values (the same argument that makes the
+    /// committed GetNextOracle curve exact). Summed in integer precision.
     ///
     /// # Panics
     /// Panics before [`Self::finalize`]: mid-run the totals are the
@@ -226,10 +225,8 @@ impl IncrementalObs {
     }
 
     /// True pipeline progress at each committed observation — the
-    /// elapsed-time fraction of the final activity window, exactly the
-    /// label the batch path reads from
-    /// `ObservationTrace::true_pipeline_progress` (same formula, same
-    /// clamping, hence bit-identical over the same run).
+    /// elapsed-time fraction of the final activity window (the formula and
+    /// clamping of `ObservationTrace::true_pipeline_progress`).
     ///
     /// # Panics
     /// Panics before [`Self::finalize`]: truth needs the final window.
@@ -277,8 +274,9 @@ impl IncrementalObs {
             .filter(|d| !driver_set.contains(d))
             .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
             .collect();
-        // Chained sums, exactly as the batch `driver_curve` computes them
-        // (f64 addition is order-sensitive; bit-identity requires it).
+        // Chained sums over drivers ++ extras, front to back — the order
+        // the per-observation numerators use, and the one the recorded
+        // digests pin (f64 addition is order-sensitive).
         let chained =
             |extra: &[(NodeId, f64)]| -> f64 { drivers.iter().chain(extra).map(|&(_, d)| d).sum() };
         let total_dne = chained(&[]);
@@ -387,14 +385,11 @@ impl IncrementalObs {
         }
     }
 
-    /// The original per-node *scalar* walk (same loop structure and
-    /// accumulation order as [`PipelineObs::new`]): per-node plan access,
+    /// The original per-node *scalar* walk: per-node plan access,
     /// [`OperatorKind`] dispatch and driver-set membership tests. Kept as
     /// the reference implementation the compiled [`PipeCols`] path is
     /// pinned against (bit-identity property nets, and the scalar side of
     /// the `monitor_overhead` A/B group); not used on any hot path.
-    ///
-    /// [`PipelineObs::new`]: crate::pipeline_obs::PipelineObs::new
     fn entry_for_scalar(&self, serial: u64, snap: SnapshotView<'_>, ctx: &SnapshotCtx) -> ObsEntry {
         let plan = &self.plan;
         let state = self.state.as_ref().expect("drivers resolved");
@@ -461,7 +456,7 @@ impl IncrementalObs {
     ///
     /// Computes the per-snapshot refinement bounds itself. When several
     /// pipelines of the same query consume the same snapshot, build one
-    /// [`SnapshotCtx`] and call [`Self::offer_shared`] instead, so the
+    /// [`SnapshotCtx`] and call [`Self::offer_view`] instead, so the
     /// O(plan) bound pass runs once per snapshot rather than once per
     /// pipeline.
     pub fn offer(&mut self, serial: u64, snap: &Snapshot, window: (f64, f64)) -> usize {
@@ -475,22 +470,10 @@ impl IncrementalObs {
     }
 
     /// [`Self::offer`] with the refinement bounds precomputed once per
-    /// query per snapshot and shared across pipelines. Bit-identical to
-    /// the self-computing path ([`crate::refine::bounds`] is pure).
-    pub fn offer_shared(
-        &mut self,
-        serial: u64,
-        snap: &Snapshot,
-        window: (f64, f64),
-        ctx: &SnapshotCtx,
-    ) -> usize {
-        self.offer_view(serial, snap.as_view(), window, ctx)
-    }
-
-    /// [`Self::offer_shared`] over a borrowed [`SnapshotView`] — the
-    /// zero-copy path for consumers that reconstruct counter state from
-    /// delta events (the monitor shard's per-query scratch): no owned
-    /// [`Snapshot`] is ever materialized.
+    /// query per snapshot and shared across pipelines, over a borrowed
+    /// [`SnapshotView`] — consumers that reconstruct counter state from
+    /// delta events (the monitor shard's per-query scratch) never
+    /// materialize an owned [`Snapshot`].
     pub fn offer_view(
         &mut self,
         serial: u64,
@@ -501,7 +484,7 @@ impl IncrementalObs {
         self.offer_impl(serial, snap, window, ctx, false)
     }
 
-    /// [`Self::offer_shared`] computing the per-observation aggregates via
+    /// [`Self::offer_view`] computing the per-observation aggregates via
     /// the original scalar walk (`entry_for_scalar`) instead of
     /// the compiled struct-of-arrays columns. Identical protocol,
     /// bit-identical curves — this is the reference side of the
@@ -598,7 +581,7 @@ impl IncrementalObs {
     /// LUO estimate for the observation being committed (the last entry of
     /// `self.entries` at call time is its predecessor set; the entry itself
     /// is already pushed). Uses a monotone pointer for the speed window:
-    /// the batch backward walk selects the largest `j ≤ i-1` with
+    /// the reference backward walk selects the largest `j ≤ i-1` with
     /// `times[j] ≤ t - win`, and that threshold is non-decreasing in `i`
     /// (d(t - 0.1·(t-start))/dt = 0.9 > 0), so the pointer only ever moves
     /// forward — O(1) amortized instead of O(window) per observation.
@@ -625,7 +608,8 @@ impl IncrementalObs {
     }
 
     /// Recompute the LUO curve from scratch (after thinning changed the
-    /// committed index space) using the batch backward-walk algorithm.
+    /// committed index space) using the reference backward walk
+    /// ([`luo_window_start`]).
     fn rebuild_luo(&mut self) {
         let state = match &self.state {
             Some(s) => s,
@@ -706,8 +690,8 @@ impl IncrementalObs {
 
     /// The query terminated: resolve the trailing pendings against the
     /// final activity window — everything inside commits, plus the first
-    /// observation past the end (the batch `pipeline_observations` rule) —
-    /// and unlock the oracle curves.
+    /// observation past the end (the `pipeline_observations` rule) — and
+    /// unlock the oracle curves.
     pub fn finalize(&mut self, final_window: (f64, f64)) {
         if self.finalized {
             return;
@@ -737,11 +721,18 @@ impl IncrementalObs {
     /// # Panics
     /// Panics when an oracle curve is requested before finalization.
     pub fn curve(&self, kind: EstimatorKind) -> Vec<f64> {
+        self.curve_view(kind).into_owned()
+    }
+
+    /// [`Self::curve`] without the copy for the maintained (online)
+    /// curves — re-selection reads only a few marker points, so a clone
+    /// per feature extraction would dominate its cost.
+    pub fn curve_view(&self, kind: EstimatorKind) -> Cow<'_, [f64]> {
         if let Some(idx) = online_index(kind) {
-            return self.curves[idx].clone();
+            return Cow::Borrowed(&self.curves[idx]);
         }
         assert!(self.finalized, "{kind} needs post-hoc totals: only available after finalize()");
-        match kind {
+        Cow::Owned(match kind {
             EstimatorKind::GetNextOracle => {
                 // Counters of this pipeline's nodes are frozen by its last
                 // observation, so the final Σ K equals the true Σ N_i.
@@ -751,12 +742,13 @@ impl IncrementalObs {
             EstimatorKind::BytesOracle => {
                 let total = self.entries.last().map_or(0.0, |e| e.done_bytes);
                 if total <= 0.0 {
-                    return vec![1.0; self.len()];
+                    vec![1.0; self.len()]
+                } else {
+                    self.entries.iter().map(|e| clamp01(e.done_bytes / total)).collect()
                 }
-                self.entries.iter().map(|e| clamp01(e.done_bytes / total)).collect()
             }
             _ => unreachable!("non-oracle kinds are online"),
-        }
+        })
     }
 
     /// Latest committed value of one online estimator — the O(1) serving
@@ -765,49 +757,30 @@ impl IncrementalObs {
         online_index(kind).and_then(|idx| self.curves[idx].last().copied())
     }
 
-    /// Replay a completed run's trace through the incremental protocol
-    /// (serials without thinning — the trace is already thinned). Useful
-    /// for tests and for validating online/offline equivalence; `None`
-    /// when the pipeline produced no observations.
-    ///
-    /// Replaying **several pipelines of the same run**? Build one
-    /// [`crate::ctx::TraceCtx`] and use [`Self::replay_shared`] so the
-    /// per-snapshot bound pass is not repeated per pipeline. (This
-    /// single-pipeline form computes bounds lazily, only for snapshots
-    /// inside the pipeline's window.)
-    pub fn replay(run: &prosel_engine::QueryRun, pid: usize) -> Option<IncrementalObs> {
-        Self::replay_inner(run, pid, None)
-    }
-
-    /// [`Self::replay`] with the per-snapshot refinement bounds shared
-    /// across pipelines of the run.
-    pub fn replay_shared(
-        run: &prosel_engine::QueryRun,
-        pid: usize,
-        ctx: &crate::ctx::TraceCtx,
-    ) -> Option<IncrementalObs> {
-        Self::replay_inner(run, pid, Some(ctx))
-    }
-
-    fn replay_inner(
-        run: &prosel_engine::QueryRun,
-        pid: usize,
-        ctx: Option<&crate::ctx::TraceCtx>,
-    ) -> Option<IncrementalObs> {
-        let mut inc = IncrementalObs::new(Arc::new(run.plan.clone()), &run.pipelines[pid]);
+    /// Post-hoc evaluation: replay pipeline `pid` of a completed run
+    /// through the incremental protocol (serials are trace indices; no
+    /// thinning — the trace is already thinned). `ctx` carries the run's
+    /// plan and per-snapshot bounds, built once and shared by every
+    /// pipeline of the run. `None` when the pipeline produced no
+    /// observations (it never ran, or ran entirely between snapshots).
+    pub fn replay_shared(run: &QueryRun, pid: usize, ctx: &TraceCtx) -> Option<IncrementalObs> {
+        assert_eq!(
+            ctx.len(),
+            run.trace.snapshots.len(),
+            "TraceCtx built for a different trace ({} snapshots vs {})",
+            ctx.len(),
+            run.trace.snapshots.len()
+        );
+        let mut inc = IncrementalObs::new(Arc::clone(ctx.plan()), &run.pipelines[pid]);
         let (start, end) = run.trace.pipeline_windows[pid];
         for (j, snap) in run.trace.snapshots.iter().enumerate() {
             // The live window's `last` is the last tick at or before this
             // snapshot; any value in [that, snap.time] commits the same
             // observation set, so the conservative `min(end, time)` works.
             let window = (start, end.min(snap.time));
-            match ctx {
-                Some(ctx) => {
-                    inc.offer_shared(j as u64, snap, window, ctx.snapshot(j));
-                }
-                None => {
-                    inc.offer(j as u64, snap, window);
-                }
+            inc.offer_view(j as u64, snap.as_view(), window, ctx.snapshot(j));
+            if snap.time > end {
+                break; // finalize keeps only the first observation past the end
             }
         }
         inc.finalize((start, end));
@@ -815,30 +788,6 @@ impl IncrementalObs {
             return None;
         }
         Some(inc)
-    }
-}
-
-impl ObsView for IncrementalObs {
-    fn obs_times(&self) -> &[f64] {
-        self.times()
-    }
-
-    fn window_start(&self) -> f64 {
-        self.window_start
-    }
-
-    fn driver_fraction(&self) -> &[f64] {
-        &self.alpha_curve
-    }
-
-    fn curve(&self, kind: EstimatorKind) -> std::borrow::Cow<'_, [f64]> {
-        match online_index(kind) {
-            // Maintained curves are served without copying — re-selection
-            // reads only a few marker points, so a clone per feature
-            // extraction would dominate its cost.
-            Some(idx) => std::borrow::Cow::Borrowed(&self.curves[idx]),
-            None => std::borrow::Cow::Owned(IncrementalObs::curve(self, kind)),
-        }
     }
 }
 
@@ -911,7 +860,7 @@ mod tests {
         // both it and the new snapshot commit.
         assert_eq!(obs.offer(2, &snap(40.0, 80, 40), (10.0, 40.0)), 2);
         assert_eq!(obs.len(), 3);
-        // Finalize: the first trailing pending commits (the batch
+        // Finalize: the first trailing pending commits (the
         // one-past-end rule), later ones are dropped.
         obs.offer(3, &snap(45.0, 100, 50), (10.0, 41.0));
         obs.offer(4, &snap(50.0, 100, 50), (10.0, 41.0));

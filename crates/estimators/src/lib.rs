@@ -19,23 +19,23 @@
 //! * **GetNextOracle / BytesOracle** — the idealized models of Section 6.7
 //!   (true totals) used to validate the underlying progress models.
 //!
-//! [`pipeline_obs::PipelineObs`] renders any of these as a progress curve
-//! over a pipeline's observations; [`incremental::IncrementalObs`] builds
-//! the same curves *online*, one snapshot at a time, in O(1) amortized per
-//! snapshot; [`eval`] scores curves against true (time-fraction) progress.
+//! [`incremental::IncrementalObs`] is the one place these are evaluated:
+//! it builds every curve *online*, one snapshot at a time, in O(1)
+//! amortized per snapshot. Post-hoc evaluation of a finished run
+//! ([`PipelineObs::with_ctx`]) is replay of its trace through the same
+//! protocol; [`eval`] scores curves against true (time-fraction)
+//! progress.
 //!
 //! The refinement-bound pass ([`refine::bounds`]) depends only on the plan
 //! and one snapshot's counters, so [`ctx::SnapshotCtx`] /
-//! [`ctx::TraceCtx`] precompute it **once per query per snapshot** and
-//! share it across every pipeline consumer — both paths accept the shared
-//! context ([`PipelineObs::with_ctx`],
-//! [`IncrementalObs::offer_shared`]) and produce bit-identical curves.
-
+//! [`ctx::TraceCtx`] hold it **once per query per snapshot**, shared by
+//! every pipeline consumer ([`IncrementalObs::offer_view`]).
+//!
 //! The per-snapshot hot paths — the bound pass and the per-pipeline
-//! aggregate walk — also exist in compiled struct-of-arrays form
+//! aggregate walk — run in compiled struct-of-arrays form
 //! ([`soa::BoundsKernel`] and the columns behind
-//! [`IncrementalObs::offer_view`]), bit-identical to the scalar
-//! references and allocation-free per snapshot; see [`soa`].
+//! [`IncrementalObs::offer_view`]), allocation-free per snapshot and
+//! bit-identical to the scalar references kept beside them; see [`soa`].
 
 pub mod ctx;
 pub mod eval;
@@ -47,9 +47,9 @@ pub mod soa;
 
 pub use ctx::{SnapshotCtx, TraceCtx};
 pub use eval::{
-    evaluate_pipeline, evaluate_pipeline_shared, l1_error, l2_error, query_l1,
+    combine_pipeline_curves, evaluate_pipeline_shared, l1_error, l2_error, query_l1,
     query_progress_curve, ratio_error, EstimatorError,
 };
 pub use incremental::{IncrementalObs, ONLINE_KINDS};
 pub use kinds::EstimatorKind;
-pub use pipeline_obs::{ObsView, PipelineObs};
+pub use pipeline_obs::PipelineObs;

@@ -1,370 +1,33 @@
-//! Per-pipeline estimator evaluation over an observation trace.
+//! Post-hoc evaluation of one pipeline of a finished run, and the point
+//! formulas the estimators share.
 //!
-//! [`PipelineObs`] precomputes, for one pipeline of a completed
-//! [`QueryRun`], everything the candidate estimators need at each
-//! observation point — driver-node totals, bound-clamped E_i sums,
-//! progress bounds, byte counters — and then renders any
-//! [`EstimatorKind`] as a progress *curve* aligned with the pipeline's
-//! observations.
+//! There is no separate batch implementation: [`PipelineObs`] *is*
+//! [`IncrementalObs`], and [`PipelineObs::with_ctx`] replays the
+//! pipeline's recorded trace through the incremental protocol, yielding
+//! the observation times, truth, driver fractions and every
+//! [`EstimatorKind`](crate::kinds::EstimatorKind) curve that the live
+//! monitor would have committed for the same execution.
 //!
-//! Driver-node denominators follow the paper's Section 3.4: the exact
-//! input sizes of driver nodes are known when the pipeline starts
-//! (table cardinalities for scans; materialized sizes for sort /
-//! hash-aggregate outputs), while index-seek drivers only have optimizer
-//! estimates.
+//! The free functions below are the pieces of estimator math that more
+//! than one step of that protocol needs (driver totals, the LUO window
+//! and point formula, the probability clamp); each exists exactly once.
 
-use crate::ctx::{SnapshotCtx, TraceCtx};
-use crate::kinds::EstimatorKind;
-use crate::refine::{alpha, clamp_estimate};
+use crate::ctx::TraceCtx;
+use crate::incremental::IncrementalObs;
 use prosel_engine::plan::{NodeId, OperatorKind, PhysicalPlan};
 use prosel_engine::trace::QueryRun;
 use prosel_engine::Pipeline;
 
-/// Read access to a pipeline observation sequence: what feature extraction
-/// and curve consumers need, implemented by both the batch [`PipelineObs`]
-/// and the online [`crate::incremental::IncrementalObs`] so the same code
-/// serves the post-hoc and live paths.
-pub trait ObsView {
-    /// Virtual times of the observations.
-    fn obs_times(&self) -> &[f64];
-    /// Start of the pipeline's activity window.
-    fn window_start(&self) -> f64;
-    /// Fraction of driver input consumed at each observation.
-    fn driver_fraction(&self) -> &[f64];
-    /// Progress curve of one estimator, aligned with the observations.
-    /// Borrowed where the implementation maintains the curve (the
-    /// incremental path serves feature extraction allocation-free),
-    /// owned where it is computed on demand (the batch path).
-    fn curve(&self, kind: EstimatorKind) -> std::borrow::Cow<'_, [f64]>;
-}
+/// The post-hoc name of [`IncrementalObs`]: a finalized observation state
+/// obtained by replaying a completed run.
+pub type PipelineObs = IncrementalObs;
 
-/// Precomputed observation-aligned state for one pipeline.
-pub struct PipelineObs<'a> {
-    run: &'a QueryRun,
-    pid: usize,
-    /// Snapshot indices within the pipeline's activity window.
-    pub obs: Vec<usize>,
-    /// Absolute virtual times of those snapshots.
-    pub times: Vec<f64>,
-    /// Pipeline activity window.
-    pub window: (f64, f64),
-    /// Pipeline nodes.
-    nodes: Vec<NodeId>,
-    /// `(node, known-or-estimated total)` for plain driver nodes.
-    drivers: Vec<(NodeId, f64)>,
-    /// Batch-sort extension of the driver set (BATCHDNE).
-    batch_extra: Vec<(NodeId, f64)>,
-    /// Index-seek extension of the driver set (DNESEEK).
-    seek_extra: Vec<(NodeId, f64)>,
-    /// Topmost node of the pipeline (its output).
-    top: NodeId,
-    /// Σ over drivers of `D_i · row_bytes_i` (total driver input bytes).
-    driver_total_bytes: f64,
-    // Per-observation aggregates (same length as `obs`):
-    sum_k: Vec<f64>,
-    sum_e_clamped: Vec<f64>,
-    sum_e_raw: f64,
-    work_lb: Vec<f64>,
-    work_ub: Vec<f64>,
-    alpha_curve: Vec<f64>,
-    done_bytes: Vec<f64>,
-    /// Spill bytes written but not yet re-read (hash-join partitions on
-    /// disk that the pipeline still has to process).
-    pending_spill: Vec<f64>,
-}
-
-impl<'a> PipelineObs<'a> {
-    /// Build for pipeline `pid`; `None` when the pipeline produced no
-    /// observations (it never ran, or ran entirely between snapshots).
-    ///
-    /// Computes the per-snapshot refinement bounds itself — fine for a
-    /// single pipeline, but when evaluating **several pipelines of the
-    /// same run** build one [`TraceCtx`] and use [`Self::with_ctx`] so the
-    /// O(plan) bound pass is shared instead of repeated per pipeline.
-    pub fn new(run: &'a QueryRun, pid: usize) -> Option<Self> {
-        Self::build(run, pid, None)
-    }
-
-    /// [`Self::new`] with the per-snapshot bound computation shared across
-    /// pipelines: `ctx` is built once per run and every pipeline reads the
-    /// same precomputed `(lb, ub)` arrays. Curves are bit-identical to the
-    /// self-computing path ([`crate::refine::bounds`] is pure).
-    pub fn with_ctx(run: &'a QueryRun, pid: usize, ctx: &TraceCtx) -> Option<Self> {
-        assert_eq!(
-            ctx.len(),
-            run.trace.snapshots.len(),
-            "TraceCtx built for a different trace ({} snapshots vs {})",
-            ctx.len(),
-            run.trace.snapshots.len()
-        );
-        Self::build(run, pid, Some(ctx))
-    }
-
-    fn build(run: &'a QueryRun, pid: usize, ctx: Option<&TraceCtx>) -> Option<Self> {
-        let pipeline = &run.pipelines[pid];
-        let obs = run.trace.pipeline_observations(pid);
-        if obs.is_empty() {
-            return None;
-        }
-        let plan = &run.plan;
-        let nodes = pipeline.nodes.clone();
-
-        let drivers: Vec<(NodeId, f64)> = pipeline
-            .driver_nodes
-            .iter()
-            .map(|&d| (d, driver_node_total(plan, d, &run.trace.final_materialized).max(1.0)))
-            .collect();
-        let driver_set: Vec<NodeId> = drivers.iter().map(|&(d, _)| d).collect();
-        let batch_extra: Vec<(NodeId, f64)> = pipeline
-            .batch_sort_nodes
-            .iter()
-            .filter(|d| !driver_set.contains(d))
-            .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
-            .collect();
-        let seek_extra: Vec<(NodeId, f64)> = pipeline
-            .index_seek_nodes
-            .iter()
-            .filter(|d| !driver_set.contains(d))
-            .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
-            .collect();
-
-        let top = pipeline_top(plan, pipeline);
-
-        let driver_total_bytes: f64 =
-            drivers.iter().map(|&(d, total)| total * plan.node(d).est_row_bytes).sum();
-        let sum_e_raw: f64 = nodes.iter().map(|&n| plan.node(n).est_rows).sum();
-        let sum_d: f64 = drivers.iter().map(|&(_, d)| d).sum();
-
-        // Leaf access nodes whose reads count as driver input (scans) vs
-        // nested-iteration reads (seeks, excluded by the bytes model).
-        let is_leaf_read = |id: NodeId| {
-            matches!(
-                plan.node(id).op,
-                OperatorKind::TableScan { .. }
-                    | OperatorKind::IndexScan { .. }
-                    | OperatorKind::IndexSeek { .. }
-            )
-        };
-
-        // Hash joins in this pipeline: the build side's final spill writes
-        // are known once the build pipeline completed (before this pipeline
-        // starts), and must be re-read here.
-        let hash_joins: Vec<(NodeId, u64)> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| matches!(plan.node(n).op, OperatorKind::HashJoin { .. }))
-            .map(|n| (n, run.trace.final_bytes_written[plan.node(n).children[1]]))
-            .collect();
-
-        let mut sum_k = Vec::with_capacity(obs.len());
-        let mut sum_e_clamped = Vec::with_capacity(obs.len());
-        let mut work_lb = Vec::with_capacity(obs.len());
-        let mut work_ub = Vec::with_capacity(obs.len());
-        let mut alpha_curve = Vec::with_capacity(obs.len());
-        let mut done_bytes = Vec::with_capacity(obs.len());
-        let mut pending_spill = Vec::with_capacity(obs.len());
-        let mut times = Vec::with_capacity(obs.len());
-
-        for &j in &obs {
-            let snap = &run.trace.snapshots[j];
-            times.push(snap.time);
-            let computed;
-            let sctx = match ctx {
-                Some(tc) => tc.snapshot(j),
-                None => {
-                    computed = SnapshotCtx::new(plan, snap);
-                    &computed
-                }
-            };
-            let (lb, ub) = (&sctx.lb, &sctx.ub);
-
-            let mut k_total = 0.0;
-            let mut e_clamped = 0.0;
-            let mut wl = 0.0;
-            let mut wu = 0.0;
-            let mut bytes = 0.0;
-            for &n in &nodes {
-                let k = snap.k[n] as f64;
-                k_total += k;
-                e_clamped += clamp_estimate(plan.node(n).est_rows, lb[n], ub[n]);
-                wu += ub[n];
-                // Work lower bound: remaining driver input must be read.
-                wl += k;
-                // Bytes processed: driver reads + spill reads + all writes.
-                if driver_set.contains(&n) || !is_leaf_read(n) {
-                    bytes += snap.bytes_read[n] as f64;
-                }
-                bytes += snap.bytes_written[n] as f64;
-            }
-            for &(d, total) in &drivers {
-                wl += (total - snap.k[d] as f64).max(0.0);
-            }
-            let k_driver: f64 = drivers.iter().map(|&(d, _)| snap.k[d] as f64).sum();
-            sum_k.push(k_total);
-            sum_e_clamped.push(e_clamped.max(1.0));
-            work_lb.push(wl.max(1.0));
-            work_ub.push(wu.max(1.0));
-            alpha_curve.push(alpha(k_driver, sum_d));
-            done_bytes.push(bytes);
-            let mut pending = 0.0;
-            for &(j_node, build_spill) in &hash_joins {
-                let expected = build_spill as f64 + snap.bytes_written[j_node] as f64;
-                pending += (expected - snap.bytes_read[j_node] as f64).max(0.0);
-            }
-            pending_spill.push(pending);
-        }
-
-        let window = run.trace.pipeline_windows[pid];
-        Some(PipelineObs {
-            run,
-            pid,
-            obs,
-            times,
-            window,
-            nodes,
-            drivers,
-            batch_extra,
-            seek_extra,
-            top,
-            driver_total_bytes,
-            sum_k,
-            sum_e_clamped,
-            sum_e_raw: sum_e_raw.max(1.0),
-            work_lb,
-            work_ub,
-            alpha_curve,
-            done_bytes,
-            pending_spill,
-        })
-    }
-
-    /// Pipeline id.
-    pub fn pipeline_id(&self) -> usize {
-        self.pid
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.obs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.obs.is_empty()
-    }
-
-    /// True pipeline progress at each observation (elapsed-time fraction
-    /// of the activity window).
-    pub fn truth(&self) -> Vec<f64> {
-        self.obs.iter().map(|&j| self.run.trace.true_pipeline_progress(self.pid, j)).collect()
-    }
-
-    /// Fraction of driver input consumed at each observation (the paper's
-    /// x-axis for dynamic-feature markers t{x}).
-    pub fn driver_fraction(&self) -> &[f64] {
-        &self.alpha_curve
-    }
-
-    /// Total true GetNext calls in this pipeline.
-    pub fn total_getnext(&self) -> u64 {
-        self.nodes.iter().map(|&n| self.run.trace.final_k[n]).sum()
-    }
-
-    /// Render the progress curve of one estimator.
-    pub fn curve(&self, kind: EstimatorKind) -> Vec<f64> {
-        match kind {
-            EstimatorKind::Dne => self.driver_curve(&self.drivers, &[]),
-            EstimatorKind::BatchDne => self.driver_curve(&self.drivers, &self.batch_extra),
-            EstimatorKind::DneSeek => self.driver_curve(&self.drivers, &self.seek_extra),
-            EstimatorKind::Tgn => {
-                (0..self.len()).map(|i| clamp01(self.sum_k[i] / self.sum_e_clamped[i])).collect()
-            }
-            EstimatorKind::TgnRaw => {
-                (0..self.len()).map(|i| clamp01(self.sum_k[i] / self.sum_e_raw)).collect()
-            }
-            EstimatorKind::TgnInt => (0..self.len())
-                .map(|i| {
-                    let a = self.alpha_curve[i];
-                    let denom = self.sum_k[i] + (1.0 - a) * self.sum_e_raw;
-                    clamp01(self.sum_k[i] / denom.max(1.0))
-                })
-                .collect(),
-            EstimatorKind::Pmax => {
-                (0..self.len()).map(|i| clamp01(self.sum_k[i] / self.work_ub[i])).collect()
-            }
-            EstimatorKind::Safe => (0..self.len())
-                .map(|i| {
-                    let l = clamp01(self.sum_k[i] / self.work_ub[i]);
-                    let u = clamp01(self.sum_k[i] / self.work_lb[i]);
-                    (l * u).sqrt()
-                })
-                .collect(),
-            EstimatorKind::Luo => self.luo_curve(),
-            EstimatorKind::GetNextOracle => {
-                let total: f64 = self.nodes.iter().map(|&n| self.run.trace.final_k[n] as f64).sum();
-                (0..self.len()).map(|i| clamp01(self.sum_k[i] / total.max(1.0))).collect()
-            }
-            EstimatorKind::BytesOracle => {
-                let total = *self.done_bytes.last().unwrap_or(&0.0);
-                if total <= 0.0 {
-                    return vec![1.0; self.len()];
-                }
-                self.done_bytes.iter().map(|&b| clamp01(b / total)).collect()
-            }
-        }
-    }
-
-    /// DNE-family curve over `drivers ∪ extra` (eq. (4), (6), (7)).
-    fn driver_curve(&self, drivers: &[(NodeId, f64)], extra: &[(NodeId, f64)]) -> Vec<f64> {
-        let total: f64 = drivers.iter().chain(extra).map(|&(_, d)| d).sum();
-        if total <= 0.0 {
-            return vec![0.0; self.len()];
-        }
-        self.obs
-            .iter()
-            .map(|&j| {
-                let snap = &self.run.trace.snapshots[j];
-                let k: f64 = drivers.iter().chain(extra).map(|&(n, _)| snap.k[n] as f64).sum();
-                clamp01(k / total)
-            })
-            .collect()
-    }
-
-    /// The bytes-processed / speed model of \[13\]: estimate remaining
-    /// *time* from the byte-processing speed over a trailing window, then
-    /// convert to a progress fraction.
-    fn luo_curve(&self) -> Vec<f64> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(n);
-        let start = self.window.0;
-        let e_out_total = expected_output_bytes(&self.run.plan, self.top);
-        let mut prev = 0.0f64;
-        for i in 0..n {
-            let t = self.times[i];
-            let elapsed = (t - start).max(1e-9);
-            let a = self.alpha_curve[i];
-            let driver_read: f64 = self
-                .drivers
-                .iter()
-                .map(|&(d, _)| self.run.trace.snapshots[self.obs[i]].bytes_read[d] as f64)
-                .sum();
-            // Remaining output writes, interpolation-refined: trust the
-            // optimizer estimate early (α≈0), what we've seen late (α≈1).
-            let remaining_out = ((1.0 - a) * e_out_total).clamp(0.0, e_out_total);
-            let remaining_bytes = (self.driver_total_bytes - driver_read).max(0.0)
-                + remaining_out
-                + self.pending_spill[i];
-            // Speed over a trailing window (~10% of elapsed time, at least
-            // back to the previous observation) — the paper's T-second
-            // window rescaled to virtual time.
-            let win = (elapsed * 0.1).max(1e-9);
-            let w = luo_window_start(&self.times, i, t, win);
-            let dt = t - self.times[w];
-            let db = self.done_bytes[i] - self.done_bytes[w];
-            let est = luo_point(i == 0, elapsed, dt, db, self.done_bytes[i], remaining_bytes, prev);
-            prev = est;
-            out.push(est);
-        }
-        out
+impl IncrementalObs {
+    /// Evaluate pipeline `pid` of a completed run —
+    /// [`Self::replay_shared`] under the name post-hoc callers use.
+    /// `None` when the pipeline produced no observations.
+    pub fn with_ctx(run: &QueryRun, pid: usize, ctx: &TraceCtx) -> Option<PipelineObs> {
+        Self::replay_shared(run, pid, ctx)
     }
 }
 
@@ -374,8 +37,7 @@ impl<'a> PipelineObs<'a> {
 /// `final_k[id]`: under early termination the emitted count is smaller
 /// and unknowable mid-query, while the materialized size is what a live
 /// engine exposes). Scans use their known base cardinality; seeks and
-/// everything else the optimizer estimate. Shared by the batch and
-/// incremental paths — their bit identity depends on it.
+/// everything else the optimizer estimate.
 pub(crate) fn driver_node_total(plan: &PhysicalPlan, id: NodeId, materialized: &[u64]) -> f64 {
     match plan.node(id).op {
         OperatorKind::Sort { .. } | OperatorKind::HashAggregate { .. } => materialized[id] as f64,
@@ -384,7 +46,7 @@ pub(crate) fn driver_node_total(plan: &PhysicalPlan, id: NodeId, materialized: &
 }
 
 /// Topmost node of a pipeline: the one whose parent is outside it (the
-/// pipeline's output). Shared by the batch and incremental paths.
+/// pipeline's output).
 pub(crate) fn pipeline_top(plan: &PhysicalPlan, pipeline: &Pipeline) -> NodeId {
     let parents = plan.parents();
     let nodes = &pipeline.nodes;
@@ -402,7 +64,7 @@ pub(crate) fn pipeline_top(plan: &PhysicalPlan, pipeline: &Pipeline) -> NodeId {
 /// Only the plan root writes its results out (to the client / result
 /// spool); interior pipeline tops hand tuples to a consuming operator in
 /// memory, so their only writes are spills, which are observed rather
-/// than predicted. Shared by the batch and incremental paths.
+/// than predicted.
 pub(crate) fn expected_output_bytes(plan: &PhysicalPlan, top: NodeId) -> f64 {
     if top == plan.root {
         plan.node(top).est_rows * plan.node(top).est_row_bytes
@@ -413,10 +75,10 @@ pub(crate) fn expected_output_bytes(plan: &PhysicalPlan, top: NodeId) -> f64 {
 
 /// Start index of the LUO speed window for observation `i`: walk back
 /// from `i` while the previous observation is still inside `win`, then
-/// step one further (the reference algorithm). Shared by the batch curve
-/// and the incremental rebuild; `IncrementalObs::luo_next` reproduces the
-/// same result with a monotone forward pointer (equivalence argued and
-/// property-tested there).
+/// step one further (the reference algorithm, used by
+/// `IncrementalObs::rebuild_luo`); `IncrementalObs::luo_next` reproduces
+/// the same result with a monotone forward pointer (equivalence argued
+/// there and property-tested under thinning).
 pub(crate) fn luo_window_start(times: &[f64], i: usize, t: f64, win: f64) -> usize {
     let mut w = i;
     while w > 0 && t - times[w - 1] < win {
@@ -425,12 +87,12 @@ pub(crate) fn luo_window_start(times: &[f64], i: usize, t: f64, win: f64) -> usi
     w.saturating_sub(1)
 }
 
-/// One LUO estimate from the speed-window deltas. Shared by the batch
-/// curve and both incremental paths ([`crate::incremental`]) — their bit
-/// identity depends on this formula never diverging. With no usable speed
-/// sample yet (`first` observation, or no time/bytes moved inside the
-/// window) it falls back to the byte fraction, or to `prev` when no bytes
-/// exist at all.
+/// One LUO estimate from the speed-window deltas — the bytes-processed /
+/// speed model of \[13\]: remaining *time* from the byte-processing speed
+/// over a trailing window, converted to a progress fraction. With no
+/// usable speed sample yet (`first` observation, or no time/bytes moved
+/// inside the window) it falls back to the byte fraction, or to `prev`
+/// when no bytes exist at all.
 pub(crate) fn luo_point(
     first: bool,
     elapsed: f64,
@@ -455,26 +117,7 @@ pub(crate) fn luo_point(
     clamp01(est)
 }
 
-impl ObsView for PipelineObs<'_> {
-    fn obs_times(&self) -> &[f64] {
-        &self.times
-    }
-
-    fn window_start(&self) -> f64 {
-        self.window.0
-    }
-
-    fn driver_fraction(&self) -> &[f64] {
-        PipelineObs::driver_fraction(self)
-    }
-
-    fn curve(&self, kind: EstimatorKind) -> std::borrow::Cow<'_, [f64]> {
-        std::borrow::Cow::Owned(PipelineObs::curve(self, kind))
-    }
-}
-
 /// Clamp to a probability, mapping non-finite values to 1.0 (complete).
-/// Equivalence-critical: the incremental path shares this exact rule.
 #[inline]
 pub(crate) fn clamp01(v: f64) -> f64 {
     if v.is_finite() {
@@ -487,6 +130,7 @@ pub(crate) fn clamp01(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinds::EstimatorKind;
     use prosel_datagen::schema::{ColumnMeta, ColumnRole, TableMeta};
     use prosel_datagen::{Column, Database, PhysicalDesign, Table, TuningLevel};
     use prosel_engine::plan::{CmpOp, PhysicalPlan, PlanNode, Predicate};
@@ -550,10 +194,14 @@ mod tests {
         )
     }
 
+    fn obs_of(run: &QueryRun) -> PipelineObs {
+        PipelineObs::with_ctx(run, 0, &TraceCtx::new(run)).expect("observations")
+    }
+
     #[test]
     fn curves_are_probabilities_and_end_near_one() {
         let run = run_scan_filter(1000.0);
-        let p = PipelineObs::new(&run, 0).expect("observations");
+        let p = obs_of(&run);
         for kind in EstimatorKind::CANDIDATES {
             let c = p.curve(kind);
             assert_eq!(c.len(), p.len());
@@ -571,7 +219,7 @@ mod tests {
     #[test]
     fn dne_accurate_when_work_uniform() {
         let run = run_scan_filter(1000.0);
-        let p = PipelineObs::new(&run, 0).unwrap();
+        let p = obs_of(&run);
         let dne = p.curve(EstimatorKind::Dne);
         let truth = p.truth();
         let l1: f64 =
@@ -583,7 +231,7 @@ mod tests {
     fn tgn_hurt_by_bad_estimate_dne_immune() {
         // Optimizer thinks the filter passes 10 rows; truth is ~1000.
         let run = run_scan_filter(10.0);
-        let p = PipelineObs::new(&run, 0).unwrap();
+        let p = obs_of(&run);
         let truth = p.truth();
         let l1 = |c: &[f64]| -> f64 {
             c.iter().zip(&truth).map(|(a, b)| (a - b).abs()).sum::<f64>() / c.len() as f64
@@ -599,7 +247,7 @@ mod tests {
     #[test]
     fn oracle_is_best_in_class() {
         let run = run_scan_filter(10.0);
-        let p = PipelineObs::new(&run, 0).unwrap();
+        let p = obs_of(&run);
         let truth = p.truth();
         let l1 = |c: &[f64]| -> f64 {
             c.iter().zip(&truth).map(|(a, b)| (a - b).abs()).sum::<f64>() / c.len() as f64
@@ -614,7 +262,7 @@ mod tests {
     #[test]
     fn pmax_is_most_pessimistic() {
         let run = run_scan_filter(1000.0);
-        let p = PipelineObs::new(&run, 0).unwrap();
+        let p = obs_of(&run);
         let pmax = p.curve(EstimatorKind::Pmax);
         let safe = p.curve(EstimatorKind::Safe);
         for (a, b) in pmax.iter().zip(&safe) {
@@ -625,7 +273,7 @@ mod tests {
     #[test]
     fn missing_pipeline_returns_none() {
         let run = run_scan_filter(1000.0);
-        assert!(PipelineObs::new(&run, 0).is_some());
+        assert!(PipelineObs::with_ctx(&run, 0, &TraceCtx::new(&run)).is_some());
         assert_eq!(run.pipelines.len(), 1);
     }
 }

@@ -1,13 +1,13 @@
 //! Vectorized (struct-of-arrays) forms of the per-snapshot hot paths.
 //!
-//! The per-snapshot work of the live monitor is two walks: the
-//! refinement-bound pass ([`crate::refine::bounds`]) over the whole plan,
-//! and the per-pipeline aggregate walk inside
-//! [`crate::incremental::IncrementalObs`]. Both were per-node *scalar*
-//! traversals over `Vec`-of-struct state: each step re-derived the
-//! topological order, matched on [`OperatorKind`] (whose variants carry
-//! heap payloads — table names, predicate trees — so every dispatch
-//! chases pointers), and probed driver-set membership per node.
+//! The per-snapshot work of estimator evaluation — live ingest and
+//! post-hoc replay alike — is two walks: the refinement-bound pass
+//! ([`crate::refine::bounds`]) over the whole plan, and the per-pipeline
+//! aggregate walk inside [`crate::incremental::IncrementalObs`]. Written
+//! as per-node *scalar* traversals over `Vec`-of-struct state, each step
+//! re-derives the topological order, matches on [`OperatorKind`] (whose
+//! variants carry heap payloads — table names, predicate trees — so every
+//! dispatch chases pointers), and probes driver-set membership per node.
 //!
 //! This module compiles those walks once per plan / per pipeline into
 //! flat columns — `Vec<u64>` / `Vec<f64>` slabs indexed by position — so
@@ -29,9 +29,9 @@
 //! the same floating-point operations in the same order (f64 addition is
 //! order-sensitive; the 0/1 byte mask is exact because adding `+0.0` to a
 //! non-negative accumulator is the identity). The scalar walks are kept
-//! as reference implementations ([`crate::refine::bounds`],
-//! [`crate::incremental::IncrementalObs::offer_shared_scalar`]) and the
-//! property nets pin the compiled forms bit-for-bit against them.
+//! as each kernel's one independent reference ([`crate::refine::bounds`],
+//! [`crate::incremental::IncrementalObs::offer_shared_scalar`]), off every
+//! serving and collection path; the property nets pin the kernels to them.
 
 use prosel_engine::plan::{OperatorKind, PhysicalPlan, SeekKind};
 

@@ -2,7 +2,7 @@
 //! emerge from the simulator, not be injected.
 
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{evaluate_pipeline, EstimatorKind};
+use prosel_estimators::{evaluate_pipeline_shared, EstimatorKind, TraceCtx};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
@@ -21,8 +21,11 @@ fn collect_errors(kind: WorkloadKind, queries: usize) -> Vec<Vec<(EstimatorKind,
             &plan,
             &ExecConfig { seed: 0xABC ^ qi as u64, ..ExecConfig::default() },
         );
+        let ctx = TraceCtx::new(&run);
         for pid in 0..run.pipelines.len() {
-            if let Some(errs) = evaluate_pipeline(&run, pid, &EstimatorKind::CANDIDATES) {
+            if let Some(errs) =
+                evaluate_pipeline_shared(&run, pid, &EstimatorKind::CANDIDATES, &ctx)
+            {
                 out.push(errs.iter().map(|e| (e.kind, e.l1)).collect());
             }
         }
@@ -84,8 +87,9 @@ fn oracle_getnext_model_outperforms_estimators_on_average() {
         let plan = builder.build(q).expect("plan");
         let run =
             run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
+        let ctx = TraceCtx::new(&run);
         for pid in 0..run.pipelines.len() {
-            if let Some(errs) = evaluate_pipeline(&run, pid, &kinds) {
+            if let Some(errs) = evaluate_pipeline_shared(&run, pid, &kinds, &ctx) {
                 for (i, e) in errs.iter().enumerate() {
                     sums[i] += e.l1;
                 }
@@ -141,13 +145,14 @@ fn specialized_estimators_help_their_target_cases() {
         let plan = builder.build(q).expect("plan");
         let run =
             run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
+        let ctx = TraceCtx::new(&run);
         for (pid, p) in run.pipelines.iter().enumerate() {
             // Only pipelines with nested iteration + batch sort.
             if p.index_seek_nodes.is_empty() || p.batch_sort_nodes.is_empty() {
                 continue;
             }
             let kinds = [EstimatorKind::Dne, EstimatorKind::DneSeek, EstimatorKind::BatchDne];
-            if let Some(errs) = evaluate_pipeline(&run, pid, &kinds) {
+            if let Some(errs) = evaluate_pipeline_shared(&run, pid, &kinds, &ctx) {
                 dne_sum += errs[0].l1;
                 seek_sum += errs[1].l1;
                 batch_sum += errs[2].l1;

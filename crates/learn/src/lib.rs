@@ -37,7 +37,7 @@
 //! sequence and the configured seeds — the buffer's reservoir draws, the
 //! holdout split, warm-start subsampling and the promotion decision all
 //! replay bit-identically. The harvested records themselves are
-//! bit-identical to what batch [`prosel_core::pipeline_runs`] extraction
+//! bit-identical to what post-hoc [`prosel_core::pipeline_runs`] extraction
 //! would produce over the same traces (pinned by
 //! `tests/harvest_equivalence.rs` at the workspace root). [`Trainer`]
 //! wraps the deterministic [`OnlineLearner`] core in a background thread

@@ -155,7 +155,7 @@ fn bench_ingest_by_pipelines(c: &mut Criterion) {
         );
         // A/B reference at each size: the pre-hoist path — every pipeline
         // computes the refinement bounds itself (`offer` instead of
-        // `offer_shared`), O(pipelines × plan) per snapshot. The gap to
+        // `offer_view`), O(pipelines × plan) per snapshot. The gap to
         // the entry above is the shared-bounds win.
         let plan_arc = Arc::new(plan.clone());
         let pipelines = decompose(&plan_arc);

@@ -1,14 +1,9 @@
-//! One construction surface for both monitor shapes.
+//! The one construction surface for both monitor shapes.
 //!
-//! The crate grew a constructor zoo — `fixed` / `try_fixed` /
-//! `with_selector` / `from_prototype` on [`MonitorService`], the same
-//! again plus config and harvester setters on [`ProgressMonitor`] — and
-//! every new capability (checkpoint restore, per-knob config) threatened
-//! to double it. [`MonitorBuilder`] consolidates all of it: pick a
-//! policy, chain the knobs you care about, and build either shape. The
-//! legacy constructors remain as thin delegates for existing embeds, but
-//! new code (and every example and test in this workspace) goes through
-//! the builder:
+//! [`MonitorBuilder`] is the only way to obtain a [`ProgressMonitor`] or
+//! a [`MonitorService`]: pick a policy, chain the knobs you care about
+//! (config, harvest sink, checkpoint restore, shard count), and build
+//! either shape.
 //!
 //! ```
 //! use prosel_estimators::EstimatorKind;
@@ -29,7 +24,7 @@
 
 use crate::error::MonitorError;
 use crate::service::MonitorService;
-use crate::shard::{HarvestConfig, HarvestSink, MonitorConfig, ProgressMonitor};
+use crate::shard::{HarvestConfig, HarvestSink, MonitorConfig, Policy, ProgressMonitor};
 use crate::state::HarvestState;
 use crate::RuntimeConfig;
 use prosel_core::selection::EstimatorSelector;
@@ -37,17 +32,11 @@ use prosel_engine::clock::Clock;
 use prosel_estimators::EstimatorKind;
 use std::sync::Arc;
 
-/// Which selection policy the built monitor serves.
-enum BuilderPolicy {
-    Fixed(EstimatorKind),
-    Selector(Arc<EstimatorSelector>),
-}
-
 /// Builder over every construction concern of [`ProgressMonitor`] and
 /// [`MonitorService`]: policy, config knobs, shard count, harvest sink,
 /// and checkpoint restore. See the module docs for the one-glance form.
 pub struct MonitorBuilder {
-    policy: BuilderPolicy,
+    policy: Policy,
     config: MonitorConfig,
     shards: usize,
     harvester: Option<(Arc<dyn HarvestSink>, HarvestConfig)>,
@@ -59,17 +48,17 @@ impl MonitorBuilder {
     /// Oracle kinds are rejected at build time with
     /// [`MonitorError::Register`].
     pub fn fixed(kind: EstimatorKind) -> MonitorBuilder {
-        MonitorBuilder::with_policy(BuilderPolicy::Fixed(kind))
+        MonitorBuilder::with_policy(Policy::Fixed(kind))
     }
 
     /// Monitor with a trained selector: static selection at registration,
     /// dynamic re-selection at the configured cadence. Accepts an owned
     /// [`EstimatorSelector`] or an `Arc` shared with a learning loop.
     pub fn with_selector(selector: impl Into<Arc<EstimatorSelector>>) -> MonitorBuilder {
-        MonitorBuilder::with_policy(BuilderPolicy::Selector(selector.into()))
+        MonitorBuilder::with_policy(Policy::Selector(selector.into()))
     }
 
-    fn with_policy(policy: BuilderPolicy) -> MonitorBuilder {
+    fn with_policy(policy: Policy) -> MonitorBuilder {
         MonitorBuilder {
             policy,
             config: MonitorConfig::default(),
@@ -168,18 +157,7 @@ impl MonitorBuilder {
 
     /// Build the prototype monitor both build paths share.
     fn prototype(&self) -> Result<ProgressMonitor, MonitorError> {
-        let mut monitor = match &self.policy {
-            BuilderPolicy::Fixed(kind) => {
-                ProgressMonitor::try_fixed(*kind)?.with_config(self.config.clone())
-            }
-            BuilderPolicy::Selector(sel) => {
-                ProgressMonitor::with_selector(Arc::clone(sel), self.config.clone())
-            }
-        };
-        if let Some((sink, config)) = &self.harvester {
-            monitor.set_harvester(Arc::clone(sink), config.clone());
-        }
-        Ok(monitor)
+        Ok(ProgressMonitor::new(self.policy.clone(), self.config.clone(), self.harvester.clone())?)
     }
 
     /// Build the single-threaded, deterministic [`ProgressMonitor`] form.

@@ -17,9 +17,9 @@
 //!   [`prosel_engine::trace::TraceEvent`]s one at a time, and serves
 //!   per-query / per-pipeline progress on demand in O(1);
 //! * per pipeline it maintains a
-//!   [`prosel_estimators::incremental::IncrementalObs`], whose committed
-//!   curves are bit-identical to the batch
-//!   [`prosel_estimators::PipelineObs`] over the same run — and the
+//!   [`prosel_estimators::incremental::IncrementalObs`] — the state
+//!   post-hoc evaluation ([`prosel_estimators::PipelineObs`]) obtains by
+//!   replaying the finished run through the same code — and the
 //!   refinement-bound pass is computed **once per query per snapshot**
 //!   ([`prosel_estimators::SnapshotCtx`]) and shared across pipelines;
 //! * with a trained selector attached, the choice made from static
@@ -93,10 +93,10 @@
 //!
 //! Finally, both shapes plug into the **online-learning loop** (the
 //! `prosel-learn` crate): a [`HarvestSink`] attached via
-//! [`ProgressMonitor::with_harvester`] receives every finished query as a
+//! [`MonitorBuilder::harvester`] receives every finished query as a
 //! [`HarvestedQuery`] — labelled training records mined from the
-//! finalized incremental state (bit-identical to batch extraction over
-//! the same trace) plus the §4.4 switch history — and retrained selectors
+//! finalized incremental state (bit-identical to post-hoc extraction
+//! over the same trace) plus the §4.4 switch history — and retrained selectors
 //! hot-swap back in via [`ProgressMonitor::swap_selector`] /
 //! [`MonitorService::swap_selector`]: new registrations score with the
 //! new model (epoch bumped), in-flight queries keep the selector captured

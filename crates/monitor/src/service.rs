@@ -735,57 +735,13 @@ pub struct MonitorService {
 }
 
 impl MonitorService {
-    /// Service with one fixed estimator on every pipeline, `n_shards`
-    /// shard tasks (clamped to ≥ 1).
-    ///
-    /// Documented legacy: prefer
-    /// [`MonitorBuilder::fixed`](crate::MonitorBuilder::fixed)`.shards(n).build_service()`,
-    /// which also carries config, harvester and checkpoint-restore. Kept
-    /// as a thin delegate for existing embeds.
-    ///
-    /// # Panics
-    /// Panics for the oracle kinds, like [`ProgressMonitor::fixed`]; use
-    /// [`Self::try_fixed`] to handle the error as a value.
-    pub fn fixed(kind: EstimatorKind, n_shards: usize) -> MonitorService {
-        Self::try_fixed(kind, n_shards).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Self::fixed`]. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`].
-    pub fn try_fixed(
-        kind: EstimatorKind,
-        n_shards: usize,
-    ) -> Result<MonitorService, RegisterError> {
-        Ok(Self::spawn(ProgressMonitor::try_fixed(kind)?, n_shards))
-    }
-
-    /// Service with a trained selector (shared by every shard): static
-    /// selection at registration, dynamic re-selection at the configured
-    /// cadence — exactly the [`ProgressMonitor::with_selector`] behavior,
-    /// scaled across `n_shards` shard tasks. Accepts an owned selector or
-    /// an `Arc` (shared with a learning loop). Documented legacy — prefer
-    /// [`MonitorBuilder::with_selector`](crate::MonitorBuilder::with_selector).
-    pub fn with_selector(
-        selector: impl Into<Arc<EstimatorSelector>>,
-        config: crate::shard::MonitorConfig,
-        n_shards: usize,
-    ) -> MonitorService {
-        Self::spawn(ProgressMonitor::with_selector(selector, config), n_shards)
-    }
-
-    /// Scale an arbitrarily configured [`ProgressMonitor`] across
-    /// `n_shards` shard tasks: every shard is a fork of `prototype` (same
-    /// policy, config, selector epoch and — notably — harvest sink, so a
-    /// service built from a harvesting prototype feeds one learning loop
-    /// from all shards). The prototype's own registered queries are *not*
-    /// carried over; forks start empty. The prototype's
+    /// Scale `prototype` across `n_shards` shard tasks (clamped to ≥ 1) —
+    /// the service form of [`crate::MonitorBuilder`]. Every shard is a
+    /// fork of `prototype` (same policy, config, selector epoch and —
+    /// notably — harvest sink, so one learning loop is fed from all
+    /// shards); forks start with no registered queries. The prototype's
     /// [`crate::RuntimeConfig`] (inside its [`crate::MonitorConfig`])
-    /// sizes and pins the worker pool. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`], which builds the prototype for you.
-    pub fn from_prototype(prototype: ProgressMonitor, n_shards: usize) -> MonitorService {
-        Self::spawn(prototype, n_shards)
-    }
-
+    /// sizes and pins the worker pool.
     pub(crate) fn spawn(mut prototype: ProgressMonitor, n_shards: usize) -> MonitorService {
         let n = n_shards.max(1);
         // Every service has a scrapeable registry: the configured one, or
@@ -1301,6 +1257,7 @@ impl Drop for MonitorService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::test_support::dne;
     use prosel_engine::plan::{OperatorKind, PlanNode};
     use prosel_engine::trace::Snapshot;
 
@@ -1337,7 +1294,7 @@ mod tests {
     #[test]
     fn routes_registration_ingest_and_reads_by_query_id() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 4);
+        let service = dne().shards(4).build_service().unwrap();
         assert_eq!(service.n_shards(), 4);
         assert!(service.n_workers() >= 1);
         // Query ids chosen to land on distinct shards (mod 4).
@@ -1379,7 +1336,7 @@ mod tests {
     fn delta_events_route_and_advance_progress_like_snapshots() {
         use prosel_engine::trace::{CounterKind, CounterUpdate};
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne().shards(2).build_service().unwrap();
         service.register(6, &plan);
         // Full baseline, then a sparse delta standing for snapshot seq 1.
         service.ingest(snapshot_event(6, 0, 10.0, 25));
@@ -1401,7 +1358,7 @@ mod tests {
     #[test]
     fn duplicate_registration_is_an_error_not_an_abort() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne().shards(2).build_service().unwrap();
         assert_eq!(service.try_register(5, &plan), Ok(()));
         assert_eq!(service.try_register(5, &plan), Err(RegisterError::DuplicateQuery(5)));
         // The shard survives and still serves the original registration.
@@ -1412,7 +1369,7 @@ mod tests {
     #[test]
     fn batch_registration_covers_all_shards_and_reports_duplicates() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne().shards(3).build_service().unwrap();
         service.register(4, &plan);
         let queries: Vec<usize> = (0..10).collect();
         let mut results = service.try_register_batch(&queries, &plan);
@@ -1429,7 +1386,7 @@ mod tests {
     #[test]
     fn eta_reads_are_routed_and_typed() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne().shards(2).build_service().unwrap();
         service.register(6, &plan);
         assert!(!service.remaining_time(6).expect("registered").is_known());
         service.ingest(snapshot_event(6, 0, 10.0, 25));
@@ -1458,11 +1415,10 @@ mod tests {
     fn swap_selector_broadcasts_and_epochs_stay_aligned() {
         let favoring = crate::shard::test_support::selector_favoring;
         let plan = scan_plan();
-        let service = MonitorService::with_selector(
-            favoring(EstimatorKind::Dne),
-            crate::shard::MonitorConfig::default(),
-            3,
-        );
+        let service = crate::MonitorBuilder::with_selector(favoring(EstimatorKind::Dne))
+            .shards(3)
+            .build_service()
+            .unwrap();
         // One query per shard registered under epoch 0.
         for q in 0..3usize {
             service.register(q, &plan);
@@ -1495,8 +1451,7 @@ mod tests {
             clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..Default::default()
         };
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
-        let service = MonitorService::from_prototype(prototype, 2);
+        let service = dne().config(config).shards(2).build_service().unwrap();
         service.register(4, &plan);
         service.ingest(snapshot_event(4, 0, 10.0, 25));
         service.ingest(snapshot_event(4, 1, 20.0, 50));
@@ -1526,11 +1481,11 @@ mod tests {
         use crate::shard::{HarvestConfig, HarvestedQuery};
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel::<HarvestedQuery>();
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "svc".into(), min_observations: 2 },
-        );
-        let service = MonitorService::from_prototype(prototype, 3);
+        let service = dne()
+            .harvester(Arc::new(sink), HarvestConfig { label: "svc".into(), min_observations: 2 })
+            .shards(3)
+            .build_service()
+            .unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
             for seq in 0..3u64 {
@@ -1555,8 +1510,7 @@ mod tests {
         let plan = scan_plan();
         // 2 shards × cap 2 = 4 admission slots service-wide.
         let config = MonitorConfig { max_queries: 2, ..Default::default() };
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
-        let service = MonitorService::from_prototype(prototype, 2);
+        let service = dne().config(config).shards(2).build_service().unwrap();
         // Flood well past the cap through both admission paths: every
         // over-cap registration must come back as a typed Saturated value
         // and no shard task may die.
@@ -1590,7 +1544,7 @@ mod tests {
     #[test]
     fn stats_fold_per_shard_counters_after_the_queues_drain() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne().shards(3).build_service().unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
         }
@@ -1616,9 +1570,18 @@ mod tests {
 
     #[test]
     fn oracle_kinds_are_refused() {
-        assert_eq!(
-            MonitorService::try_fixed(EstimatorKind::BytesOracle, 2).err(),
-            Some(RegisterError::OracleKind(EstimatorKind::BytesOracle))
+        let err = crate::MonitorBuilder::fixed(EstimatorKind::BytesOracle)
+            .shards(2)
+            .build_service()
+            .err();
+        assert!(
+            matches!(
+                err,
+                Some(crate::MonitorError::Register(RegisterError::OracleKind(
+                    EstimatorKind::BytesOracle
+                )))
+            ),
+            "{err:?}"
         );
     }
 
@@ -1632,7 +1595,7 @@ mod tests {
     #[test]
     fn batched_tap_sends_are_equivalent_to_singles() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne().shards(3).build_service().unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
         }
@@ -1654,7 +1617,7 @@ mod tests {
         // streams events: every read must return a sane value and the
         // final state must be exact.
         let plan = scan_plan();
-        let service = std::sync::Arc::new(MonitorService::fixed(EstimatorKind::Dne, 4));
+        let service = std::sync::Arc::new(dne().shards(4).build_service().unwrap());
         let n_queries = 32usize;
         for q in 0..n_queries {
             service.register(q, &plan);
@@ -1697,11 +1660,10 @@ mod tests {
     fn dead_shard_reads_swaps_and_router_degrade_cleanly() {
         let favoring = crate::shard::test_support::selector_favoring;
         let plan = scan_plan();
-        let service = MonitorService::with_selector(
-            favoring(EstimatorKind::Dne),
-            crate::shard::MonitorConfig::default(),
-            3,
-        );
+        let service = crate::MonitorBuilder::with_selector(favoring(EstimatorKind::Dne))
+            .shards(3)
+            .build_service()
+            .unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
         }

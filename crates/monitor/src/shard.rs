@@ -9,11 +9,11 @@
 //! execution) → [`ProgressMonitor::ingest`] for every
 //! [`TraceEvent`] → progress served on demand → the `Finished` event pins
 //! the query to exactly 1.0 and finalizes every pipeline's observation
-//! state (unlocking oracle curves and exact batch equivalence).
+//! state (unlocking oracle curves and exact post-hoc equivalence).
 //!
 //! Per snapshot, the refinement-bound pass is computed **once per query**
 //! as a [`SnapshotCtx`] and shared across all of the query's pipelines
-//! ([`IncrementalObs::offer_shared`]) — O(plan) per snapshot instead of
+//! ([`IncrementalObs::offer_view`]) — O(plan) per snapshot instead of
 //! O(pipelines × plan).
 
 use crate::eta::{Eta, SpeedTracker, StaleEta};
@@ -99,9 +99,9 @@ impl Default for MonitorConfig {
 ///
 /// A service fronting thousands of queries must not abort on a duplicate
 /// id or a misconfigured estimator — these are recoverable caller errors,
-/// surfaced as values via [`ProgressMonitor::try_register`] /
-/// [`ProgressMonitor::try_fixed`] (the panicking entry points route
-/// through the same checks).
+/// surfaced as values via [`ProgressMonitor::try_register`] and the
+/// [`crate::MonitorBuilder`] build methods (the panicking `register`
+/// routes through the same checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterError {
     /// The query id is already registered on this monitor/shard.
@@ -161,7 +161,7 @@ impl Default for HarvestConfig {
 }
 
 /// Everything one finished query yields for the learning loop: its
-/// labelled records (bit-identical to batch extraction over the same
+/// labelled records (bit-identical to post-hoc extraction over the same
 /// trace), the estimator-switch history (§4.4's revision points) and the
 /// selector epoch the query was registered under.
 #[derive(Debug, Clone)]
@@ -413,8 +413,9 @@ pub struct QueryStatus {
     pub pipelines: Vec<PipelineStatus>,
 }
 
+/// Which selection policy a monitor serves.
 #[derive(Clone)]
-enum Policy {
+pub(crate) enum Policy {
     Fixed(EstimatorKind),
     Selector(Arc<EstimatorSelector>),
 }
@@ -560,99 +561,41 @@ pub struct ProgressMonitor {
 }
 
 impl ProgressMonitor {
-    /// Monitor every pipeline with one fixed estimator (no selection).
+    /// The one constructor, behind [`crate::MonitorBuilder`]. A fixed
+    /// policy serves every pipeline with one estimator (no selection); a
+    /// selector policy selects statically at registration and re-selects
+    /// at the configured observation cadence (the `Arc` is how N shards
+    /// score with one model instance). With a harvest sink, every
+    /// `Finished` event additionally mines the query's finalized
+    /// observation state into labelled [`PipelineRecord`]s (bit-identical
+    /// to post-hoc extraction over the same trace) and delivers them,
+    /// together with the switch history, as one [`HarvestedQuery`].
     ///
-    /// Documented legacy: prefer
-    /// [`MonitorBuilder::fixed`](crate::MonitorBuilder::fixed)`.build_monitor()`,
-    /// which also carries config, harvester and checkpoint-restore in one
-    /// construction surface. Kept as a thin delegate for existing embeds.
-    ///
-    /// # Panics
-    /// Panics for the oracle kinds (`GetNextOracle`, `BytesOracle`): they
-    /// need post-hoc totals and cannot serve live progress. Use
-    /// [`Self::try_fixed`] to handle the error as a value.
-    pub fn fixed(kind: EstimatorKind) -> ProgressMonitor {
-        Self::try_fixed(kind).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Self::fixed`]: refuses the oracle kinds with
-    /// [`RegisterError::OracleKind`]. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`].
-    pub fn try_fixed(kind: EstimatorKind) -> Result<ProgressMonitor, RegisterError> {
-        if !prosel_estimators::ONLINE_KINDS.contains(&kind) {
-            return Err(RegisterError::OracleKind(kind));
+    /// Refuses a fixed oracle kind (`GetNextOracle`, `BytesOracle`) with
+    /// [`RegisterError::OracleKind`]: they need post-hoc totals and
+    /// cannot serve live progress.
+    pub(crate) fn new(
+        policy: Policy,
+        config: MonitorConfig,
+        harvester: Option<(Arc<dyn HarvestSink>, HarvestConfig)>,
+    ) -> Result<ProgressMonitor, RegisterError> {
+        if let Policy::Fixed(kind) = policy {
+            if !prosel_estimators::ONLINE_KINDS.contains(&kind) {
+                return Err(RegisterError::OracleKind(kind));
+            }
         }
-        let config = MonitorConfig::default();
         let counters = ShardCounters::from_config(&config, None);
         Ok(ProgressMonitor {
-            policy: Policy::Fixed(kind),
+            policy,
             config,
             queries: BTreeMap::new(),
             epoch: 0,
-            harvester: None,
+            harvester,
             counters,
             dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
             obs_timed: false,
         })
-    }
-
-    /// Monitor with a trained selector: static selection at registration,
-    /// dynamic re-selection at the configured observation cadence.
-    ///
-    /// Accepts an owned [`EstimatorSelector`] or an
-    /// `Arc<EstimatorSelector>` — the `Arc` form is how the sharded
-    /// service has N shards score with one model instance instead of N
-    /// copies. Documented legacy: prefer
-    /// [`MonitorBuilder::with_selector`](crate::MonitorBuilder::with_selector).
-    pub fn with_selector(
-        selector: impl Into<Arc<EstimatorSelector>>,
-        config: MonitorConfig,
-    ) -> ProgressMonitor {
-        let counters = ShardCounters::from_config(&config, None);
-        ProgressMonitor {
-            policy: Policy::Selector(selector.into()),
-            config,
-            queries: BTreeMap::new(),
-            epoch: 0,
-            harvester: None,
-            counters,
-            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
-            obs_tick: 0,
-            obs_timed: false,
-        }
-    }
-
-    /// Replace the monitor's configuration, builder-style — the way to
-    /// give a fixed-policy monitor (whose constructors start from
-    /// defaults) a deterministic clock or a different ETA window. Applies
-    /// to future registrations; already-registered queries keep the ETA
-    /// window they were created with. Rebuilds the metric handles from
-    /// the new config's registry, so tallies restart from zero — call
-    /// this builder-style at construction, before any traffic.
-    pub fn with_config(mut self, config: MonitorConfig) -> ProgressMonitor {
-        self.counters = ShardCounters::from_config(&config, None);
-        self.config = config;
-        self
-    }
-
-    /// Attach a harvest sink: from now on, every `Finished` event
-    /// additionally mines the query's finalized observation state into
-    /// labelled [`PipelineRecord`]s (bit-identical to batch extraction
-    /// over the same trace) and delivers them, together with the switch
-    /// history, as one [`HarvestedQuery`]. Builder-style.
-    pub fn with_harvester(
-        mut self,
-        sink: Arc<dyn HarvestSink>,
-        config: HarvestConfig,
-    ) -> ProgressMonitor {
-        self.set_harvester(sink, config);
-        self
-    }
-
-    /// Attach (or replace) the harvest sink. See [`Self::with_harvester`].
-    pub fn set_harvester(&mut self, sink: Arc<dyn HarvestSink>, config: HarvestConfig) {
-        self.harvester = Some((sink, config));
     }
 
     /// Install `selector` for **future registrations** and bump the
@@ -844,7 +787,7 @@ impl ProgressMonitor {
                     }
                     // Harvest hook: the pipes are finalized, so their
                     // committed curves, truth and totals now match what
-                    // batch extraction would compute over this trace.
+                    // post-hoc replay would compute over this trace.
                     if let Some((sink, hcfg)) = &self.harvester {
                         let records = qs
                             .pipes
@@ -1333,6 +1276,11 @@ pub(crate) mod test_support {
     use prosel_estimators::EstimatorKind;
     use prosel_mart::BoostParams;
 
+    /// Builder over the fixed DNE policy most tests monitor with.
+    pub(crate) fn dne() -> crate::MonitorBuilder {
+        crate::MonitorBuilder::fixed(EstimatorKind::Dne)
+    }
+
     /// A selector whose constant error models make it always pick `kind`
     /// (features are irrelevant — every record reports `kind` as the
     /// cheapest estimator).
@@ -1370,8 +1318,9 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::selector_favoring;
+    use super::test_support::{dne, selector_favoring};
     use super::*;
+    use crate::{MonitorBuilder, MonitorError};
     use prosel_core::features::FeatureSchema;
     use prosel_engine::clock::ManualClock;
     use prosel_engine::plan::{OperatorKind, PlanNode};
@@ -1420,8 +1369,8 @@ mod tests {
     fn delta_stream_matches_full_snapshot_stream_bitwise() {
         use prosel_engine::trace::DeltaEncoder;
         let plan = scan_plan();
-        let mut full = ProgressMonitor::fixed(EstimatorKind::Dne);
-        let mut delta = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut full = dne().build_monitor().unwrap();
+        let mut delta = dne().build_monitor().unwrap();
         full.register(7, &plan);
         delta.register(7, &plan);
         let mut enc = DeltaEncoder::new();
@@ -1469,7 +1418,7 @@ mod tests {
         // The engine always emits a full snapshot first; a delta arriving
         // at seq 0 means the baseline was lost — state is untrustworthy.
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(3, &plan);
         monitor.ingest(TraceEvent::Delta {
             query: 3,
@@ -1493,7 +1442,7 @@ mod tests {
         // Out-of-range node index: the engine is running a different plan
         // under this id. The scratch must stay untouched and the query
         // dropped, not a panic or a silent partial patch.
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(5, &plan);
         monitor.ingest(snapshot_event(5, 0, 10.0, 25));
         monitor.ingest(TraceEvent::Delta {
@@ -1510,7 +1459,7 @@ mod tests {
         });
         assert_eq!(monitor.query_progress(5), None, "out-of-range node must drop the query");
         // A seq gap on the delta path is refused like on the snapshot path.
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(6, &plan);
         monitor.ingest(snapshot_event(6, 0, 10.0, 25));
         monitor.ingest(TraceEvent::Delta {
@@ -1527,7 +1476,7 @@ mod tests {
     #[test]
     fn late_registration_is_refused_not_corrupted() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         // Registered only after the engine already emitted snapshot 0:
         // the buffer mirror is unreconstructable, so the first ingested
         // snapshot (seq 1 != expected 0) must drop the query.
@@ -1540,7 +1489,7 @@ mod tests {
     #[test]
     fn timely_registration_serves_progress() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(7, &plan);
         monitor.ingest(snapshot_event(7, 0, 10.0, 25));
         assert!((monitor.query_progress(7).unwrap() - 0.25).abs() < 1e-12);
@@ -1561,7 +1510,7 @@ mod tests {
         // check against finalized pipes — it must drop the stale state,
         // not panic (a panic would kill a whole service shard).
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(9, &plan);
         monitor.ingest(TraceEvent::Finished {
             query: 9,
@@ -1591,7 +1540,7 @@ mod tests {
         // registered plan means a different plan ran under this id — it
         // must drop the state, not index out of bounds (which would kill
         // a whole service shard).
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(4, &plan);
         monitor.ingest(TraceEvent::Finished {
             query: 4,
@@ -1625,7 +1574,7 @@ mod tests {
             clock: Arc::new(ManualClock::new(0.0)) as Arc<dyn Clock>,
             ..Default::default()
         };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor = dne().config(config).build_monitor().unwrap();
         assert_eq!(monitor.remaining_time(0), None, "unregistered");
         monitor.register(0, &plan);
         let eta = monitor.remaining_time(0).expect("registered");
@@ -1655,7 +1604,7 @@ mod tests {
     #[test]
     fn try_register_reports_duplicates_as_values() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         assert_eq!(monitor.try_register(3, &plan), Ok(()));
         assert_eq!(monitor.try_register(3, &plan), Err(RegisterError::DuplicateQuery(3)));
         // The original registration survives the refused duplicate.
@@ -1667,12 +1616,13 @@ mod tests {
     #[test]
     fn try_fixed_refuses_oracle_kinds() {
         for kind in [EstimatorKind::GetNextOracle, EstimatorKind::BytesOracle] {
-            assert_eq!(
-                ProgressMonitor::try_fixed(kind).err(),
-                Some(RegisterError::OracleKind(kind))
+            let err = MonitorBuilder::fixed(kind).build_monitor().err();
+            assert!(
+                matches!(err, Some(MonitorError::Register(RegisterError::OracleKind(k))) if k == kind),
+                "{err:?}"
             );
         }
-        assert!(ProgressMonitor::try_fixed(EstimatorKind::Dne).is_ok());
+        assert!(dne().build_monitor().is_ok());
     }
 
     #[test]
@@ -1681,7 +1631,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new(0.0));
         let config =
             MonitorConfig { clock: Arc::clone(&clock) as Arc<dyn Clock>, ..Default::default() };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor = dne().config(config).build_monitor().unwrap();
         monitor.register(2, &plan);
         monitor.ingest(snapshot_event(2, 0, 1.0, 10));
         monitor.ingest(snapshot_event(2, 1, 2.0, 20));
@@ -1718,7 +1668,7 @@ mod tests {
         let favor_dne = Arc::new(selector_favoring(EstimatorKind::Dne));
         let favor_tgn = Arc::new(selector_favoring(EstimatorKind::Tgn));
         let mut monitor =
-            ProgressMonitor::with_selector(Arc::clone(&favor_dne), MonitorConfig::default());
+            MonitorBuilder::with_selector(Arc::clone(&favor_dne)).build_monitor().unwrap();
         assert_eq!(monitor.selector_epoch(), 0);
         monitor.register(0, &plan);
         assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
@@ -1771,8 +1721,13 @@ mod tests {
         let catalog = Catalog::new(&w.db, &w.design);
         let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
         let config = MonitorConfig { reselect_every: 2, ..MonitorConfig::default() };
-        let mut memo = ProgressMonitor::with_selector(Arc::clone(&first), config.clone());
-        let mut rescoring = ProgressMonitor::with_selector(Arc::clone(&first), config);
+        let build = || {
+            MonitorBuilder::with_selector(Arc::clone(&first))
+                .config(config.clone())
+                .build_monitor()
+                .unwrap()
+        };
+        let (mut memo, mut rescoring) = (build(), build());
         let (mut thinned, mut switched) = (0usize, 0usize);
         for (qi, q) in w.queries.iter().enumerate() {
             let plan = Arc::new(builder.build(q).expect("plan"));
@@ -1827,10 +1782,10 @@ mod tests {
     fn finished_queries_are_harvested_with_batch_equivalent_shape() {
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "live".into(), min_observations: 3 },
-        );
+        let mut monitor = dne()
+            .harvester(Arc::new(sink), HarvestConfig { label: "live".into(), min_observations: 3 })
+            .build_monitor()
+            .unwrap();
         monitor.register(7, &plan);
         for seq in 0..5u64 {
             monitor.ingest(snapshot_event(7, seq, (seq + 1) as f64 * 8.0, 20 * (seq + 1)));
@@ -1873,7 +1828,7 @@ mod tests {
     fn admission_cap_refuses_with_typed_saturation_and_recovers() {
         let plan = scan_plan();
         let config = MonitorConfig { max_queries: 2, ..Default::default() };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor = dne().config(config).build_monitor().unwrap();
         assert_eq!(monitor.try_register(0, &plan), Ok(()));
         assert_eq!(monitor.try_register(1, &plan), Ok(()));
         // At the cap: a typed refusal, never a panic, and the duplicate
@@ -1894,10 +1849,10 @@ mod tests {
     fn shard_stats_obey_the_event_conservation_law() {
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "cnt".into(), min_observations: 1 },
-        );
+        let mut monitor = dne()
+            .harvester(Arc::new(sink), HarvestConfig { label: "cnt".into(), min_observations: 1 })
+            .build_monitor()
+            .unwrap();
         monitor.register(0, &plan);
         monitor.ingest(snapshot_event(0, 0, 10.0, 25));
         monitor.ingest(snapshot_event(99, 0, 10.0, 25)); // untracked query
@@ -1930,7 +1885,7 @@ mod tests {
     #[should_panic(expected = "already registered")]
     fn register_still_panics_on_duplicates() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne().build_monitor().unwrap();
         monitor.register(1, &plan);
         monitor.register(1, &plan);
     }

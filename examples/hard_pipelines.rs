@@ -13,12 +13,12 @@
 use prosel::datagen::TuningLevel;
 use prosel::engine::plan::OperatorKind;
 use prosel::engine::{run_plan, Catalog, ExecConfig};
-use prosel::estimators::{l1_error, EstimatorKind, PipelineObs};
+use prosel::estimators::{l1_error, EstimatorKind, PipelineObs, TraceCtx};
 use prosel::planner::query::{FilterSpec, JoinSpec, QuerySpec, TableRef};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::{PlanBuilder, PlannerConfig};
 
-fn print_case(title: &str, obs: &PipelineObs<'_>, kinds: &[EstimatorKind]) {
+fn print_case(title: &str, obs: &PipelineObs, kinds: &[EstimatorKind]) {
     println!("\n--- {title} ({} observations) ---", obs.len());
     let truth = obs.truth();
     print!("{:>6}", "true%");
@@ -72,7 +72,7 @@ fn main() {
     let catalog = Catalog::new(&w.db, &w.design);
     let run = run_plan(&catalog, &plan, &ExecConfig::default());
     let pid = run.pipelines.iter().position(|p| !p.batch_sort_nodes.is_empty()).unwrap();
-    let obs = PipelineObs::new(&run, pid).expect("observations");
+    let obs = PipelineObs::with_ctx(&run, pid, &TraceCtx::new(&run)).expect("observations");
     print_case(
         "nested iteration behind a batch sort (paper Fig. 6)",
         &obs,
@@ -112,7 +112,7 @@ fn main() {
     let plan2 = builder2.build(&q2).expect("plan");
     let catalog2 = Catalog::new(&w2.db, &w2.design);
     let run2 = run_plan(&catalog2, &plan2, &ExecConfig::default());
-    let ctx2 = prosel::estimators::TraceCtx::new(&run2);
+    let ctx2 = TraceCtx::new(&run2);
     let pid2 = (0..run2.pipelines.len())
         .filter(|&p| PipelineObs::with_ctx(&run2, p, &ctx2).is_some_and(|o| o.len() >= 10))
         .max_by_key(|&p| run2.pipelines[p].nodes.len())

@@ -6,11 +6,11 @@ use prosel::core::pipeline_runs::{collect_from_workload, CollectConfig};
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
 use prosel::engine::{
-    run_concurrent_tapped, run_plan, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig,
-    QueryRun, TraceEvent,
+    run_concurrent_tapped, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig, QueryRun,
+    TraceEvent,
 };
 use prosel::estimators::kinds::EstimatorKind;
-use prosel::estimators::{IncrementalObs, PipelineObs, TraceCtx, ONLINE_KINDS};
+use prosel::estimators::{PipelineObs, TraceCtx, ONLINE_KINDS};
 use prosel::mart::BoostParams;
 use prosel::monitor::{MonitorBuilder, MonitorConfig, ProgressMonitor};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -24,8 +24,9 @@ fn all_kinds() -> Vec<EstimatorKind> {
     kinds
 }
 
-/// Assert that the monitor's incremental observation state reproduces the
-/// batch `PipelineObs` curves bit for bit on every pipeline of `run`.
+/// Assert that the monitor's observation state, fed live (deltas, thinning,
+/// provisional windows), equals post-hoc replay of the final trace bit for
+/// bit on every pipeline of `run`.
 fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, label: &str) {
     let ctx = TraceCtx::new(run);
     for pid in 0..run.pipelines.len() {
@@ -36,16 +37,20 @@ fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, la
                 "{label}: pipeline {pid} unobserved post-hoc but online has {} obs",
                 inc.len()
             ),
-            Some(batch) => {
+            Some(replayed) => {
                 assert_eq!(
                     inc.times(),
-                    &batch.times[..],
+                    replayed.times(),
                     "{label}: observation set mismatch on pipeline {pid}"
                 );
-                assert_eq!(inc.window(), batch.window, "{label}: window mismatch, pipeline {pid}");
+                assert_eq!(
+                    inc.window(),
+                    replayed.window(),
+                    "{label}: window mismatch, pipeline {pid}"
+                );
                 for kind in all_kinds() {
                     let online = inc.curve(kind);
-                    let offline = batch.curve(kind);
+                    let offline = replayed.curve(kind);
                     assert_eq!(
                         online.len(),
                         offline.len(),
@@ -55,7 +60,7 @@ fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, la
                         assert!(
                             a.to_bits() == b.to_bits(),
                             "{label}: {kind} differs at pipeline {pid} obs {j}: \
-                             online {a:?} vs batch {b:?}"
+                             online {a:?} vs replayed {b:?}"
                         );
                     }
                 }
@@ -158,7 +163,7 @@ fn monitor_progress_is_monotone_and_pins_to_one() {
 #[test]
 fn selector_driven_monitor_end_to_end() {
     // Train a small selector, then monitor a concurrent batch with online
-    // re-selection: curves still match batch exactly (selection never
+    // re-selection: curves still match post-hoc replay exactly (selection never
     // perturbs observation state), switches are well-formed, and the
     // serving surface stays sane throughout.
     let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(20).with_scale(0.5);
@@ -208,44 +213,6 @@ fn selector_driven_monitor_end_to_end() {
                 k = s.to;
             }
             assert_eq!(monitor.current_choice(qi, pid), Some(k));
-        }
-    }
-}
-
-#[test]
-fn replay_equivalence_all_workload_kinds() {
-    // The pure-estimators replay path (no live tap) must agree with batch
-    // too — it is the reference implementation of the streaming protocol.
-    for (kind, seed) in [(WorkloadKind::TpchLike, 5u64), (WorkloadKind::TpcdsLike, 6u64)] {
-        let spec = WorkloadSpec::new(kind, seed).with_queries(6).with_scale(0.5);
-        let w = materialize(&spec);
-        let catalog = Catalog::new(&w.db, &w.design);
-        let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
-        for (qi, q) in w.queries.iter().enumerate() {
-            let plan = builder.build(q).expect("plan");
-            let run = run_plan(&catalog, &plan, &ExecConfig::default());
-            let ctx = TraceCtx::new(&run);
-            for pid in 0..run.pipelines.len() {
-                let batch = PipelineObs::with_ctx(&run, pid, &ctx);
-                let inc = IncrementalObs::replay_shared(&run, pid, &ctx);
-                match (batch, inc) {
-                    (None, None) => {}
-                    (Some(batch), Some(inc)) => {
-                        for k in all_kinds() {
-                            assert_eq!(
-                                inc.curve(k),
-                                batch.curve(k),
-                                "{kind:?} q{qi} p{pid}: {k} replay mismatch"
-                            );
-                        }
-                    }
-                    (b, i) => panic!(
-                        "{kind:?} q{qi} p{pid}: batch {:?} vs replay {:?} observation presence",
-                        b.map(|o| o.len()),
-                        i.map(|o| o.len())
-                    ),
-                }
-            }
         }
     }
 }
