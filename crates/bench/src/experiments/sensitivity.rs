@@ -16,7 +16,7 @@ use prosel_core::training::{FeatureMode, TrainingSet};
 use prosel_datagen::TuningLevel;
 use prosel_estimators::EstimatorKind;
 use prosel_planner::workload::{WorkloadKind, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn tpch_queries(scale: ExpScale) -> usize {
     match scale {
@@ -64,18 +64,18 @@ fn three_bucket_experiment(
     out
 }
 
-/// Table 2 — selectivity shift: pipelines of recurring shapes bucketed by
-/// total GetNext volume (small / medium / large) within each shape.
-pub fn run_table2(suite: &mut Suite, scale: ExpScale) -> String {
-    let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 11).with_queries(tpch_queries(scale));
-    let records = suite.records(&spec).to_vec();
-    // Group by fingerprint; keep shapes occurring >= 6 times.
-    let mut groups: HashMap<&str, Vec<&PipelineRecord>> = HashMap::new();
-    for r in &records {
+/// Table 2's buckets: shapes (fingerprints) occurring at least 6 times,
+/// each split by total GetNext volume into a small, a medium and a large
+/// third. Shapes are visited in fingerprint order, so the buckets — and
+/// with them the row-subsample stream of the models trained on them —
+/// are a function of `records` alone.
+fn selectivity_buckets(records: &[PipelineRecord]) -> [Vec<PipelineRecord>; 3] {
+    let mut groups: BTreeMap<&str, Vec<&PipelineRecord>> = BTreeMap::new();
+    for r in records {
         groups.entry(&r.fingerprint).or_default().push(r);
     }
     let mut buckets: [Vec<PipelineRecord>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (_, mut rs) in groups {
+    for mut rs in groups.into_values() {
         if rs.len() < 6 {
             continue;
         }
@@ -86,6 +86,14 @@ pub fn run_table2(suite: &mut Suite, scale: ExpScale) -> String {
             buckets[b].push(r.clone());
         }
     }
+    buckets
+}
+
+/// Table 2 — selectivity shift: pipelines of recurring shapes bucketed by
+/// total GetNext volume (small / medium / large) within each shape.
+pub fn run_table2(suite: &mut Suite, scale: ExpScale) -> String {
+    let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 11).with_queries(tpch_queries(scale));
+    let buckets = selectivity_buckets(suite.records(&spec));
     three_bucket_experiment(
         "Table 2 — % optimal under selectivity (GetNext volume) train/test shift",
         ["small", "medium", "large"],
@@ -143,4 +151,49 @@ pub fn run_table5(suite: &mut Suite, scale: ExpScale) -> String {
         ["small (SF2)", "medium (SF5)", "large (SF10)"],
         [a, b, c],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(fingerprint: &str, query_idx: usize, total_getnext: u64) -> PipelineRecord {
+        PipelineRecord {
+            workload: "syn".into(),
+            query_idx,
+            pipeline_id: 0,
+            features: Vec::new(),
+            errors_l1: vec![0.0; 8],
+            errors_l2: vec![0.0; 8],
+            total_getnext,
+            weight: 1.0,
+            n_obs: 10,
+            fingerprint: fingerprint.into(),
+            oracle_l1: [0.0; 2],
+            oracle_l2: [0.0; 2],
+        }
+    }
+
+    #[test]
+    fn selectivity_buckets_are_a_function_of_the_records() {
+        // 40 shapes of 9 records each, plus rare shapes that are dropped.
+        let mut records = Vec::new();
+        for i in 0..380usize {
+            let shape = if i < 360 { format!("shape-{}", i * 7 % 40) } else { format!("rare-{i}") };
+            records.push(record(&shape, i, (i * 37 % 101) as u64));
+        }
+        let key = |buckets: [Vec<PipelineRecord>; 3]| {
+            buckets.map(|b| b.iter().map(|r| r.query_idx).collect::<Vec<usize>>())
+        };
+        let first = key(selectivity_buckets(&records));
+        for _ in 0..4 {
+            assert_eq!(key(selectivity_buckets(&records)), first);
+        }
+        assert_eq!(first.each_ref().map(Vec::len), [120, 120, 120]);
+        // Shapes in fingerprint order; within a shape, ascending volume.
+        let small: Vec<&PipelineRecord> = first[0].iter().map(|&q| &records[q]).collect();
+        assert!(small.windows(2).all(|w| {
+            (&w[0].fingerprint, w[0].total_getnext) <= (&w[1].fingerprint, w[1].total_getnext)
+        }));
+    }
 }

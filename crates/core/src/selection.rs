@@ -11,7 +11,7 @@
 use crate::features::schema::STATIC_LEN;
 use crate::training::{FeatureMode, TrainingSet};
 use prosel_estimators::EstimatorKind;
-use prosel_mart::{BoostParams, Forest, Mart};
+use prosel_mart::{BinnedDataset, BoostParams, Dataset, Forest, Mart};
 
 /// Selector configuration.
 #[derive(Debug, Clone)]
@@ -88,17 +88,11 @@ impl EstimatorSelector {
     /// Train the per-estimator error models.
     pub fn train(train: &TrainingSet, config: &SelectorConfig) -> EstimatorSelector {
         assert!(!train.is_empty(), "cannot train a selector on zero pipelines");
-        let models = config
-            .candidates
-            .iter()
-            .map(|&kind| {
-                let data = train.dataset_for(kind, config.mode);
-                let mut params = config.boost.clone();
-                // Derive a per-model seed so models differ deterministically.
-                params.seed ^= kind.candidate_index().unwrap_or(0) as u64 + 1;
-                (kind, Mart::train(&data, &params))
-            })
-            .collect();
+        let models = fit_models(train, config.mode, &config.candidates, |_, kind, data, binned| {
+            let params =
+                BoostParams { seed: model_seed(config.boost.seed, kind), ..config.boost.clone() };
+            Mart::train_binned(data, binned, &params)
+        });
         EstimatorSelector::new(config.clone(), models)
     }
 
@@ -119,16 +113,11 @@ impl EstimatorSelector {
     ) -> EstimatorSelector {
         assert!(!train.is_empty(), "cannot retrain a selector on zero pipelines");
         let config = base.config.clone();
-        let models = base
-            .models
-            .iter()
-            .map(|(kind, model)| {
-                let data = train.dataset_for(*kind, config.mode);
-                let mut params = config.boost.clone();
-                params.seed = seed ^ (kind.candidate_index().unwrap_or(0) as u64 + 1);
-                (*kind, Mart::warm_start(model, &data, &params, extra))
-            })
-            .collect();
+        let kinds: Vec<EstimatorKind> = base.models.iter().map(|(kind, _)| *kind).collect();
+        let models = fit_models(train, config.mode, &kinds, |i, kind, data, binned| {
+            let params = BoostParams { seed: model_seed(seed, kind), ..config.boost.clone() };
+            Mart::warm_start_binned(&base.models[i].1, data, binned, &params, extra)
+        });
         EstimatorSelector::new(config, models)
     }
 
@@ -331,6 +320,37 @@ impl EstimatorSelector {
             oracle_l1: test.oracle_l1(kinds),
         }
     }
+}
+
+/// A per-model boosting seed, so the candidates' subsample streams differ
+/// deterministically.
+fn model_seed(seed: u64, kind: EstimatorKind) -> u64 {
+    seed ^ (kind.candidate_index().unwrap_or(0) as u64 + 1)
+}
+
+/// One error model per entry of `kinds`, in order. Every candidate's
+/// model regresses over the same feature matrix, so it is assembled and
+/// binned once; each candidate swaps its own targets in before `fit`
+/// (given the candidate's position and kind) trains on it.
+fn fit_models(
+    train: &TrainingSet,
+    mode: FeatureMode,
+    kinds: &[EstimatorKind],
+    fit: impl Fn(usize, EstimatorKind, &Dataset, &BinnedDataset) -> Mart,
+) -> Vec<(EstimatorKind, Mart)> {
+    let Some(&first) = kinds.first() else {
+        return Vec::new();
+    };
+    let mut data = train.dataset_for(first, mode);
+    let binned = BinnedDataset::build(&data);
+    kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            data.set_targets(&train.targets_for(kind));
+            (kind, fit(i, kind, &data, &binned))
+        })
+        .collect()
 }
 
 /// Held-out evaluation summary.

@@ -54,12 +54,19 @@ impl TrainingSet {
     /// (restricted by `mode`) → observed L1 error of `kind`.
     pub fn dataset_for(&self, kind: EstimatorKind, mode: FeatureMode) -> Dataset {
         let dims = mode.dims();
-        let idx = kind.candidate_index().expect("selectable estimator");
         let mut d = Dataset::new(dims);
-        for r in &self.records {
-            d.push(&r.features[..dims], r.errors_l1[idx]);
+        for (r, target) in self.records.iter().zip(self.targets_for(kind)) {
+            d.push(&r.features[..dims], target);
         }
         d
+    }
+
+    /// The targets of [`Self::dataset_for`] alone: the observed L1 error
+    /// of `kind` per record. The feature matrix is the same for every
+    /// estimator, so the selector builds it once and swaps these in.
+    pub fn targets_for(&self, kind: EstimatorKind) -> Vec<f32> {
+        let idx = kind.candidate_index().expect("selectable estimator");
+        self.records.iter().map(|r| r.errors_l1[idx]).collect()
     }
 
     /// Split by predicate into (matching, rest).

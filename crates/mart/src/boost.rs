@@ -8,7 +8,7 @@
 
 use crate::dataset::{BinnedDataset, Dataset};
 use crate::forest::Forest;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{FitScratch, RegressionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -92,12 +92,18 @@ impl Mart {
         Mart::train_binned(data, &binned, params)
     }
 
-    /// Train when the caller already binned the data (avoids re-binning
-    /// across repeated trainings on the same matrix).
+    /// [`Mart::train`] when the caller already binned the data. `binned`
+    /// must be [`BinnedDataset::build`] of `data`'s feature matrix; it
+    /// does not depend on the targets, so models that share the matrix —
+    /// the selector's per-candidate error models swap targets with
+    /// [`Dataset::set_targets`] — bin it once and each pass it here. The
+    /// result is the model `Mart::train(data, params)` returns, bit for
+    /// bit.
     pub fn train_binned(data: &Dataset, binned: &BinnedDataset, params: &BoostParams) -> Mart {
         let n = data.len();
         assert!(n > 0, "cannot train on an empty dataset");
         assert_eq!(binned.n_rows(), n);
+        assert_eq!(binned.n_features(), data.n_features());
         let base = data.targets().iter().map(|&t| t as f64).sum::<f64>() as f32 / n as f32;
         let mut grown = Grown {
             shrinkage: params.shrinkage as f32,
@@ -122,6 +128,18 @@ impl Mart {
     /// `extra == 0` returns a clone of `base`. Deterministic given
     /// `params.seed`.
     pub fn warm_start(base: &Mart, data: &Dataset, params: &BoostParams, extra: usize) -> Mart {
+        Mart::warm_start_binned(base, data, &BinnedDataset::build(data), params, extra)
+    }
+
+    /// [`Mart::warm_start`] when the caller already binned the data, under
+    /// the same rule as [`Mart::train_binned`].
+    pub fn warm_start_binned(
+        base: &Mart,
+        data: &Dataset,
+        binned: &BinnedDataset,
+        params: &BoostParams,
+        extra: usize,
+    ) -> Mart {
         let n = data.len();
         assert!(n > 0, "cannot continue training on an empty dataset");
         assert_eq!(
@@ -129,17 +147,18 @@ impl Mart {
             base.feature_gain.len(),
             "warm start needs the feature space the base model was trained on"
         );
+        assert_eq!(binned.n_rows(), n);
+        assert_eq!(binned.n_features(), data.n_features());
         if extra == 0 {
             return base.clone();
         }
-        let binned = BinnedDataset::build(data);
         let mut preds: Vec<f32> = (0..n).map(|i| base.predict(data.row(i))).collect();
         let mut grown = Grown {
             shrinkage: base.shrinkage,
             trees: base.trees.clone(),
             feature_gain: base.feature_gain.clone(),
         };
-        boost_rounds(&mut grown, data, &binned, params, &mut preds, extra);
+        boost_rounds(&mut grown, data, binned, params, &mut preds, extra);
         grown.into_model(base.base)
     }
 
@@ -239,6 +258,7 @@ fn boost_rounds(
 
     let mut all_rows: Vec<u32> = (0..n as u32).collect();
     let mut all_cols: Vec<u32> = (0..nf as u32).collect();
+    let mut scratch = FitScratch::default();
     for _ in 0..iterations {
         for i in 0..n {
             residuals[i] = data.target(i) - preds[i];
@@ -262,16 +282,17 @@ fn boost_rounds(
         } else {
             &all_cols
         };
-        let (tree, tree_preds) =
-            RegressionTree::fit_on_features(binned, &residuals, rows, cols, &params.tree);
+        let tree = RegressionTree::fit(binned, &residuals, rows, cols, &params.tree, &mut scratch);
         if tree.nodes.len() <= 1 {
             // Residuals are flat: converged.
             break;
         }
         tree.accumulate_gains(&mut model.feature_gain);
         let s = model.shrinkage;
-        for i in 0..n {
-            preds[i] += s * tree_preds[i];
+        // Every row moves, sampled or not: the next round's residuals
+        // cover the whole dataset.
+        for (i, p) in preds.iter_mut().enumerate() {
+            *p += s * tree.predict_binned(binned.row(i));
         }
         model.trees.push(tree);
     }
@@ -413,6 +434,64 @@ mod tests {
             adapted.mse(&shifted),
             base.mse(&shifted)
         );
+    }
+
+    /// What boosting believes it predicts for a row — the sum it keeps in
+    /// `preds`, descending every tree by bin code.
+    fn training_time_prediction(model: &Mart, bins: &[u8]) -> f32 {
+        let mut p = model.base;
+        for tree in &model.trees {
+            p += model.shrinkage * tree.predict_binned(bins);
+        }
+        p
+    }
+
+    #[test]
+    fn training_and_inference_agree_on_nan_and_infinite_features() {
+        // Every 4th row is NaN in feature 0 and carries a target far from
+        // the finite rows', so the trees split it off as best they can;
+        // ±inf rows sit at the two ends of feature 1.
+        let mut d = Dataset::new(2);
+        for i in 0..200 {
+            let x0 = if i % 4 == 0 { f32::NAN } else { (i % 10) as f32 };
+            let x1 = match i % 25 {
+                3 => f32::INFINITY,
+                7 => f32::NEG_INFINITY,
+                _ => (i % 13) as f32,
+            };
+            let y = if x0.is_nan() { 5.0 } else { 0.1 * x0 }
+                + if x1 == f32::INFINITY { 2.0 } else { 0.0 };
+            d.push(&[x0, x1], y);
+        }
+        let binned = BinnedDataset::build(&d);
+        let params = BoostParams { iterations: 60, ..BoostParams::default() };
+        let model = Mart::train_binned(&d, &binned, &params);
+        assert_eq!(model.n_trees(), 60);
+        for i in 0..d.len() {
+            assert_eq!(
+                training_time_prediction(&model, binned.row(i)).to_bits(),
+                model.predict(d.row(i)).to_bits(),
+                "row {i}: {:?}",
+                d.row(i)
+            );
+        }
+    }
+
+    #[test]
+    fn binned_entry_points_train_the_same_models() {
+        let train = synthetic(300, 12);
+        let binned = BinnedDataset::build(&train);
+        let params = BoostParams { iterations: 25, ..BoostParams::default() };
+        let base = Mart::train(&train, &params);
+        let same = Mart::train_binned(&train, &binned, &params);
+        assert_eq!(crate::model_io::to_string(&base), crate::model_io::to_string(&same));
+        // Other targets over the same matrix reuse the binning.
+        let mut flipped = train.clone();
+        flipped.set_targets(&train.targets().iter().map(|t| -t).collect::<Vec<f32>>());
+        let more = Mart::warm_start(&base, &flipped, &params, 10);
+        let same = Mart::warm_start_binned(&base, &flipped, &binned, &params, 10);
+        assert_eq!(more.n_trees(), 35);
+        assert_eq!(crate::model_io::to_string(&more), crate::model_io::to_string(&same));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! trees).
 //!
 //! Split search is histogram-based: features are quantized once into at
-//! most 256 quantile bins, trees grow best-first. Everything is
-//! deterministic given the boosting seed.
+//! most 256 quantile bins ([`BinnedDataset`], shared by every model
+//! trained on the same feature matrix), trees grow best-first, and a
+//! node's search walks one feature at a time over the node's rows, so it
+//! costs O(rows), not O(bins) ([`tree`]). Everything is deterministic
+//! given the boosting seed.
 //!
 //! ```
 //! use prosel_mart::{BoostParams, Dataset, Mart};
@@ -33,4 +36,4 @@ pub use boost::{BoostParams, Mart};
 pub use dataset::{BinnedDataset, Dataset, MAX_BINS};
 pub use forest::Forest;
 pub use importance::{greedy_forward_selection, project, rank_by_gain, SelectionStep};
-pub use tree::{RegressionTree, TreeNode, TreeParams};
+pub use tree::{FitScratch, RegressionTree, TreeNode, TreeParams};
