@@ -5,7 +5,6 @@
 //! six_candidates_m120`, mean seconds per `EstimatorSelector::train`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prosel_bench::report::append_metric_sample;
 use prosel_core::pipeline_runs::collect_workload_records;
 use prosel_core::selection::{EstimatorSelector, SelectorConfig};
 use prosel_core::training::TrainingSet;
@@ -81,7 +80,6 @@ fn bench_selector_train(_c: &mut Criterion) {
         train.len(),
         cfg.mode.dims()
     );
-    append_metric_sample("selector_train/six_candidates_m120", seconds);
 }
 
 criterion_group!(benches, bench_selector_train, bench_mart);

@@ -2,21 +2,18 @@
 //! candidate models for one pipeline's features (what happens each time a
 //! pipeline starts / revises its estimator choice).
 //!
-//! Besides criterion's view of `select`, two interleaved A/Bs (the
-//! `metrics_overhead` method: paired runs, order alternated per rep,
-//! best-of, rep 0 as warm-up) feed the bench trajectory:
+//! Besides criterion's view of `select`, two interleaved A/Bs (paired
+//! runs, order alternated per rep, best-of, rep 0 as warm-up) are printed:
 //!
-//! * `select/walk_ns_<rounds>` vs `select/forest_ns_<rounds>` — scoring
-//!   all six candidates by the per-node pointer walk (kept here as the
-//!   reference; the library no longer has one) against the compiled
-//!   forest, at 60 and 200 boosting rounds, over the held-out rows in
-//!   rotation so the walk's branches see fresh data;
-//! * `features/extract_ns` vs `features/extract_into_ns` — the allocating
-//!   dynamic-feature wrapper against extraction into a reused buffer, on
-//!   the live `IncrementalObs` view.
+//! * walk vs forest — scoring all six candidates by the per-node pointer
+//!   walk (kept here as the reference; the library no longer has one)
+//!   against the compiled forest, at 60 and 200 boosting rounds, over the
+//!   held-out rows in rotation so the walk's branches see fresh data;
+//! * `extract` vs `extract_into` — the allocating dynamic-feature wrapper
+//!   against extraction into a reused buffer, on the live
+//!   `IncrementalObs` view.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use prosel_bench::report::append_metric_sample;
 use prosel_core::features::dynamic_features;
 use prosel_core::pipeline_runs::collect_workload_records;
 use prosel_core::selection::{EstimatorSelector, SelectorConfig};
@@ -156,8 +153,6 @@ fn bench_selection(c: &mut Criterion) {
             models.len(),
             walk_ns / forest_ns
         );
-        append_metric_sample(&format!("select/walk_ns_{rounds}"), walk_ns);
-        append_metric_sample(&format!("select/forest_ns_{rounds}"), forest_ns);
     }
 
     let obs = live_observation();
@@ -179,8 +174,6 @@ fn bench_selection(c: &mut Criterion) {
          extract_into {into_ns:.0} ns [{cores} core(s)]",
         obs.len()
     );
-    append_metric_sample("features/extract_ns", extract_ns);
-    append_metric_sample("features/extract_into_ns", into_ns);
 }
 
 criterion_group!(benches, bench_selection);

@@ -18,10 +18,9 @@
 //! decayed learner's post-shift held-out L1 ends at or below the
 //! no-decay learner's (asserted), because its buffer drains the stale
 //! distribution while the no-decay buffer's quota floors pin it.
-//! Deterministic under the fixed seeds; CI tracks the final L1s in
-//! `BENCH_<sha>.json` via [`append_metric_sample`].
+//! Deterministic under the fixed seeds; CI runs it for the assertion.
 
-use crate::report::{append_metric_sample, Table};
+use crate::report::Table;
 use crate::suite::{ExpScale, Suite};
 use prosel_core::pipeline_runs::PipelineRecord;
 use prosel_core::selection::{EstimatorSelector, SelectorConfig};
@@ -147,9 +146,6 @@ pub fn run(suite: &mut Suite, scale: ExpScale) -> String {
         final_nodecay,
         final_decayed,
     ));
-    append_metric_sample("experiment/drift/post_shift_heldout_l1", final_decayed);
-    append_metric_sample("experiment/drift/post_shift_heldout_l1_no_decay", final_nodecay);
-    append_metric_sample("experiment/drift/decay_improvement", final_nodecay - final_decayed);
     println!("{out}");
 
     assert!(

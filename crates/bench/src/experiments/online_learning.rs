@@ -16,10 +16,9 @@
 //! stays flat — guarded promotion turns "the feedback round produced a
 //! worse model" into "no change") from the bootstrap baseline towards the
 //! in-distribution ceiling; the whole run is deterministic under the
-//! fixed seeds, and CI tracks the after-feedback L1 in `BENCH_<sha>.json`
-//! via [`append_metric_sample`].
+//! fixed seeds.
 
-use crate::report::{append_metric_sample, Table};
+use crate::report::Table;
 use crate::suite::{ExpScale, Suite};
 use prosel_core::selection::{EstimatorSelector, SelectorConfig};
 use prosel_core::training::TrainingSet;
@@ -148,12 +147,6 @@ pub fn run(suite: &mut Suite, scale: ExpScale) -> String {
         final_l1,
         if final_l1 <= baseline_l1 { "improved or equal" } else { "regressed" },
     ));
-    append_metric_sample("experiment/online-learning/heldout_l1_baseline", baseline_l1);
-    append_metric_sample("experiment/online-learning/heldout_l1_after_feedback", final_l1);
-    append_metric_sample(
-        "experiment/online-learning/heldout_l1_improvement",
-        baseline_l1 - final_l1,
-    );
     println!("{out}");
     out
 }

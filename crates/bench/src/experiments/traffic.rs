@@ -14,13 +14,11 @@
 //!    measurement.
 //!
 //! The table reports ingest throughput, read p50/p99/p999, swap latency
-//! and queue depth for both, and `BENCH_<sha>.json` tracks them via
-//! [`crate::report::append_metric_sample`] (`traffic/...` and
-//! `traffic/retrain_...` series). Counters and read values of the
-//! serve-only drive are deterministic; latencies are the measured,
-//! machine-dependent half.
+//! and queue depth for both — the repo's only retraining-interference
+//! measurement. Counters and read values of the serve-only drive are
+//! deterministic; latencies are the measured, machine-dependent half.
 
-use crate::report::{append_metric_sample, Table};
+use crate::report::Table;
 use crate::suite::{ExpScale, Suite};
 use crate::traffic::{drive_with, DriveOptions, TemplateSet, TrafficOutcome, TrafficSpec};
 
@@ -101,52 +99,6 @@ pub fn run(_suite: &mut Suite, scale: ExpScale) -> String {
         .chain(retrain.metrics.violations.iter().map(|v| (v, "serve+retrain")))
     {
         out.push_str(&format!("VIOLATION [{mode}]: {v}\n"));
-    }
-
-    serve.metrics.emit("");
-    retrain.metrics.emit("retrain_");
-    append_metric_sample(
-        "traffic/retrain_read_p99_delta_ns",
-        retrain.metrics.read_latency.quantile(0.99) as f64
-            - serve.metrics.read_latency.quantile(0.99) as f64,
-    );
-
-    // The registry's own view of each drive — scraped by the driver on
-    // the spec's cadence plus once after the drain — rides the same
-    // trajectory under `obs/...` names.
-    let emit_obs = |prefix: &str, run: &TrafficOutcome| {
-        let snap = &run.obs;
-        if let Some(h) = snap.histogram("service_read_ns") {
-            append_metric_sample(
-                &format!("obs/{prefix}service_read_p99_ns"),
-                h.quantile(0.99) as f64,
-            );
-        }
-        if let Some(h) = snap.merge_histograms("_ingest_ns") {
-            append_metric_sample(
-                &format!("obs/{prefix}shard_ingest_p99_ns"),
-                h.quantile(0.99) as f64,
-            );
-        }
-        let c = |name: &str| snap.counter(name).unwrap_or(0) as f64;
-        append_metric_sample(&format!("obs/{prefix}tap_events_total"), c("tap_events_total"));
-        append_metric_sample(&format!("obs/{prefix}tap_bytes_total"), c("tap_bytes_total"));
-        append_metric_sample(
-            &format!("obs/{prefix}runtime_steals_total"),
-            c("runtime_steals_total"),
-        );
-        append_metric_sample(&format!("obs/{prefix}scrapes"), run.obs_scrapes.len() as f64);
-    };
-    emit_obs("", &serve);
-    emit_obs("retrain_", &retrain);
-    if let Some(h) = retrain.obs.histogram("learn_retrain_ns") {
-        append_metric_sample("obs/retrain_learn_retrain_p99_ns", h.quantile(0.99) as f64);
-    }
-    for name in ["learn_retrains_total", "learn_promotions_total", "learn_decay_evictions_total"] {
-        append_metric_sample(
-            &format!("obs/retrain_{name}"),
-            retrain.obs.counter(name).unwrap_or(0) as f64,
-        );
     }
 
     println!("{out}");

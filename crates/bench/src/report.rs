@@ -1,7 +1,5 @@
-//! Plain-text table rendering for experiment output, plus the
-//! machine-readable `BENCH_<sha>.json` perf-trajectory artifact.
+//! Plain-text table rendering for experiment output.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A simple aligned text table.
@@ -68,128 +66,6 @@ impl Table {
     }
 }
 
-/// One benchmark's aggregated timing in the trajectory artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Fully qualified bench name (`group/function/param`).
-    pub name: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Timed iterations behind the mean.
-    pub iters: u64,
-}
-
-/// Parse the JSONL sample stream the criterion shim appends under
-/// `PROSEL_BENCH_JSON` (one `{"name":…,"mean_ns":…,"iters":…}` object per
-/// line). Malformed lines are skipped — a torn final line from an aborted
-/// bench run must not sink the whole report.
-pub fn parse_bench_jsonl(text: &str) -> Vec<BenchEntry> {
-    fn str_field(line: &str, key: &str) -> Option<String> {
-        let start = line.find(&format!("\"{key}\":\""))? + key.len() + 4;
-        let mut out = String::new();
-        let mut chars = line[start..].chars();
-        loop {
-            match chars.next()? {
-                '\\' => out.push(chars.next()?),
-                '"' => return Some(out),
-                c => out.push(c),
-            }
-        }
-    }
-    fn num_field(line: &str, key: &str) -> Option<f64> {
-        let start = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().ok()
-    }
-    text.lines()
-        .filter_map(|line| {
-            let name = str_field(line, "name")?;
-            let mean_ns = num_field(line, "mean_ns").filter(|v| v.is_finite() && *v >= 0.0)?;
-            let iters = num_field(line, "iters").unwrap_or(0.0) as u64;
-            Some(BenchEntry { name, mean_ns, iters })
-        })
-        .collect()
-}
-
-/// Append one experiment *metric* sample to the `PROSEL_BENCH_JSON`
-/// stream (same JSONL shape as the criterion shim's timing samples, with
-/// the metric value carried in the `mean_ns` field and `iters` 1), so
-/// experiment-level quality metrics — e.g. the online-learning
-/// experiment's held-out selection L1 — ride the same `BENCH_<sha>.json`
-/// trajectory as the timing benches. No-op when the variable is unset;
-/// write failures are reported but never fail the experiment.
-pub fn append_metric_sample(name: &str, value: f64) {
-    use std::io::Write as _;
-    let Ok(path) = std::env::var("PROSEL_BENCH_JSON") else { return };
-    let line = format!("{{\"name\":\"{}\",\"mean_ns\":{value},\"iters\":1}}\n", json_escape(name));
-    let write = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = write {
-        eprintln!("append_metric_sample: cannot append to {path}: {e}");
-    }
-}
-
-/// Fold repeated samples of the same bench into one entry
-/// (iteration-weighted mean), sorted by name — the canonical entry list
-/// for [`bench_trajectory_json`].
-pub fn aggregate_bench_entries(samples: &[BenchEntry]) -> Vec<BenchEntry> {
-    let mut acc: BTreeMap<&str, (f64, u64)> = BTreeMap::new();
-    for s in samples {
-        let weight = s.iters.max(1);
-        let e = acc.entry(&s.name).or_insert((0.0, 0));
-        e.0 += s.mean_ns * weight as f64;
-        e.1 += weight;
-    }
-    acc.into_iter()
-        .map(|(name, (weighted, iters))| BenchEntry {
-            name: name.to_string(),
-            mean_ns: weighted / iters as f64,
-            iters,
-        })
-        .collect()
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Render the `BENCH_<sha>.json` perf-trajectory artifact: per-bench mean
-/// nanoseconds keyed by the commit they were measured at, so successive CI
-/// runs form a comparable time series.
-pub fn bench_trajectory_json(sha: &str, entries: &[BenchEntry]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"sha\": \"{}\",", json_escape(sha));
-    let _ = writeln!(out, "  \"unit\": \"ns/iter\",");
-    let _ = writeln!(out, "  \"benches\": [");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        // One record per line, in the same shape as the shim's JSONL
-        // samples, so the artifact's bench lines parse with the same
-        // reader.
-        let _ = writeln!(
-            out,
-            "    {{\"name\":\"{}\",\"mean_ns\":{},\"iters\":{}}}{comma}",
-            json_escape(&e.name),
-            e.mean_ns,
-            e.iters
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,41 +94,5 @@ mod tests {
         let mut t = Table::new("p", &["who", "share"]);
         t.row_pct("dne", &[0.317]);
         assert!(t.render().contains("31.7%"));
-    }
-
-    #[test]
-    fn jsonl_roundtrip_and_aggregation() {
-        let text = "\
-{\"name\":\"g/f/1\",\"mean_ns\":100,\"iters\":10}\n\
-{\"name\":\"g/f/1\",\"mean_ns\":200,\"iters\":30}\n\
-{\"name\":\"solo\",\"mean_ns\":5.5,\"iters\":3}\n\
-garbage line that must be skipped\n\
-{\"name\":\"torn\",\"mean_ns\":nope}\n";
-        let samples = parse_bench_jsonl(text);
-        assert_eq!(samples.len(), 3);
-        let agg = aggregate_bench_entries(&samples);
-        assert_eq!(agg.len(), 2);
-        // Iteration-weighted: (100*10 + 200*30) / 40 = 175.
-        assert_eq!(agg[0].name, "g/f/1");
-        assert!((agg[0].mean_ns - 175.0).abs() < 1e-9);
-        assert_eq!(agg[0].iters, 40);
-        assert_eq!(agg[1].name, "solo");
-    }
-
-    #[test]
-    fn trajectory_json_parses_back() {
-        let entries = vec![
-            BenchEntry { name: "a/b".into(), mean_ns: 12.5, iters: 10 },
-            BenchEntry { name: "we\"ird".into(), mean_ns: 3.0, iters: 1 },
-        ];
-        let json = bench_trajectory_json("abc123", &entries);
-        assert!(json.contains("\"sha\": \"abc123\""));
-        assert!(json.contains("\"unit\": \"ns/iter\""));
-        // The artifact's bench lines are themselves parseable records.
-        let back = parse_bench_jsonl(&json);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].name, "a/b");
-        assert_eq!(back[1].name, "we\"ird");
-        assert!((back[0].mean_ns - 12.5).abs() < 1e-12);
     }
 }

@@ -78,9 +78,10 @@ pub struct TrafficSpec {
     pub swap_every: usize,
     /// Scrape the service's metrics registry into a
     /// [`prosel_obs::MetricsSnapshot`] every this many finished queries
-    /// (0 = only the final post-drain scrape). The scrapes ride the bench
-    /// trajectory; they are excluded from the deterministic digests
-    /// because they carry wall-clock latency histograms.
+    /// (0 = only the final post-drain scrape). The scrapes are returned
+    /// in [`crate::traffic::TrafficOutcome::obs_scrapes`]; they are
+    /// excluded from the deterministic digests because they carry
+    /// wall-clock latency histograms.
     pub scrape_every: usize,
     /// Tap delta compression during template capture, forwarded to
     /// [`prosel_engine::ExecConfig::delta_threshold`]: plans at least this

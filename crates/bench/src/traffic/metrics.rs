@@ -7,13 +7,8 @@
 //!   produce `==` counter blocks; the soak test asserts exactly that.
 //! * **Wall-clock latencies** ([`LatencyStats`]) — `Instant`-measured
 //!   nanoseconds for progress reads and selector hot-swaps. These vary
-//!   run to run and are *reported*, never asserted deterministic.
-//!
-//! [`TrafficMetrics::emit`] folds both into the bench JSONL stream
-//! (`PROSEL_BENCH_JSON`), from which `bench_report` builds the
-//! `BENCH_<sha>.json` trajectory.
-
-use crate::report::append_metric_sample;
+//!   run to run and are *reported* (the `traffic-soak` table), never
+//!   asserted deterministic.
 
 /// A reservoir of nanosecond samples with exact quantiles.
 ///
@@ -55,7 +50,7 @@ impl LatencyStats {
         sorted[idx.min(sorted.len() - 1)]
     }
 
-    /// p50 / p99 / p999, the fields the bench report tracks.
+    /// p50 / p99 / p999, the columns the `traffic-soak` table prints.
     pub fn summary(&self) -> (u64, u64, u64) {
         (self.quantile(0.50), self.quantile(0.99), self.quantile(0.999))
     }
@@ -121,25 +116,6 @@ impl TrafficMetrics {
         } else {
             0.0
         }
-    }
-
-    /// Append the reportable fields to the bench JSONL stream under
-    /// `traffic/<prefix>...` metric names. No-op unless
-    /// `PROSEL_BENCH_JSON` is set.
-    pub fn emit(&self, prefix: &str) {
-        let name = |field: &str| format!("traffic/{prefix}{field}");
-        let (p50, p99, p999) = self.read_latency.summary();
-        append_metric_sample(&name("read_p50_ns"), p50 as f64);
-        append_metric_sample(&name("read_p99_ns"), p99 as f64);
-        append_metric_sample(&name("read_p999_ns"), p999 as f64);
-        append_metric_sample(&name("ingest_events_per_s"), self.events_per_second());
-        append_metric_sample(&name("tap_bytes_per_event"), self.bytes_per_event());
-        if self.swap_latency.count() > 0 {
-            append_metric_sample(&name("swap_p99_ns"), self.swap_latency.quantile(0.99) as f64);
-        }
-        append_metric_sample(&name("queue_peak"), self.counters.queue_peak as f64);
-        append_metric_sample(&name("finished"), self.counters.finished as f64);
-        append_metric_sample(&name("violations"), self.violations.len() as f64);
     }
 }
 

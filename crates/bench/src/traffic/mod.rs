@@ -19,7 +19,7 @@
 //!   streams once, [`drive`] replays them against a live service in
 //!   virtual time ([`prosel_engine::clock::ManualClock`] pacing);
 //! * [`metrics`] — deterministic counters vs. wall-clock latency
-//!   reservoirs, and the `BENCH_<sha>.json` emission.
+//!   reservoirs.
 //!
 //! The determinism contract, relied on by `tests/traffic_soak.rs`: for a
 //! fixed spec (without [`DriveOptions::retrain`]), two runs produce

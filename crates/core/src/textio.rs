@@ -16,6 +16,9 @@
 //!   **bit-identical**, not merely close (Display-printed floats are fine
 //!   for models that are re-scored, but checkpoint/restore promises the
 //!   same reservoir and the same next retrain output);
+//! * [`seal`] / [`open`] — the checksummed envelope (`header`, `bytes <n>
+//!   checksum <fnv64>`, body, `footer`) around harvest states, metric
+//!   expositions and learner checkpoints;
 //! * [`LineReader`] — a cursor over lines that turns "missing line",
 //!   "wrong literal" and "trailing garbage" into typed `Err(String)`s
 //!   with line numbers, instead of panics or silent acceptance.
@@ -58,6 +61,68 @@ pub fn f64_from_hex(s: &str) -> Result<f64, String> {
         return Err(format!("expected 16 hex digits for an f64 bit pattern, got {s:?}"));
     }
     u64::from_str_radix(s, 16).map(f64::from_bits).map_err(|e| format!("bad f64 hex {s:?}: {e}"))
+}
+
+/// Wrap `body` in the checksummed envelope [`open`] verifies:
+///
+/// ```text
+/// <header>
+/// bytes <body length> checksum <fnv64 of the body, 16 hex digits>
+/// <body><footer>
+/// ```
+///
+/// `body` is either empty or ends in a newline, so the footer starts a
+/// line.
+pub fn seal(header: &str, body: &str, footer: &str) -> String {
+    format!(
+        "{header}\nbytes {} checksum {:016x}\n{body}{footer}\n",
+        body.len(),
+        fnv64(body.as_bytes())
+    )
+}
+
+/// Verify a [`seal`]ed artifact and return its body. Strict: the header
+/// line, the declared byte count, the checksum and the footer line must
+/// all match, and only whitespace may follow the footer's newline — a
+/// truncated, corrupted, version-drifted or concatenated artifact is an
+/// error, never a different body.
+pub fn open<'a>(text: &'a str, header: &str, footer: &str) -> Result<&'a str, String> {
+    let rest = text
+        .strip_prefix(header)
+        .and_then(|r| r.strip_prefix('\n'))
+        .ok_or_else(|| format!("missing `{header}` header"))?;
+    let (meta, after_meta) =
+        rest.split_once('\n').ok_or("truncated before the bytes/checksum line")?;
+    let parts: Vec<&str> = meta.split_whitespace().collect();
+    let ["bytes", v_bytes, "checksum", v_sum] = parts.as_slice() else {
+        return Err(format!("bad meta line (want `bytes <len> checksum <hex>`): {meta:?}"));
+    };
+    let n_bytes: usize = parse("bytes", v_bytes)?;
+    let declared =
+        u64::from_str_radix(v_sum, 16).map_err(|e| format!("checksum {v_sum:?}: {e}"))?;
+    // `None` past the end of the input and inside a multi-byte character
+    // alike: neither can be the length `seal` wrote.
+    let (body, tail) = after_meta.split_at_checked(n_bytes).ok_or_else(|| {
+        format!(
+            "truncated body: {n_bytes} bytes declared, {} present, or the count splits a \
+             character",
+            after_meta.len()
+        )
+    })?;
+    let computed = fnv64(body.as_bytes());
+    if computed != declared {
+        return Err(format!(
+            "checksum mismatch: declared {declared:016x}, computed {computed:016x}"
+        ));
+    }
+    let after_footer = tail
+        .strip_prefix(footer)
+        .and_then(|r| r.strip_prefix('\n'))
+        .ok_or_else(|| format!("missing `{footer}` terminator"))?;
+    if !after_footer.trim().is_empty() {
+        return Err(format!("trailing garbage after `{footer}`: {after_footer:?}"));
+    }
+    Ok(body)
 }
 
 /// A line cursor for strict text codecs.
@@ -208,5 +273,33 @@ mod tests {
         let mut r = LineReader::new("one");
         r.next_line().unwrap();
         assert!(r.next_line().unwrap_err().contains("end of input"));
+    }
+
+    #[test]
+    fn envelope_opens_what_it_sealed_and_nothing_else() {
+        for body in ["", "a 1\nb 2\n", "h\u{e9}llo\n"] {
+            let text = seal("demo v1", body, "enddemo");
+            assert_eq!(open(&text, "demo v1", "enddemo"), Ok(body));
+            assert_eq!(open(&format!("{text}\n  \n"), "demo v1", "enddemo"), Ok(body));
+            for cut in 0..text.len() {
+                if let Some(prefix) = text.get(..cut) {
+                    assert!(open(prefix, "demo v1", "enddemo").is_err(), "prefix {cut}");
+                }
+            }
+            assert!(open(&text, "demo v2", "enddemo").unwrap_err().contains("header"));
+            assert!(open(&text, "demo v1", "end").unwrap_err().contains("terminator"));
+            let err = open(&format!("{text}x\n"), "demo v1", "enddemo").unwrap_err();
+            assert!(err.contains("trailing garbage"), "{err}");
+        }
+        let text = seal("demo v1", "a 1\n", "enddemo");
+        let err = open(&text.replace("a 1", "a 2"), "demo v1", "enddemo").unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // Hostile byte counts: past the end (up to `usize::MAX`) and
+        // inside the two-byte `\u{e9}` are errors, not slice panics.
+        for n in ["18446744073709551615", "1000000000000", "99999999999999999999", "2"] {
+            let text =
+                format!("demo v1\nbytes {n} checksum 0000000000000000\nh\u{e9}llo\nenddemo\n");
+            assert!(open(&text, "demo v1", "enddemo").is_err(), "bytes {n}");
+        }
     }
 }

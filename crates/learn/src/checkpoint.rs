@@ -34,7 +34,7 @@ use crate::buffer::{BufferConfig, DecayPolicy, GroupBy};
 use crate::learner::{LearnConfig, LearnStats};
 use prosel_core::pipeline_runs::PipelineRecord;
 use prosel_core::textio::{
-    f32_from_hex, f32_to_hex, f64_from_hex, f64_to_hex, fnv64, parse, LineReader,
+    f32_from_hex, f32_to_hex, f64_from_hex, f64_to_hex, open, parse, seal, LineReader,
 };
 use prosel_mart::{BoostParams, TreeParams};
 use std::fmt::Write as _;
@@ -237,6 +237,9 @@ fn read_record(r: &mut LineReader<'_>) -> Result<PipelineRecord, String> {
     })
 }
 
+const HEADER: &str = "prosel-checkpoint v1";
+const FOOTER: &str = "endcheckpoint";
+
 pub(crate) fn encode(parts: &LearnerParts) -> String {
     let mut body = String::new();
     let c = &parts.config;
@@ -303,49 +306,11 @@ pub(crate) fn encode(parts: &LearnerParts) -> String {
     if !parts.selector_text.ends_with('\n') {
         body.push('\n');
     }
-    format!(
-        "prosel-checkpoint v1\nbytes {} checksum {:016x}\n{body}endcheckpoint\n",
-        body.len(),
-        fnv64(body.as_bytes())
-    )
+    seal(HEADER, &body, FOOTER)
 }
 
 pub(crate) fn decode(text: &str) -> Result<LearnerParts, CheckpointError> {
-    // Envelope: header line, length+checksum line, exactly `len` body
-    // bytes, terminator, nothing else.
-    let after_header = text
-        .strip_prefix("prosel-checkpoint v1\n")
-        .ok_or_else(|| CheckpointError("missing \"prosel-checkpoint v1\" header".into()))?;
-    let meta_end = after_header
-        .find('\n')
-        .ok_or_else(|| CheckpointError("truncated before the bytes/checksum line".into()))?;
-    let meta = &after_header[..meta_end];
-    let mparts: Vec<&str> = meta.split_whitespace().collect();
-    if mparts.len() != 4 || mparts[0] != "bytes" || mparts[2] != "checksum" {
-        return Err(CheckpointError(format!(
-            "bad meta line (want `bytes <len> checksum <hex>`): {meta:?}"
-        )));
-    }
-    let len: usize = parse("bytes", mparts[1])?;
-    let declared = u64::from_str_radix(mparts[3], 16)
-        .map_err(|e| CheckpointError(format!("checksum {:?}: {e}", mparts[3])))?;
-    let rest = &after_header[meta_end + 1..];
-    if rest.len() < len {
-        return Err(CheckpointError(format!(
-            "truncated body: declared {len} bytes, only {} remain",
-            rest.len()
-        )));
-    }
-    let body = &rest[..len];
-    let computed = fnv64(body.as_bytes());
-    if computed != declared {
-        return Err(CheckpointError(format!(
-            "checksum mismatch: declared {declared:016x}, computed {computed:016x}"
-        )));
-    }
-    let mut tail = LineReader::new(&rest[len..]);
-    tail.expect("endcheckpoint")?;
-    tail.finish()?;
+    let body = open(text, HEADER, FOOTER)?;
 
     // Body: strict line-by-line, every section tag and key validated.
     let mut r = LineReader::new(body);
@@ -437,14 +402,24 @@ pub(crate) fn decode(text: &str) -> Result<LearnerParts, CheckpointError> {
         rejections: parse("rejections", sv[4])?,
         skipped: parse("skipped", sv[5])?,
     };
-    let n_records: usize = parse("records", r.fields(&["records"])?[0])?;
+    // The checksum is not authentication: a record is several lines of
+    // the body, so a count past its length is refused before anything is
+    // sized by it.
+    let fits = |what: &str, n: usize| {
+        if n <= body.len() {
+            Ok(n)
+        } else {
+            Err(format!("{what} {n}: more than the {}-byte body could hold", body.len()))
+        }
+    };
+    let n_records = fits("records", parse("records", r.fields(&["records"])?[0])?)?;
     let mut records = Vec::with_capacity(n_records);
     let mut stamps = Vec::with_capacity(n_records);
     for _ in 0..n_records {
         stamps.push(parse("stamp", r.fields(&["stamp"])?[0])?);
         records.push(read_record(&mut r)?);
     }
-    let n_validation: usize = parse("validation", r.fields(&["validation"])?[0])?;
+    let n_validation = fits("validation", parse("validation", r.fields(&["validation"])?[0])?)?;
     let mut validation = Vec::with_capacity(n_validation);
     for _ in 0..n_validation {
         validation.push(read_record(&mut r)?);

@@ -34,7 +34,7 @@
 use prosel_core::selection::EstimatorSelector;
 use prosel_core::textio::fnv64;
 use prosel_obs::{Counter, FrameRejectReason, MetricsRegistry, ObsEvent, TraceRing};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::sync::Arc;
 
 /// Metric handles + ring a subscriber publishes into when observed.
@@ -252,14 +252,16 @@ impl SelectorSubscriber {
             .map_err(|e| SubscribeError::Malformed(format!("bytes {:?}: {e}", parts[3])))?;
         let declared = u64::from_str_radix(parts[5], 16)
             .map_err(|e| SubscribeError::Malformed(format!("checksum {:?}: {e}", parts[5])))?;
-        let mut payload = vec![0u8; bytes];
-        reader.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SubscribeError::Torn(format!("payload truncated (declared {bytes} bytes): {e}"))
-            } else {
-                SubscribeError::Io(e)
-            }
-        })?;
+        // Read at most the declared length, into a buffer that grows with
+        // what actually arrives — never sized by the header's word.
+        let mut payload = Vec::new();
+        (&mut *reader).take(bytes as u64).read_to_end(&mut payload)?;
+        if payload.len() != bytes {
+            return Err(SubscribeError::Torn(format!(
+                "payload truncated: declared {bytes} bytes, stream held {}",
+                payload.len()
+            )));
+        }
         let mut terminator = String::new();
         if reader.read_line(&mut terminator)? == 0 {
             return Err(SubscribeError::Torn("stream ended before the frame terminator".into()));

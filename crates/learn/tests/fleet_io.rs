@@ -274,3 +274,60 @@ proptest! {
         );
     }
 }
+
+/// A length or count field is read before anything can vouch for it (the
+/// frame's checksum comes after its payload; a checkpoint's FNV is not
+/// authentication): a size no stream or body could hold is the codec's
+/// typed error, never a buffer sized by it. The `usize::MAX` inputs used
+/// to panic with "capacity overflow".
+#[test]
+fn hostile_length_fields_are_refused_not_allocated() {
+    use prosel_core::textio::fnv64;
+    let sealed = |body: &str| {
+        format!("bytes {} checksum {:016x}\n{body}", body.len(), fnv64(body.as_bytes()))
+    };
+
+    for n in ["18446744073709551615", "1000000000000"] {
+        let frame = format!(
+            "prosel-publication v1\nepoch 1 bytes {n} checksum 0000000000000000\n\
+             short\nendpublication\n"
+        );
+        let mut sub = SelectorSubscriber::new();
+        let out = sub.recv_from(&mut BufReader::new(frame.as_bytes()));
+        assert!(matches!(out, Err(SubscribeError::Torn(_))), "bytes {n}: {:?}", out.err());
+        assert!(sub.current().is_none());
+
+        // The same count inside the payload of an intact frame reaches the
+        // model decoder.
+        let sel = tiny_selector(7).to_text();
+        let meta = sel.lines().find(|l| l.contains(" trees ")).expect("a model meta line");
+        let hostile = sel.replacen(meta, &format!("base 0 shrinkage 0.1 trees {n} features 2"), 1);
+        let frame = format!("prosel-publication v1\nepoch 1 {}endpublication\n", sealed(&hostile));
+        match sub.recv_from(&mut BufReader::new(frame.as_bytes())) {
+            Err(SubscribeError::Malformed(detail)) => {
+                assert!(detail.contains(&format!("trees {n}: more than")), "{detail}");
+            }
+            other => panic!("trees {n}: want Malformed, got {:?}", other.err()),
+        }
+
+        let text = warm_learner(7).checkpoint();
+        let body = text
+            .split_once("\nbytes ")
+            .and_then(|(_, rest)| rest.split_once('\n'))
+            .and_then(|(_, rest)| rest.strip_suffix("endcheckpoint\n"))
+            .expect("envelope");
+        for field in ["records", "validation"] {
+            let line =
+                body.lines().find(|l| l.starts_with(&format!("{field} "))).expect("count line");
+            let hostile = body.replacen(line, &format!("{field} {n}"), 1);
+            let text = format!("prosel-checkpoint v1\n{}endcheckpoint\n", sealed(&hostile));
+            let err = OnlineLearner::restore(&text)
+                .err()
+                .unwrap_or_else(|| panic!("{field} {n} must not restore"));
+            assert!(err.to_string().contains(&format!("{field} {n}: more than")), "{err}");
+        }
+        let resized = text.replacen(&format!("bytes {}", body.len()), &format!("bytes {n}"), 1);
+        let err = OnlineLearner::restore(&resized).err().expect("envelope byte count");
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+}

@@ -61,8 +61,17 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
     let shrinkage: f32 = parts[3].parse().map_err(|e| format!("shrinkage: {e}"))?;
     let n_trees: usize = parts[5].parse().map_err(|e| format!("trees: {e}"))?;
     let n_features: usize = parts[7].parse().map_err(|e| format!("features: {e}"))?;
+    // Every tree and every node is a line of `s`, so a declared count past
+    // its length is refused before anything is sized by it.
+    let fits = |what: &str, n: usize| {
+        if n <= s.len() {
+            Ok(n)
+        } else {
+            Err(format!("{what} {n}: more than the {}-byte input could hold", s.len()))
+        }
+    };
 
-    let mut trees = Vec::with_capacity(n_trees);
+    let mut trees = Vec::with_capacity(fits("trees", n_trees)?);
     for _ in 0..n_trees {
         let tl = lines.next().ok_or("missing tree line")?;
         let tparts: Vec<&str> = tl.split_whitespace().collect();
@@ -74,7 +83,7 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             // Every prediction starts at node 0.
             return Err(format!("tree {} has no nodes", trees.len()));
         }
-        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut nodes = Vec::with_capacity(fits("tree", n_nodes)?);
         for i in 0..n_nodes {
             let nl = lines.next().ok_or("missing node line")?;
             let np: Vec<&str> = nl.split_whitespace().collect();
@@ -122,10 +131,17 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             return Err(format!("trailing garbage after the declared trees: {line}"));
         }
     }
+    // The feature count is a width, not a count of lines: nothing in the
+    // input bounds it, so the allocator's refusal is the error.
+    let mut feature_gain = Vec::new();
+    feature_gain
+        .try_reserve_exact(n_features)
+        .map_err(|e| format!("features {n_features}: {e}"))?;
+    feature_gain.resize(n_features, 0.0);
     // Compiles the inference form: anything the parse above let through
     // that a compiled node cannot hold (a shared child, a feature index or
     // node count too wide for its fields) is refused here, not truncated.
-    Mart::from_parts(base, shrinkage, trees, vec![0.0; n_features])
+    Mart::from_parts(base, shrinkage, trees, feature_gain)
 }
 
 #[cfg(test)]
@@ -157,6 +173,21 @@ mod tests {
         // Meta keywords must be the expected ones, in order.
         assert!(from_str("mart v1\nbase 0 shrink 0.1 trees 0 features 0").is_err());
         assert!(from_str("mart v1\nbase 0 shrinkage 0.1 leaves 0 features 0").is_err());
+        // Counts no input of this size could hold — up to `usize::MAX`,
+        // which used to panic sizing a `Vec` — are errors, not allocations.
+        for n in ["18446744073709551615", "1000000000000"] {
+            let err = from_str(&format!("mart v1\nbase 0 shrinkage 0.1 trees {n} features 2\n"))
+                .expect_err("trees");
+            assert!(err.starts_with(&format!("trees {n}: more than")), "{err}");
+            let err = from_str(&format!(
+                "mart v1\nbase 0 shrinkage 0.1 trees 1 features 2\ntree {n}\nnode -1 0 0 0 0 1\n"
+            ))
+            .expect_err("tree");
+            assert!(err.starts_with(&format!("tree {n}: more than")), "{err}");
+        }
+        let err = from_str("mart v1\nbase 0 shrinkage 0.1 trees 0 features 18446744073709551615\n")
+            .expect_err("features");
+        assert!(err.starts_with("features 18446744073709551615:"), "{err}");
     }
 
     #[test]

@@ -238,13 +238,10 @@ enum WireEvent {
 ///   the per-node scalar walk (`offer_shared_scalar`).
 ///
 /// Curves are bit-identical between the two sides (the equivalence
-/// property nets pin this), so the ratio is pure overhead. Also appends
-/// two metric samples in the criterion-shim JSONL format for
-/// `bench_report`:
-///
-/// * `snapshot_ns_16p` — mean SoA-path nanoseconds per snapshot;
-/// * `tap_bytes_per_snapshot` — mean wire bytes per snapshot-bearing
-///   event with delta compression on (full baseline + sparse diffs).
+/// property nets pin this), so the ratio is pure overhead. Also prints
+/// `tap_bytes_per_snapshot`: mean wire bytes per snapshot-bearing event
+/// with delta compression on (full baseline + sparse diffs) against a
+/// full snapshot.
 fn bench_snapshot_cost_16p(c: &mut Criterion) {
     use std::time::Instant;
 
@@ -328,11 +325,10 @@ fn bench_snapshot_cost_16p(c: &mut Criterion) {
     group.bench_function("scalar_reference", |b| b.iter(|| run_scalar(&stream)));
     group.finish();
 
-    // Direct measurement of the two headline metrics, in the same JSONL
-    // shape the criterion shim appends so bench_report folds them in.
-    // The two paths are timed in interleaved pairs so clock-frequency and
-    // thermal drift over the run hits both sides equally; best-of keeps
-    // the ratio a property of the code, not the machine's mood.
+    // Direct measurement of the A/B: the two paths are timed in
+    // interleaved pairs so clock-frequency and thermal drift over the run
+    // hits both sides equally; best-of keeps the ratio a property of the
+    // code, not the machine's mood.
     let reps: usize = if std::env::var("PROSEL_BENCH_QUICK").is_ok() { 3 } else { 12 };
     let (mut soa_best, mut scalar_best) = (u64::MAX, u64::MAX);
     for rep in 0..=reps {
@@ -393,23 +389,6 @@ fn bench_snapshot_cost_16p(c: &mut Criterion) {
         "tap_bytes_per_snapshot: {delta_bytes} B with deltas vs {full_bytes} B full ({:.2}x)",
         full_bytes as f64 / delta_bytes.max(1) as f64
     );
-
-    if let Ok(path) = std::env::var("PROSEL_BENCH_JSON") {
-        use std::io::Write;
-        let lines = format!(
-            "{{\"name\":\"snapshot_ns_16p\",\"mean_ns\":{soa_ns},\"iters\":{}}}\n\
-             {{\"name\":\"tap_bytes_per_snapshot\",\"mean_ns\":{delta_bytes},\"iters\":{n}}}\n",
-            n * reps
-        );
-        let write = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(lines.as_bytes()));
-        if let Err(e) = write {
-            eprintln!("monitor_overhead: cannot append to {path}: {e}");
-        }
-    }
 }
 
 criterion_group!(

@@ -119,8 +119,8 @@ impl MonitorBuilder {
         self
     }
 
-    /// Timing-instrumentation knobs (latency histograms on/off, 1-in-N
-    /// sampling stride). Counters are unaffected.
+    /// The timing-instrumentation knob: the hot-path latency histograms'
+    /// 1-in-N sampling stride. Counters are unaffected.
     pub fn observability(mut self, obs: prosel_obs::ObsOptions) -> MonitorBuilder {
         self.config.obs = obs;
         self

@@ -16,8 +16,8 @@
 //! `remaining_time`, `progress_at_deadline`, `status`, `stats` and friends
 //! are wait-free loads from seqlocked snapshot cells — no channel send, no
 //! queueing behind events, no lock shared with ingest. Under a saturated
-//! tap the read tail stays flat (the `monitor_scale` bench pins this as
-//! `read_p99_under_saturated_ingest`). Writes (registration, unregister,
+//! tap the read tail stays flat (`benchmark/` reports it as `read_p99_ns`
+//! on `ingest_saturate`). Writes (registration, unregister,
 //! selector swaps) lock the owning shard's core directly; registration
 //! quiesces the shard's queue first so the registered-before-first-event
 //! contract of [`ProgressMonitor::register`] survives re-ordering-free.
@@ -329,7 +329,6 @@ struct ServiceObs {
     /// Estimated wire bytes of those events ([`TraceEvent::payload_bytes`]).
     tap_bytes_total: Arc<Counter>,
     ingest_batch_len: Arc<Histogram>,
-    timing: bool,
     stride: u64,
 }
 
@@ -343,32 +342,21 @@ impl ServiceObs {
             tap_events_total: registry.counter("tap_events_total"),
             tap_bytes_total: registry.counter("tap_bytes_total"),
             ingest_batch_len: registry.histogram("service_ingest_batch_len"),
-            timing: options.timing,
             stride: options.stride() as u64,
         }
     }
 
     /// Count one read; start a timer on 1-in-N sampled reads. The
     /// sampling tick is the read counter itself — one `fetch_add` total,
-    /// identical to the untimed path, so timing adds no shared-cacheline
-    /// traffic to unsampled reads.
+    /// so timing adds no shared-cacheline traffic to unsampled reads.
     fn read_timer(&self) -> Option<Instant> {
-        let tick = self.reads_total.tick();
-        if !self.timing {
-            return None;
-        }
-        tick.is_multiple_of(self.stride).then(Instant::now)
+        self.reads_total.tick().is_multiple_of(self.stride).then(Instant::now)
     }
 
     fn read_done(&self, timer: Option<Instant>) {
         if let Some(start) = timer {
             self.read_ns.record(start.elapsed().as_nanos() as u64);
         }
-    }
-
-    /// Cold paths (registration, swaps) are timed whenever timing is on.
-    fn cold_timer(&self) -> Option<Instant> {
-        self.timing.then(Instant::now)
     }
 }
 
@@ -818,7 +806,7 @@ impl MonitorService {
         query: usize,
         plan: impl Into<Arc<PhysicalPlan>>,
     ) -> Result<(), RegisterError> {
-        let timer = self.inner.obs.cold_timer();
+        let start = Instant::now();
         let plan: Arc<PhysicalPlan> = plan.into();
         let si = self.inner.shard_of(query);
         let slot = &self.inner.shards[si];
@@ -835,9 +823,7 @@ impl MonitorService {
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(query, Arc::new(QuerySlot::new(&view)));
         }
-        if let Some(start) = timer {
-            self.inner.obs.register_ns.record(start.elapsed().as_nanos() as u64);
-        }
+        self.inner.obs.register_ns.record(start.elapsed().as_nanos() as u64);
         result
     }
 
@@ -1066,7 +1052,7 @@ impl MonitorService {
     /// broadcast must be visible (the survivors serve the new model, the
     /// dead shards are frozen on the old one), never a silent `Ok`.
     pub fn swap_selector(&self, selector: Arc<EstimatorSelector>) -> Result<u64, SwapError> {
-        let timer = self.inner.obs.cold_timer();
+        let start = Instant::now();
         let _guard = self.inner.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
         let mut dead = Vec::new();
         let mut epoch: Option<u64> = None;
@@ -1083,9 +1069,7 @@ impl MonitorService {
                 Err(_) => dead.push(si),
             }
         }
-        if let Some(start) = timer {
-            self.inner.obs.swap_ns.record(start.elapsed().as_nanos() as u64);
-        }
+        self.inner.obs.swap_ns.record(start.elapsed().as_nanos() as u64);
         if dead.is_empty() {
             let epoch = epoch.expect("a service always has ≥ 1 shard");
             self.inner.ring.emit(ObsEvent::SwapInstalled { epoch });

@@ -75,7 +75,7 @@ pub struct MonitorConfig {
     /// monitor/service its **own** registry — two services sharing one
     /// would silently share (and double-count on) the same handles.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Timing-instrumentation knobs (latency histograms, sampling
+    /// The timing-instrumentation knob (the latency histograms' sampling
     /// stride). Counters are unaffected — they are the stats bookkeeping
     /// itself.
     pub obs: ObsOptions,
@@ -289,7 +289,6 @@ pub(crate) struct ShardCounters {
     /// Sampled full-snapshot / delta evaluation time (the
     /// `advance_query` tail: bound refresh + per-pipeline offers).
     pub(crate) snapshot_eval_ns: Arc<Histogram>,
-    pub(crate) timing: bool,
     pub(crate) stride: u32,
 }
 
@@ -299,7 +298,7 @@ impl ShardCounters {
     /// `monitor_shard<i>_*` (service shard `i`); without one they live on
     /// detached atomics — same behavior, nothing scrapeable.
     pub(crate) fn from_config(config: &MonitorConfig, shard: Option<usize>) -> ShardCounters {
-        let (timing, stride) = (config.obs.timing, config.obs.stride());
+        let stride = config.obs.stride();
         match &config.metrics {
             Some(registry) => {
                 let prefix = match shard {
@@ -322,7 +321,6 @@ impl ShardCounters {
                     reselect_memo_hits: c("reselect_memo_hits_total"),
                     ingest_ns: registry.histogram(&format!("{prefix}ingest_ns")),
                     snapshot_eval_ns: registry.histogram(&format!("{prefix}snapshot_eval_ns")),
-                    timing,
                     stride,
                 }
             }
@@ -341,7 +339,6 @@ impl ShardCounters {
                 reselect_memo_hits: Arc::new(Counter::new()),
                 ingest_ns: Arc::new(Histogram::new()),
                 snapshot_eval_ns: Arc::new(Histogram::new()),
-                timing,
                 stride,
             },
         }
@@ -725,10 +722,8 @@ impl ProgressMonitor {
     /// silently dropped (the tap may carry queries this monitor does not
     /// track).
     pub fn ingest(&mut self, ev: TraceEvent) {
-        self.obs_timed = self.counters.timing && {
-            self.obs_tick = self.obs_tick.wrapping_add(1);
-            self.obs_tick.is_multiple_of(self.counters.stride)
-        };
+        self.obs_tick = self.obs_tick.wrapping_add(1);
+        self.obs_timed = self.obs_tick.is_multiple_of(self.counters.stride);
         if self.obs_timed {
             let start = Instant::now();
             self.ingest_inner(ev);

@@ -18,7 +18,7 @@
 //! — a restore either resumes the exact checkpointed state or refuses.
 
 use crate::shard::ShardStats;
-use prosel_core::textio::{fnv64, LineReader};
+use prosel_core::textio::{open, parse, seal, LineReader};
 use std::fmt;
 
 /// One shard's checkpointable harvest state: the selector epoch plus the
@@ -78,60 +78,16 @@ impl HarvestState {
             s.harvests,
             s.events_rejected,
         );
-        format!(
-            "{HEADER}\nbytes {} checksum {:016x}\n{body}{FOOTER}\n",
-            body.len(),
-            fnv64(body.as_bytes()),
-        )
+        seal(HEADER, &body, FOOTER)
     }
 
     /// Parse [`Self::to_text`] output. Strict: the byte count and
     /// checksum must match, every field must be present under its
     /// declared name and position, and nothing may follow the terminator.
     pub fn from_text(text: &str) -> Result<HarvestState, StateError> {
-        let rest = text
-            .strip_prefix(HEADER)
-            .and_then(|r| r.strip_prefix('\n'))
-            .ok_or_else(|| StateError(format!("missing `{HEADER}` header")))?;
-        let (meta, after_meta) = rest
-            .split_once('\n')
-            .ok_or_else(|| StateError("truncated before the bytes/checksum line".into()))?;
-        let parts: Vec<&str> = meta.split_whitespace().collect();
-        let [k_bytes, v_bytes, k_sum, v_sum] = parts.as_slice() else {
-            return Err(StateError(format!("malformed meta line `{meta}`")));
-        };
-        if *k_bytes != "bytes" || *k_sum != "checksum" {
-            return Err(StateError(format!("malformed meta line `{meta}`")));
-        }
-        let n_bytes: usize =
-            v_bytes.parse().map_err(|e| StateError(format!("bytes `{v_bytes}`: {e}")))?;
-        let declared = u64::from_str_radix(v_sum, 16)
-            .map_err(|e| StateError(format!("checksum `{v_sum}`: {e}")))?;
-        if after_meta.len() < n_bytes {
-            return Err(StateError(format!(
-                "truncated body: {} bytes present, {n_bytes} declared",
-                after_meta.len()
-            )));
-        }
-        let body = &after_meta[..n_bytes];
-        let computed = fnv64(body.as_bytes());
-        if computed != declared {
-            return Err(StateError(format!(
-                "checksum mismatch: declared {declared:016x}, computed {computed:016x}"
-            )));
-        }
-        let tail = &after_meta[n_bytes..];
-        let after_footer = tail
-            .strip_prefix(FOOTER)
-            .and_then(|r| r.strip_prefix('\n'))
-            .ok_or_else(|| StateError(format!("missing `{FOOTER}` terminator")))?;
-        if !after_footer.trim().is_empty() {
-            return Err(StateError(format!("trailing garbage after `{FOOTER}`: {after_footer:?}")));
-        }
-
+        let body = open(text, HEADER, FOOTER)?;
         let mut r = LineReader::new(body);
-        let epoch_raw = r.fields(&["epoch"])?[0];
-        let epoch = parse(&r, "epoch", epoch_raw)?;
+        let epoch = parse("epoch", r.fields(&["epoch"])?[0])?;
         let f = r.fields(&[
             "registered",
             "admitted",
@@ -144,26 +100,19 @@ impl HarvestState {
             "events_rejected",
         ])?;
         let stats = ShardStats {
-            registered: parse(&r, "registered", f[0])?,
-            admitted: parse(&r, "admitted", f[1])?,
-            refused: parse(&r, "refused", f[2])?,
-            events_ingested: parse(&r, "events_ingested", f[3])?,
-            events_unroutable: parse(&r, "events_unroutable", f[4])?,
-            queries_dropped: parse(&r, "queries_dropped", f[5])?,
-            queries_finished: parse(&r, "queries_finished", f[6])?,
-            harvests: parse(&r, "harvests", f[7])?,
-            events_rejected: parse(&r, "events_rejected", f[8])?,
+            registered: parse("registered", f[0])?,
+            admitted: parse("admitted", f[1])?,
+            refused: parse("refused", f[2])?,
+            events_ingested: parse("events_ingested", f[3])?,
+            events_unroutable: parse("events_unroutable", f[4])?,
+            queries_dropped: parse("queries_dropped", f[5])?,
+            queries_finished: parse("queries_finished", f[6])?,
+            harvests: parse("harvests", f[7])?,
+            events_rejected: parse("events_rejected", f[8])?,
         };
         r.finish()?;
         Ok(HarvestState { epoch, stats })
     }
-}
-
-fn parse<T: std::str::FromStr>(r: &LineReader<'_>, field: &str, raw: &str) -> Result<T, StateError>
-where
-    T::Err: fmt::Display,
-{
-    raw.parse().map_err(|e| StateError(format!("line {}: {field} `{raw}`: {e}", r.line_no())))
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@
 //! latency, snapshot eval time, delta decodes), service (read /
 //! registration / swap latency, tap volume), learner (buffer occupancy,
 //! retrain duration, promotion decisions) — and the traffic harness
-//! scrapes the registry on a cadence into the bench trajectory. See the
-//! README's "Observability" section for the metric name inventory.
+//! scrapes the registry on a cadence (held to its own counts by the soak
+//! test). See the README's "Observability" section for the inventory.
 //!
 //! ```
 //! use prosel_obs::{MetricsRegistry, MetricsSnapshot};
@@ -63,44 +63,36 @@ pub use metrics::{
 pub use ring::{FrameRejectReason, ObsEvent, TraceRecord, TraceRing};
 pub use snapshot::{ExpositionError, HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
 
-/// Instrumentation knobs shared by the observed components.
+/// The instrumentation knob shared by the observed components.
 ///
 /// Counters and gauges are always on (they replace what used to be
-/// plain-field bookkeeping, at the same one-increment-per-event cost);
-/// these knobs govern the *timing* instrumentation, whose clock reads
-/// are the only part with measurable hot-path cost.
+/// plain-field bookkeeping, at the same one-increment-per-event cost),
+/// and so are the latency histograms; the knob governs how often the
+/// hot paths pay the histograms' clock reads, the only part with
+/// measurable hot-path cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsOptions {
-    /// Record latency histograms (reads, per-event ingest, snapshot
-    /// eval). Off, the timed paths skip every clock read — the
-    /// uninstrumented A/B reference of the `metrics_overhead` bench.
-    pub timing: bool,
     /// Sample 1-in-N events for the hot-path latency histograms
     /// (clamped to ≥ 1). Cold paths (registration, swap, retrain) are
-    /// always timed when `timing` is on.
+    /// always timed.
     ///
     /// The default of 4096 keeps sampled events at ~2% of the
     /// above-p99 population (1/4096 sampled vs 1/100 in the tail), so
     /// tail-latency readings of instrumented hot paths are not
     /// inflated by the sampler's own clock reads even when the natural
-    /// latency distribution has its knee right at p99 — the property
-    /// the `metrics_overhead` bench pins. A service answering ~100k
-    /// reads/s still lands ~25 histogram samples per second.
+    /// latency distribution has its knee right at p99. A service
+    /// answering ~100k reads/s still lands ~25 histogram samples per
+    /// second.
     pub sample_every: u32,
 }
 
 impl Default for ObsOptions {
     fn default() -> Self {
-        ObsOptions { timing: true, sample_every: 4096 }
+        ObsOptions { sample_every: 4096 }
     }
 }
 
 impl ObsOptions {
-    /// The A/B reference configuration: no timing anywhere.
-    pub fn untimed() -> ObsOptions {
-        ObsOptions { timing: false, ..ObsOptions::default() }
-    }
-
     /// `sample_every`, clamped to ≥ 1.
     pub fn stride(&self) -> u32 {
         self.sample_every.max(1)

@@ -43,8 +43,9 @@ impl Counter {
     /// Add 1 and return the post-increment value — the same single
     /// `fetch_add` as [`Counter::inc`]. Lets hot paths derive a
     /// 1-in-N sampling tick from a count they already pay for instead
-    /// of bouncing a second shared cacheline (the `metrics_overhead`
-    /// A/B showed a dedicated tick atomic fattening the read tail).
+    /// of bouncing a second shared cacheline (an A/B against the
+    /// uninstrumented path showed a dedicated tick atomic fattening the
+    /// read tail).
     pub fn tick(&self) -> u64 {
         self.value.fetch_add(1, Ordering::Relaxed) + 1
     }

@@ -12,7 +12,7 @@
 //! for every value including infinities and NaN payloads.
 
 use crate::metrics::{bucket_lower, bucket_upper, HISTOGRAM_BUCKETS};
-use prosel_core::textio::{f64_from_hex, f64_to_hex, fnv64};
+use prosel_core::textio::{f64_from_hex, f64_to_hex, open, seal};
 use std::fmt;
 
 /// A point-in-time copy of one histogram: the per-bucket counts (see
@@ -267,11 +267,7 @@ impl MetricsSnapshot {
                 }
             }
         }
-        format!(
-            "{HEADER}\nbytes {} checksum {:016x}\n{body}{FOOTER}\n",
-            body.len(),
-            fnv64(body.as_bytes()),
-        )
+        seal(HEADER, &body, FOOTER)
     }
 
     /// Parse [`Self::render_text`] output. Strict: the byte count and
@@ -280,44 +276,7 @@ impl MetricsSnapshot {
     /// invariant), and nothing may follow the terminator.
     pub fn parse_text(text: &str) -> Result<MetricsSnapshot, ExpositionError> {
         let err = |msg: String| ExpositionError(msg);
-        let rest = text
-            .strip_prefix(HEADER)
-            .and_then(|r| r.strip_prefix('\n'))
-            .ok_or_else(|| err(format!("missing `{HEADER}` header")))?;
-        let (meta, after_meta) = rest
-            .split_once('\n')
-            .ok_or_else(|| err("truncated before the bytes/checksum line".into()))?;
-        let parts: Vec<&str> = meta.split_whitespace().collect();
-        let [k_bytes, v_bytes, k_sum, v_sum] = parts.as_slice() else {
-            return Err(err(format!("malformed meta line `{meta}`")));
-        };
-        if *k_bytes != "bytes" || *k_sum != "checksum" {
-            return Err(err(format!("malformed meta line `{meta}`")));
-        }
-        let n_bytes: usize = v_bytes.parse().map_err(|e| err(format!("bytes `{v_bytes}`: {e}")))?;
-        let declared =
-            u64::from_str_radix(v_sum, 16).map_err(|e| err(format!("checksum `{v_sum}`: {e}")))?;
-        if after_meta.len() < n_bytes {
-            return Err(err(format!(
-                "truncated body: {} bytes present, {n_bytes} declared",
-                after_meta.len()
-            )));
-        }
-        let body = &after_meta[..n_bytes];
-        let computed = fnv64(body.as_bytes());
-        if computed != declared {
-            return Err(err(format!(
-                "checksum mismatch: declared {declared:016x}, computed {computed:016x}"
-            )));
-        }
-        let tail = &after_meta[n_bytes..];
-        let after_footer = tail
-            .strip_prefix(FOOTER)
-            .and_then(|r| r.strip_prefix('\n'))
-            .ok_or_else(|| err(format!("missing `{FOOTER}` terminator")))?;
-        if !after_footer.trim().is_empty() {
-            return Err(err(format!("trailing garbage after `{FOOTER}`: {after_footer:?}")));
-        }
+        let body = open(text, HEADER, FOOTER).map_err(err)?;
 
         let mut samples: Vec<Sample> = Vec::new();
         for (lineno, line) in body.lines().enumerate() {

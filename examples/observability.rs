@@ -48,7 +48,7 @@ fn main() {
         // The default stride samples 1-in-4096 hot-path timings — right
         // for production tails, too sparse for a short demo. Dense
         // sampling here so the latency brackets fill visibly.
-        .observability(ObsOptions { timing: true, sample_every: 8 })
+        .observability(ObsOptions { sample_every: 8 })
         .build_service()
         .expect("DNE is an online kind");
     for (qi, plan) in plans.iter().enumerate() {

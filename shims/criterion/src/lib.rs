@@ -10,18 +10,15 @@
 //! iteration. There is no statistical analysis, warm-up tuning, or HTML
 //! report — swap in the real crate for that.
 //!
-//! Two environment hooks feed the repo's perf-trajectory CI:
+//! The printed means are for reading a kernel A/B beside its in-file
+//! reference, nothing more: a number that sizes or supports a claim comes
+//! from `benchmark/` (see its README), and nothing here is machine-read.
 //!
-//! * `PROSEL_BENCH_JSON=<path>` — append one JSON line per timed bench
-//!   (`{"name":…,"mean_ns":…,"iters":…}`) to `<path>`; the
-//!   `bench_report` bin of `prosel-bench` folds these into the
-//!   `BENCH_<sha>.json` trajectory artifact.
-//! * `PROSEL_BENCH_QUICK=<n>` — clamp every bench to at most `n` timed
-//!   iterations (the CI "quick profile"; per-bench `sample_size` calls
-//!   cannot raise it back).
+//! One environment hook: `PROSEL_BENCH_QUICK=<n>` clamps every bench to at
+//! most `n` timed iterations (per-bench `sample_size` calls cannot raise
+//! it back), so a bench can be smoke-run in seconds.
 
 use std::fmt;
-use std::io::Write as _;
 use std::time::Instant;
 
 pub use std::hint::black_box;
@@ -61,7 +58,7 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// The CI quick-profile clamp: `min(requested, $PROSEL_BENCH_QUICK)`.
+/// The quick clamp: `min(requested, $PROSEL_BENCH_QUICK)`.
 fn effective_samples(requested: usize) -> usize {
     match std::env::var("PROSEL_BENCH_QUICK").ok().and_then(|v| v.parse::<usize>().ok()) {
         Some(q) => requested.min(q.max(1)),
@@ -69,40 +66,9 @@ fn effective_samples(requested: usize) -> usize {
     }
 }
 
-/// One machine-readable sample as a JSON line (JSONL record).
-fn sample_line(name: &str, mean_ns: f64, iters: usize) -> String {
-    let escaped: String = name
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect();
-    format!("{{\"name\":\"{escaped}\",\"mean_ns\":{mean_ns},\"iters\":{iters}}}\n")
-}
-
-/// Append one machine-readable sample line to `$PROSEL_BENCH_JSON`, if
-/// set. Failures to write are reported but never fail the bench.
-fn report_sample(name: &str, mean_ns: f64, iters: usize) {
-    let Ok(path) = std::env::var("PROSEL_BENCH_JSON") else { return };
-    let line = sample_line(name, mean_ns, iters);
-    let write = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = write {
-        eprintln!("criterion shim: cannot append to {path}: {e}");
-    }
-}
-
 /// Timing loop handle passed to bench closures.
 pub struct Bencher {
     samples: usize,
-    /// Fully qualified bench name (`group/function/param`), carried so the
-    /// timing loop can attribute its JSON sample line.
-    name: String,
 }
 
 impl Bencher {
@@ -116,7 +82,6 @@ impl Bencher {
         let elapsed = start.elapsed();
         let per_iter = elapsed / self.samples as u32;
         println!("    {:>12?} /iter ({} iters)", per_iter, self.samples);
-        report_sample(&self.name, elapsed.as_nanos() as f64 / self.samples as f64, self.samples);
     }
 }
 
@@ -141,9 +106,8 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let name = id.into().id;
-        println!("bench: {name}");
-        let mut b = Bencher { samples: effective_samples(self.sample_size), name };
+        println!("bench: {}", id.into().id);
+        let mut b = Bencher { samples: effective_samples(self.sample_size) };
         f(&mut b);
         self
     }
@@ -175,10 +139,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let name = format!("{}/{}", self.name, id.into().id);
-        println!("bench: {name}");
+        println!("bench: {}/{}", self.name, id.into().id);
         let samples = self.sample_size.unwrap_or(self.parent.sample_size);
-        let mut b = Bencher { samples: effective_samples(samples), name };
+        let mut b = Bencher { samples: effective_samples(samples) };
         f(&mut b);
         self
     }
@@ -192,10 +155,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let name = format!("{}/{}", self.name, id.into().id);
-        println!("bench: {name}");
+        println!("bench: {}/{}", self.name, id.into().id);
         let samples = self.sample_size.unwrap_or(self.parent.sample_size);
-        let mut b = Bencher { samples: effective_samples(samples), name };
+        let mut b = Bencher { samples: effective_samples(samples) };
         f(&mut b, input);
         self
     }
@@ -227,14 +189,6 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sample_lines_are_valid_jsonl() {
-        let line = sample_line("group/fn/3", 1234.5, 10);
-        assert_eq!(line, "{\"name\":\"group/fn/3\",\"mean_ns\":1234.5,\"iters\":10}\n");
-        let line = sample_line("we\"ird\\name\n", 1.0, 1);
-        assert!(line.contains("we\\\"ird\\\\name "), "escaped: {line}");
-    }
 
     #[test]
     fn group_and_function_run() {
