@@ -15,7 +15,7 @@
 //!   incorporate the actual passage of time.
 
 use crate::features::schema::{COR_ESTIMATORS, COR_POINTS, DIFF_PAIRS, DYNAMIC_LEN, X_MARKERS};
-use prosel_estimators::{EstimatorKind, IncrementalObs};
+use prosel_estimators::{Column, EstimatorKind, IncrementalObs};
 
 fn kind_by_name(name: &str) -> EstimatorKind {
     match name {
@@ -58,11 +58,11 @@ const SHARES: [[f64; COR_POINTS]; X_MARKERS.len()] = {
 /// index reaching a larger share is never before the first index reaching
 /// a smaller one, so a cursor per x resolves them in order — whatever the
 /// shape of the fraction curve — and the scan stops once `t{20}` is found.
-fn markers(df: &[f64]) -> [[usize; COR_POINTS]; X_MARKERS.len()] {
+fn markers(df: Column<'_>) -> [[usize; COR_POINTS]; X_MARKERS.len()] {
     let mut at = [[df.len().saturating_sub(1); COR_POINTS]; X_MARKERS.len()];
     let mut next = [0usize; X_MARKERS.len()];
     let mut open = X_MARKERS.len();
-    for (j, &a) in df.iter().enumerate() {
+    for (j, a) in df.iter().enumerate() {
         for (xi, shares) in SHARES.iter().enumerate() {
             while next[xi] < COR_POINTS && a >= shares[next[xi]] {
                 at[xi][next[xi]] = j;
@@ -93,7 +93,7 @@ pub fn extract(obs: &IncrementalObs) -> Vec<f32> {
 
 /// [`extract`], appending the [`DYNAMIC_LEN`] features to `out` — no
 /// allocation of its own when `out` has the room (the maintained curves
-/// are borrowed).
+/// are read in place, a few marker points each).
 pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
     let curves = COR_ESTIMATORS.map(|name| obs.curve_view(kind_by_name(name)));
     let start = obs.window().0;
@@ -105,7 +105,7 @@ pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
         let (ca, cb) = (&curves[cor_index(a)], &curves[cor_index(b)]);
         for t in &at {
             let j = t[COR_POINTS - 1];
-            out.push((ca[j] - cb[j]).abs() as f32);
+            out.push((ca.get(j) - cb.get(j)).abs() as f32);
         }
     }
 
@@ -117,13 +117,13 @@ pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
     let mut elapsed = [[0.0f64; X_MARKERS.len()]; COR_POINTS];
     for (i, row) in elapsed.iter_mut().enumerate() {
         for (t, fraction) in at.iter().zip(row) {
-            let t_x = (times[t[COR_POINTS - 1]] - start).max(1e-9);
-            let t_i = (times[t[i]] - start).max(0.0);
+            let t_x = (times.get(t[COR_POINTS - 1]) - start).max(1e-9);
+            let t_i = (times.get(t[i]) - start).max(0.0);
             *fraction = t_i / t_x;
         }
     }
     for c in &curves {
-        let inverse = at.map(|t| 1.0 / c[t[COR_POINTS - 1]].max(1e-3)); // guard 1/est
+        let inverse = at.map(|t| 1.0 / c.get(t[COR_POINTS - 1]).max(1e-3)); // guard 1/est
         for row in &elapsed {
             for (fraction, inverse) in row.iter().zip(&inverse) {
                 out.push((fraction * inverse).clamp(0.0, 1e4) as f32);
@@ -149,7 +149,7 @@ mod tests {
     /// per use, the definition [`markers`] resolves in a single pass.
     fn marker(obs: &IncrementalObs, frac: f64) -> usize {
         let df = obs.driver_fraction();
-        df.iter().position(|&a| a >= frac).unwrap_or(df.len().saturating_sub(1))
+        df.iter().position(|a| a >= frac).unwrap_or(df.len().saturating_sub(1))
     }
 
     /// The per-feature definition [`extract_into`] must reproduce bit for
@@ -172,8 +172,8 @@ mod tests {
                 for x in X_MARKERS {
                     let jx = marker(obs, x as f64 / 100.0);
                     let ji = marker(obs, (x as f64 * i as f64 / COR_POINTS as f64) / 100.0);
-                    let t_x = (times[jx] - start).max(1e-9);
-                    let t_i = (times[ji] - start).max(0.0);
+                    let t_x = (times.get(jx) - start).max(1e-9);
+                    let t_i = (times.get(ji) - start).max(0.0);
                     let est = c[jx].max(1e-3);
                     let v = (t_i / t_x) * (1.0 / est);
                     out.push(v.clamp(0.0, 1e4) as f32);

@@ -7,7 +7,7 @@
 use crate::features;
 use prosel_engine::plan::{OperatorKind, PhysicalPlan};
 use prosel_engine::{run_plan, Catalog, ExecConfig, Pipeline, QueryRun};
-use prosel_estimators::{l1_error, l2_error, EstimatorKind, IncrementalObs, PipelineObs, TraceCtx};
+use prosel_estimators::{EstimatorKind, IncrementalObs, PipelineObs, TraceCtx};
 use prosel_planner::workload::{materialize, Workload, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
@@ -108,8 +108,8 @@ fn errors_against_truth(
     let mut errors_l2 = Vec::with_capacity(EstimatorKind::CANDIDATES.len());
     for kind in EstimatorKind::CANDIDATES {
         let curve = obs.curve_view(kind);
-        errors_l1.push(l1_error(&curve, truth) as f32);
-        errors_l2.push(l2_error(&curve, truth) as f32);
+        errors_l1.push(curve.l1_error(truth) as f32);
+        errors_l2.push(curve.l2_error(truth) as f32);
     }
     let mut oracle_l1 = [0.0f32; 2];
     let mut oracle_l2 = [0.0f32; 2];
@@ -117,8 +117,8 @@ fn errors_against_truth(
         [EstimatorKind::GetNextOracle, EstimatorKind::BytesOracle].into_iter().enumerate()
     {
         let curve = obs.curve_view(kind);
-        oracle_l1[i] = l1_error(&curve, truth) as f32;
-        oracle_l2[i] = l2_error(&curve, truth) as f32;
+        oracle_l1[i] = curve.l1_error(truth) as f32;
+        oracle_l2[i] = curve.l2_error(truth) as f32;
     }
     (errors_l1, errors_l2, oracle_l1, oracle_l2)
 }

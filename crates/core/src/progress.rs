@@ -69,10 +69,14 @@ impl<'a> ProgressMonitor<'a> {
             let marker = obs
                 .driver_fraction()
                 .iter()
-                .position(|&a| a >= 0.20)
+                .position(|a| a >= 0.20)
                 .unwrap_or(obs.len().saturating_sub(1));
             let mut curve = obs.curve(static_choice);
-            curve[marker..].copy_from_slice(&obs.curve_view(revised_choice)[marker..]);
+            for (c, revised) in
+                curve.iter_mut().zip(obs.curve_view(revised_choice).iter()).skip(marker)
+            {
+                *c = revised;
+            }
             curve
         });
 

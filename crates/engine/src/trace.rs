@@ -371,11 +371,41 @@ impl DeltaDecoder {
 
     /// Apply a full snapshot, replacing the scratch contents in place.
     pub fn apply_full(&mut self, snap: &Snapshot, windows: &[(f64, f64)]) {
+        self.apply_full_diff(snap, windows, |_, _| {});
+    }
+
+    /// [`Self::apply_full`], reporting what a [`TraceEvent::Delta`] for the
+    /// same snapshot would have listed: `moved(node, counter)` for every
+    /// counter whose value differs from the scratch's — the copy walks
+    /// them anyway. A column that changes length (the baseline snapshot)
+    /// reports every node.
+    pub fn apply_full_diff(
+        &mut self,
+        snap: &Snapshot,
+        windows: &[(f64, f64)],
+        mut moved: impl FnMut(usize, CounterKind),
+    ) {
         self.time = snap.time;
-        copy_into(&mut self.k, &snap.k);
-        copy_into(&mut self.bytes_read, &snap.bytes_read);
-        copy_into(&mut self.bytes_written, &snap.bytes_written);
-        copy_into(&mut self.materialized, &snap.materialized);
+        let cols: [(&mut Vec<u64>, &[u64], CounterKind); 4] = [
+            (&mut self.k, &snap.k, CounterKind::GetNext),
+            (&mut self.bytes_read, &snap.bytes_read, CounterKind::BytesRead),
+            (&mut self.bytes_written, &snap.bytes_written, CounterKind::BytesWritten),
+            (&mut self.materialized, &snap.materialized, CounterKind::Materialized),
+        ];
+        for (dst, src, kind) in cols {
+            if dst.len() != src.len() {
+                dst.clear();
+                dst.extend_from_slice(src);
+                (0..src.len()).for_each(|node| moved(node, kind));
+                continue;
+            }
+            for (node, (slot, &v)) in dst.iter_mut().zip(src).enumerate() {
+                if *slot != v {
+                    *slot = v;
+                    moved(node, kind);
+                }
+            }
+        }
         self.windows.clear();
         self.windows.extend_from_slice(windows);
         self.primed = true;
@@ -427,15 +457,6 @@ impl DeltaDecoder {
     /// The current reconstructed activity windows.
     pub fn windows(&self) -> &[(f64, f64)] {
         &self.windows
-    }
-}
-
-fn copy_into(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() == src.len() {
-        dst.copy_from_slice(src);
-    } else {
-        dst.clear();
-        dst.extend_from_slice(src);
     }
 }
 

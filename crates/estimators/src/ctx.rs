@@ -70,6 +70,23 @@ impl SnapshotCtx {
         }
     }
 
+    /// Refresh only the bounds at the topological positions set in
+    /// `dirty` — [`Self::refresh_from`] for a consumer that knows which
+    /// `GetNext` counters moved and ORs their
+    /// [`BoundsKernel::dependents`][crate::soa::BoundsKernel::dependents]:
+    /// one early node moving no longer re-evaluates every later position,
+    /// only its ancestors. Bit-identical to a full pass (see
+    /// [`BoundsKernel::eval_dirty`][crate::soa::BoundsKernel::eval_dirty]);
+    /// falls back to one when the context has not been sized for this
+    /// kernel yet.
+    pub fn refresh_dirty(&mut self, kernel: &BoundsKernel, k: &[u64], dirty: u64) {
+        if self.lb.len() != kernel.width() {
+            kernel.eval_into(k, &mut self.lb, &mut self.ub);
+        } else {
+            kernel.eval_dirty(k, &mut self.lb, &mut self.ub, dirty);
+        }
+    }
+
     /// Number of plan nodes covered.
     pub fn len(&self) -> usize {
         self.lb.len()

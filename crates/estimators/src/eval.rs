@@ -7,26 +7,35 @@
 //! estimator discussion.
 
 use crate::ctx::TraceCtx;
+use crate::incremental::Column;
 use crate::kinds::EstimatorKind;
 use crate::pipeline_obs::PipelineObs;
 use prosel_engine::trace::QueryRun;
 
 /// Mean absolute error between two aligned curves.
 pub fn l1_error(est: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(est.len(), truth.len());
-    if est.is_empty() {
-        return 0.0;
-    }
-    est.iter().zip(truth).map(|(a, b)| (a - b).abs()).sum::<f64>() / est.len() as f64
+    l1_of(est.iter().copied(), truth)
 }
 
 /// Root-mean-square error between two aligned curves.
 pub fn l2_error(est: &[f64], truth: &[f64]) -> f64 {
+    l2_of(est.iter().copied(), truth)
+}
+
+fn l1_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
     assert_eq!(est.len(), truth.len());
-    if est.is_empty() {
+    if truth.is_empty() {
         return 0.0;
     }
-    (est.iter().zip(truth).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / est.len() as f64).sqrt()
+    est.zip(truth).map(|(a, b)| (a - b).abs()).sum::<f64>() / truth.len() as f64
+}
+
+fn l2_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
+    assert_eq!(est.len(), truth.len());
+    if truth.is_empty() {
+        return 0.0;
+    }
+    (est.zip(truth).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / truth.len() as f64).sqrt()
 }
 
 /// Minimum magnitude a point must have to enter the ratio: below this the
@@ -43,14 +52,37 @@ const RATIO_FLOOR: f64 = 1e-6;
 /// non-finite inputs, so the result is always a finite value ≥ 1 — for an
 /// empty or fully-degenerate curve pair the neutral 1.0.
 pub fn ratio_error(est: &[f64], truth: &[f64]) -> f64 {
+    ratio_of(est.iter().copied(), truth)
+}
+
+fn ratio_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
     assert_eq!(est.len(), truth.len());
     let mut worst = 1.0f64;
-    for (&e, &t) in est.iter().zip(truth) {
+    for (e, &t) in est.zip(truth) {
         if e.is_finite() && t.is_finite() && e > RATIO_FLOOR && t > RATIO_FLOOR {
             worst = worst.max((e / t).max(t / e));
         }
     }
     worst
+}
+
+/// The error metrics over a column read in place — what scoring every
+/// curve of every pipeline uses instead of copying each curve out first.
+impl Column<'_> {
+    /// [`l1_error`] of this column against `truth`.
+    pub fn l1_error(&self, truth: &[f64]) -> f64 {
+        l1_of(self.iter(), truth)
+    }
+
+    /// [`l2_error`] of this column against `truth`.
+    pub fn l2_error(&self, truth: &[f64]) -> f64 {
+        l2_of(self.iter(), truth)
+    }
+
+    /// [`ratio_error`] of this column against `truth`.
+    pub fn ratio_error(&self, truth: &[f64]) -> f64 {
+        ratio_of(self.iter(), truth)
+    }
 }
 
 /// Errors of one estimator on one pipeline.
@@ -80,9 +112,9 @@ pub fn evaluate_pipeline_shared(
                 let curve = obs.curve_view(kind);
                 EstimatorError {
                     kind,
-                    l1: l1_error(&curve, &truth),
-                    l2: l2_error(&curve, &truth),
-                    ratio: ratio_error(&curve, &truth),
+                    l1: curve.l1_error(&truth),
+                    l2: curve.l2_error(&truth),
+                    ratio: curve.ratio_error(&truth),
                 }
             })
             .collect(),

@@ -40,6 +40,20 @@
 //! `materialized` counters, which blocking operators report when their
 //! build phase completes — strictly before the pipeline they drive takes
 //! its first observation.
+//!
+//! # Storage: one row per observation
+//!
+//! Everything a committed observation leaves behind — its serial and
+//! time, the aggregates later reads still need (Σ K for the GetNext
+//! oracle and the harvest totals, processed and remaining bytes for the
+//! LUO window and the bytes oracle, the driver fraction) and the value
+//! of each of the nine [`ONLINE_KINDS`] — is one 128-byte `Row` of one
+//! `Vec`. A commit is one push onto one tail, an engine thinning event
+//! one in-place compaction, the served value one load from the last row,
+//! and no quantity is held twice. Readers that want a *column* (a curve,
+//! the observation times, the driver fractions) get a [`Column`]: a
+//! strided, non-allocating view over the rows, so record extraction and
+//! evaluation read the layout in place.
 
 use crate::ctx::{SnapshotCtx, TraceCtx};
 use crate::kinds::EstimatorKind;
@@ -51,7 +65,6 @@ use crate::soa::PipeCols;
 use prosel_engine::plan::{NodeId, OperatorKind, PhysicalPlan};
 use prosel_engine::trace::{QueryRun, Snapshot, SnapshotView};
 use prosel_engine::Pipeline;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -71,6 +84,121 @@ pub const ONLINE_KINDS: [EstimatorKind; 9] = [
 
 fn online_index(kind: EstimatorKind) -> Option<usize> {
     ONLINE_KINDS.iter().position(|&k| k == kind)
+}
+
+/// Positions of the `f64` fields of a [`Row`]: the aggregates retained
+/// past the commit, then one value per [`ONLINE_KINDS`] entry.
+const F_TIME: usize = 0;
+const F_ALPHA: usize = 1;
+const F_SUM_K: usize = 2;
+const F_DONE_BYTES: usize = 3;
+/// Bytes LUO still expects (driver input left + output left + pending
+/// spill) — a function of the observation alone, so the window rebuild
+/// after a thinning event reads it back instead of re-deriving it.
+const F_LUO_REMAINING: usize = 4;
+const F_VALUES: usize = 5;
+const F_LUO: usize = F_VALUES + 2;
+const ROW_F64S: usize = F_VALUES + ONLINE_KINDS.len();
+const _: () = assert!(matches!(ONLINE_KINDS[F_LUO - F_VALUES], EstimatorKind::Luo));
+
+/// One committed observation: all that is kept of it, contiguous (see the
+/// module docs). The `f64` fields sit in one array so that a [`Column`]
+/// is a field index and a stride.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    serial: u64,
+    /// Σ K over the pipeline's nodes in integer precision (the harvest
+    /// path's `total_getnext`; `f[F_SUM_K]` is its f64 shadow).
+    k_u64: u64,
+    f: [f64; ROW_F64S],
+}
+
+/// How a [`Column`] turns the stored field into the served value.
+#[derive(Debug, Clone, Copy)]
+enum Scale {
+    /// The field as stored.
+    Stored,
+    /// An oracle curve: the field over its post-hoc total, clamped.
+    Over(f64),
+    /// An oracle curve whose total is zero: complete throughout.
+    Ones,
+}
+
+/// One column of the committed observations — a curve, the observation
+/// times, the driver fractions — read in place: a strided view over the
+/// rows that allocates nothing. Index with [`Column::get`], walk with
+/// [`Column::iter`], score against a truth curve with
+/// [`Column::l1_error`] and friends, copy out with [`Column::to_vec`].
+#[derive(Clone, Copy)]
+pub struct Column<'a> {
+    rows: &'a [Row],
+    field: usize,
+    scale: Scale,
+}
+
+impl<'a> Column<'a> {
+    /// Number of observations.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    // `inline(always)`: re-selection reads a few marker points per curve
+    // through `get`, from another crate; left to the inliner's judgement
+    // both stayed calls.
+    #[inline(always)]
+    fn value_of(&self, row: &Row) -> f64 {
+        let v = row.f[self.field];
+        match self.scale {
+            Scale::Stored => v,
+            Scale::Over(total) => clamp01(v / total),
+            Scale::Ones => 1.0,
+        }
+    }
+
+    /// The value at observation `j`.
+    ///
+    /// # Panics
+    /// Panics when `j` is out of range, like slice indexing.
+    #[inline(always)]
+    pub fn get(&self, j: usize) -> f64 {
+        self.value_of(&self.rows[j])
+    }
+
+    /// The value at the latest observation.
+    pub fn last(&self) -> Option<f64> {
+        self.rows.last().map(|r| self.value_of(r))
+    }
+
+    /// The values in observation order.
+    #[inline]
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + ExactSizeIterator + 'a {
+        let column = *self;
+        self.rows.iter().map(move |r| column.value_of(r))
+    }
+
+    /// Copy the column out.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.iter().collect()
+    }
+}
+
+/// Columns compare like the slices they stand for.
+impl PartialEq for Column<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+    }
+}
+
+impl std::fmt::Debug for Column<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Per-observation aggregates computed once when a snapshot is offered.
@@ -94,6 +222,41 @@ struct ObsEntry {
     k_seek: f64,
     /// Σ bytes_read over the driver nodes (LUO's consumed-input signal).
     driver_read: f64,
+}
+
+impl ObsEntry {
+    /// Every field as its bit pattern — equality of aggregates is
+    /// equality of these.
+    fn bits(&self) -> [u64; 14] {
+        [
+            self.serial,
+            self.time.to_bits(),
+            self.sum_k.to_bits(),
+            self.k_u64,
+            self.sum_e_clamped.to_bits(),
+            self.work_lb.to_bits(),
+            self.work_ub.to_bits(),
+            self.alpha.to_bits(),
+            self.done_bytes.to_bits(),
+            self.pending_spill.to_bits(),
+            self.k_dne.to_bits(),
+            self.k_batch.to_bits(),
+            self.k_seek.to_bits(),
+            self.driver_read.to_bits(),
+        ]
+    }
+}
+
+/// Where [`IncrementalObs::offer_impl`] takes an offered snapshot's
+/// aggregates from.
+#[derive(Clone, Copy)]
+enum Aggregates {
+    /// The compiled struct-of-arrays walk (`entry_for`).
+    Compiled,
+    /// The scalar reference walk (`entry_for_scalar`).
+    Scalar,
+    /// The previous offer's, re-stamped: the caller knows nothing moved.
+    Unchanged,
 }
 
 /// Driver-set state resolved at the pipeline's first observation.
@@ -128,12 +291,12 @@ pub struct IncrementalObs {
     window_start: f64,
     window_end: f64,
     state: Option<DriverState>,
-    /// Committed observations (the trace's `pipeline_observations` set).
-    entries: Vec<ObsEntry>,
-    times: Vec<f64>,
-    alpha_curve: Vec<f64>,
-    /// One maintained curve per [`ONLINE_KINDS`] entry.
-    curves: Vec<Vec<f64>>,
+    /// The aggregates of the snapshot offered last, committed or not —
+    /// what [`Self::offer_unchanged`] re-stamps. `Some` once started.
+    latest: Option<ObsEntry>,
+    /// Committed observations (the trace's `pipeline_observations` set),
+    /// one row each.
+    rows: Vec<Row>,
     /// LUO speed-window pointer (monotone) and last-estimate fallback.
     luo_w: usize,
     luo_prev: f64,
@@ -153,10 +316,8 @@ impl IncrementalObs {
             window_start: f64::INFINITY,
             window_end: f64::NEG_INFINITY,
             state: None,
-            entries: Vec::new(),
-            times: Vec::new(),
-            alpha_curve: Vec::new(),
-            curves: vec![Vec::new(); ONLINE_KINDS.len()],
+            latest: None,
+            rows: Vec::new(),
             luo_w: 0,
             luo_prev: 0.0,
             pending: VecDeque::new(),
@@ -179,11 +340,11 @@ impl IncrementalObs {
 
     /// Number of *committed* observations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// Has the pipeline produced its first observation?
@@ -200,14 +361,18 @@ impl IncrementalObs {
         (self.window_start, self.window_end)
     }
 
+    fn column(&self, field: usize, scale: Scale) -> Column<'_> {
+        Column { rows: &self.rows, field, scale }
+    }
+
     /// Times of the committed observations.
-    pub fn times(&self) -> &[f64] {
-        &self.times
+    pub fn times(&self) -> Column<'_> {
+        self.column(F_TIME, Scale::Stored)
     }
 
     /// Fraction of driver input consumed at each committed observation.
-    pub fn driver_fraction(&self) -> &[f64] {
-        &self.alpha_curve
+    pub fn driver_fraction(&self) -> Column<'_> {
+        self.column(F_ALPHA, Scale::Stored)
     }
 
     /// Total true GetNext calls of this pipeline's nodes (Σ `final_k`),
@@ -221,7 +386,7 @@ impl IncrementalObs {
     /// unknowable quantity progress estimation exists to avoid.
     pub fn total_getnext(&self) -> u64 {
         assert!(self.finalized, "total_getnext needs post-hoc totals: only after finalize()");
-        self.entries.last().map_or(0, |e| e.k_u64)
+        self.rows.last().map_or(0, |r| r.k_u64)
     }
 
     /// True pipeline progress at each committed observation — the
@@ -233,9 +398,9 @@ impl IncrementalObs {
     pub fn truth(&self) -> Vec<f64> {
         assert!(self.finalized, "truth needs the final activity window: only after finalize()");
         let (start, end) = (self.window_start, self.window_end);
-        self.times
+        self.times()
             .iter()
-            .map(|&t| {
+            .map(|t| {
                 if !start.is_finite() || end <= start {
                     1.0
                 } else {
@@ -473,7 +638,8 @@ impl IncrementalObs {
     /// query per snapshot and shared across pipelines, over a borrowed
     /// [`SnapshotView`] — consumers that reconstruct counter state from
     /// delta events (the monitor shard's per-query scratch) never
-    /// materialize an owned [`Snapshot`].
+    /// materialize an owned [`Snapshot`]. Always evaluates the aggregates:
+    /// the entry point of replay, training and every reference.
     pub fn offer_view(
         &mut self,
         serial: u64,
@@ -481,7 +647,28 @@ impl IncrementalObs {
         window: (f64, f64),
         ctx: &SnapshotCtx,
     ) -> usize {
-        self.offer_impl(serial, snap, window, ctx, false)
+        self.offer_impl(serial, snap, window, ctx, Aggregates::Compiled)
+    }
+
+    /// [`Self::offer_view`] for a snapshot in which nothing this pipeline's
+    /// aggregates read has moved since the previous offer — no `GetNext`
+    /// or byte counter of its own nodes, no refinement bound of them (see
+    /// [`BoundsKernel::pipeline_readers`](crate::soa::BoundsKernel::pipeline_readers)
+    /// for how a caller knows). The aggregates are then the previous
+    /// ones, so a started pipeline re-stamps them with the new `serial`
+    /// and time in O(1) and runs the same pending/commit protocol; a
+    /// pipeline that has not started is evaluated as usual. Same return
+    /// value and same state as [`Self::offer_view`] — builds with debug
+    /// assertions recompute the aggregates and check bit-equality on
+    /// every call.
+    pub fn offer_unchanged(
+        &mut self,
+        serial: u64,
+        snap: SnapshotView<'_>,
+        window: (f64, f64),
+        ctx: &SnapshotCtx,
+    ) -> usize {
+        self.offer_impl(serial, snap, window, ctx, Aggregates::Unchanged)
     }
 
     /// [`Self::offer_view`] computing the per-observation aggregates via
@@ -497,7 +684,7 @@ impl IncrementalObs {
         window: (f64, f64),
         ctx: &SnapshotCtx,
     ) -> usize {
-        self.offer_impl(serial, snap.as_view(), window, ctx, true)
+        self.offer_impl(serial, snap.as_view(), window, ctx, Aggregates::Scalar)
     }
 
     fn offer_impl(
@@ -506,7 +693,7 @@ impl IncrementalObs {
         snap: SnapshotView<'_>,
         window: (f64, f64),
         ctx: &SnapshotCtx,
-        scalar: bool,
+        aggregates: Aggregates,
     ) -> usize {
         assert!(!self.finalized, "offer after finalize");
         debug_assert_eq!(ctx.len(), self.plan.len(), "SnapshotCtx built for a different plan");
@@ -519,11 +706,21 @@ impl IncrementalObs {
             self.resolve(snap);
         }
         self.window_end = self.window_end.max(last);
-        let entry = if scalar {
-            self.entry_for_scalar(serial, snap, ctx)
-        } else {
-            self.entry_for(serial, snap, ctx)
+        let entry = match (aggregates, self.latest) {
+            (Aggregates::Unchanged, Some(previous)) => {
+                let entry = ObsEntry { serial, time: snap.time, ..previous };
+                debug_assert_eq!(
+                    entry.bits(),
+                    self.entry_for(serial, snap, ctx).bits(),
+                    "pipeline {} offered as unchanged, but its aggregates moved",
+                    self.pipeline.id
+                );
+                entry
+            }
+            (Aggregates::Scalar, _) => self.entry_for_scalar(serial, snap, ctx),
+            _ => self.entry_for(serial, snap, ctx),
         };
+        self.latest = Some(entry);
         // Snapshots at or before the last tick seen so far are provably
         // inside the final window (the final end can only grow). Common
         // case — nothing queued and this entry already committable —
@@ -546,18 +743,18 @@ impl IncrementalObs {
         committed
     }
 
-    /// Append one committed observation to every curve.
+    /// Append one committed observation: one row, every online value in
+    /// it.
     fn commit(&mut self, e: ObsEntry) {
-        self.entries.push(e);
-        self.times.push(e.time);
-        self.alpha_curve.push(e.alpha);
-        let luo = self.luo_next();
         let state = self.state.as_ref().expect("drivers resolved");
         let dne = |k: f64, total: f64| if total <= 0.0 { 0.0 } else { clamp01(k / total) };
+        let remaining_out = ((1.0 - e.alpha) * self.e_out_total).clamp(0.0, self.e_out_total);
+        let luo_remaining =
+            (state.driver_total_bytes - e.driver_read).max(0.0) + remaining_out + e.pending_spill;
         let values = [
             dne(e.k_dne, state.total_dne),
             clamp01(e.sum_k / e.sum_e_clamped),
-            luo,
+            0.0, // LUO looks back over the rows: filled in below
             clamp01(e.sum_k / e.work_ub),
             {
                 let l = clamp01(e.sum_k / e.work_ub);
@@ -572,117 +769,91 @@ impl IncrementalObs {
             },
             clamp01(e.sum_k / self.sum_e_raw),
         ];
-        debug_assert_eq!(values.len(), ONLINE_KINDS.len());
-        for (curve, v) in self.curves.iter_mut().zip(values) {
-            curve.push(v);
-        }
+        let mut f = [0.0; ROW_F64S];
+        f[F_TIME] = e.time;
+        f[F_ALPHA] = e.alpha;
+        f[F_SUM_K] = e.sum_k;
+        f[F_DONE_BYTES] = e.done_bytes;
+        f[F_LUO_REMAINING] = luo_remaining;
+        f[F_VALUES..].copy_from_slice(&values);
+        self.rows.push(Row { serial: e.serial, k_u64: e.k_u64, f });
+        let luo = self.luo_next();
+        self.rows.last_mut().expect("just pushed").f[F_LUO] = luo;
     }
 
-    /// LUO estimate for the observation being committed (the last entry of
-    /// `self.entries` at call time is its predecessor set; the entry itself
-    /// is already pushed). Uses a monotone pointer for the speed window:
-    /// the reference backward walk selects the largest `j ≤ i-1` with
+    /// LUO estimate of observation `i` from its row, the row opening its
+    /// speed window and the previous estimate — the part the forward
+    /// pointer ([`Self::luo_next`]) and the backward reference walk
+    /// ([`Self::rebuild_luo`]) share.
+    fn luo_at(&self, i: usize, w: usize, prev: f64) -> f64 {
+        let (row, opening) = (&self.rows[i].f, &self.rows[w].f);
+        let elapsed = (row[F_TIME] - self.window_start).max(1e-9);
+        let dt = row[F_TIME] - opening[F_TIME];
+        let db = row[F_DONE_BYTES] - opening[F_DONE_BYTES];
+        luo_point(i == 0, elapsed, dt, db, row[F_DONE_BYTES], row[F_LUO_REMAINING], prev)
+    }
+
+    /// Width of the LUO speed window at time `t`: a tenth of the elapsed
+    /// window time.
+    fn luo_window(&self, t: f64) -> f64 {
+        ((t - self.window_start).max(1e-9) * 0.1).max(1e-9)
+    }
+
+    /// LUO estimate for the observation being committed (the last row).
+    /// Uses a monotone pointer for the speed window: the reference
+    /// backward walk selects the largest `j ≤ i-1` with
     /// `times[j] ≤ t - win`, and that threshold is non-decreasing in `i`
     /// (d(t - 0.1·(t-start))/dt = 0.9 > 0), so the pointer only ever moves
     /// forward — O(1) amortized instead of O(window) per observation.
     fn luo_next(&mut self) -> f64 {
-        let i = self.entries.len() - 1;
-        let e = self.entries[i];
-        let state = self.state.as_ref().expect("drivers resolved");
-        let start = self.window_start;
-        let t = e.time;
-        let elapsed = (t - start).max(1e-9);
-        let remaining_out = ((1.0 - e.alpha) * self.e_out_total).clamp(0.0, self.e_out_total);
-        let remaining_bytes =
-            (state.driver_total_bytes - e.driver_read).max(0.0) + remaining_out + e.pending_spill;
-        let win = (elapsed * 0.1).max(1e-9);
-        while self.luo_w + 1 < i && t - self.times[self.luo_w + 1] >= win {
+        let i = self.rows.len() - 1;
+        let t = self.rows[i].f[F_TIME];
+        let win = self.luo_window(t);
+        while self.luo_w + 1 < i && t - self.rows[self.luo_w + 1].f[F_TIME] >= win {
             self.luo_w += 1;
         }
         let w = if i == 0 { 0 } else { self.luo_w };
-        let dt = t - self.times[w];
-        let db = e.done_bytes - self.entries[w].done_bytes;
-        let est = luo_point(i == 0, elapsed, dt, db, e.done_bytes, remaining_bytes, self.luo_prev);
+        let est = self.luo_at(i, w, self.luo_prev);
         self.luo_prev = est;
         est
     }
 
     /// Recompute the LUO curve from scratch (after thinning changed the
     /// committed index space) using the reference backward walk
-    /// ([`luo_window_start`]).
+    /// ([`luo_window_start`]): one field written per row.
     fn rebuild_luo(&mut self) {
-        let state = match &self.state {
-            Some(s) => s,
-            None => return,
-        };
-        let start = self.window_start;
-        let n = self.entries.len();
-        let mut out = Vec::with_capacity(n);
         let mut prev = 0.0f64;
         let mut last_w = 0usize;
-        for i in 0..n {
-            let e = self.entries[i];
-            let t = e.time;
-            let elapsed = (t - start).max(1e-9);
-            let remaining_out = ((1.0 - e.alpha) * self.e_out_total).clamp(0.0, self.e_out_total);
-            let remaining_bytes = (state.driver_total_bytes - e.driver_read).max(0.0)
-                + remaining_out
-                + e.pending_spill;
-            let win = (elapsed * 0.1).max(1e-9);
-            let w = luo_window_start(&self.times, i, t, win);
+        for i in 0..self.rows.len() {
+            let t = self.rows[i].f[F_TIME];
+            let w = luo_window_start(|j| self.rows[j].f[F_TIME], i, t, self.luo_window(t));
             last_w = w;
-            let dt = t - self.times[w];
-            let db = e.done_bytes - self.entries[w].done_bytes;
-            let est = luo_point(i == 0, elapsed, dt, db, e.done_bytes, remaining_bytes, prev);
+            let est = self.luo_at(i, w, prev);
             prev = est;
-            out.push(est);
+            self.rows[i].f[F_LUO] = est;
         }
         self.luo_w = last_w;
         self.luo_prev = prev;
-        self.curves[online_index(EstimatorKind::Luo).expect("online")] = out;
     }
 
     /// Apply an engine thinning event: retain only the observations whose
     /// serial survives in `live` (the engine's post-thinning buffer,
-    /// ascending). Amortized O(1) per offered snapshot: thinning halves
-    /// the buffer, so each observation is touched O(log) times total.
+    /// ascending) — one in-place compaction of the rows. Amortized O(1)
+    /// per offered snapshot: thinning halves the buffer, so each
+    /// observation is touched O(log) times total.
     pub fn thin(&mut self, live: &[u64]) {
-        let keep: Vec<bool> = {
-            let mut keep = Vec::with_capacity(self.entries.len());
-            let mut li = 0usize;
-            for e in &self.entries {
-                while li < live.len() && live[li] < e.serial {
-                    li += 1;
-                }
-                keep.push(li < live.len() && live[li] == e.serial);
+        let before = self.rows.len();
+        let mut li = 0usize;
+        self.rows.retain(|row| {
+            while li < live.len() && live[li] < row.serial {
+                li += 1;
             }
-            keep
-        };
-        if keep.iter().all(|&k| k) {
-            // Committed set untouched; still filter pendings below.
-        } else {
-            let filter_f64 = |v: &mut Vec<f64>, keep: &[bool]| {
-                let mut i = 0;
-                v.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
-            };
-            let mut i = 0;
-            self.entries.retain(|_| {
-                let k = keep[i];
-                i += 1;
-                k
-            });
-            filter_f64(&mut self.times, &keep);
-            filter_f64(&mut self.alpha_curve, &keep);
-            for curve in &mut self.curves {
-                filter_f64(curve, &keep);
-            }
+            li < live.len() && live[li] == row.serial
+        });
+        if self.rows.len() != before {
             // The LUO window lookback is defined over the observation index
-            // space, which just changed: rebuild it (the other curves are
-            // pointwise and survive filtering untouched).
+            // space, which just changed: rebuild it (the other values are
+            // pointwise and survive in their rows untouched).
             self.rebuild_luo();
         }
         self.pending.retain(|e| live.binary_search(&e.serial).is_ok());
@@ -714,47 +885,47 @@ impl IncrementalObs {
         self.pending.clear();
     }
 
-    /// The committed curve of one estimator. Online kinds are available at
-    /// any point; the two oracle models (which need post-hoc totals) only
-    /// after [`Self::finalize`].
+    /// The committed curve of one estimator, copied out. Online kinds are
+    /// available at any point; the two oracle models (which need post-hoc
+    /// totals) only after [`Self::finalize`].
     ///
     /// # Panics
     /// Panics when an oracle curve is requested before finalization.
     pub fn curve(&self, kind: EstimatorKind) -> Vec<f64> {
-        self.curve_view(kind).into_owned()
+        self.curve_view(kind).to_vec()
     }
 
-    /// [`Self::curve`] without the copy for the maintained (online)
-    /// curves — re-selection reads only a few marker points, so a clone
-    /// per feature extraction would dominate its cost.
-    pub fn curve_view(&self, kind: EstimatorKind) -> Cow<'_, [f64]> {
+    /// [`Self::curve`] read in place: re-selection looks at a few marker
+    /// points and record extraction scores every curve once, so a copy
+    /// per curve would dominate both.
+    pub fn curve_view(&self, kind: EstimatorKind) -> Column<'_> {
         if let Some(idx) = online_index(kind) {
-            return Cow::Borrowed(&self.curves[idx]);
+            return self.column(F_VALUES + idx, Scale::Stored);
         }
         assert!(self.finalized, "{kind} needs post-hoc totals: only available after finalize()");
-        Cow::Owned(match kind {
+        let last = self.rows.last();
+        match kind {
             EstimatorKind::GetNextOracle => {
                 // Counters of this pipeline's nodes are frozen by its last
                 // observation, so the final Σ K equals the true Σ N_i.
-                let total = self.entries.last().map_or(0.0, |e| e.sum_k);
-                self.entries.iter().map(|e| clamp01(e.sum_k / total.max(1.0))).collect()
+                let total = last.map_or(0.0, |r| r.f[F_SUM_K]);
+                self.column(F_SUM_K, Scale::Over(total.max(1.0)))
             }
             EstimatorKind::BytesOracle => {
-                let total = self.entries.last().map_or(0.0, |e| e.done_bytes);
-                if total <= 0.0 {
-                    vec![1.0; self.len()]
-                } else {
-                    self.entries.iter().map(|e| clamp01(e.done_bytes / total)).collect()
-                }
+                let total = last.map_or(0.0, |r| r.f[F_DONE_BYTES]);
+                let scale = if total <= 0.0 { Scale::Ones } else { Scale::Over(total) };
+                self.column(F_DONE_BYTES, scale)
             }
             _ => unreachable!("non-oracle kinds are online"),
-        })
+        }
     }
 
     /// Latest committed value of one online estimator — the O(1) serving
-    /// path. `None` until the first observation commits.
+    /// path: one load from the last row. `None` until the first
+    /// observation commits.
     pub fn value(&self, kind: EstimatorKind) -> Option<f64> {
-        online_index(kind).and_then(|idx| self.curves[idx].last().copied())
+        let idx = online_index(kind)?;
+        self.rows.last().map(|r| r.f[F_VALUES + idx])
     }
 
     /// Post-hoc evaluation: replay pipeline `pid` of a completed run
@@ -866,7 +1037,7 @@ mod tests {
         obs.offer(4, &snap(50.0, 100, 50), (10.0, 41.0));
         obs.finalize((10.0, 41.0));
         assert_eq!(obs.len(), 4, "exactly one past-end observation");
-        assert_eq!(obs.times().last().copied(), Some(45.0));
+        assert_eq!(obs.times().last(), Some(45.0));
         let dne = obs.curve(EstimatorKind::Dne);
         assert!((dne.last().unwrap() - 1.0).abs() < 1e-12);
     }

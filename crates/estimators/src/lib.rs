@@ -50,6 +50,6 @@ pub use eval::{
     combine_pipeline_curves, evaluate_pipeline_shared, l1_error, l2_error, query_l1,
     query_progress_curve, ratio_error, EstimatorError,
 };
-pub use incremental::{IncrementalObs, ONLINE_KINDS};
+pub use incremental::{Column, IncrementalObs, ONLINE_KINDS};
 pub use kinds::EstimatorKind;
 pub use pipeline_obs::PipelineObs;

@@ -79,9 +79,14 @@ pub(crate) fn expected_output_bytes(plan: &PhysicalPlan, top: NodeId) -> f64 {
 /// `IncrementalObs::rebuild_luo`); `IncrementalObs::luo_next` reproduces
 /// the same result with a monotone forward pointer (equivalence argued
 /// there and property-tested under thinning).
-pub(crate) fn luo_window_start(times: &[f64], i: usize, t: f64, win: f64) -> usize {
+pub(crate) fn luo_window_start(
+    time_at: impl Fn(usize) -> f64,
+    i: usize,
+    t: f64,
+    win: f64,
+) -> usize {
     let mut w = i;
-    while w > 0 && t - times[w - 1] < win {
+    while w > 0 && t - time_at(w - 1) < win {
         w -= 1;
     }
     w.saturating_sub(1)

@@ -18,7 +18,9 @@
 //!   payload-free opcode, child indices, and the per-node cap constants
 //!   (base cardinalities, seek slack caps, TOP limits) pre-extracted into
 //!   columns. [`BoundsKernel::eval_into`] writes into caller-provided
-//!   scratch — zero allocation per snapshot.
+//!   scratch — zero allocation per snapshot. It also knows who depends on
+//!   what (see *Dependency masks* below), so a consumer that is told which
+//!   counters moved re-evaluates only what they reach.
 //! * `PipeCols`: the per-pipeline node walk with estimates and the
 //!   bytes-read membership test precompiled into gather indices and a
 //!   0/1 mask column, and the chained driver-family index lists laid out
@@ -32,8 +34,46 @@
 //! as each kernel's one independent reference ([`crate::refine::bounds`],
 //! [`crate::incremental::IncrementalObs::offer_shared_scalar`]), off every
 //! serving and collection path; the property nets pin the kernels to them.
+//!
+//! # Dependency masks
+//!
+//! Between two observations of a running query most of the plan stands
+//! still: pipelines run (mostly) one after another, so only the active
+//! pipeline's counters move. What a moved counter can reach is a static
+//! property of the plan, compiled here into two `u64` masks per node:
+//!
+//! * [`BoundsKernel::dependents`]: the topological *positions* whose
+//!   bounds read the node's `GetNext` counter. The bounds of a node are a
+//!   function of its own counter and of its children's counters and
+//!   bounds, so by induction of everything in its **subtree** and of
+//!   nothing else: a counter reaches its own position and every
+//!   ancestor's. [`BoundsKernel::eval_dirty`] re-evaluates exactly the
+//!   positions of a mask, in order; [`BoundsKernel::eval_from`] is the
+//!   special case of a contiguous suffix.
+//! * [`BoundsKernel::pipeline_readers`]: the *pipelines* whose
+//!   per-observation aggregates read a counter of the node. A pipeline
+//!   sums `GetNext`, bytes read and bytes written over its own nodes
+//!   (a change to any of the three counter columns is a change to its
+//!   aggregates — LUO's processed bytes move when no row does) and it
+//!   clamps its estimates by the bounds of its own nodes, hence, by the
+//!   subtree argument, depends on the `GetNext` counters of every node
+//!   *below* them too — nodes that belong to other pipelines. So a node
+//!   is read by its own pipeline and by the pipeline of each ancestor.
+//!   Dropping the ancestors would miss, for example, a hash join whose
+//!   upper bound still moves while its build side, another pipeline, runs.
+//!   (Our engine runs the pipelines of a query one after another, so by
+//!   the time a pipeline has started its subtree stands still and its own
+//!   streams never show the difference; the monitor takes any stream, and
+//!   `crates/monitor/tests/dirty_set_equivalence.rs` drives it with ones
+//!   that do.)
+//!   (`materialized` sizes are read once, when a pipeline's driver totals
+//!   resolve at its first observation, and never again.)
+//!
+//! Plans with more than 64 nodes do not fit a mask: every query on them
+//! reports "everything", which degrades to the full passes.
 
 use prosel_engine::plan::{OperatorKind, PhysicalPlan, SeekKind};
+use prosel_engine::Pipeline;
 
 /// Dense, payload-free opcode of the bound pass — one per
 /// [`OperatorKind`] *shape* rather than per variant, with the per-node
@@ -78,9 +118,17 @@ pub struct BoundsKernel {
     /// Topological position of each node id (0 — forcing a full
     /// re-evaluation — for nodes outside the evaluation order).
     pos: Vec<u32>,
+    /// Per node id: the positions whose bounds read the node's `GetNext`
+    /// counter — its own and its ancestors' (see the module docs).
+    /// `u64::MAX` throughout when the plan does not fit a mask; 0 for
+    /// nodes outside the evaluation order, which nothing reads.
+    above: Vec<u64>,
     /// Plan width (number of nodes).
     width: usize,
 }
+
+/// The positions a mask can name.
+const MASK_BITS: usize = u64::BITS as usize;
 
 impl BoundsKernel {
     /// Compile the bound pass for `plan`.
@@ -94,10 +142,22 @@ impl BoundsKernel {
             child1: Vec::with_capacity(n),
             cap: Vec::with_capacity(n),
             pos: vec![0; plan.len()],
+            above: vec![if n > MASK_BITS { u64::MAX } else { 0 }; plan.len()],
             width: plan.len(),
         };
         for (position, id) in order.iter().copied().enumerate() {
             kernel.pos[id] = position as u32;
+        }
+        if n <= MASK_BITS {
+            // Parents sit at later positions than their children, so a walk
+            // from the root down finds each node's mask complete before it
+            // is handed on.
+            for (position, &id) in order.iter().enumerate().rev() {
+                kernel.above[id] |= 1 << position;
+                for &c in &plan.node(id).children {
+                    kernel.above[c] |= kernel.above[id];
+                }
+            }
         }
         for id in order {
             let node = plan.node(id);
@@ -150,6 +210,39 @@ impl BoundsKernel {
         self.pos[node] as usize
     }
 
+    /// The topological positions whose bounds read `node`'s `GetNext`
+    /// counter, one bit each: its own and its ancestors' (why: the module
+    /// docs). OR these over the counters that moved and hand the result to
+    /// [`Self::eval_dirty`]. All ones on a plan of more than 64 nodes.
+    pub fn dependents(&self, node: usize) -> u64 {
+        self.above[node]
+    }
+
+    /// Per node id, the pipelines whose per-observation aggregates read
+    /// one of the node's counters — `GetNext`, bytes read or bytes
+    /// written — one bit per pipeline id: the pipeline the node belongs
+    /// to and the pipeline of each of its ancestors (why: the module
+    /// docs). `pipelines` is the decomposition of the kernel's plan. A
+    /// pipeline none of whose bits was raised by the counters that moved
+    /// since its previous observation has unchanged aggregates
+    /// ([`IncrementalObs::offer_unchanged`](crate::incremental::IncrementalObs::offer_unchanged)).
+    /// All ones on a plan of more than 64 nodes.
+    pub fn pipeline_readers(&self, pipelines: &[Pipeline]) -> Vec<u64> {
+        if self.node.len() > MASK_BITS {
+            return vec![u64::MAX; self.width];
+        }
+        let mut owner = [0u64; MASK_BITS];
+        for p in pipelines {
+            for &n in &p.nodes {
+                owner[self.pos[n] as usize] = 1 << p.id;
+            }
+        }
+        self.above
+            .iter()
+            .map(|&positions| set_bits(positions).fold(0, |readers, p| readers | owner[p]))
+            .collect()
+    }
+
     /// Evaluate the bound pass for counter vector `k`, writing the
     /// per-node lower/upper bounds into `lb`/`ub` (resized to the plan
     /// width and fully overwritten — no allocation once the scratch has
@@ -169,47 +262,85 @@ impl BoundsKernel {
     /// With `from = 0` this is a full pass. A `from` at or beyond the
     /// evaluation length is a no-op (nothing dirty).
     pub fn eval_from(&self, k: &[u64], lb: &mut [f64], ub: &mut [f64], from: usize) {
+        for i in from..self.node.len() {
+            self.eval_at(i, k, lb, ub);
+        }
+    }
+
+    /// Re-evaluate the bound pass at exactly the topological positions
+    /// set in `dirty`, ascending, assuming `lb`/`ub` hold a previous
+    /// evaluation and `dirty` covers [`Self::dependents`] of every node
+    /// whose `GetNext` counter moved since. Every position outside the
+    /// mask reads only unchanged inputs, so leaving it alone is
+    /// bit-identical to a full pass. On a plan of more than 64 nodes any
+    /// non-empty mask is a full pass.
+    pub fn eval_dirty(&self, k: &[u64], lb: &mut [f64], ub: &mut [f64], dirty: u64) {
+        if self.node.len() > MASK_BITS {
+            if dirty != 0 {
+                self.eval_from(k, lb, ub, 0);
+            }
+            return;
+        }
+        for i in set_bits(dirty) {
+            self.eval_at(i, k, lb, ub);
+        }
+    }
+
+    /// The bounds of the node at topological position `i` from its own
+    /// counter and its children's counters and bounds — the one loop body
+    /// of every pass above.
+    #[inline]
+    fn eval_at(&self, i: usize, k: &[u64], lb: &mut [f64], ub: &mut [f64]) {
         debug_assert_eq!(k.len(), self.width, "counter vector width mismatch");
         debug_assert_eq!(lb.len(), self.width, "lb scratch width mismatch");
         debug_assert_eq!(ub.len(), self.width, "ub scratch width mismatch");
-        for i in from..self.node.len() {
-            let id = self.node[i] as usize;
-            let kid = k[id] as f64;
-            let (l, u) = match self.op[i] {
-                BoundsOp::Leaf => (kid, self.cap[i].max(kid)),
-                BoundsOp::Passthrough => {
-                    let c = self.child0[i] as usize;
-                    let remaining = (ub[c] - k[c] as f64).max(0.0);
-                    (kid, kid + remaining)
-                }
-                BoundsOp::Top => {
-                    let c = self.child0[i] as usize;
-                    let remaining = (ub[c] - k[c] as f64).max(0.0);
-                    (kid, (kid + remaining).min(self.cap[i]).max(kid))
-                }
-                BoundsOp::Sort => {
-                    let c = self.child0[i] as usize;
-                    ((k[c] as f64).min(kid).max(kid.min(lb[c])).max(kid), ub[c].max(kid))
-                }
-                BoundsOp::Join => {
-                    let outer = self.child0[i] as usize;
-                    let inner = self.child1[i] as usize;
-                    let remaining_outer = (ub[outer] - k[outer] as f64).max(0.0);
-                    let inner_size = ub[inner].max(1.0);
-                    (kid, kid + remaining_outer * inner_size)
-                }
-                BoundsOp::MergeJoin => {
-                    let l = self.child0[i] as usize;
-                    let r = self.child1[i] as usize;
-                    let rem_l = (ub[l] - k[l] as f64).max(0.0);
-                    let rem_r = (ub[r] - k[r] as f64).max(0.0);
-                    (kid, kid + (rem_l * rem_r).max(rem_l + rem_r))
-                }
-            };
-            lb[id] = l;
-            ub[id] = u.max(l);
-        }
+        let id = self.node[i] as usize;
+        let kid = k[id] as f64;
+        let (l, u) = match self.op[i] {
+            BoundsOp::Leaf => (kid, self.cap[i].max(kid)),
+            BoundsOp::Passthrough => {
+                let c = self.child0[i] as usize;
+                let remaining = (ub[c] - k[c] as f64).max(0.0);
+                (kid, kid + remaining)
+            }
+            BoundsOp::Top => {
+                let c = self.child0[i] as usize;
+                let remaining = (ub[c] - k[c] as f64).max(0.0);
+                (kid, (kid + remaining).min(self.cap[i]).max(kid))
+            }
+            BoundsOp::Sort => {
+                let c = self.child0[i] as usize;
+                ((k[c] as f64).min(kid).max(kid.min(lb[c])).max(kid), ub[c].max(kid))
+            }
+            BoundsOp::Join => {
+                let outer = self.child0[i] as usize;
+                let inner = self.child1[i] as usize;
+                let remaining_outer = (ub[outer] - k[outer] as f64).max(0.0);
+                let inner_size = ub[inner].max(1.0);
+                (kid, kid + remaining_outer * inner_size)
+            }
+            BoundsOp::MergeJoin => {
+                let l = self.child0[i] as usize;
+                let r = self.child1[i] as usize;
+                let rem_l = (ub[l] - k[l] as f64).max(0.0);
+                let rem_r = (ub[r] - k[r] as f64).max(0.0);
+                (kid, kid + (rem_l * rem_r).max(rem_l + rem_r))
+            }
+        };
+        lb[id] = l;
+        ub[id] = u.max(l);
     }
+}
+
+/// The positions of the set bits of `mask`, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// Per-pipeline struct-of-arrays columns for the aggregate walk of
@@ -361,6 +492,110 @@ mod tests {
         let (snap_lb, snap_ub) = (lb.clone(), ub.clone());
         kernel.eval_from(&base, &mut lb, &mut ub, plan.len());
         assert_eq!((lb, ub), (snap_lb, snap_ub), "from == len is a no-op");
+    }
+
+    /// A tiny deterministic generator for the random cases below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// Move `moved`'s counters from `base` and refresh through the
+    /// dependency masks; the result must equal a from-scratch pass bit
+    /// for bit.
+    fn assert_mask_refresh_is_a_full_pass(
+        plan: &PhysicalPlan,
+        kernel: &BoundsKernel,
+        base: &[u64],
+        moved: &[usize],
+    ) {
+        let (mut lb, mut ub) = (Vec::new(), Vec::new());
+        kernel.eval_into(base, &mut lb, &mut ub);
+        let mut k = base.to_vec();
+        let mut dirty = 0u64;
+        for &node in moved {
+            k[node] += 7 + node as u64;
+            dirty |= kernel.dependents(node);
+        }
+        kernel.eval_dirty(&k, &mut lb, &mut ub, dirty);
+        let (flb, fub) = bounds(plan, &k);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lb), bits(&flb), "lb after moving {moved:?}");
+        assert_eq!(bits(&ub), bits(&fub), "ub after moving {moved:?}");
+    }
+
+    #[test]
+    fn mask_refresh_matches_a_full_pass_bitwise() {
+        let plan = join_plan();
+        let kernel = BoundsKernel::new(&plan);
+        let base = [4u64, 20, 3, 1, 0];
+        // A leaf reaches itself and the spine above it, not its sibling.
+        let positions =
+            |nodes: &[usize]| nodes.iter().fold(0u64, |m, &n| m | 1 << kernel.position_of(n));
+        assert_eq!(kernel.dependents(0), positions(&[0, 2, 3, 4]));
+        assert_eq!(kernel.dependents(1), positions(&[1, 2, 3, 4]));
+        assert_eq!(kernel.dependents(4), positions(&[4]));
+        for node in 0..plan.len() {
+            assert_mask_refresh_is_a_full_pass(&plan, &kernel, &base, &[node]);
+        }
+        let mut rng = 0x5EED;
+        for _ in 0..200 {
+            let moved: Vec<usize> =
+                (0..plan.len()).filter(|_| next(&mut rng).is_multiple_of(3)).collect();
+            let base: Vec<u64> = (0..plan.len()).map(|_| next(&mut rng) % 40).collect();
+            assert_mask_refresh_is_a_full_pass(&plan, &kernel, &base, &moved);
+        }
+        // Nothing moved: nothing evaluated.
+        let (mut lb, mut ub) = (Vec::new(), Vec::new());
+        kernel.eval_into(&base, &mut lb, &mut ub);
+        let before = (lb.clone(), ub.clone());
+        kernel.eval_dirty(&[9, 9, 9, 9, 9], &mut lb, &mut ub, 0);
+        assert_eq!((lb, ub), before, "an empty mask is a no-op");
+    }
+
+    #[test]
+    fn plans_wider_than_a_mask_fall_back_to_full_passes() {
+        // A scan under 69 filters: 70 positions do not fit 64 bits.
+        let mut nodes =
+            vec![node(OperatorKind::TableScan { table: "t".into(), cols: vec![0] }, vec![], 500.0)];
+        for i in 1..70 {
+            let pred = Predicate::ColCmp { col: 0, op: CmpOp::Gt, val: 0 };
+            nodes.push(node(OperatorKind::Filter { pred }, vec![i - 1], 400.0));
+        }
+        let plan = PhysicalPlan { root: nodes.len() - 1, nodes };
+        let kernel = BoundsKernel::new(&plan);
+        assert!((0..plan.len()).all(|n| kernel.dependents(n) == u64::MAX));
+        let pipelines = prosel_engine::decompose(&plan);
+        assert!(kernel.pipeline_readers(&pipelines).iter().all(|&m| m == u64::MAX));
+        let base: Vec<u64> = (0..plan.len() as u64).map(|i| 300 - 3 * i).collect();
+        let mut rng = 0xC4A1;
+        for node in [0, 1, 35, 63, 64, 69] {
+            assert_mask_refresh_is_a_full_pass(&plan, &kernel, &base, &[node]);
+        }
+        for _ in 0..20 {
+            let moved: Vec<usize> =
+                (0..plan.len()).filter(|_| next(&mut rng).is_multiple_of(5)).collect();
+            assert_mask_refresh_is_a_full_pass(&plan, &kernel, &base, &moved);
+        }
+    }
+
+    #[test]
+    fn pipeline_readers_follow_the_subtree() {
+        // join_plan: the build scan (node 1) is a pipeline of its own under
+        // the hash join's breaker edge; everything else is the probe
+        // pipeline, which starts second.
+        let plan = join_plan();
+        let pipelines = prosel_engine::decompose(&plan);
+        assert_eq!(pipelines.len(), 2);
+        assert_eq!(pipelines[0].nodes, vec![1]);
+        let readers = BoundsKernel::new(&plan).pipeline_readers(&pipelines);
+        // The build scan's counter moves the join's upper bound, which the
+        // probe pipeline clamps its estimates by: both pipelines read it.
+        assert_eq!(readers[1], 0b11);
+        // Nothing of the build pipeline looks up.
+        for probe_node in [0, 2, 3, 4] {
+            assert_eq!(readers[probe_node], 0b10, "node {probe_node}");
+        }
     }
 
     #[test]

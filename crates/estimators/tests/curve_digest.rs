@@ -84,9 +84,9 @@ fn curve_digest(runs: &[QueryRun]) -> (u64, usize, usize) {
             pipelines += 1;
             observations += obs.len();
             h.word(pid as u64);
-            h.f64s(obs.times());
+            h.f64s(&obs.times().to_vec());
             h.f64s(&obs.truth());
-            h.f64s(obs.driver_fraction());
+            h.f64s(&obs.driver_fraction().to_vec());
             h.word(obs.total_getnext());
             for &kind in &kinds {
                 h.f64s(&obs.curve(kind));

@@ -272,8 +272,11 @@ fn bench_snapshot_cost_16p(c: &mut Criterion) {
         let mut obs: Vec<IncrementalObs> =
             pipelines.iter().map(|p| IncrementalObs::new(Arc::clone(&plan), p)).collect();
         for (i, ev) in wire.iter().enumerate() {
-            // Patch the per-query scratch, tracking the first dirty
-            // topological position exactly as the shard's delta path does.
+            // Patch the per-query scratch and refresh the bounds from the
+            // first dirty topological position, then evaluate every
+            // pipeline: the always-evaluate path of replay and of the
+            // benchmark's shadow (the shard itself narrows both steps to
+            // what the moved counters reach).
             let dirty_from = match ev {
                 WireEvent::Full(snap, windows) => {
                     dec.apply_full(snap, windows);

@@ -219,6 +219,10 @@ struct QuerySlot {
     /// the publisher appends only new tail entries while holding the core
     /// mutex, so a reader blocks at most for a short memcpy.
     switches: Mutex<Vec<SwitchEvent>>,
+    /// How many switches the publisher has appended — its own note (one
+    /// writer, under the core mutex), so that an event without a new
+    /// switch, which is nearly every event, does not take the lock.
+    switches_published: AtomicUsize,
 }
 
 impl QuerySlot {
@@ -247,6 +251,7 @@ impl QuerySlot {
                 })
                 .collect(),
             switches: Mutex::new(Vec::new()),
+            switches_published: AtomicUsize::new(0),
         };
         slot.publish(view);
         slot
@@ -274,10 +279,11 @@ impl QuerySlot {
                 cell.observations.store(pipe.obs.len(), Ordering::Relaxed);
             }
         });
-        let mut switches = self.switches.lock().unwrap_or_else(|e| e.into_inner());
-        let seen = switches.len();
+        let seen = self.switches_published.load(Ordering::Relaxed);
         if seen < view.switches.len() {
+            let mut switches = self.switches.lock().unwrap_or_else(|e| e.into_inner());
             switches.extend_from_slice(&view.switches[seen..]);
+            self.switches_published.store(view.switches.len(), Ordering::Relaxed);
         }
     }
 
@@ -391,13 +397,25 @@ struct ShardSlot {
     /// The slot (not the core) owns the `events_rejected` increments: the
     /// router and dead-queue sweeps count refusals here.
     counters: ShardCounters,
-    /// Quiesce waiters park here; the shard task notifies after each batch.
+    /// Quiesce waiters park here; the shard task notifies when a batch
+    /// has carried `processed` to a value one of them waits for.
     drain_sync: Mutex<()>,
     drained: Condvar,
+    /// The smallest `processed` value a parked waiter is waiting for;
+    /// `u64::MAX` when nobody waits. Waiters lower it (under
+    /// `drain_sync`) *before* re-checking `processed`, the shard task
+    /// raises `processed` *before* reading it — both `SeqCst`, so of a
+    /// waiter and a batch racing each other at least one sees the other:
+    /// either the task finds the target and notifies, or the waiter
+    /// finds its events processed and never parks.
+    wake_at: AtomicU64,
+    /// Notifies issued (`monitor_shard<i>_quiesce_wakes_total`, scrape
+    /// only).
+    wakes: Arc<Counter>,
 }
 
 impl ShardSlot {
-    fn new(core: ProgressMonitor) -> ShardSlot {
+    fn new(core: ProgressMonitor, wakes: Arc<Counter>) -> ShardSlot {
         let counters = core.counters();
         ShardSlot {
             queue: Mutex::new(VecDeque::new()),
@@ -410,6 +428,8 @@ impl ShardSlot {
             counters,
             drain_sync: Mutex::new(()),
             drained: Condvar::new(),
+            wake_at: AtomicU64::new(u64::MAX),
+            wakes,
         }
     }
 
@@ -421,9 +441,28 @@ impl ShardSlot {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Account `n` more events as processed. `SeqCst`: the store half of
+    /// the handshake described at `wake_at`.
+    fn add_processed(&self, n: u64) {
+        self.processed.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// Wake the quiesce waiters if `processed` has reached the smallest
+    /// target among them — after most batches nobody waits, or not for
+    /// this little, and a notify is a futex syscall whether or not anyone
+    /// does. Everyone parked is woken and the target reset; waiters whose
+    /// own target is still ahead put it back before they park again.
     fn notify_drained(&self) {
-        drop(self.drain_sync.lock().unwrap_or_else(|e| e.into_inner()));
+        if self.wake_at.load(Ordering::SeqCst) > self.processed.load(Ordering::SeqCst) {
+            return;
+        }
+        // Through `drain_sync`: a waiter between its re-check and its
+        // park holds the lock, so the notify cannot fall into that gap.
+        let guard = self.drain_sync.lock().unwrap_or_else(|e| e.into_inner());
+        self.wake_at.store(u64::MAX, Ordering::SeqCst);
+        drop(guard);
         self.drained.notify_all();
+        self.wakes.inc();
     }
 
     /// Block until `processed >= target`. Terminates on dead shards too:
@@ -434,7 +473,11 @@ impl ShardSlot {
             return;
         }
         let mut guard = self.drain_sync.lock().unwrap_or_else(|e| e.into_inner());
-        while self.processed.load(Ordering::Acquire) < target {
+        loop {
+            self.wake_at.fetch_min(target, Ordering::SeqCst);
+            if self.processed.load(Ordering::SeqCst) >= target {
+                return;
+            }
             let (g, _) = self
                 .drained
                 .wait_timeout(guard, Duration::from_millis(1))
@@ -595,8 +638,7 @@ impl ServiceInner {
             }
             for ev in batch {
                 let query = ev.query();
-                core.ingest(ev);
-                match core.query_view(query) {
+                match core.ingest_view(ev) {
                     Some(view) => {
                         let registry = slot.registry.read().unwrap_or_else(|e| e.into_inner());
                         if let Some(qslot) = registry.get(&query) {
@@ -626,7 +668,7 @@ impl ServiceInner {
                 // publish step: the core increments the same shared
                 // atomics the read path loads.)
                 done.fetch_add(1, Ordering::Relaxed);
-                slot.processed.fetch_add(1, Ordering::AcqRel);
+                slot.add_processed(1);
             }
         }));
         if outcome.is_err() {
@@ -646,7 +688,7 @@ impl ServiceInner {
         self.ring.emit(ObsEvent::ShardPanic { shard: si });
         if unprocessed > 0 {
             slot.counters.events_rejected.add(unprocessed);
-            slot.processed.fetch_add(unprocessed, Ordering::AcqRel);
+            slot.add_processed(unprocessed);
         }
         self.drain_dead(si);
     }
@@ -662,7 +704,7 @@ impl ServiceInner {
         };
         if n > 0 {
             slot.counters.events_rejected.add(n);
-            slot.processed.fetch_add(n, Ordering::AcqRel);
+            slot.add_processed(n);
         }
         slot.notify_drained();
     }
@@ -739,7 +781,12 @@ impl MonitorService {
         let obs_options = prototype.config().obs;
         let runtime_config = prototype.config().runtime.clone();
         let clock = Arc::clone(&prototype.config().clock);
-        let shards = (0..n).map(|si| ShardSlot::new(prototype.fork(si))).collect();
+        let shards = (0..n)
+            .map(|si| {
+                let wakes = metrics.counter(&format!("monitor_shard{si}_quiesce_wakes_total"));
+                ShardSlot::new(prototype.fork(si), wakes)
+            })
+            .collect();
         let obs = ServiceObs::new(&metrics, obs_options);
         let ring = TraceRing::new(256, Arc::clone(&clock));
         let runtime_obs = Arc::new(RuntimeObs::from_registry(&metrics));
@@ -1638,6 +1685,114 @@ mod tests {
             let p = service.query_progress(q).expect("registered");
             assert!((p - 1.0).abs() < 1e-12, "q{q} final progress {p}");
         }
+    }
+
+    #[test]
+    fn short_counter_column_drops_the_query_and_spares_the_shard() {
+        use prosel_engine::trace::{CounterKind, CounterUpdate};
+        // The header check used to look at `k` alone: a snapshot whose
+        // `k` has the plan's width and another counter column does not
+        // went on to index that column — in the evaluation, or in the
+        // patch of the next delta — and the panic took every query of the
+        // shard with it.
+        let plan = scan_plan();
+        let columns =
+            [CounterKind::BytesRead, CounterKind::BytesWritten, CounterKind::Materialized];
+        for (corrupt, bystander, column) in
+            [(0usize, 2usize, columns[0]), (4, 6, columns[1]), (8, 10, columns[2])]
+        {
+            let service = dne().shards(2).build_service().unwrap();
+            service.register(corrupt, &plan);
+            service.register(bystander, &plan);
+            let TraceEvent::Snapshot { mut snapshot, windows, .. } =
+                snapshot_event(corrupt, 0, 10.0, 25)
+            else {
+                unreachable!("snapshot_event builds a snapshot")
+            };
+            match column {
+                CounterKind::BytesRead => snapshot.bytes_read = Box::new([]),
+                CounterKind::BytesWritten => snapshot.bytes_written = Box::new([]),
+                _ => snapshot.materialized = Box::new([]),
+            }
+            service.ingest(TraceEvent::Snapshot {
+                query: corrupt,
+                seq: 0,
+                wall: 10.0,
+                snapshot,
+                windows,
+            });
+            service.ingest(TraceEvent::Delta {
+                query: corrupt,
+                seq: 1,
+                wall: 20.0,
+                time: 20.0,
+                changes: Box::new([CounterUpdate { node: 0, counter: column, value: 7 }]),
+                window_updates: Box::new([]),
+            });
+            assert_eq!(
+                service.query_progress(corrupt),
+                Err(QueryError::QueryUnknown(corrupt)),
+                "{column:?}: the corrupt stream's query is dropped"
+            );
+            // Same shard, still alive, still serving.
+            service.ingest(snapshot_event(bystander, 0, 10.0, 25));
+            assert!(
+                (service.query_progress(bystander).unwrap() - 0.25).abs() < 1e-12,
+                "{column:?}"
+            );
+            let stats = service.stats().expect("stats are always served");
+            assert_eq!((stats.queries_dropped, stats.events_rejected), (1, 0), "{column:?}");
+            assert_eq!(stats.events_unroutable, 1, "{column:?}: the delta found no query");
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn quiesce_waiters_wake_at_their_own_targets_and_rarely() {
+        use std::sync::Barrier;
+        // One shard, a tap streaming batches into it, and waiters parked
+        // at different points of the stream: each must come back, none
+        // before the shard has processed what it waits for, and the shard
+        // must not pay a notify per batch for them.
+        let plan = scan_plan();
+        let service = dne().shards(1).build_service().unwrap();
+        const QUERIES: usize = 32;
+        const SNAPSHOTS: u64 = 1000;
+        for q in 0..QUERIES {
+            service.register(q, &plan);
+        }
+        let total = QUERIES as u64 * SNAPSHOTS;
+        let targets = [total / 7, total / 3, total / 2, total / 2, total - 1, total];
+        let slot = &service.inner.shards[0];
+        let start = Barrier::new(targets.len() + 1);
+        std::thread::scope(|scope| {
+            for &target in &targets {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    slot.wait_processed(target);
+                    let processed = slot.processed.load(Ordering::SeqCst);
+                    assert!(processed >= target, "woke at {processed}, waiting for {target}");
+                });
+            }
+            let tap = service.tap();
+            start.wait();
+            for seq in 0..SNAPSHOTS {
+                let batch: Vec<TraceEvent> =
+                    (0..QUERIES).map(|q| snapshot_event(q, seq, (seq + 1) as f64, 1)).collect();
+                tap.send_batch(batch).unwrap();
+            }
+        });
+        // `quiesce` still means: everything accepted is visible.
+        service.quiesce();
+        assert_eq!(slot.processed.load(Ordering::SeqCst), total);
+        let metrics = service.metrics();
+        let wakes = metrics.counter("monitor_shard0_quiesce_wakes_total").expect("registered");
+        let batches = metrics.histogram("service_ingest_batch_len").expect("registered").count();
+        assert!(wakes >= 1, "the waiters were woken, not timed out of every wait");
+        assert!(wakes * 1000 < total, "{wakes} wakes for {total} events");
+        assert!(wakes * 4 < batches, "{wakes} wakes for {batches} batches");
+        service.shutdown();
     }
 
     #[test]

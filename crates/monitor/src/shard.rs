@@ -14,7 +14,13 @@
 //! Per snapshot, the refinement-bound pass is computed **once per query**
 //! as a [`SnapshotCtx`] and shared across all of the query's pipelines
 //! ([`IncrementalObs::offer_view`]) — O(plan) per snapshot instead of
-//! O(pipelines × plan).
+//! O(pipelines × plan) — and only where counters moved: the event's
+//! changed counters (a delta lists them, a full snapshot is diffed
+//! against the scratch it overwrites) are folded through the plan's
+//! dependency masks ([`prosel_estimators::soa`]) into the bound positions
+//! to refresh and the pipelines whose aggregates to recompute; every
+//! other started pipeline re-stamps its previous aggregates in O(1)
+//! ([`IncrementalObs::offer_unchanged`]).
 
 use crate::eta::{Eta, SpeedTracker, StaleEta};
 use crate::runtime::RuntimeConfig;
@@ -32,6 +38,7 @@ use prosel_engine::{decompose, pipeline_weight, Pipeline};
 use prosel_estimators::soa::BoundsKernel;
 use prosel_estimators::{EstimatorKind, IncrementalObs, SnapshotCtx};
 use prosel_obs::{Counter, Histogram, MetricsRegistry, ObsOptions};
+use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -460,8 +467,10 @@ impl PipeState {
 /// its whole lifetime: the [`DeltaDecoder`] holds the current counter
 /// vectors and windows (full snapshots are copied into it in place,
 /// [`TraceEvent::Delta`] events patch it sparsely), the [`SnapshotCtx`]
-/// is the refinement-bound scratch refreshed per event, and the
-/// [`BoundsKernel`] is the bound pass compiled once at registration.
+/// is the refinement-bound scratch refreshed per event, the
+/// [`BoundsKernel`] is the bound pass compiled once at registration, and
+/// `readers` its per-node pipeline masks
+/// ([`BoundsKernel::pipeline_readers`]).
 /// Before this existed, every ingested snapshot allocated a fresh
 /// `SnapshotCtx` (two `Vec<f64>` plus the topological order) — visible
 /// under the 24k-query saturated-ingest bench.
@@ -469,24 +478,49 @@ struct IngestScratch {
     decoder: DeltaDecoder,
     ctx: SnapshotCtx,
     kernel: BoundsKernel,
+    readers: Vec<u64>,
 }
 
 impl IngestScratch {
-    fn new(plan: &PhysicalPlan) -> IngestScratch {
+    fn new(plan: &PhysicalPlan, pipelines: &[Pipeline]) -> IngestScratch {
+        let kernel = BoundsKernel::new(plan);
         IngestScratch {
             decoder: DeltaDecoder::new(),
             ctx: SnapshotCtx::empty(),
-            kernel: BoundsKernel::new(plan),
+            readers: kernel.pipeline_readers(pipelines),
+            kernel,
+        }
+    }
+}
+
+/// What the counters one event moved can reach: the bound positions to
+/// re-evaluate and the pipelines whose aggregates to recompute (one bit
+/// each — see the dependency masks of [`prosel_estimators::soa`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Dirty {
+    positions: u64,
+    pipes: u64,
+}
+
+impl Dirty {
+    /// Fold in one moved counter of `node`.
+    fn mark(&mut self, kernel: &BoundsKernel, readers: &[u64], node: usize, counter: CounterKind) {
+        match counter {
+            CounterKind::GetNext => {
+                self.positions |= kernel.dependents(node);
+                self.pipes |= readers[node];
+            }
+            CounterKind::BytesRead | CounterKind::BytesWritten => self.pipes |= readers[node],
+            // Read once, when a pipeline's driver totals resolve at its
+            // first observation; no started pipeline looks at it again.
+            CounterKind::Materialized => {}
         }
     }
 
-    /// Refresh the shared bound context from the current scratch counters,
-    /// re-evaluating only from topological position `dirty_from` onward —
-    /// the delta-driven incremental path (bit-identical to a full pass,
-    /// see [`SnapshotCtx::refresh_from`]). Full snapshots pass 0.
-    fn refresh_ctx(&mut self, dirty_from: usize) {
-        let IngestScratch { decoder, ctx, kernel } = self;
-        ctx.refresh_from(kernel, decoder.view().k, dirty_from);
+    /// Must pipeline `pid` recompute its aggregates? (Pipelines a mask
+    /// cannot name always do.)
+    fn reaches(&self, pid: usize) -> bool {
+        pid >= u64::BITS as usize || self.pipes >> pid & 1 == 1
     }
 }
 
@@ -518,6 +552,12 @@ struct QueryState {
     eta: SpeedTracker,
     /// Wall stamp of the latest stamped event seen for this query.
     last_wall: f64,
+    /// The served query-level progress and raw at-last-event ETA, kept
+    /// current by every event that can move them (snapshot/delta,
+    /// `Thinned`, `Finished`) so that reads and the service's publish
+    /// step take them as computed instead of re-deriving them.
+    progress: f64,
+    served_eta: Eta,
 }
 
 /// One query's state, projected for the service's read-snapshot publish
@@ -531,6 +571,32 @@ pub(crate) struct QueryView<'a> {
     pub(crate) epoch: u64,
     pub(crate) pipes: &'a [PipeState],
     pub(crate) switches: &'a [SwitchEvent],
+}
+
+impl<'a> QueryView<'a> {
+    fn of(qs: &'a QueryState) -> QueryView<'a> {
+        QueryView {
+            progress: qs.progress,
+            time: qs.last_time,
+            finished: qs.finished,
+            eta: qs.served_eta,
+            epoch: qs.epoch,
+            pipes: &qs.pipes,
+            switches: &qs.switches,
+        }
+    }
+}
+
+/// What ingesting an event needs of the monitor besides the query map,
+/// borrowed field by field: the state the event leaves behind is handed
+/// back borrowing the map alone ([`ProgressMonitor::ingest_view`]).
+struct IngestEnv<'a> {
+    counters: &'a ShardCounters,
+    reselect_every: usize,
+    harvester: Option<&'a (Arc<dyn HarvestSink>, HarvestConfig)>,
+    dynamic_feats: &'a mut Vec<f32>,
+    /// Is this event a sampled (timed) one?
+    timed: bool,
 }
 
 /// Long-lived online progress monitor (single-threaded core / one shard of
@@ -552,9 +618,6 @@ pub struct ProgressMonitor {
     dynamic_feats: Vec<f32>,
     /// Rolling event tick for 1-in-N latency sampling.
     obs_tick: u32,
-    /// Is the event currently being ingested a sampled (timed) one? Set
-    /// by [`Self::ingest`], read by the snapshot/delta eval timing.
-    obs_timed: bool,
 }
 
 impl ProgressMonitor {
@@ -591,7 +654,6 @@ impl ProgressMonitor {
             counters,
             dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
-            obs_timed: false,
         })
     }
 
@@ -693,26 +755,28 @@ impl ProgressMonitor {
             Policy::Fixed(_) => None,
             Policy::Selector(sel) => Some(Arc::clone(sel)),
         };
-        let scratch = IngestScratch::new(&plan);
-        self.queries.insert(
-            query,
-            QueryState {
-                plan,
-                scratch,
-                weights,
-                total_weight,
-                selector,
-                epoch: self.epoch,
-                pipes,
-                live: Vec::new(),
-                serial_next: 0,
-                last_time: 0.0,
-                finished: false,
-                switches: Vec::new(),
-                eta: SpeedTracker::new(self.config.eta_window),
-                last_wall: 0.0,
-            },
-        );
+        let scratch = IngestScratch::new(&plan, &pipelines);
+        let eta = SpeedTracker::new(self.config.eta_window);
+        let mut qs = QueryState {
+            plan,
+            scratch,
+            weights,
+            total_weight,
+            selector,
+            epoch: self.epoch,
+            pipes,
+            live: Vec::new(),
+            serial_next: 0,
+            last_time: 0.0,
+            finished: false,
+            switches: Vec::new(),
+            served_eta: eta.estimate(),
+            eta,
+            last_wall: 0.0,
+            progress: 0.0,
+        };
+        qs.progress = Self::progress_of(&qs);
+        self.queries.insert(query, qs);
         self.counters.admitted.inc();
         self.counters.registered.reset(self.queries.len() as u64);
         Ok(())
@@ -722,123 +786,164 @@ impl ProgressMonitor {
     /// silently dropped (the tap may carry queries this monitor does not
     /// track).
     pub fn ingest(&mut self, ev: TraceEvent) {
-        self.obs_tick = self.obs_tick.wrapping_add(1);
-        self.obs_timed = self.obs_tick.is_multiple_of(self.counters.stride);
-        if self.obs_timed {
-            let start = Instant::now();
-            self.ingest_inner(ev);
-            self.counters.ingest_ns.record(start.elapsed().as_nanos() as u64);
-        } else {
-            self.ingest_inner(ev);
-        }
+        self.ingest_view(ev);
     }
 
-    fn ingest_inner(&mut self, ev: TraceEvent) {
-        match ev {
-            TraceEvent::Snapshot { query, seq, wall, snapshot, windows } => {
-                self.on_snapshot(query, seq, wall, &snapshot, &windows);
+    /// [`Self::ingest`], handing back the state the event left its query
+    /// in — what the service publishes, taken from the hands that just
+    /// computed it instead of looked up and re-derived. `None` when the
+    /// query is not (or, after a defensive drop, no longer) registered.
+    pub(crate) fn ingest_view(&mut self, ev: TraceEvent) -> Option<QueryView<'_>> {
+        self.obs_tick = self.obs_tick.wrapping_add(1);
+        let timed = self.obs_tick.is_multiple_of(self.counters.stride);
+        let env = IngestEnv {
+            counters: &self.counters,
+            reselect_every: self.config.reselect_every,
+            harvester: self.harvester.as_ref(),
+            dynamic_feats: &mut self.dynamic_feats,
+            timed,
+        };
+        let start = timed.then(Instant::now);
+        let qs = Self::ingest_inner(&mut self.queries, env, ev);
+        if let Some(start) = start {
+            self.counters.ingest_ns.record(start.elapsed().as_nanos() as u64);
+        }
+        qs.map(QueryView::of)
+    }
+
+    fn ingest_inner<'q>(
+        queries: &'q mut BTreeMap<usize, QueryState>,
+        mut env: IngestEnv<'_>,
+        ev: TraceEvent,
+    ) -> Option<&'q QueryState> {
+        // The map's size before this event: what a defensive drop, which
+        // holds the entry and not the map, re-seats the gauge from.
+        let registered = queries.len();
+        let Entry::Occupied(mut entry) = queries.entry(ev.query()) else {
+            env.counters.events_unroutable.inc();
+            return None;
+        };
+        env.counters.events_ingested.inc();
+        let qs = entry.get_mut();
+        // One contract for every event kind: state that can no longer be
+        // trusted is dropped — never served, never a panic (which would
+        // kill a whole service shard).
+        let trusted = match ev {
+            TraceEvent::Snapshot { seq, wall, snapshot, windows, .. } => {
+                Self::on_snapshot(qs, &mut env, seq, wall, &snapshot, &windows)
             }
-            TraceEvent::Delta { query, seq, wall, time, changes, window_updates } => {
-                self.on_delta(query, seq, wall, time, &changes, &window_updates);
+            TraceEvent::Delta { seq, wall, time, changes, window_updates, .. } => {
+                Self::on_delta(qs, &mut env, seq, wall, time, &changes, &window_updates)
             }
-            TraceEvent::Thinned { query } => {
-                if let Some(qs) = self.queries.get_mut(&query) {
-                    self.counters.events_ingested.inc();
-                    if qs.finished {
-                        // A new stream reusing the id (see on_snapshot).
-                        self.drop_query_state(query);
-                        return;
-                    }
+            // `finished`: a new stream reusing the id (see on_snapshot).
+            TraceEvent::Thinned { .. } => {
+                !qs.finished && {
                     // Mirror the engine: odd positions survive, interval
                     // doubles (the interval is the engine's business).
                     thin_half(&mut qs.live);
                     for pipe in &mut qs.pipes {
                         pipe.obs.thin(&qs.live);
                     }
-                } else {
-                    self.counters.events_unroutable.inc();
+                    // Thinning rebuilds the LUO window: a served value moved.
+                    qs.progress = Self::progress_of(qs);
+                    true
                 }
             }
             TraceEvent::Finished { query, wall, windows, total_time } => {
-                if let Some(qs) = self.queries.get_mut(&query) {
-                    self.counters.events_ingested.inc();
-                    if qs.finished || windows.len() != qs.pipes.len() {
-                        // Same contract as the snapshot path: a second
-                        // termination means a new stream is reusing this
-                        // id against finalized state, and a window-arity
-                        // mismatch means the engine ran a different plan
-                        // under it — drop the state rather than panic the
-                        // shard (or serve stale answers).
-                        self.drop_query_state(query);
-                        return;
-                    }
-                    qs.finished = true;
-                    qs.last_time = total_time;
-                    qs.last_wall = qs.last_wall.max(wall);
-                    self.counters.queries_finished.inc();
-                    for pipe in &mut qs.pipes {
-                        let pid = pipe.obs.pipeline_id();
-                        pipe.obs.finalize(windows[pid]);
-                    }
-                    // Harvest hook: the pipes are finalized, so their
-                    // committed curves, truth and totals now match what
-                    // post-hoc replay would compute over this trace.
-                    if let Some((sink, hcfg)) = &self.harvester {
-                        let records = qs
-                            .pipes
-                            .iter()
-                            .filter_map(|pipe| {
-                                record_from_online(
-                                    &qs.plan,
-                                    &pipe.obs,
-                                    &hcfg.label,
-                                    query,
-                                    qs.weights[pipe.obs.pipeline_id()],
-                                    hcfg.min_observations,
-                                )
-                            })
-                            .collect();
-                        sink.deliver(HarvestedQuery {
-                            query,
-                            selector_epoch: qs.epoch,
-                            total_time,
-                            records,
-                            switches: qs.switches.clone(),
-                        });
-                        self.counters.harvests.inc();
-                    }
-                } else {
-                    self.counters.events_unroutable.inc();
+                // Same contract as the snapshot path: a second
+                // termination means a new stream is reusing this id
+                // against finalized state, and a window-arity mismatch
+                // means the engine ran a different plan under it.
+                !qs.finished && windows.len() == qs.pipes.len() && {
+                    Self::on_finished(qs, &env, query, wall, &windows, total_time);
+                    true
                 }
             }
+        };
+        if !trusted {
+            Self::drop_entry(entry, registered, env.counters);
+            return None;
+        }
+        Some(entry.into_mut())
+    }
+
+    fn on_finished(
+        qs: &mut QueryState,
+        env: &IngestEnv<'_>,
+        query: usize,
+        wall: f64,
+        windows: &[(f64, f64)],
+        total_time: f64,
+    ) {
+        qs.finished = true;
+        qs.last_time = total_time;
+        qs.last_wall = qs.last_wall.max(wall);
+        qs.progress = 1.0;
+        qs.served_eta = Eta::finished(qs.last_wall);
+        env.counters.queries_finished.inc();
+        for pipe in &mut qs.pipes {
+            let pid = pipe.obs.pipeline_id();
+            pipe.obs.finalize(windows[pid]);
+        }
+        // Harvest hook: the pipes are finalized, so their committed
+        // curves, truth and totals now match what post-hoc replay would
+        // compute over this trace.
+        if let Some((sink, hcfg)) = env.harvester {
+            let records = qs
+                .pipes
+                .iter()
+                .filter_map(|pipe| {
+                    record_from_online(
+                        &qs.plan,
+                        &pipe.obs,
+                        &hcfg.label,
+                        query,
+                        qs.weights[pipe.obs.pipeline_id()],
+                        hcfg.min_observations,
+                    )
+                })
+                .collect();
+            sink.deliver(HarvestedQuery {
+                query,
+                selector_epoch: qs.epoch,
+                total_time,
+                records,
+                switches: qs.switches.clone(),
+            });
+            env.counters.harvests.inc();
         }
     }
 
     /// Defensive drop of one query's state (corrupt, late-joined or
     /// id-reusing stream): one call site funnel so the drop counter and
-    /// the `registered` gauge can never drift from the map.
-    fn drop_query_state(&mut self, query: usize) {
-        self.queries.remove(&query);
-        self.counters.queries_dropped.inc();
-        self.counters.registered.reset(self.queries.len() as u64);
+    /// the `registered` gauge can never drift from the map, which held
+    /// `registered` queries with this one in it.
+    fn drop_entry(
+        entry: OccupiedEntry<'_, usize, QueryState>,
+        registered: usize,
+        counters: &ShardCounters,
+    ) {
+        entry.remove();
+        counters.queries_dropped.inc();
+        counters.registered.reset(registered as u64 - 1);
     }
 
+    /// Ingest a full snapshot; `false` when the stream can no longer be
+    /// trusted.
     fn on_snapshot(
-        &mut self,
-        query: usize,
+        qs: &mut QueryState,
+        env: &mut IngestEnv<'_>,
         seq: u64,
         wall: f64,
         snapshot: &Snapshot,
         windows: &[(f64, f64)],
-    ) {
-        let Some(qs) = self.queries.get_mut(&query) else {
-            self.counters.events_unroutable.inc();
-            return;
-        };
-        self.counters.events_ingested.inc();
+    ) -> bool {
+        let width = qs.plan.len();
         if qs.finished
             || seq != qs.serial_next
-            || snapshot.k.len() != qs.plan.len()
+            || [&snapshot.k, &snapshot.bytes_read, &snapshot.bytes_written, &snapshot.materialized]
+                .iter()
+                .any(|column| column.len() != width)
             || windows.len() != qs.pipes.len()
         {
             // `finished` first: a snapshot after termination means a new
@@ -846,46 +951,39 @@ impl ProgressMonitor {
             // seq-0 stream would otherwise pass the header check when the
             // finished run emitted no snapshots, and panic the pipes).
             // The stream was joined mid-way, events were lost, or the
-            // engine is executing a different plan under this query id:
-            // state can no longer be trusted, so refuse to serve
-            // corrupted estimates rather than panic or misalign.
-            self.drop_query_state(query);
-            return;
+            // engine is executing a different plan under this query id —
+            // any one counter column of the wrong width says so, and every
+            // later index into it (this snapshot's evaluation, the next
+            // delta's patch) relies on the width checked here: state can
+            // no longer be trusted, so refuse to serve corrupted estimates
+            // rather than panic or misalign.
+            return false;
         }
         // Copy the full counter vectors into the per-query scratch (no
-        // allocation once the scratch is warm) and run the shared tail.
-        qs.scratch.decoder.apply_full(snapshot, windows);
-        let eval_start = self.obs_timed.then(Instant::now);
-        Self::advance_query(
-            qs,
-            self.config.reselect_every,
-            wall,
-            0,
-            &self.counters,
-            &mut self.dynamic_feats,
-        );
-        if let Some(start) = eval_start {
-            self.counters.snapshot_eval_ns.record(start.elapsed().as_nanos() as u64);
-        }
+        // allocation once the scratch is warm), noting which of them
+        // differ from what it held, and run the shared tail.
+        let IngestScratch { decoder, kernel, readers, .. } = &mut qs.scratch;
+        let mut dirty = Dirty::default();
+        decoder.apply_full_diff(snapshot, windows, |node, counter| {
+            dirty.mark(kernel, readers, node, counter)
+        });
+        Self::advance_query(qs, env, wall, dirty);
+        true
     }
 
     /// Ingest a [`TraceEvent::Delta`]: patch the per-query counter
     /// scratch with the changed `(node, counter)` pairs and advance the
-    /// pipelines exactly as a full snapshot would.
+    /// pipelines exactly as a full snapshot would. `false` when the
+    /// stream can no longer be trusted.
     fn on_delta(
-        &mut self,
-        query: usize,
+        qs: &mut QueryState,
+        env: &mut IngestEnv<'_>,
         seq: u64,
         wall: f64,
         time: f64,
         changes: &[CounterUpdate],
         window_updates: &[(u32, (f64, f64))],
-    ) {
-        let Some(qs) = self.queries.get_mut(&query) else {
-            self.counters.events_unroutable.inc();
-            return;
-        };
-        self.counters.events_ingested.inc();
+    ) -> bool {
         // Same contract as the snapshot path, plus: a delta is only
         // meaningful against a primed baseline (the engine always emits a
         // full snapshot first), and its node/pipeline indices must land
@@ -896,60 +994,45 @@ impl ProgressMonitor {
             && seq == qs.serial_next
             && qs.scratch.decoder.apply_delta(time, changes, window_updates);
         if !ok {
-            self.drop_query_state(query);
-            return;
+            return false;
         }
-        self.counters.delta_decodes.inc();
-        // The delta names exactly which counters moved, and the bound pass
-        // only reads `GetNext` counters — refresh the bound context from
-        // the first dirty topological position instead of re-evaluating
-        // the whole plan.
-        let dirty_from = changes
-            .iter()
-            .filter(|u| matches!(u.counter, CounterKind::GetNext))
-            .map(|u| qs.scratch.kernel.position_of(u.node as usize))
-            .min()
-            .unwrap_or(usize::MAX);
-        let eval_start = self.obs_timed.then(Instant::now);
-        Self::advance_query(
-            qs,
-            self.config.reselect_every,
-            wall,
-            dirty_from,
-            &self.counters,
-            &mut self.dynamic_feats,
-        );
-        if let Some(start) = eval_start {
-            self.counters.snapshot_eval_ns.record(start.elapsed().as_nanos() as u64);
+        env.counters.delta_decodes.inc();
+        // The delta names exactly which counters moved.
+        let IngestScratch { kernel, readers, .. } = &qs.scratch;
+        let mut dirty = Dirty::default();
+        for u in changes {
+            dirty.mark(kernel, readers, u.node as usize, u.counter);
         }
+        Self::advance_query(qs, env, wall, dirty);
+        true
     }
 
     /// The shared per-event tail of [`Self::on_snapshot`] /
     /// [`Self::on_delta`]: the query's counter scratch holds the current
-    /// snapshot; do the serial bookkeeping, refresh the shared bound
-    /// context (the O(pipelines × plan) → O(plan) hoist, now also
-    /// allocation-free), and offer the snapshot view to every pipeline.
-    fn advance_query(
-        qs: &mut QueryState,
-        reselect_every: usize,
-        wall: f64,
-        dirty_from: usize,
-        counters: &ShardCounters,
-        dynamic_feats: &mut Vec<f32>,
-    ) {
+    /// snapshot and `dirty` what its moved counters reach; do the serial
+    /// bookkeeping, refresh the shared bound context at the dirty
+    /// positions, recompute the aggregates of the dirty pipelines and
+    /// re-stamp the others.
+    fn advance_query(qs: &mut QueryState, env: &mut IngestEnv<'_>, wall: f64, dirty: Dirty) {
+        let eval_start = env.timed.then(Instant::now);
         let serial = qs.serial_next;
         qs.serial_next += 1;
         qs.live.push(serial);
-        qs.scratch.refresh_ctx(dirty_from);
         // Destructure so the pipe loop can borrow the scratch (view +
         // ctx) and the pipes mutably at the same time.
         let QueryState { scratch, pipes, selector, switches, last_time, .. } = qs;
-        let view = scratch.decoder.view();
-        let windows = scratch.decoder.windows();
+        let IngestScratch { decoder, ctx, kernel, .. } = scratch;
+        let view = decoder.view();
+        let windows = decoder.windows();
+        ctx.refresh_dirty(kernel, view.k, dirty.positions);
         *last_time = view.time;
         for pipe in pipes.iter_mut() {
             let pid = pipe.obs.pipeline_id();
-            let committed = pipe.obs.offer_view(serial, view, windows[pid], &scratch.ctx);
+            let committed = if dirty.reaches(pid) {
+                pipe.obs.offer_view(serial, view, windows[pid], ctx)
+            } else {
+                pipe.obs.offer_unchanged(serial, view, windows[pid], ctx)
+            };
             if committed == 0 {
                 continue;
             }
@@ -958,10 +1041,12 @@ impl ProgressMonitor {
             // hot swap must never change an in-flight query's behavior.
             if let Some(sel) = selector {
                 pipe.since_select += committed;
-                if reselect_every > 0 && pipe.since_select >= reselect_every && !pipe.obs.is_empty()
+                if env.reselect_every > 0
+                    && pipe.since_select >= env.reselect_every
+                    && !pipe.obs.is_empty()
                 {
                     pipe.since_select = 0;
-                    let next = pipe.rescore(sel, dynamic_feats, counters);
+                    let next = pipe.rescore(sel, env.dynamic_feats, env.counters);
                     if next != pipe.choice {
                         switches.push(SwitchEvent {
                             pipeline: pid,
@@ -976,10 +1061,16 @@ impl ProgressMonitor {
         }
         // One speed sample per snapshot: the wall stamp against the served
         // query-level progress. Regressions and frozen clocks are rejected
-        // inside the tracker, so the sample can be offered unconditionally.
+        // inside the tracker, so the sample can be offered unconditionally;
+        // the served ETA moves only when one is accepted.
         qs.last_wall = qs.last_wall.max(wall);
-        let progress = Self::progress_of(qs);
-        qs.eta.offer(wall, progress);
+        qs.progress = Self::progress_of(qs);
+        if qs.eta.offer(wall, qs.progress) {
+            qs.served_eta = qs.eta.estimate();
+        }
+        if let Some(start) = eval_start {
+            env.counters.snapshot_eval_ns.record(start.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Drain every event currently queued on `rx` (non-blocking). Returns
@@ -998,8 +1089,7 @@ impl ProgressMonitor {
     /// estimator, pinned to exactly 1.0 once the engine reported
     /// termination. `None` for unregistered queries.
     pub fn query_progress(&self, query: usize) -> Option<f64> {
-        let qs = self.queries.get(&query)?;
-        Some(Self::progress_of(qs))
+        self.queries.get(&query).map(|qs| qs.progress)
     }
 
     fn progress_of(qs: &QueryState) -> f64 {
@@ -1048,11 +1138,7 @@ impl ProgressMonitor {
     /// stream (bit-deterministic under a manual clock — the equivalence
     /// suites pin on this variant).
     pub fn remaining_time_at_last_event(&self, query: usize) -> Option<Eta> {
-        let qs = self.queries.get(&query)?;
-        if qs.finished {
-            return Some(Eta::finished(qs.last_wall));
-        }
-        Some(qs.eta.estimate())
+        self.queries.get(&query).map(|qs| qs.served_eta)
     }
 
     /// [`Self::remaining_time_at_last_event`] plus its staleness: how many
@@ -1110,7 +1196,7 @@ impl ProgressMonitor {
             .collect();
         Some(QueryStatus {
             query,
-            progress: Self::progress_of(qs),
+            progress: qs.progress,
             time: qs.last_time,
             finished: qs.finished,
             pipelines,
@@ -1220,20 +1306,11 @@ impl ProgressMonitor {
     /// Everything the service's snapshot-publish path needs about one
     /// query, borrowed in a single lookup: the served progress, the raw
     /// at-last-event [`Eta`], and the per-pipeline observation state. The
-    /// service copies these into its seqlocked read snapshot after every
-    /// ingested event; keeping the projection here (instead of N public
-    /// getters × N BTreeMap lookups) keeps the publish cost one map probe.
+    /// service copies these into its seqlocked read snapshot — at
+    /// registration from here, after every ingested event from
+    /// [`Self::ingest_view`].
     pub(crate) fn query_view(&self, query: usize) -> Option<QueryView<'_>> {
-        let qs = self.queries.get(&query)?;
-        Some(QueryView {
-            progress: Self::progress_of(qs),
-            time: qs.last_time,
-            finished: qs.finished,
-            eta: if qs.finished { Eta::finished(qs.last_wall) } else { qs.eta.estimate() },
-            epoch: qs.epoch,
-            pipes: &qs.pipes,
-            switches: &qs.switches,
-        })
+        self.queries.get(&query).map(QueryView::of)
     }
 
     /// The per-shard policy, cloned — how the service stamps out N shards
@@ -1250,7 +1327,6 @@ impl ProgressMonitor {
             counters: ShardCounters::from_config(&self.config, Some(shard)),
             dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
             obs_tick: 0,
-            obs_timed: false,
         }
     }
 
