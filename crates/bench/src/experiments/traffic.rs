@@ -22,15 +22,8 @@ use crate::report::Table;
 use crate::suite::{ExpScale, Suite};
 use crate::traffic::{drive_with, DriveOptions, TemplateSet, TrafficOutcome, TrafficSpec};
 
-/// The spec driven at each scale; `PROSEL_TRAFFIC_SPEC=<path.toml>`
-/// overrides it at any scale.
+/// The spec driven at each scale.
 pub fn spec_for(scale: ExpScale) -> TrafficSpec {
-    if let Ok(path) = std::env::var("PROSEL_TRAFFIC_SPEC") {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("PROSEL_TRAFFIC_SPEC {path}: {e}"));
-        return TrafficSpec::from_toml(&text)
-            .unwrap_or_else(|e| panic!("PROSEL_TRAFFIC_SPEC {path}: {e}"));
-    }
     match scale {
         ExpScale::Smoke => TrafficSpec::smoke(),
         ExpScale::Quick => TrafficSpec::quick(),

@@ -41,7 +41,13 @@ pub struct Arrival {
 /// schedule is bit-reproducible from `spec.seed` alone. A `duration`
 /// horizon trims arrivals scheduled past it; otherwise the schedule has
 /// exactly `spec.num_queries` entries.
+///
+/// # Panics
+/// Panics on a spec [`TrafficSpec::validate`] rejects.
 pub fn schedule(spec: &TrafficSpec) -> Vec<Arrival> {
+    if let Err(e) = spec.validate() {
+        panic!("invalid traffic spec: {e}");
+    }
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let zipf = Zipf::new(spec.templates_per_workload as u64, spec.zipf_exponent);
     let cumulative: Vec<f64> = spec

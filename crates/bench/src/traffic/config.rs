@@ -7,12 +7,6 @@
 //! read/swap cadences. Two specs that compare equal produce byte-identical
 //! schedules ([`crate::traffic::arrivals::schedule`] is a pure function of
 //! the spec).
-//!
-//! Specs are expressed in a small TOML subset (`key = value` lines plus
-//! one optional `[mix]` section) so they can live next to the repo as
-//! reviewable files — see `crates/bench/specs/traffic_quick.toml` — and be
-//! loaded via [`TrafficSpec::from_toml`]. No external TOML crate is
-//! needed for this grammar.
 
 /// How arrival instants are generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,10 +110,13 @@ impl Default for TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// The CI soak profile: ≥ 10k queries over all six workloads, small
-    /// template scale, a few seconds of driver wall time.
+    /// The CI soak profile — what `tests/traffic_soak.rs` and
+    /// `experiments --scale quick traffic-soak` both drive: ≥ 10k queries
+    /// over all six workloads, small template scale, a few seconds of
+    /// driver wall time, and plans of ≥ 8 nodes tapping deltas after a full
+    /// baseline so the soak exercises the delta tap.
     pub fn quick() -> TrafficSpec {
-        TrafficSpec::default()
+        TrafficSpec { delta_threshold: 8, ..TrafficSpec::default() }
     }
 
     /// A seconds-scale profile for smoke tests and examples.
@@ -146,162 +143,8 @@ impl TrafficSpec {
         }
     }
 
-    /// Parse the TOML subset described in the module docs. Unknown keys
-    /// are errors (a typo must not silently fall back to a default);
-    /// omitted keys keep their [`TrafficSpec::default`] value.
-    pub fn from_toml(text: &str) -> Result<TrafficSpec, String> {
-        let mut spec = TrafficSpec::default();
-        // The arrival process is assembled from up to four scalar keys.
-        let mut arrival_kind: Option<String> = None;
-        let (mut rate, mut burst, mut gap) = (None::<f64>, None::<usize>, None::<f64>);
-        let mut in_mix = false;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(section) = line.strip_prefix('[') {
-                let name = section.strip_suffix(']').unwrap_or("").trim();
-                match name {
-                    "mix" => in_mix = true,
-                    other => return Err(format!("line {}: unknown section [{other}]", lineno + 1)),
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-            // Accept both kebab-case (the documented spelling) and
-            // snake_case keys.
-            let key = key.trim().replace('_', "-");
-            let value = value.trim().trim_matches('"');
-            let err = |what: &str| format!("line {}: {what} (got {value:?})", lineno + 1);
-            if in_mix {
-                let slot = MIX_LABELS
-                    .iter()
-                    .position(|&l| l == key)
-                    .ok_or_else(|| err("unknown workload in [mix]"))?;
-                let w: f64 = value.parse().map_err(|_| err("mix weight must be a number"))?;
-                if !w.is_finite() || w < 0.0 {
-                    return Err(err("mix weight must be finite and >= 0"));
-                }
-                spec.mix[slot] = w;
-                continue;
-            }
-            match key.as_str() {
-                "seed" => spec.seed = value.parse().map_err(|_| err("seed must be a u64"))?,
-                "num-queries" => {
-                    spec.num_queries =
-                        value.parse().map_err(|_| err("num-queries must be a usize"))?;
-                }
-                "max-concurrency" => {
-                    spec.max_concurrency =
-                        value.parse().map_err(|_| err("max-concurrency must be a usize"))?;
-                }
-                "zipf-exponent" => {
-                    spec.zipf_exponent =
-                        value.parse().map_err(|_| err("zipf-exponent must be a number"))?;
-                }
-                "arrival" => arrival_kind = Some(value.to_string()),
-                "rate" => rate = Some(value.parse().map_err(|_| err("rate must be a number"))?),
-                "burst" => burst = Some(value.parse().map_err(|_| err("burst must be a usize"))?),
-                "gap" => gap = Some(value.parse().map_err(|_| err("gap must be a number"))?),
-                "templates-per-workload" => {
-                    spec.templates_per_workload =
-                        value.parse().map_err(|_| err("templates-per-workload must be a usize"))?;
-                }
-                "workload-scale" => {
-                    spec.workload_scale =
-                        value.parse().map_err(|_| err("workload-scale must be a number"))?;
-                }
-                "shards" => {
-                    spec.n_shards = value.parse().map_err(|_| err("shards must be a usize"))?;
-                }
-                "read-every" => {
-                    spec.read_every =
-                        value.parse().map_err(|_| err("read-every must be a usize"))?;
-                }
-                "swap-every" => {
-                    spec.swap_every =
-                        value.parse().map_err(|_| err("swap-every must be a usize"))?;
-                }
-                "scrape-every" => {
-                    spec.scrape_every =
-                        value.parse().map_err(|_| err("scrape-every must be a usize"))?;
-                }
-                "delta-threshold" => {
-                    spec.delta_threshold =
-                        value.parse().map_err(|_| err("delta-threshold must be a usize"))?;
-                }
-                "duration" => {
-                    spec.duration =
-                        Some(value.parse().map_err(|_| err("duration must be a number"))?);
-                }
-                other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
-            }
-        }
-        let default_rate = match TrafficSpec::default().arrivals {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty { rate, .. } => rate,
-        };
-        spec.arrivals = match arrival_kind.as_deref() {
-            None | Some("poisson") => {
-                ArrivalProcess::Poisson { rate: rate.unwrap_or(default_rate) }
-            }
-            Some("bursty") => ArrivalProcess::Bursty {
-                rate: rate.unwrap_or(default_rate),
-                burst: burst.unwrap_or(64),
-                gap: gap.unwrap_or(0.05),
-            },
-            Some(other) => return Err(format!("unknown arrival process {other:?}")),
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Render this spec in the grammar [`Self::from_toml`] parses
-    /// (round-trip: `from_toml(to_toml(s)) == s`).
-    pub fn to_toml(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(out, "num-queries = {}", self.num_queries);
-        let _ = writeln!(out, "max-concurrency = {}", self.max_concurrency);
-        let _ = writeln!(out, "zipf-exponent = {}", self.zipf_exponent);
-        match self.arrivals {
-            ArrivalProcess::Poisson { rate } => {
-                let _ = writeln!(out, "arrival = \"poisson\"");
-                let _ = writeln!(out, "rate = {rate}");
-            }
-            ArrivalProcess::Bursty { rate, burst, gap } => {
-                let _ = writeln!(out, "arrival = \"bursty\"");
-                let _ = writeln!(out, "rate = {rate}");
-                let _ = writeln!(out, "burst = {burst}");
-                let _ = writeln!(out, "gap = {gap}");
-            }
-        }
-        let _ = writeln!(out, "templates-per-workload = {}", self.templates_per_workload);
-        let _ = writeln!(out, "workload-scale = {}", self.workload_scale);
-        let _ = writeln!(out, "shards = {}", self.n_shards);
-        let _ = writeln!(out, "read-every = {}", self.read_every);
-        let _ = writeln!(out, "swap-every = {}", self.swap_every);
-        let _ = writeln!(out, "scrape-every = {}", self.scrape_every);
-        let _ = writeln!(out, "delta-threshold = {}", self.delta_threshold);
-        if let Some(d) = self.duration {
-            let _ = writeln!(out, "duration = {d}");
-        }
-        let _ = writeln!(out, "\n[mix]");
-        for (label, w) in MIX_LABELS.iter().zip(&self.mix) {
-            let _ = writeln!(out, "{label} = {w}");
-        }
-        out
-    }
-
-    /// Reject specs that cannot drive anything.
+    /// Reject specs that cannot drive anything
+    /// ([`crate::traffic::arrivals::schedule`] refuses them).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_queries == 0 {
             return Err("num-queries must be > 0".into());
@@ -348,60 +191,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn toml_roundtrip_preserves_the_spec() {
+    fn validate_accepts_the_profiles_and_rejects_specs_that_cannot_drive() {
         for spec in [TrafficSpec::smoke(), TrafficSpec::quick(), TrafficSpec::full()] {
-            let parsed = TrafficSpec::from_toml(&spec.to_toml()).expect("round-trip");
-            assert_eq!(parsed, spec);
+            assert_eq!(spec.validate(), Ok(()));
         }
-    }
-
-    #[test]
-    fn parses_comments_sections_and_partial_keys() {
-        let text = "\
-# a scenario file\n\
-seed = 9 # trailing comment\n\
-num_queries = 123\n\
-arrival = \"bursty\"\n\
-rate = 250.0\n\
-burst = 10\n\
-gap = 0.5\n\
-\n\
-[mix]\n\
-tpcds = 2.0\n\
-real2 = 0.0\n";
-        let spec = TrafficSpec::from_toml(text).expect("parse");
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.num_queries, 123);
-        assert_eq!(spec.arrivals, ArrivalProcess::Bursty { rate: 250.0, burst: 10, gap: 0.5 });
-        assert_eq!(spec.mix, [2.0, 1.0, 1.0, 1.0, 1.0, 0.0]);
-        // Omitted keys keep their defaults.
-        assert_eq!(spec.n_shards, TrafficSpec::default().n_shards);
-    }
-
-    #[test]
-    fn unknown_keys_and_bad_values_are_errors() {
-        assert!(TrafficSpec::from_toml("typo-key = 1").is_err());
-        assert!(TrafficSpec::from_toml("seed = not-a-number").is_err());
-        assert!(TrafficSpec::from_toml("arrival = \"fractal\"").is_err());
-        assert!(TrafficSpec::from_toml("[mux]\ntpcds = 1").is_err());
-        assert!(TrafficSpec::from_toml("[mix]\nklingon = 1").is_err());
-        assert!(TrafficSpec::from_toml("num-queries = 0").is_err(), "validate() runs on parse");
-    }
-
-    #[test]
-    fn delta_threshold_round_trips_and_parses() {
-        let spec = TrafficSpec { delta_threshold: 8, ..TrafficSpec::smoke() };
-        assert_eq!(TrafficSpec::from_toml(&spec.to_toml()).expect("round-trip"), spec);
-        let parsed = TrafficSpec::from_toml("delta-threshold = 8").expect("parse");
-        assert_eq!(parsed.delta_threshold, 8);
-    }
-
-    #[test]
-    fn the_checked_in_sample_spec_parses() {
-        let text = include_str!("../../specs/traffic_quick.toml");
-        let spec = TrafficSpec::from_toml(text).expect("sample spec must stay valid");
-        assert!(spec.num_queries >= 10_000, "the quick soak drives >= 10k queries");
-        assert!(spec.n_shards > 1, "the soak exercises a multi-shard service");
-        assert!(spec.delta_threshold > 0, "the quick soak exercises the delta tap");
+        assert!(TrafficSpec::quick().delta_threshold > 0, "the quick soak exercises the delta tap");
+        let bad = [
+            TrafficSpec { num_queries: 0, ..TrafficSpec::default() },
+            TrafficSpec { max_concurrency: 0, ..TrafficSpec::default() },
+            TrafficSpec { zipf_exponent: f64::NAN, ..TrafficSpec::default() },
+            TrafficSpec {
+                arrivals: ArrivalProcess::Poisson { rate: 0.0 },
+                ..TrafficSpec::default()
+            },
+            TrafficSpec { mix: [0.0; 6], ..TrafficSpec::default() },
+            TrafficSpec { n_shards: 0, ..TrafficSpec::default() },
+        ];
+        for spec in bad {
+            assert!(spec.validate().is_err(), "{spec:?}");
+        }
     }
 }

@@ -16,16 +16,12 @@
 //! * [`training`] — training-set assembly, feature modes, splits;
 //! * [`selection`] — the per-estimator error models and the selection /
 //!   evaluation logic (% optimal, error ratios, oracle floor);
-//! * [`progress`] — an end-to-end query progress monitor (Figure 3):
-//!   static choice at pipeline start, dynamic revision at the 20% marker,
-//!   eq. (5) weighting across pipelines;
 //! * [`textio`] — the shared strict text-codec helpers (FNV-1a checksums,
 //!   bit-exact float hex, line cursor) behind selector, checkpoint and
 //!   publication (de)serialization.
 
 pub mod features;
 pub mod pipeline_runs;
-pub mod progress;
 pub mod selection;
 pub mod textio;
 pub mod training;
@@ -35,6 +31,5 @@ pub use pipeline_runs::{
     collect_from_workload, collect_workload_records, records_from_run, CollectConfig,
     PipelineRecord,
 };
-pub use progress::{PipelineChoice, ProgressMonitor, ProgressPoint};
 pub use selection::{EstimatorSelector, SelectionReport, SelectorConfig};
 pub use training::{FeatureMode, TrainingSet};

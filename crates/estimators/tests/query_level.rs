@@ -71,3 +71,29 @@ fn mixed_per_pipeline_choices_are_valid() {
         assert!((0.0..=0.6).contains(&err), "mixed-choice query error {err}");
     }
 }
+
+#[test]
+fn every_query_curve_ends_at_exactly_one() {
+    // A pipeline whose window has ended is pinned to its full weight even
+    // when its estimator never reached 1 (a driver left unexhausted by
+    // early termination) and a later snapshot still counts among its
+    // observations.
+    for kind in [WorkloadKind::TpchLike, WorkloadKind::TpcdsLike] {
+        let w = materialize(&WorkloadSpec::new(kind, 0xD1FF).with_queries(30).with_scale(0.5));
+        let catalog = Catalog::new(&w.db, &w.design);
+        let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+        for (qi, q) in w.queries.iter().enumerate() {
+            let plan = builder.build(q).expect("plan");
+            let run = run_plan(&catalog, &plan, &ExecConfig::default());
+            let curve = query_progress_curve(&run, |pid| {
+                if pid % 2 == 0 {
+                    EstimatorKind::Tgn
+                } else {
+                    EstimatorKind::Dne
+                }
+            });
+            let last = curve.last().copied().expect("snapshots");
+            assert_eq!(last, 1.0, "{kind:?} q{qi}: a finished query reads {last}");
+        }
+    }
+}

@@ -22,11 +22,12 @@
 //! # drop(monitor);
 //! ```
 
+use crate::config::{HarvestConfig, MonitorConfig};
 use crate::error::MonitorError;
+use crate::runtime::RuntimeConfig;
 use crate::service::MonitorService;
-use crate::shard::{HarvestConfig, HarvestSink, MonitorConfig, Policy, ProgressMonitor};
+use crate::shard::{HarvestSink, Policy, ProgressMonitor};
 use crate::state::HarvestState;
-use crate::RuntimeConfig;
 use prosel_core::selection::EstimatorSelector;
 use prosel_engine::clock::Clock;
 use prosel_estimators::EstimatorKind;
@@ -200,7 +201,7 @@ impl MonitorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardStats;
+    use crate::stats::ShardStats;
 
     #[test]
     fn fixed_oracle_kinds_are_rejected_at_build_time() {

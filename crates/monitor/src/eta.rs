@@ -102,6 +102,21 @@ impl Eta {
         }
     }
 
+    /// Predicted progress at wall instant `deadline` — the
+    /// bounded-staleness answer: the progress at [`Eta::as_of`],
+    /// extrapolated forward at the window speed and clamped to [0, 1].
+    /// Deadlines at or before `as_of`, and deadlines asked while no speed
+    /// is measurable (fewer than two samples: before the second sample,
+    /// and once finished, when `progress` is 1.0), serve `progress`
+    /// unextrapolated.
+    pub fn progress_at(&self, deadline: f64) -> f64 {
+        let Eta { as_of, progress, samples, speed, .. } = *self;
+        if samples < 2 || !deadline.is_finite() || deadline <= as_of {
+            return progress;
+        }
+        (progress + speed * (deadline - as_of)).clamp(0.0, 1.0)
+    }
+
     /// Fold staleness into the countdowns: subtract the wall seconds `now`
     /// has advanced past [`Eta::as_of`] from the point and both interval
     /// estimates, flooring each at 0 — [`StaleEta::remaining_now`]
@@ -134,7 +149,7 @@ impl Eta {
 /// The [`Eta`] is a pure function of the ingested event stream (measured
 /// from [`Eta::as_of`], bit-deterministic under a manual clock); the
 /// `age` is the one quantity that reads the *serving* clock
-/// ([`crate::shard::MonitorConfig::clock`]), so a dashboard can render a
+/// ([`crate::MonitorConfig::clock`]), so a dashboard can render a
 /// live countdown without polluting the deterministic core. Served by
 /// [`crate::ProgressMonitor::remaining_time_with_age`] /
 /// [`crate::MonitorService::remaining_time_with_age`].
@@ -291,20 +306,10 @@ impl SpeedTracker {
         }
     }
 
-    /// Predicted progress at wall instant `deadline` — the
-    /// bounded-staleness answer: the latest known progress, extrapolated
-    /// forward at the window speed and clamped to [0, 1]. Deadlines at or
-    /// before the latest sample (and deadlines asked before any speed is
-    /// measurable) serve the latest known progress unextrapolated.
+    /// Predicted progress at wall instant `deadline`:
+    /// [`Eta::progress_at`] of the current [`Self::estimate`].
     pub fn progress_at(&self, deadline: f64) -> f64 {
-        let Some((as_of, progress)) = self.latest() else { return 0.0 };
-        if !deadline.is_finite() || deadline <= as_of {
-            return progress;
-        }
-        match self.speed() {
-            Some(speed) => (progress + speed * (deadline - as_of)).clamp(0.0, 1.0),
-            None => progress,
-        }
+        self.estimate().progress_at(deadline)
     }
 }
 

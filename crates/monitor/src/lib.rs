@@ -27,20 +27,23 @@
 //!   re-scored at a configurable observation cadence as dynamic features
 //!   accumulate (§4.4), and every estimator switch is logged.
 //!
-//! Two deployment shapes:
+//! Two deployment shapes, one read model:
 //!
 //! * [`ProgressMonitor`] ([`shard`]) — the single-threaded core. Embed it
 //!   when one ingest thread suffices (one receiver draining a channel).
-//! * [`MonitorService`] ([`service`]) — N shards as cooperatively
-//!   scheduled tasks on a small work-stealing worker pool ([`runtime`];
-//!   sized and pinned via [`RuntimeConfig`]). Ingest routes each event to
-//!   the shard owning `query % n_shards` and drains in batches; every
-//!   read API (`query_progress`, `remaining_time`, `status`, `stats`, …)
-//!   is a **wait-free** load from a seqlocked per-query snapshot the
-//!   owning shard publishes after each event — reads never enqueue behind
-//!   ingest, so read tail latency is flat under saturated ingest. Its
-//!   [`MonitorService::tap`] routes each engine event to exactly one
-//!   shard (no broadcast).
+//!   Every accepted event goes through one ingest funnel whose last step
+//!   stores what the query now serves into the query's seqlocked cell
+//!   ([`cell`]), and every per-query read (`query_progress`,
+//!   `remaining_time`, `status`, …) is answered from that cell.
+//! * [`MonitorService`] ([`service`]) — N such cores as cooperatively
+//!   scheduled tasks on a small worker pool with one run queue
+//!   ([`runtime`]; sized and pinned via [`RuntimeConfig`]). Its
+//!   [`MonitorService::tap`] routes each engine event to the shard owning
+//!   `query % n_shards` (one push body, no broadcast), which drains its
+//!   queue in batches into the core. Reads are the *same* cell methods
+//!   behind a per-shard registry lookup: **wait-free** loads that never
+//!   enqueue behind ingest, so read tail latency is flat under saturated
+//!   ingest — and service-vs-monitor agreement holds by construction.
 //!
 //! Feed either from [`prosel_engine::run_plan_tapped`] or
 //! [`prosel_engine::run_concurrent_tapped`]:
@@ -113,32 +116,38 @@
 //! keep their operation counters and sampled ingest/eval latency
 //! histograms as registry metrics ([`ShardStats`] is a view over the
 //! same atomics), the service adds read/registration/swap latency, tap
-//! volume and a control-plane [`prosel_obs::TraceRing`], and the
-//! work-stealing runtime counts steals, parks and queue depth. Pass a
+//! volume and a control-plane [`prosel_obs::TraceRing`], and the runtime
+//! counts parks and run-queue depth. Pass a
 //! registry via [`MonitorConfig::metrics`] /
 //! [`MonitorBuilder::metrics`], scrape with
 //! [`MonitorService::metrics`] or render the strict text exposition with
 //! [`MonitorService::render_text`].
 
 pub mod builder;
+pub mod cell;
+pub mod config;
 pub mod error;
 pub mod eta;
 pub mod runtime;
 pub mod service;
 pub mod shard;
 pub mod state;
+pub mod stats;
 
 pub use builder::MonitorBuilder;
-pub use error::MonitorError;
+pub use cell::{PipelineStatus, QueryStatus, SwitchEvent};
+pub use config::{HarvestConfig, MonitorConfig};
+pub use error::{MonitorError, QueryError, RegisterError, SwapError};
 pub use eta::{Eta, SpeedTracker, StaleEta};
 pub use runtime::RuntimeConfig;
-pub use service::{MonitorService, QueryError, SwapError};
-pub use shard::{
-    HarvestConfig, HarvestSink, HarvestedQuery, MonitorConfig, PipelineStatus, ProgressMonitor,
-    QueryStatus, RegisterError, ShardStats, SwitchEvent,
-};
+pub use service::MonitorService;
+pub use shard::{HarvestSink, HarvestedQuery, ProgressMonitor};
 pub use state::{HarvestState, StateError};
+pub use stats::ShardStats;
 
 // Observability surface, re-exported so embedders need no direct
 // `prosel-obs` dependency for the common wiring.
 pub use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, ObsOptions, TraceRing};
+
+#[cfg(test)]
+mod test_support;

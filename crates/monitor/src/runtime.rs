@@ -1,18 +1,16 @@
-//! A small hand-rolled work-stealing runtime for shard tasks.
+//! A small hand-rolled runtime for shard tasks: a worker pool on one run
+//! queue.
 //!
-//! The sharded [`MonitorService`](crate::MonitorService) used to pin one OS
-//! thread per shard and serialize *every* operation — ingest, reads, swaps —
-//! through that thread's FIFO channel. This module replaces the thread-per-
-//! shard model with cooperative scheduling: each shard is a *task* (an index
-//! `0..n_tasks`), and a fixed pool of workers runs whichever tasks have work.
-//! Reads never come anywhere near this runtime — they are wait-free loads
-//! from published snapshots — so the pool only ever executes the ingest
-//! drain.
+//! Each shard of the [`MonitorService`](crate::MonitorService) is a *task*
+//! (an index `0..n_tasks`), and a fixed pool of workers runs whichever
+//! tasks have work. Reads never come anywhere near this runtime — they are
+//! wait-free loads from the per-query cells — so the pool only ever
+//! executes the ingest drain.
 //!
 //! Design notes:
 //!
-//! - **No crates.io.** Everything is `std`: mutex-guarded deques per worker,
-//!   a condvar for parking, atomics for the per-task state machine.
+//! - **No crates.io.** Everything is `std`: one mutex-guarded deque, a
+//!   condvar for parking, atomics for the per-task state machine.
 //! - **At-most-once execution.** A task is never run by two workers at once.
 //!   Each task carries an atomic state (`IDLE`/`QUEUED`/`RUNNING`/
 //!   `RUNNING_DIRTY`); `Shared::schedule` transitions `IDLE -> QUEUED`
@@ -20,10 +18,13 @@
 //!   and is a no-op when the task is already queued or dirty. This gives the
 //!   classic "schedule is idempotent, wakeups are coalesced" property that
 //!   lets the ingest path batch events without losing them.
-//! - **Work stealing.** Tasks are pushed round-robin across per-worker
-//!   queues; an idle worker first drains its own queue, then scans the
-//!   others. With shards >> workers this keeps all cores busy without a
-//!   global contended queue.
+//! - **One run queue.** Scheduled tasks wait in a single FIFO that is also
+//!   the parking condvar's mutex: a push happens under the lock a worker
+//!   holds from its empty-queue check until it parks, so no wakeup can be
+//!   missed and nothing has to be re-scanned. The pool has only ever been
+//!   measured at one or two workers, where per-worker queues with stealing
+//!   bought nothing; split the queue when a run on more cores shows it
+//!   contended.
 //! - **Core affinity.** [`RuntimeConfig::core_ids`] pins worker `i` to
 //!   `core_ids[i % len]` via a raw `sched_setaffinity` call on Linux
 //!   (best-effort, no-op elsewhere) so a latency-sensitive deployment can
@@ -35,14 +36,14 @@
 use prosel_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Knobs for the shard runtime, embedded in
 /// [`MonitorConfig`](crate::MonitorConfig).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Number of pool workers. `0` (the default) picks
     /// `min(available_parallelism, n_shards)`.
@@ -51,17 +52,6 @@ pub struct RuntimeConfig {
     /// Empty (the default) leaves placement to the OS scheduler. Pinning is
     /// best-effort and Linux-only; invalid ids are ignored.
     pub core_ids: Vec<usize>,
-    /// Maximum number of tap events a shard task ingests per scheduling
-    /// pass. Larger batches amortize wakeups and queue locking under
-    /// saturated ingest; smaller batches reduce the latency until a
-    /// freshly-enqueued event is reflected in the read snapshot.
-    pub ingest_batch: usize,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig { worker_threads: 0, core_ids: Vec::new(), ingest_batch: 64 }
-    }
 }
 
 impl RuntimeConfig {
@@ -75,42 +65,25 @@ impl RuntimeConfig {
     }
 }
 
-/// Scheduler instrumentation: steal count, park/unpark churn, and the
-/// live scheduled-task depth across all worker queues. Registered under
-/// `runtime_*` names; all increments are relaxed atomics on the
+/// Scheduler instrumentation: park/unpark churn and the run queue's
+/// depth. Registered under `runtime_*` names; all updates happen on the
 /// scheduling paths (never inside a task body).
 pub(crate) struct RuntimeObs {
-    /// Tasks popped from a queue other than the popping worker's own.
-    steals: Arc<Counter>,
     /// Times a worker went to sleep on the condvar.
     parks: Arc<Counter>,
     /// Times a parked worker woke up (timeout or notify).
     unparks: Arc<Counter>,
-    /// Signed live depth behind the gauge (push/pop races can transiently
-    /// observe it negative; the gauge publishes whatever was current).
-    depth: AtomicI64,
-    depth_gauge: Arc<Gauge>,
+    /// The run queue's length, set under its lock at every push and pop.
+    depth: Arc<Gauge>,
 }
 
 impl RuntimeObs {
     pub(crate) fn from_registry(registry: &MetricsRegistry) -> RuntimeObs {
         RuntimeObs {
-            steals: registry.counter("runtime_steals_total"),
             parks: registry.counter("runtime_parks_total"),
             unparks: registry.counter("runtime_unparks_total"),
-            depth: AtomicI64::new(0),
-            depth_gauge: registry.gauge("runtime_queue_depth"),
+            depth: registry.gauge("runtime_queue_depth"),
         }
-    }
-
-    fn task_pushed(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.depth_gauge.set(d as f64);
-    }
-
-    fn task_popped(&self) {
-        let d = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.depth_gauge.set(d as f64);
     }
 }
 
@@ -124,21 +97,16 @@ const RUNNING_DIRTY: u8 = 3;
 
 /// State shared between workers and external schedulers (the tap/router).
 pub(crate) struct Shared {
-    /// One deque per worker; tasks are pushed round-robin and stolen freely.
-    queues: Vec<Mutex<VecDeque<usize>>>,
+    /// The run queue: tasks in state `QUEUED`, oldest first. Also the
+    /// mutex `wake` waits on — a worker holds it from finding the queue
+    /// empty until it is parked, and a push holds it too, so a push can
+    /// never slip between a worker's check and its wait.
+    queue: Mutex<VecDeque<usize>>,
     /// One scheduling state per task.
     states: Vec<AtomicU8>,
-    /// Round-robin cursor for external pushes.
-    next: AtomicUsize,
-    /// Parking lot. Workers re-check for work while holding `sleep` before
-    /// waiting, and pushers acquire (and immediately release) `sleep` before
-    /// notifying, so a push can never slip between a worker's check and its
-    /// wait — the classic missed-wakeup guard.
-    sleep: Mutex<()>,
     wake: Condvar,
     stop: AtomicBool,
-    /// Optional scheduler instrumentation (service mode wires it in).
-    obs: Option<Arc<RuntimeObs>>,
+    obs: RuntimeObs,
 }
 
 impl Shared {
@@ -178,71 +146,49 @@ impl Shared {
         }
     }
 
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<usize>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queue a task whose state the caller has just set to `QUEUED`, and
+    /// wake a worker for it.
     fn push(&self, task: usize) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[w].lock().unwrap_or_else(|e| e.into_inner()).push_back(task);
-        if let Some(obs) = &self.obs {
-            obs.task_pushed();
-        }
-        // Take and drop the sleep lock so the notify cannot race a worker
-        // that has checked the queues but not yet parked.
-        drop(self.sleep.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut queue = self.lock_queue();
+        queue.push_back(task);
+        self.obs.depth.set(queue.len() as f64);
+        drop(queue);
         self.wake.notify_one();
-    }
-
-    /// Pop a task: own queue first, then steal from the others.
-    fn pop(&self, me: usize) -> Option<usize> {
-        let n = self.queues.len();
-        for i in 0..n {
-            let victim = (me + i) % n;
-            let task = self.queues[victim].lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-            if task.is_some() {
-                if let Some(obs) = &self.obs {
-                    obs.task_popped();
-                    if victim != me {
-                        obs.steals.inc();
-                    }
-                }
-                return task;
-            }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        self.queues.iter().any(|q| !q.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize, body: &(dyn Fn(usize) -> bool + Send + Sync)) {
+fn worker_loop(shared: &Shared, body: &(dyn Fn(usize) -> bool + Send + Sync)) {
+    let mut queue = shared.lock_queue();
     loop {
-        if let Some(task) = shared.pop(me) {
-            run_task(shared, me, task, body);
+        if let Some(task) = queue.pop_front() {
+            shared.obs.depth.set(queue.len() as f64);
+            drop(queue);
+            run_task(shared, task, body);
+            queue = shared.lock_queue();
             continue;
         }
-        let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        // Re-check under the sleep lock: a push between our pop scan and
-        // this point takes the same lock before notifying, so either we see
-        // its task here or its notify lands on our wait below.
-        if shared.has_work() {
-            continue;
-        }
+        // Checked only on an empty queue: shutdown drains, it does not
+        // abandon.
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
         // The timeout is belt-and-braces only; correctness never depends on
         // it. 10ms bounds the cost of any wakeup bug to a schedule hiccup.
-        if let Some(obs) = &shared.obs {
-            obs.parks.inc();
-        }
-        let _ = shared.wake.wait_timeout(guard, Duration::from_millis(10));
-        if let Some(obs) = &shared.obs {
-            obs.unparks.inc();
-        }
+        shared.obs.parks.inc();
+        queue = shared
+            .wake
+            .wait_timeout(queue, Duration::from_millis(10))
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+        shared.obs.unparks.inc();
     }
 }
 
-fn run_task(shared: &Shared, me: usize, task: usize, body: &(dyn Fn(usize) -> bool + Send + Sync)) {
+fn run_task(shared: &Shared, task: usize, body: &(dyn Fn(usize) -> bool + Send + Sync)) {
     let state = &shared.states[task];
     state.store(RUNNING, Ordering::Release);
     // `body` returns true when the task knows it has more work (e.g. events
@@ -251,27 +197,11 @@ fn run_task(shared: &Shared, me: usize, task: usize, body: &(dyn Fn(usize) -> bo
     // so from the runtime's perspective a panicked pass simply has no more
     // work.
     let more = catch_unwind(AssertUnwindSafe(|| body(task))).unwrap_or(false);
-    if more {
+    // RUNNING_DIRTY: schedule() fired mid-run; run again.
+    if more || state.compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire).is_err() {
         state.store(QUEUED, Ordering::Release);
-        self_push(shared, me, task);
-        return;
+        shared.push(task);
     }
-    if state.compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire).is_err() {
-        // RUNNING_DIRTY: schedule() fired mid-run; run again.
-        state.store(QUEUED, Ordering::Release);
-        self_push(shared, me, task);
-    }
-}
-
-/// Re-queue onto the finishing worker's own deque (stays cache-warm, still
-/// stealable), and nudge a sleeper in case this worker is saturated.
-fn self_push(shared: &Shared, me: usize, task: usize) {
-    shared.queues[me].lock().unwrap_or_else(|e| e.into_inner()).push_back(task);
-    if let Some(obs) = &shared.obs {
-        obs.task_pushed();
-    }
-    drop(shared.sleep.lock().unwrap_or_else(|e| e.into_inner()));
-    shared.wake.notify_one();
 }
 
 /// The worker pool. Owns the threads; dropping (or [`Runtime::stop`])
@@ -285,30 +215,16 @@ pub(crate) struct Runtime {
 impl Runtime {
     /// Spawn a pool running `body` for tasks `0..n_tasks`. `body(task)`
     /// returns whether the task should immediately run again.
-    /// Uninstrumented [`Self::spawn_observed`] (test harness entry).
-    #[cfg(test)]
     pub(crate) fn spawn(
         n_tasks: usize,
         config: &RuntimeConfig,
         body: Arc<dyn Fn(usize) -> bool + Send + Sync>,
-    ) -> Runtime {
-        Self::spawn_observed(n_tasks, config, body, None)
-    }
-
-    /// Spawn with optional scheduler instrumentation — the service
-    /// passes a [`RuntimeObs`] registered in its metrics registry.
-    pub(crate) fn spawn_observed(
-        n_tasks: usize,
-        config: &RuntimeConfig,
-        body: Arc<dyn Fn(usize) -> bool + Send + Sync>,
-        obs: Option<Arc<RuntimeObs>>,
+        obs: RuntimeObs,
     ) -> Runtime {
         let n_workers = config.resolved_workers(n_tasks);
         let shared = Arc::new(Shared {
-            queues: (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             states: (0..n_tasks).map(|_| AtomicU8::new(IDLE)).collect(),
-            next: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             obs,
@@ -328,7 +244,7 @@ impl Runtime {
                         if let Some(core) = pin {
                             pin_to_core(core);
                         }
-                        worker_loop(&shared, w, &*body);
+                        worker_loop(&shared, &*body);
                     })
                     .expect("spawn shard runtime worker")
             })
@@ -346,8 +262,11 @@ impl Runtime {
 
     /// Signal shutdown and join the pool. Idempotent.
     pub(crate) fn stop(&mut self) {
+        // Under the queue lock, so the flag cannot land between a worker's
+        // check of it and its park.
+        let queue = self.shared.lock_queue();
         self.shared.stop.store(true, Ordering::Release);
-        drop(self.shared.sleep.lock().unwrap_or_else(|e| e.into_inner()));
+        drop(queue);
         self.shared.wake.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -396,6 +315,10 @@ mod tests {
         RuntimeConfig { worker_threads: workers, ..RuntimeConfig::default() }
     }
 
+    fn obs() -> RuntimeObs {
+        RuntimeObs::from_registry(&MetricsRegistry::new())
+    }
+
     fn spin_until(deadline_ms: u64, mut done: impl FnMut() -> bool) -> bool {
         let start = std::time::Instant::now();
         while start.elapsed() < Duration::from_millis(deadline_ms) {
@@ -417,7 +340,7 @@ mod tests {
                 false
             }) as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(4, &config(2), body);
+        let mut rt = Runtime::spawn(4, &config(2), body, obs());
         let shared = rt.shared();
         for task in 0..4 {
             shared.schedule(task);
@@ -451,7 +374,7 @@ mod tests {
                 false
             }) as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(1, &config(1), body);
+        let mut rt = Runtime::spawn(1, &config(1), body, obs());
         let shared = rt.shared();
         shared.schedule(0);
         assert!(spin_until(2_000, || runs.load(Ordering::SeqCst) == 1));
@@ -477,7 +400,7 @@ mod tests {
             Arc::new(move |_task: usize| left.fetch_sub(1, Ordering::SeqCst) > 1)
                 as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(1, &config(1), body);
+        let mut rt = Runtime::spawn(1, &config(1), body, obs());
         rt.shared().schedule(0);
         assert!(spin_until(2_000, || left.load(Ordering::SeqCst) == 0));
         rt.stop();
@@ -496,7 +419,7 @@ mod tests {
                 false
             }) as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(2, &config(1), body);
+        let mut rt = Runtime::spawn(2, &config(1), body, obs());
         let shared = rt.shared();
         shared.schedule(0);
         assert!(spin_until(2_000, || runs.load(Ordering::SeqCst) == 1));
@@ -507,10 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn work_is_stolen_across_worker_queues() {
-        // One worker, many tasks pushed round-robin over... with a single
-        // queue stealing is trivially exercised; use 3 workers and 32 tasks
-        // so round-robin spreads work and the pop scan must cross queues.
+    fn many_tasks_over_few_workers_each_run_exactly_once() {
+        // 32 tasks scheduled once each onto 3 workers sharing the run
+        // queue: every task runs, and none runs twice.
         let runs: Arc<Vec<AtomicU64>> = Arc::new((0..32).map(|_| AtomicU64::new(0)).collect());
         let body = {
             let runs = Arc::clone(&runs);
@@ -519,7 +441,7 @@ mod tests {
                 false
             }) as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(32, &config(3), body);
+        let mut rt = Runtime::spawn(32, &config(3), body, obs());
         assert_eq!(rt.worker_count(), 3);
         let shared = rt.shared();
         for task in 0..32 {
@@ -539,7 +461,7 @@ mod tests {
                 false
             }) as Arc<dyn Fn(usize) -> bool + Send + Sync>
         };
-        let mut rt = Runtime::spawn(8, &config(2), body);
+        let mut rt = Runtime::spawn(8, &config(2), body, obs());
         let shared = rt.shared();
         for task in 0..8 {
             shared.schedule(task);
@@ -556,6 +478,5 @@ mod tests {
         assert!(cfg.resolved_workers(1) >= 1);
         assert!(cfg.resolved_workers(4) <= 4);
         assert_eq!(config(3).resolved_workers(1), 3);
-        assert_eq!(cfg.ingest_batch, 64);
     }
 }

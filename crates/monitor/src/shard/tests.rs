@@ -1,0 +1,529 @@
+//! Unit tests of the shard core ([`ProgressMonitor`] and its ingest
+//! funnel).
+
+use super::*;
+use crate::test_support::{dne, raw_snapshot, scan_plan, selector_favoring, snapshot_event};
+use crate::{MonitorBuilder, MonitorError};
+use prosel_core::features::FeatureSchema;
+use prosel_engine::clock::{Clock, ManualClock};
+use prosel_engine::trace::CounterUpdate;
+
+#[test]
+fn delta_stream_matches_full_snapshot_stream_bitwise() {
+    use prosel_engine::trace::DeltaEncoder;
+    let plan = scan_plan();
+    let mut full = dne().build_monitor().unwrap();
+    let mut delta = dne().build_monitor().unwrap();
+    full.register(7, &plan);
+    delta.register(7, &plan);
+    let mut enc = DeltaEncoder::new();
+    for (seq, (time, k)) in [(10.0, 10u64), (20.0, 25), (30.0, 60)].into_iter().enumerate() {
+        let snapshot = raw_snapshot(time, k);
+        let windows: Box<[(f64, f64)]> = vec![(1.0, time)].into_boxed_slice();
+        full.ingest(TraceEvent::Snapshot {
+            query: 7,
+            seq: seq as u64,
+            wall: time,
+            snapshot: snapshot.clone(),
+            windows: windows.clone(),
+        });
+        // Mirror the engine tap: first emission is the full baseline,
+        // every later one a sparse delta.
+        let ev = match enc.encode(&snapshot, &windows) {
+            None => {
+                TraceEvent::Snapshot { query: 7, seq: seq as u64, wall: time, snapshot, windows }
+            }
+            Some((changes, window_updates)) => TraceEvent::Delta {
+                query: 7,
+                seq: seq as u64,
+                wall: time,
+                time,
+                changes,
+                window_updates,
+            },
+        };
+        delta.ingest(ev);
+        let (pf, pd) = (full.query_progress(7).unwrap(), delta.query_progress(7).unwrap());
+        assert_eq!(pf.to_bits(), pd.to_bits(), "divergence at seq {seq}");
+        assert_eq!(
+            full.remaining_time_at_last_event(7).map(|e| e.remaining.to_bits()),
+            delta.remaining_time_at_last_event(7).map(|e| e.remaining.to_bits()),
+        );
+    }
+}
+
+#[test]
+fn delta_without_baseline_drops_the_query() {
+    // The engine always emits a full snapshot first; a delta arriving
+    // at seq 0 means the baseline was lost — state is untrustworthy.
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(3, &plan);
+    monitor.ingest(TraceEvent::Delta {
+        query: 3,
+        seq: 0,
+        wall: 10.0,
+        time: 10.0,
+        changes: Box::new([CounterUpdate {
+            node: 0,
+            counter: prosel_engine::trace::CounterKind::GetNext,
+            value: 5,
+        }]),
+        window_updates: Box::new([(0, (1.0, 10.0))]),
+    });
+    assert_eq!(monitor.query_progress(3), None, "unprimed delta must drop the query");
+    assert_eq!(monitor.shard_stats().queries_dropped, 1);
+}
+
+#[test]
+fn malformed_delta_drops_the_query() {
+    let plan = scan_plan();
+    // Out-of-range node index: the engine is running a different plan
+    // under this id. The scratch must stay untouched and the query
+    // dropped, not a panic or a silent partial patch.
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(5, &plan);
+    monitor.ingest(snapshot_event(5, 0, 10.0, 25));
+    monitor.ingest(TraceEvent::Delta {
+        query: 5,
+        seq: 1,
+        wall: 20.0,
+        time: 20.0,
+        changes: Box::new([CounterUpdate {
+            node: 9,
+            counter: prosel_engine::trace::CounterKind::GetNext,
+            value: 50,
+        }]),
+        window_updates: Box::new([]),
+    });
+    assert_eq!(monitor.query_progress(5), None, "out-of-range node must drop the query");
+    // A seq gap on the delta path is refused like on the snapshot path.
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(6, &plan);
+    monitor.ingest(snapshot_event(6, 0, 10.0, 25));
+    monitor.ingest(TraceEvent::Delta {
+        query: 6,
+        seq: 2,
+        wall: 20.0,
+        time: 20.0,
+        changes: Box::new([]),
+        window_updates: Box::new([]),
+    });
+    assert_eq!(monitor.query_progress(6), None, "seq gap on delta must drop the query");
+}
+
+#[test]
+fn late_registration_is_refused_not_corrupted() {
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    // Registered only after the engine already emitted snapshot 0:
+    // the buffer mirror is unreconstructable, so the first ingested
+    // snapshot (seq 1 != expected 0) must drop the query.
+    monitor.register(7, &plan);
+    monitor.ingest(snapshot_event(7, 1, 20.0, 40));
+    assert_eq!(monitor.query_progress(7), None, "late-joined query must be dropped");
+    assert!(monitor.registered_queries().is_empty());
+}
+
+#[test]
+fn timely_registration_serves_progress() {
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(7, &plan);
+    monitor.ingest(snapshot_event(7, 0, 10.0, 25));
+    assert!((monitor.query_progress(7).unwrap() - 0.25).abs() < 1e-12);
+    monitor.ingest(TraceEvent::Finished {
+        query: 7,
+        wall: 40.0,
+        windows: vec![(1.0, 40.0)].into_boxed_slice(),
+        total_time: 40.0,
+    });
+    assert_eq!(monitor.query_progress(7), Some(1.0));
+}
+
+#[test]
+fn snapshot_after_finished_drops_the_query_instead_of_panicking() {
+    // A query can terminate before its first snapshot interval, so its
+    // Finished event arrives with serial_next still 0. If a new stream
+    // then reuses the id, its seq-0 snapshot would pass the header
+    // check against finalized pipes — it must drop the stale state,
+    // not panic (a panic would kill a whole service shard).
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(9, &plan);
+    monitor.ingest(TraceEvent::Finished {
+        query: 9,
+        wall: 5.0,
+        windows: vec![(1.0, 5.0)].into_boxed_slice(),
+        total_time: 5.0,
+    });
+    assert_eq!(monitor.query_progress(9), Some(1.0));
+    monitor.ingest(snapshot_event(9, 0, 10.0, 25));
+    assert_eq!(monitor.query_progress(9), None, "stale finished state must be dropped");
+    // Same for a thinning event reaching a finished query.
+    monitor.register(9, &plan);
+    monitor.ingest(TraceEvent::Finished {
+        query: 9,
+        wall: 5.0,
+        windows: vec![(1.0, 5.0)].into_boxed_slice(),
+        total_time: 5.0,
+    });
+    monitor.ingest(TraceEvent::Thinned { query: 9 });
+    assert_eq!(monitor.query_progress(9), None);
+}
+
+#[test]
+fn corrupt_or_repeated_finished_drops_the_query_instead_of_panicking() {
+    let plan = scan_plan();
+    // A Finished event whose window arity does not match the
+    // registered plan means a different plan ran under this id — it
+    // must drop the state, not index out of bounds (which would kill
+    // a whole service shard).
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(4, &plan);
+    monitor.ingest(TraceEvent::Finished {
+        query: 4,
+        wall: 5.0,
+        windows: Box::new([]),
+        total_time: 5.0,
+    });
+    assert_eq!(monitor.query_progress(4), None, "mismatched plan must be dropped");
+    // A second Finished for an already-finished query is a new stream
+    // reusing the id against finalized state: drop, like the
+    // snapshot/thinning paths.
+    monitor.register(4, &plan);
+    let finished = TraceEvent::Finished {
+        query: 4,
+        wall: 5.0,
+        windows: vec![(1.0, 5.0)].into_boxed_slice(),
+        total_time: 5.0,
+    };
+    monitor.ingest(finished.clone());
+    assert_eq!(monitor.query_progress(4), Some(1.0));
+    monitor.ingest(finished);
+    assert_eq!(monitor.query_progress(4), None, "stale finished state must be dropped");
+}
+
+#[test]
+fn remaining_time_converges_and_pins_to_zero() {
+    let plan = scan_plan();
+    // A manual clock held at 0.0 keeps the default staleness fold a
+    // no-op (age clamps at 0), so the raw convergence is what's served.
+    let config = MonitorConfig {
+        clock: Arc::new(ManualClock::new(0.0)) as Arc<dyn Clock>,
+        ..Default::default()
+    };
+    let mut monitor = dne().config(config).build_monitor().unwrap();
+    assert_eq!(monitor.remaining_time(0), None, "unregistered");
+    monitor.register(0, &plan);
+    let eta = monitor.remaining_time(0).expect("registered");
+    assert!(!eta.is_known(), "no samples yet");
+    assert_eq!(monitor.progress_at_deadline(0, 50.0), Some(0.0));
+    // 10 rows of the 100-row scan per time unit, wall == virtual time.
+    monitor.ingest(snapshot_event(0, 0, 1.0, 10));
+    monitor.ingest(snapshot_event(0, 1, 2.0, 20));
+    let eta = monitor.remaining_time(0).expect("registered");
+    assert!(eta.is_known());
+    // Speed 0.1/s, 0.8 left => 8 s from as_of == 2.0.
+    assert!((eta.remaining - 8.0).abs() < 1e-9, "got {}", eta.remaining);
+    assert!(eta.remaining_lo <= eta.remaining && eta.remaining <= eta.remaining_hi);
+    assert!((monitor.progress_at_deadline(0, 7.0).unwrap() - 0.7).abs() < 1e-9);
+    assert_eq!(monitor.progress_at_deadline(0, 1000.0), Some(1.0));
+    monitor.ingest(TraceEvent::Finished {
+        query: 0,
+        wall: 10.0,
+        windows: vec![(1.0, 10.0)].into_boxed_slice(),
+        total_time: 10.0,
+    });
+    let eta = monitor.remaining_time(0).expect("registered");
+    assert_eq!((eta.remaining, eta.progress, eta.as_of), (0.0, 1.0, 10.0));
+    assert_eq!(monitor.progress_at_deadline(0, 0.0), Some(1.0));
+}
+
+#[test]
+fn try_register_reports_duplicates_as_values() {
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    assert_eq!(monitor.try_register(3, &plan), Ok(()));
+    assert_eq!(monitor.try_register(3, &plan), Err(RegisterError::DuplicateQuery(3)));
+    // The original registration survives the refused duplicate.
+    monitor.ingest(snapshot_event(3, 0, 10.0, 50));
+    assert!((monitor.query_progress(3).unwrap() - 0.5).abs() < 1e-12);
+    assert_eq!(monitor.registered_queries(), vec![3]);
+}
+
+#[test]
+fn try_fixed_refuses_oracle_kinds() {
+    for kind in [EstimatorKind::GetNextOracle, EstimatorKind::BytesOracle] {
+        let err = MonitorBuilder::fixed(kind).build_monitor().err();
+        assert!(
+            matches!(err, Some(MonitorError::Register(RegisterError::OracleKind(k))) if k == kind),
+            "{err:?}"
+        );
+    }
+    assert!(dne().build_monitor().is_ok());
+}
+
+#[test]
+fn staleness_age_is_served_under_a_manual_clock() {
+    let plan = scan_plan();
+    let clock = Arc::new(ManualClock::new(0.0));
+    let config =
+        MonitorConfig { clock: Arc::clone(&clock) as Arc<dyn Clock>, ..Default::default() };
+    let mut monitor = dne().config(config).build_monitor().unwrap();
+    monitor.register(2, &plan);
+    monitor.ingest(snapshot_event(2, 0, 1.0, 10));
+    monitor.ingest(snapshot_event(2, 1, 2.0, 20));
+    // The latest accepted sample is as_of == 2.0; the serving clock
+    // has moved on to 5.5 => age 3.5, countdown 8 − 3.5.
+    clock.set(5.5);
+    let stale = monitor.remaining_time_with_age(2).expect("registered");
+    assert_eq!(
+        stale.eta,
+        monitor.remaining_time_at_last_event(2).unwrap(),
+        "the StaleEta carries the raw at-last-event answer"
+    );
+    assert!((stale.age - 3.5).abs() < 1e-12, "age {}", stale.age);
+    assert!((stale.remaining_now() - (8.0 - 3.5)).abs() < 1e-9);
+    // The default read path folds the same staleness in directly.
+    let folded = monitor.remaining_time(2).unwrap();
+    assert!((folded.remaining - stale.remaining_now()).abs() < 1e-12);
+    assert_eq!(folded.as_of, stale.eta.as_of, "aging keeps the sample provenance");
+    // A clock that has burned past the estimate floors at zero — on
+    // both the StaleEta fold and the default read path.
+    clock.set(100.0);
+    assert_eq!(monitor.remaining_time_with_age(2).unwrap().remaining_now(), 0.0);
+    assert_eq!(monitor.remaining_time(2).unwrap().remaining, 0.0);
+    assert!(
+        monitor.remaining_time_at_last_event(2).unwrap().remaining > 0.0,
+        "the raw variant stays frozen at the last event by design"
+    );
+    assert_eq!(monitor.remaining_time_with_age(99), None, "unregistered");
+}
+
+#[test]
+fn swap_selector_affects_future_registrations_only() {
+    let plan = scan_plan();
+    let favor_dne = Arc::new(selector_favoring(EstimatorKind::Dne));
+    let favor_tgn = Arc::new(selector_favoring(EstimatorKind::Tgn));
+    let mut monitor =
+        MonitorBuilder::with_selector(Arc::clone(&favor_dne)).build_monitor().unwrap();
+    assert_eq!(monitor.selector_epoch(), 0);
+    monitor.register(0, &plan);
+    assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
+    // Feed the in-flight query half its stream, then swap.
+    monitor.ingest(snapshot_event(0, 0, 1.0, 10));
+    assert_eq!(monitor.swap_selector(Arc::clone(&favor_tgn)), 1);
+    monitor.register(1, &plan);
+    // New registration scores with the new model; the in-flight query
+    // keeps its registration-time choice and epoch.
+    assert_eq!(monitor.initial_choice(1, 0), Some(EstimatorKind::Tgn));
+    assert_eq!(monitor.query_selector_epoch(0), Some(0));
+    assert_eq!(monitor.query_selector_epoch(1), Some(1));
+    // Re-selection on query 0 keeps using the DNE-favoring selector
+    // even after many post-swap observations.
+    for seq in 1..9 {
+        monitor.ingest(snapshot_event(0, seq, 1.0 + seq as f64, 10 * (seq + 1)));
+    }
+    assert_eq!(monitor.current_choice(0, 0), Some(EstimatorKind::Dne));
+    assert_eq!(monitor.switch_history(0), Some(vec![]), "no switch forced by the swap");
+}
+
+/// The re-selection memo is an identity, not an approximation: a
+/// monitor that answers bit-equal feature vectors from the memo and
+/// one forced to re-score every due re-selection must agree on every
+/// choice, switch and served progress bit after every event — across
+/// buffer thinning and a selector hot swap.
+#[test]
+fn memoised_reselection_equals_rescoring_every_time() {
+    use prosel_core::pipeline_runs::collect_workload_records;
+    use prosel_core::selection::{EstimatorSelector, SelectorConfig};
+    use prosel_core::training::TrainingSet;
+    use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
+    use prosel_mart::BoostParams;
+    use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
+    use prosel_planner::PlanBuilder;
+
+    // Trained on one workload family, serving another: the initial
+    // choices get revised.
+    let trained_on = WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(16).with_scale(0.4);
+    let records = collect_workload_records(&trained_on).expect("records");
+    let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(10).with_scale(0.4);
+    let train = TrainingSet::from_records(&records);
+    let cfg = SelectorConfig::default()
+        .with_boost(BoostParams { iterations: 40, ..BoostParams::default() });
+    let first = Arc::new(EstimatorSelector::train(&train, &cfg));
+    let second = Arc::new(EstimatorSelector::retrain_from(&first, &train, 20, 0x5EC0));
+
+    let w = materialize(&spec);
+    let catalog = Catalog::new(&w.db, &w.design);
+    let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+    let config = MonitorConfig { reselect_every: 2, ..MonitorConfig::default() };
+    let build = || {
+        MonitorBuilder::with_selector(Arc::clone(&first))
+            .config(config.clone())
+            .build_monitor()
+            .unwrap()
+    };
+    let (mut memo, mut rescoring) = (build(), build());
+    let (mut thinned, mut switched) = (0usize, 0usize);
+    for (qi, q) in w.queries.iter().enumerate() {
+        let plan = Arc::new(builder.build(q).expect("plan"));
+        memo.register(qi, Arc::clone(&plan));
+        rescoring.register(qi, Arc::clone(&plan));
+        let (tap, rx) = std::sync::mpsc::channel();
+        let exec = ExecConfig {
+            max_snapshots: 32,
+            initial_snapshot_interval: 5.0,
+            seed: qi as u64,
+            ..ExecConfig::default()
+        };
+        run_plan_tapped(&catalog, &plan, &exec, qi, tap);
+        let mut ingested = 0;
+        while let Ok(ev) = rx.try_recv() {
+            // The swap lands while a query is in flight: it keeps the
+            // selector it registered under, later ones get the new.
+            ingested += 1;
+            if qi == w.queries.len() / 2 && ingested == 10 {
+                assert_eq!(memo.swap_selector(Arc::clone(&second)), 1);
+                assert_eq!(rescoring.swap_selector(Arc::clone(&second)), 1);
+            }
+            thinned += matches!(ev, TraceEvent::Thinned { .. }) as usize;
+            // No finite feature is bit-equal to NaN: the memo of the
+            // rescoring monitor never hits.
+            for pipe in &mut rescoring.queries.get_mut(&qi).expect("registered").pipes {
+                pipe.feats[STATIC_LEN..].fill(f32::NAN);
+            }
+            memo.ingest(ev.clone());
+            rescoring.ingest(ev);
+            for pid in 0..plan.len() {
+                assert_eq!(memo.current_choice(qi, pid), rescoring.current_choice(qi, pid));
+            }
+            assert_eq!(memo.switch_history(qi), rescoring.switch_history(qi));
+            assert_eq!(
+                memo.query_progress(qi).map(f64::to_bits),
+                rescoring.query_progress(qi).map(f64::to_bits)
+            );
+        }
+        assert_eq!(memo.is_finished(qi), Some(true));
+        switched += memo.switch_history(qi).expect("registered").len();
+    }
+    assert!(thinned > 0 && switched > 0, "{thinned} thinnings, {switched} switches");
+    assert_eq!(memo.selector_epoch(), 1, "the swap happened");
+    let (due, hits) = (&memo.counters.reselect, &memo.counters.reselect_memo_hits);
+    assert_eq!(due.get(), rescoring.counters.reselect.get());
+    assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
+    assert_eq!(rescoring.counters.reselect_memo_hits.get(), 0);
+}
+
+#[test]
+fn finished_queries_are_harvested_with_batch_equivalent_shape() {
+    let plan = scan_plan();
+    let (sink, harvested) = std::sync::mpsc::channel();
+    let mut monitor = dne()
+        .harvester(Arc::new(sink), HarvestConfig { label: "live".into(), min_observations: 3 })
+        .build_monitor()
+        .unwrap();
+    monitor.register(7, &plan);
+    for seq in 0..5u64 {
+        monitor.ingest(snapshot_event(7, seq, (seq + 1) as f64 * 8.0, 20 * (seq + 1)));
+    }
+    monitor.ingest(TraceEvent::Finished {
+        query: 7,
+        wall: 40.0,
+        windows: vec![(1.0, 40.0)].into_boxed_slice(),
+        total_time: 40.0,
+    });
+    let h = harvested.try_recv().expect("one harvest per finished query");
+    assert_eq!((h.query, h.selector_epoch), (7, 0));
+    assert_eq!(h.total_time, 40.0);
+    assert!(h.switches.is_empty());
+    assert_eq!(h.records.len(), 1);
+    let r = &h.records[0];
+    assert_eq!((r.workload.as_str(), r.query_idx, r.pipeline_id), ("live", 7, 0));
+    assert_eq!(r.n_obs, 5);
+    assert_eq!(r.total_getnext, 100);
+    assert_eq!(r.features.len(), FeatureSchema::get().len());
+    assert!(r.errors_l1.iter().all(|e| e.is_finite() && *e >= 0.0));
+    assert!(harvested.try_recv().is_err(), "exactly one harvest");
+
+    // A query below the observation floor harvests an empty record
+    // set (the envelope still announces the finish).
+    monitor.register(8, &plan);
+    monitor.ingest(snapshot_event(8, 0, 10.0, 50));
+    monitor.ingest(TraceEvent::Finished {
+        query: 8,
+        wall: 20.0,
+        windows: vec![(1.0, 20.0)].into_boxed_slice(),
+        total_time: 20.0,
+    });
+    let h = harvested.try_recv().expect("envelope for the short query");
+    assert_eq!(h.query, 8);
+    assert!(h.records.is_empty(), "1 observation < min_observations 3");
+}
+
+#[test]
+fn admission_cap_refuses_with_typed_saturation_and_recovers() {
+    let plan = scan_plan();
+    let config = MonitorConfig { max_queries: 2, ..Default::default() };
+    let mut monitor = dne().config(config).build_monitor().unwrap();
+    assert_eq!(monitor.try_register(0, &plan), Ok(()));
+    assert_eq!(monitor.try_register(1, &plan), Ok(()));
+    // At the cap: a typed refusal, never a panic, and the duplicate
+    // check still wins for ids that are already in (no double count).
+    assert_eq!(monitor.try_register(2, &plan), Err(RegisterError::Saturated { limit: 2 }));
+    assert_eq!(monitor.try_register(0, &plan), Err(RegisterError::DuplicateQuery(0)));
+    // Admitted queries are still served while saturated.
+    monitor.ingest(snapshot_event(0, 0, 10.0, 50));
+    assert!((monitor.query_progress(0).unwrap() - 0.5).abs() < 1e-12);
+    // Draining a query frees a slot; admission resumes.
+    monitor.unregister(1).unwrap();
+    assert_eq!(monitor.try_register(2, &plan), Ok(()));
+    let stats = monitor.shard_stats();
+    assert_eq!((stats.admitted, stats.refused, stats.registered), (3, 2, 2));
+}
+
+#[test]
+fn shard_stats_obey_the_event_conservation_law() {
+    let plan = scan_plan();
+    let (sink, harvested) = std::sync::mpsc::channel();
+    let mut monitor = dne()
+        .harvester(Arc::new(sink), HarvestConfig { label: "cnt".into(), min_observations: 1 })
+        .build_monitor()
+        .unwrap();
+    monitor.register(0, &plan);
+    monitor.ingest(snapshot_event(0, 0, 10.0, 25));
+    monitor.ingest(snapshot_event(99, 0, 10.0, 25)); // untracked query
+    monitor.ingest(TraceEvent::Finished {
+        query: 0,
+        wall: 40.0,
+        windows: vec![(1.0, 40.0)].into_boxed_slice(),
+        total_time: 40.0,
+    });
+    // A post-termination snapshot drops the stale state defensively;
+    // the event still counts as ingested (it reached known state).
+    monitor.ingest(snapshot_event(0, 1, 50.0, 99));
+    let stats = monitor.shard_stats();
+    assert_eq!(stats.events_ingested + stats.events_unroutable, 4, "every event counted once");
+    assert_eq!(stats.events_unroutable, 1);
+    assert_eq!(stats.queries_finished, 1);
+    assert_eq!(stats.queries_dropped, 1);
+    assert_eq!(stats.harvests, 1);
+    assert_eq!(stats.registered, 0);
+    assert_eq!(harvested.try_iter().count(), 1);
+    // Forks start fresh tallies (service shards own their counters).
+    assert_eq!(monitor.fork(0).shard_stats(), ShardStats::default());
+    // merged() folds per-shard readouts element-wise.
+    let sum = stats.merged(&stats);
+    assert_eq!(sum.events_ingested, 2 * stats.events_ingested);
+    assert_eq!(sum.queries_finished, 2);
+}
+
+#[test]
+#[should_panic(expected = "already registered")]
+fn register_still_panics_on_duplicates() {
+    let plan = scan_plan();
+    let mut monitor = dne().build_monitor().unwrap();
+    monitor.register(1, &plan);
+    monitor.register(1, &plan);
+}

@@ -17,7 +17,7 @@
 //! trailing garbage and field drift are all rejected with a typed error
 //! — a restore either resumes the exact checkpointed state or refuses.
 
-use crate::shard::ShardStats;
+use crate::stats::ShardStats;
 use prosel_core::textio::{open, parse, seal, LineReader};
 use std::fmt;
 

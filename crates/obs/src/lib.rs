@@ -28,7 +28,7 @@
 //!   trailing garbage are rejected with a typed error.
 //!
 //! The monitor, learn and bench crates thread these through every layer
-//! — runtime (steals, parks, queue depth), shard (per-event ingest
+//! — runtime (parks, queue depth), shard (per-event ingest
 //! latency, snapshot eval time, delta decodes), service (read /
 //! registration / swap latency, tap volume), learner (buffer occupancy,
 //! retrain duration, promotion decisions) — and the traffic harness

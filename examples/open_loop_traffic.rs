@@ -1,7 +1,6 @@
 //! Open-loop traffic against a live monitor service, end to end:
 //!
-//! 1. describe a scenario as a [`TrafficSpec`] (or load a TOML file like
-//!    `crates/bench/specs/traffic_quick.toml`);
+//! 1. describe a scenario as a [`TrafficSpec`];
 //! 2. capture plan templates once ([`TemplateSet::build`] — the only
 //!    queries that really execute);
 //! 3. replay the Zipf-skewed schedule against a sharded
@@ -14,11 +13,10 @@ use prosel_bench::traffic::{drive, schedule, TemplateSet, TrafficSpec};
 
 fn main() {
     // The smoke profile: 800 queries over all six paper workloads in a
-    // couple of seconds. Swap in TrafficSpec::quick()/full() — or
-    // TrafficSpec::from_toml(&std::fs::read_to_string(path).unwrap()) —
-    // for the bigger scenarios.
+    // couple of seconds. Swap in TrafficSpec::quick()/full() for the
+    // bigger scenarios.
     let spec = TrafficSpec::smoke();
-    println!("spec:\n{}", spec.to_toml());
+    println!("spec: {spec:#?}");
 
     let arrivals = schedule(&spec);
     let horizon = arrivals.last().map_or(0.0, |a| a.at);

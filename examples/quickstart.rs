@@ -5,10 +5,10 @@
 //! ```
 
 use prosel::core::pipeline_runs::collect_workload_records;
-use prosel::core::progress::ProgressMonitor;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{run_plan, Catalog, ExecConfig};
+use prosel::engine::{run_plan_tapped, Catalog, ExecConfig, TraceEvent};
+use prosel::monitor::MonitorBuilder;
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::PlanBuilder;
 
@@ -25,7 +25,8 @@ fn main() {
     let selector = EstimatorSelector::train(&train, &SelectorConfig::default());
     println!("selector trained ({} candidates)", selector.config().candidates.len());
 
-    // 3. Use it on a fresh query (different template parameters).
+    // 3. Use it on a fresh query (different template parameters): register
+    //    the plan with a monitor before it runs, tap the execution into it.
     let fresh = WorkloadSpec::new(WorkloadKind::TpchLike, 0xD1FF).with_queries(3);
     let w = materialize(&fresh);
     let catalog = Catalog::new(&w.db, &w.design);
@@ -33,33 +34,50 @@ fn main() {
     let plan = builder.build(&w.queries[0]).expect("plan");
     println!("\nfresh query plan:\n{}", plan.render());
 
-    let run = run_plan(&catalog, &plan, &ExecConfig::default());
-    let monitor = ProgressMonitor::new(&selector);
-    let (points, choices) = monitor.monitor(&run);
+    let mut monitor = MonitorBuilder::with_selector(selector).build_monitor().expect("build");
+    monitor.register(0, &plan);
+    println!("per-pipeline estimator choices from static features:");
+    for p in &monitor.status(0).expect("registered").pipelines {
+        println!("  pipeline {}: start with {}", p.pipeline, p.estimator.name());
+    }
 
-    println!("per-pipeline estimator choices:");
-    for c in &choices {
+    let (tap, events) = std::sync::mpsc::channel();
+    let run = run_plan_tapped(&catalog, &plan, &ExecConfig::default(), 0, tap);
+    // The served curve: what the monitor reported after each snapshot, as
+    // (virtual time, estimate), against the elapsed-time fraction.
+    let mut points = Vec::new();
+    for ev in events.try_iter() {
+        let observed = matches!(ev, TraceEvent::Snapshot { .. } | TraceEvent::Delta { .. });
+        monitor.ingest(ev);
+        if observed {
+            let status = monitor.status(0).expect("registered");
+            points.push((status.time, status.progress));
+        }
+    }
+    assert_eq!(monitor.query_progress(0), Some(1.0), "a finished query reads exactly 1");
+    println!("revisions from dynamic features while it ran:");
+    for s in monitor.switch_history(0).expect("registered") {
         println!(
-            "  pipeline {}: start with {}, revised to {} at the 20% marker",
-            c.pipeline_id,
-            c.initial.name(),
-            c.revised.name()
+            "  pipeline {}: revised {} -> {} at t={:.0}",
+            s.pipeline,
+            s.from.name(),
+            s.to.name(),
+            s.time
         );
     }
 
     println!("\nprogress report (true vs estimated):");
+    let truth = |time: f64| (time / run.trace.total_time).clamp(0.0, 1.0);
     let step = (points.len() / 12).max(1);
-    for p in points.iter().step_by(step) {
-        let bar = "#".repeat((p.estimate * 30.0) as usize);
+    for &(time, estimate) in points.iter().step_by(step) {
+        let bar = "#".repeat((estimate * 30.0) as usize);
         println!(
-            "  t={:9.0}  true {:5.1}%  est {:5.1}%  {bar}",
-            p.time,
-            p.truth * 100.0,
-            p.estimate * 100.0
+            "  t={time:9.0}  true {:5.1}%  est {:5.1}%  {bar}",
+            truth(time) * 100.0,
+            estimate * 100.0
         );
     }
-    println!(
-        "\nmean |estimate - truth| over the run: {:.4}",
-        ProgressMonitor::l1_of_points(&points)
-    );
+    let l1 = points.iter().map(|&(time, estimate)| (estimate - truth(time)).abs()).sum::<f64>()
+        / points.len().max(1) as f64;
+    println!("\nmean |estimate - truth| over the run: {l1:.4}");
 }

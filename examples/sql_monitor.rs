@@ -1,7 +1,6 @@
 //! Live, online progress monitoring of N concurrent queries.
 //!
-//! Unlike `sql_progress` (which replays a *completed* run), this example
-//! exercises the production-shaped path: queries are registered with the
+//! The production-shaped path: queries are registered with the
 //! long-lived monitor before they execute, the engine streams snapshots
 //! over a channel while the workload runs on a worker thread, and the
 //! main thread serves live progress readouts from prefix-only

@@ -19,7 +19,7 @@
 //! | [`planner`] | `prosel-planner` | histogram statistics, cardinality estimation, physical plan construction, workload generators |
 //! | [`estimators`] | `prosel-estimators` | DNE, TGN, LUO, PMAX, SAFE, BATCHDNE, DNESEEK, TGNINT + oracle models |
 //! | [`mart`] | `prosel-mart` | stochastic gradient-boosted regression trees |
-//! | [`core`] | `prosel-core` | feature extraction, estimator-selection models, end-to-end progress monitor |
+//! | [`core`] | `prosel-core` | feature extraction, estimator-selection models |
 //! | [`monitor`] | `prosel-monitor` | **online** monitor: live traces in, incremental estimation + dynamic re-selection out, wall-clock ETA (`remaining_time` / `progress_at_deadline`) |
 //! | [`learn`] | `prosel-learn` | **online learning**: harvested-run training buffer, background retraining, versioned selector hot-swap |
 //! | [`obs`] | `prosel-obs` | **observability**: wait-free metrics registry, typed trace ring, checksummed text exposition — scraped live off the monitor/learn stack |

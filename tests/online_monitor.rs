@@ -201,7 +201,7 @@ fn selector_driven_monitor_end_to_end() {
         assert_eq!(monitor.is_finished(qi), Some(true));
         assert_equivalent(&monitor, qi, run, &format!("selector q{qi}"));
         let switches = monitor.switch_history(qi).expect("registered");
-        for s in switches {
+        for s in &switches {
             assert_ne!(s.from, s.to, "q{qi}: no-op switch logged");
         }
         // Initial choices came from static features; current choice must

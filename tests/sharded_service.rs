@@ -118,7 +118,7 @@ fn selector_service_matches_single_monitor_including_switches() {
         let switches = service.switch_history(qi).expect("registered");
         let expect = reference.switch_history(qi).expect("registered");
         assert_eq!(switches.len(), expect.len(), "q{qi} switch count");
-        for (a, b) in switches.iter().zip(expect) {
+        for (a, b) in switches.iter().zip(&expect) {
             assert_eq!(a, b, "q{qi} switch event");
         }
         let served = service.status(qi).expect("registered");

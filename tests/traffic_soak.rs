@@ -1,4 +1,4 @@
-//! The open-loop traffic soak: the checked-in quick spec drives ≥ 10k
+//! The open-loop traffic soak: [`TrafficSpec::quick`] drives ≥ 10k
 //! queries through a multi-shard [`prosel_monitor::MonitorService`] and
 //! every scenario invariant must hold with zero violations:
 //!
@@ -20,8 +20,7 @@ use prosel_bench::traffic::{
 
 #[test]
 fn quick_soak_is_clean_and_deterministic_at_ten_thousand_queries() {
-    let spec = TrafficSpec::from_toml(include_str!("../crates/bench/specs/traffic_quick.toml"))
-        .expect("checked-in quick spec parses");
+    let spec = TrafficSpec::quick();
     assert!(spec.num_queries >= 10_000, "the quick soak must drive >= 10k queries");
     assert!(spec.n_shards > 1, "the soak must exercise a multi-shard service");
 
@@ -63,7 +62,9 @@ fn quick_soak_is_clean_and_deterministic_at_ten_thousand_queries() {
     assert_eq!(obs.sum_counters("_admitted_total"), c.registered);
     assert_eq!(obs.counter("tap_events_total"), Some(c.events_sent), "tap counted every send");
     assert_eq!(obs.counter("tap_bytes_total"), Some(c.event_bytes), "tap counted every byte");
-    assert_eq!(obs.counter("service_reads_total"), Some(c.reads));
+    // Every read the driver issued is counted: the timed ones and the one
+    // `is_finished` check per finished query.
+    assert_eq!(obs.counter("service_reads_total"), Some(c.reads + c.finished));
     // The driver scrapes on the spec cadence; the final scrape is the
     // registry's whole-run view and must dominate every earlier one.
     assert_eq!(a.obs_scrapes.len() as u64, c.finished / spec.scrape_every as u64);
