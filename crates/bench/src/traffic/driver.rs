@@ -18,17 +18,13 @@
 //! the driver quiesces the service (drains every event already sent)
 //! immediately before each read it digests, so each read observes exactly
 //! the events sent before it — read *values* are deterministic functions
-//! of the spec and fold into [`TrafficOutcome::reads_digest`]. The
-//! quiesce happens *outside* the read timer: the measured latency is the
-//! wait-free read alone, which is exactly the quantity the service
-//! architecture pins flat under load. Wall-clock latencies measured
-//! around those reads are the run's non-deterministic, *reported* half
-//! ([`super::metrics`]).
+//! of the spec and fold into [`TrafficOutcome::reads_digest`]. The driver
+//! times nothing: read and ingest latency are the benchmark's to measure
+//! (`benchmark/`).
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::Instant;
 
 use prosel_core::features::FeatureSchema;
 use prosel_core::pipeline_runs::PipelineRecord;
@@ -259,7 +255,7 @@ pub struct TrafficOutcome {
     /// Running fold of every read's `(index, kind, query, value-bits)` —
     /// the deterministic transcript of read *values*.
     pub reads_digest: u64,
-    /// Counters, latencies and violations.
+    /// Counters and violations.
     pub metrics: TrafficMetrics,
     /// Service-wide [`ShardStats`] readout taken after the last event.
     pub stats: ShardStats,
@@ -274,10 +270,10 @@ pub struct TrafficOutcome {
 }
 
 impl TrafficOutcome {
-    /// The deterministic half of the run as one comparable string:
-    /// counters, digests, shard-stats fold and violations — everything
-    /// except wall-clock latencies. Two runs of one spec (without
-    /// [`DriveOptions::retrain`]) must return identical reports.
+    /// The run as one comparable string: counters, digests, shard-stats
+    /// fold and violations — everything but the scrapes. Two runs of one
+    /// spec (without [`DriveOptions::retrain`]) must return identical
+    /// reports.
     pub fn invariant_report(&self) -> String {
         let c = &self.metrics.counters;
         let s = &self.stats;
@@ -437,7 +433,6 @@ pub fn drive_with(
     let tap = service.tap();
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5EED_D21E);
     let mut counters = TrafficCounters { arrivals: arrivals.len() as u64, ..Default::default() };
-    let mut metrics = TrafficMetrics::default();
     let mut reads_digest = 0xcbf2_9ce4_8422_2325u64;
     let mut violations: Vec<String> = Vec::new();
 
@@ -461,7 +456,6 @@ pub fn drive_with(
     let mut last_epoch = 0u64;
     let mut read_counter = 0u64;
     let mut obs_scrapes: Vec<MetricsSnapshot> = Vec::new();
-    let wall_start = Instant::now();
 
     // Admit one arrival at instant `now`: register, track, schedule its
     // first event.
@@ -542,11 +536,9 @@ pub fn drive_with(
                     && !in_flight_ids.is_empty()
                 {
                     let target = in_flight_ids[rng.random_range(0..in_flight_ids.len())];
-                    // Drain everything sent so far (outside the timer) so
-                    // the read value is a pure function of the schedule;
-                    // the timed read itself is the wait-free snapshot load.
+                    // Drain everything sent so far so the read value is a
+                    // pure function of the schedule.
                     service.quiesce();
-                    let t = Instant::now();
                     let (kind_tag, bits) = match read_counter % 3 {
                         0 => ("progress", service.query_progress(target).map(f64::to_bits)),
                         1 => (
@@ -558,7 +550,6 @@ pub fn drive_with(
                             service.progress_at_deadline(target, at + 1.0).map(f64::to_bits),
                         ),
                     };
-                    metrics.read_latency.record(t.elapsed().as_nanos() as u64);
                     counters.reads += 1;
                     read_counter += 1;
                     match bits {
@@ -598,10 +589,8 @@ pub fn drive_with(
                         && counters.finished.is_multiple_of(spec.swap_every as u64)
                     {
                         let payload = &swap_payloads[(counters.swaps % 2) as usize];
-                        let t = Instant::now();
                         match service.swap_selector(Arc::clone(payload)) {
                             Ok(epoch) => {
-                                metrics.swap_latency.record(t.elapsed().as_nanos() as u64);
                                 if epoch <= last_epoch {
                                     violations.push(format!(
                                         "swap epoch not monotone: {epoch} after {last_epoch}"
@@ -627,8 +616,6 @@ pub fn drive_with(
             }
         }
     }
-    metrics.wall_seconds = wall_start.elapsed().as_secs_f64();
-
     if !in_flight.is_empty() || !wait_queue.is_empty() {
         violations.push(format!(
             "drain incomplete: {} in flight, {} queued",
@@ -684,8 +671,7 @@ pub fn drive_with(
     // series include the tail retrain (the registry outlives the service).
     let obs = registry.snapshot();
 
-    metrics.counters = counters;
-    metrics.violations = violations;
+    let metrics = TrafficMetrics { counters, violations };
     TrafficOutcome { schedule_digest, reads_digest, metrics, stats, obs, obs_scrapes }
 }
 

@@ -18,14 +18,15 @@
 //! * [`driver`] — [`TemplateSet::build`] captures real engine event
 //!   streams once, [`drive`] replays them against a live service in
 //!   virtual time ([`prosel_engine::clock::ManualClock`] pacing);
-//! * [`metrics`] — deterministic counters vs. wall-clock latency
-//!   reservoirs.
+//! * [`metrics`] — the driver's deterministic counters and the
+//!   invariant violations it found.
 //!
 //! The determinism contract, relied on by `tests/traffic_soak.rs`: for a
 //! fixed spec (without [`DriveOptions::retrain`]), two runs produce
 //! byte-identical schedules, identical read-value digests and identical
-//! [`TrafficOutcome::invariant_report`]s. Only the measured latencies
-//! differ run to run.
+//! [`TrafficOutcome::invariant_report`]s. Only the cadence scrapes'
+//! latency histograms (the service's own sampled timers) differ run to
+//! run.
 
 pub mod arrivals;
 pub mod config;
@@ -37,4 +38,4 @@ pub use config::{ArrivalProcess, TrafficSpec, MIX_LABELS};
 pub use driver::{
     drive, drive_with, synthetic_selector, DriveOptions, TemplateSet, TrafficOutcome,
 };
-pub use metrics::{LatencyStats, TrafficCounters, TrafficMetrics};
+pub use metrics::{TrafficCounters, TrafficMetrics};

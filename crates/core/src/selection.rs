@@ -35,11 +35,6 @@ impl Default for SelectorConfig {
 }
 
 impl SelectorConfig {
-    /// The paper's initial setting: choose among DNE/TGN/LUO only.
-    pub fn original_three() -> Self {
-        SelectorConfig { candidates: EstimatorKind::ORIGINAL.to_vec(), ..Default::default() }
-    }
-
     pub fn with_mode(mut self, mode: FeatureMode) -> Self {
         self.mode = mode;
         self

@@ -127,5 +127,6 @@ fn unscoreable_models_are_rejected_at_load() {
     assert!(err(past_the_vector).contains(&format!("over {} features", dims + 1)));
     let too_wide = "mart v1\nbase 0.5 shrinkage 0.1 trees 1 features 70000\ntree 3\n\
                     node 66000 0.5 0 1 2 0\nnode -1 0 0 0 0 0.25\nnode -1 0 0 0 0 0.75\n";
-    assert!(err(too_wide.into()).contains("features up to 65535"));
+    // Refused at the declared width, before anything is sized by it.
+    assert!(err(too_wide.into()).contains("features 70000: a compiled node addresses at most"));
 }

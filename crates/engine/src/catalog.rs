@@ -53,12 +53,6 @@ impl SortedIndex {
     pub fn rowid_at(&self, pos: usize) -> u32 {
         self.rowids[pos]
     }
-
-    /// Key at index-order position `pos`.
-    #[inline]
-    pub fn key_at(&self, pos: usize) -> i64 {
-        self.keys[pos]
-    }
 }
 
 /// Execution-ready view over a [`Database`] and [`PhysicalDesign`].

@@ -162,8 +162,3 @@ fn run_plan_inner(
     drop(exec);
     QueryRun { plan: plan.clone(), pipelines, trace: ctx.finish(), result_rows }
 }
-
-/// Convenience: run with a default configuration derived from `seed`.
-pub fn run_plan_seeded(catalog: &Catalog<'_>, plan: &PhysicalPlan, seed: u64) -> QueryRun {
-    run_plan(catalog, plan, &ExecConfig { seed, ..ExecConfig::default() })
-}

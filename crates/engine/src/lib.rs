@@ -36,8 +36,8 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use context::{ExecConfig, ExecContext};
 pub use cost::{CostModel, SplitMix64};
 pub use exec::{
-    build_executor, run_concurrent, run_concurrent_tapped, run_plan, run_plan_seeded,
-    run_plan_tapped, ConcurrentConfig, Executor, TurnScheduler,
+    build_executor, run_concurrent, run_concurrent_tapped, run_plan, run_plan_tapped,
+    ConcurrentConfig, Executor, TurnScheduler,
 };
 pub use pipeline::{decompose, pipeline_of, pipeline_weight, Pipeline};
 pub use plan::{

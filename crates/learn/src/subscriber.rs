@@ -172,13 +172,6 @@ impl SelectorSubscriber {
         });
     }
 
-    /// A subscriber that already serves `selector` at `epoch` (e.g.
-    /// restored from a checkpoint): only frames advancing past `epoch`
-    /// install.
-    pub fn resume_at(epoch: u64, selector: Arc<EstimatorSelector>) -> SelectorSubscriber {
-        SelectorSubscriber { current: Some(Publication { epoch, selector }), obs: None }
-    }
-
     /// The installed publication, if any.
     pub fn current(&self) -> Option<&Publication> {
         self.current.as_ref()
@@ -293,27 +286,5 @@ impl SelectorSubscriber {
         let publication = Publication { epoch, selector: Arc::new(selector) };
         self.current = Some(publication.clone());
         Ok(Some(publication))
-    }
-
-    /// Drain every frame currently available on `reader`, returning the
-    /// last installed publication (if any frame installed). Skippable
-    /// refusals (stale, checksum, malformed) are counted and skipped;
-    /// torn/i/o errors abort the drain.
-    pub fn catch_up(
-        &mut self,
-        reader: &mut dyn BufRead,
-    ) -> Result<(Option<Publication>, usize), SubscribeError> {
-        let mut installed = None;
-        let mut skipped = 0usize;
-        loop {
-            match self.recv_from(reader) {
-                Ok(Some(p)) => installed = Some(p),
-                Ok(None) => return Ok((installed, skipped)),
-                Err(SubscribeError::StaleEpoch { .. })
-                | Err(SubscribeError::ChecksumMismatch { .. })
-                | Err(SubscribeError::Malformed(_)) => skipped += 1,
-                Err(fatal) => return Err(fatal),
-            }
-        }
     }
 }

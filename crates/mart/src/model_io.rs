@@ -14,6 +14,10 @@ use crate::boost::Mart;
 use crate::tree::{RegressionTree, TreeNode};
 use std::fmt::Write as _;
 
+/// The widest model a text may declare: every feature index a compiled
+/// node's `u16` field can address.
+const MAX_FEATURES: usize = u16::MAX as usize + 1;
+
 /// Serialize a model to a string.
 pub fn to_string(model: &Mart) -> String {
     let mut out = String::new();
@@ -61,6 +65,13 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
     let shrinkage: f32 = parts[3].parse().map_err(|e| format!("shrinkage: {e}"))?;
     let n_trees: usize = parts[5].parse().map_err(|e| format!("trees: {e}"))?;
     let n_features: usize = parts[7].parse().map_err(|e| format!("features: {e}"))?;
+    // The feature count is a width, not a count of lines, so the input's
+    // length does not bound it; a compiled node's 16-bit feature field does.
+    if n_features > MAX_FEATURES {
+        return Err(format!(
+            "features {n_features}: a compiled node addresses at most {MAX_FEATURES}"
+        ));
+    }
     // Every tree and every node is a line of `s`, so a declared count past
     // its length is refused before anything is sized by it.
     let fits = |what: &str, n: usize| {
@@ -131,13 +142,7 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             return Err(format!("trailing garbage after the declared trees: {line}"));
         }
     }
-    // The feature count is a width, not a count of lines: nothing in the
-    // input bounds it, so the allocator's refusal is the error.
-    let mut feature_gain = Vec::new();
-    feature_gain
-        .try_reserve_exact(n_features)
-        .map_err(|e| format!("features {n_features}: {e}"))?;
-    feature_gain.resize(n_features, 0.0);
+    let feature_gain = vec![0.0; n_features];
     // Compiles the inference form: anything the parse above let through
     // that a compiled node cannot hold (a shared child, a feature index or
     // node count too wide for its fields) is refused here, not truncated.
@@ -188,6 +193,15 @@ mod tests {
         let err = from_str("mart v1\nbase 0 shrinkage 0.1 trees 0 features 18446744073709551615\n")
             .expect_err("features");
         assert!(err.starts_with("features 18446744073709551615:"), "{err}");
+        // A width is refused before anything is sized by it: one past what
+        // a compiled node's 16-bit field addresses fails, the widest it
+        // addresses parses.
+        let err = from_str("mart v1\nbase 0 shrinkage 0.1 trees 0 features 65537\n")
+            .expect_err("features 65537");
+        assert!(err.starts_with("features 65537:"), "{err}");
+        let model = from_str("mart v1\nbase 0 shrinkage 0.1 trees 0 features 65536\n")
+            .expect("features 65536");
+        assert_eq!(model.n_features(), 65_536);
     }
 
     #[test]
@@ -237,14 +251,15 @@ mod tests {
         let err = parse(2, 2, "tree 1\nnode -1 0 0 0 0 1\ntree 0\n").expect_err("tree 0");
         assert_eq!(err, "tree 1 has no nodes");
         // A feature index wider than the compiled node's 16-bit field is
-        // an error, not a truncation to feature 464.
+        // an error, not a truncation to feature 464: the width that would
+        // admit it is refused first.
         let err = parse(
             1,
             70_000,
             "tree 3\nnode 66000 0.5 0 1 2 0\nnode -1 0 0 0 0 1\nnode -1 0 0 0 0 2\n",
         )
         .expect_err("wide feature");
-        assert!(err.contains("tree 0") && err.contains("features up to 65535"), "{err}");
+        assert!(err.starts_with("features 70000:"), "{err}");
         // So is a tree with a level wider than a node's 16-bit step to its
         // children spans: a complete tree of 2^15 splits on its last inner
         // level.

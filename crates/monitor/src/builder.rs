@@ -120,13 +120,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// The timing-instrumentation knob: the hot-path latency histograms'
-    /// 1-in-N sampling stride. Counters are unaffected.
-    pub fn observability(mut self, obs: prosel_obs::ObsOptions) -> MonitorBuilder {
-        self.config.obs = obs;
-        self
-    }
-
     /// Shard-task count for the service form, clamped to ≥ 1 (ignored by
     /// [`Self::build_monitor`]).
     pub fn shards(mut self, n: usize) -> MonitorBuilder {

@@ -3,7 +3,7 @@
 
 use crate::runtime::RuntimeConfig;
 use prosel_engine::clock::{Clock, SystemClock};
-use prosel_obs::{MetricsRegistry, ObsOptions};
+use prosel_obs::MetricsRegistry;
 use std::sync::Arc;
 
 /// Monitor configuration.
@@ -45,10 +45,6 @@ pub struct MonitorConfig {
     /// monitor/service its **own** registry — two services sharing one
     /// would silently share (and double-count on) the same handles.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// The timing-instrumentation knob (the latency histograms' sampling
-    /// stride). Counters are unaffected — they are the stats bookkeeping
-    /// itself.
-    pub obs: ObsOptions,
 }
 
 impl Default for MonitorConfig {
@@ -60,7 +56,6 @@ impl Default for MonitorConfig {
             max_queries: 0,
             runtime: RuntimeConfig::default(),
             metrics: None,
-            obs: ObsOptions::default(),
         }
     }
 }

@@ -147,7 +147,7 @@ pub use stats::ShardStats;
 
 // Observability surface, re-exported so embedders need no direct
 // `prosel-obs` dependency for the common wiring.
-pub use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, ObsOptions, TraceRing};
+pub use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, TraceRing};
 
 #[cfg(test)]
 mod test_support;

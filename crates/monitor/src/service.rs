@@ -47,7 +47,7 @@ use crate::stats::ShardStats;
 use prosel_core::selection::EstimatorSelector;
 use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::{TapSink, TraceEvent, TraceTap};
-use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, TraceRing};
+use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, TraceRing, SAMPLE_EVERY};
 use slots::{ServiceInner, ServiceObs, ShardSlot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -75,7 +75,6 @@ impl MonitorService {
         // a private one when the caller supplied none. Shard forks pick it
         // up through the prototype's config.
         let metrics = prototype.ensure_metrics();
-        let obs_options = prototype.config().obs;
         let runtime_config = prototype.config().runtime.clone();
         let clock = Arc::clone(&prototype.config().clock);
         let shards = (0..n)
@@ -84,7 +83,7 @@ impl MonitorService {
                 ShardSlot::new(prototype.fork(si), wakes)
             })
             .collect();
-        let obs = ServiceObs::new(&metrics, obs_options);
+        let obs = ServiceObs::new(&metrics);
         let ring = TraceRing::new(256, Arc::clone(&clock));
         let runtime_obs = RuntimeObs::from_registry(&metrics);
         let inner = Arc::new(ServiceInner {
@@ -261,7 +260,8 @@ impl MonitorService {
         // The sampling tick is the read counter itself — one `fetch_add`
         // total, so timing adds no shared-cacheline traffic to unsampled
         // reads.
-        let timer = obs.reads_total.tick().is_multiple_of(obs.stride).then(Instant::now);
+        let timer =
+            obs.reads_total.tick().is_multiple_of(u64::from(SAMPLE_EVERY)).then(Instant::now);
         let shard = &self.inner.shards[self.inner.shard_of(query)];
         let out = if shard.is_alive() {
             let registry = shard.registry.read().unwrap_or_else(|e| e.into_inner());

@@ -9,7 +9,7 @@ use crate::shard::{Ingested, ProgressMonitor};
 use crate::stats::ShardCounters;
 use prosel_engine::clock::Clock;
 use prosel_engine::trace::{TapSink, TraceEvent};
-use prosel_obs::{Counter, Histogram, MetricsRegistry, ObsEvent, ObsOptions, TraceRing};
+use prosel_obs::{Counter, Histogram, MetricsRegistry, ObsEvent, TraceRing};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,11 +37,10 @@ pub(super) struct ServiceObs {
     /// Estimated wire bytes of those events ([`TraceEvent::payload_bytes`]).
     tap_bytes_total: Arc<Counter>,
     ingest_batch_len: Arc<Histogram>,
-    pub(super) stride: u64,
 }
 
 impl ServiceObs {
-    pub(super) fn new(registry: &MetricsRegistry, options: ObsOptions) -> ServiceObs {
+    pub(super) fn new(registry: &MetricsRegistry) -> ServiceObs {
         ServiceObs {
             reads_total: registry.counter("service_reads_total"),
             read_ns: registry.histogram("service_read_ns"),
@@ -50,7 +49,6 @@ impl ServiceObs {
             tap_events_total: registry.counter("tap_events_total"),
             tap_bytes_total: registry.counter("tap_bytes_total"),
             ingest_batch_len: registry.histogram("service_ingest_batch_len"),
-            stride: options.stride() as u64,
         }
     }
 }

@@ -27,6 +27,7 @@ use prosel_engine::trace::{
 use prosel_engine::Pipeline;
 use prosel_estimators::soa::BoundsKernel;
 use prosel_estimators::SnapshotCtx;
+use prosel_obs::SAMPLE_EVERY;
 use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -121,7 +122,7 @@ impl ProgressMonitor {
     /// [`Self::ingest`], reporting what became of the event.
     pub(crate) fn ingest_outcome(&mut self, ev: TraceEvent) -> Ingested {
         self.obs_tick = self.obs_tick.wrapping_add(1);
-        let timed = self.obs_tick.is_multiple_of(self.counters.stride);
+        let timed = self.obs_tick.is_multiple_of(SAMPLE_EVERY);
         let env = IngestEnv {
             counters: &self.counters,
             reselect_every: self.config.reselect_every,

@@ -96,12 +96,11 @@ pub(crate) struct ShardCounters {
     /// … and those of them answered from the memo: the feature vector was
     /// bit-equal to the one last scored, so the forest was not touched.
     pub(crate) reselect_memo_hits: Arc<Counter>,
-    /// Sampled per-event ingest latency (see [`prosel_obs::ObsOptions`]).
+    /// Sampled per-event ingest latency (see [`prosel_obs::SAMPLE_EVERY`]).
     pub(crate) ingest_ns: Arc<Histogram>,
     /// Sampled full-snapshot / delta evaluation time (the
     /// `advance_query` tail: bound refresh + per-pipeline offers).
     pub(crate) snapshot_eval_ns: Arc<Histogram>,
-    pub(crate) stride: u32,
 }
 
 impl ShardCounters {
@@ -132,7 +131,6 @@ impl ShardCounters {
             reselect_memo_hits: c("reselect_memo_hits_total"),
             ingest_ns: registry.histogram(&format!("{prefix}ingest_ns")),
             snapshot_eval_ns: registry.histogram(&format!("{prefix}snapshot_eval_ns")),
-            stride: config.obs.stride(),
         }
     }
 

@@ -63,38 +63,15 @@ pub use metrics::{
 pub use ring::{FrameRejectReason, ObsEvent, TraceRecord, TraceRing};
 pub use snapshot::{ExpositionError, HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
 
-/// The instrumentation knob shared by the observed components.
+/// The hot paths' latency-histogram sampling stride: 1-in-N events pay
+/// the clock reads, the only part of the instrumentation with measurable
+/// hot-path cost. Counters, gauges and the cold paths (registration,
+/// swap, retrain) are always recorded.
 ///
-/// Counters and gauges are always on (they replace what used to be
-/// plain-field bookkeeping, at the same one-increment-per-event cost),
-/// and so are the latency histograms; the knob governs how often the
-/// hot paths pay the histograms' clock reads, the only part with
-/// measurable hot-path cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// Sample 1-in-N events for the hot-path latency histograms
-    /// (clamped to ≥ 1). Cold paths (registration, swap, retrain) are
-    /// always timed.
-    ///
-    /// The default of 4096 keeps sampled events at ~2% of the
-    /// above-p99 population (1/4096 sampled vs 1/100 in the tail), so
-    /// tail-latency readings of instrumented hot paths are not
-    /// inflated by the sampler's own clock reads even when the natural
-    /// latency distribution has its knee right at p99. A service
-    /// answering ~100k reads/s still lands ~25 histogram samples per
-    /// second.
-    pub sample_every: u32,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions { sample_every: 4096 }
-    }
-}
-
-impl ObsOptions {
-    /// `sample_every`, clamped to ≥ 1.
-    pub fn stride(&self) -> u32 {
-        self.sample_every.max(1)
-    }
-}
+/// 4096 keeps sampled events at ~2% of the above-p99 population (1/4096
+/// sampled vs 1/100 in the tail), so tail-latency readings of
+/// instrumented hot paths are not inflated by the sampler's own clock
+/// reads even when the natural latency distribution has its knee right at
+/// p99. A service answering ~100k reads/s still lands ~25 histogram
+/// samples per second.
+pub const SAMPLE_EVERY: u32 = 4096;

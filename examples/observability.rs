@@ -2,8 +2,8 @@
 //! text exposition codec, end to end.
 //!
 //! A sharded [`MonitorService`] serves a concurrent engine run while this
-//! thread scrapes its [`MetricsRegistry`] on a cadence — counters, read
-//! and ingest latency brackets, tap volume — then hot-swaps a selector so
+//! thread scrapes its [`MetricsRegistry`] on a cadence — event and read
+//! counters, tap volume — then hot-swaps a selector so
 //! the trace ring has structured events to show, and finally round-trips
 //! the whole scrape through the checksummed text exposition.
 //!
@@ -21,7 +21,7 @@ use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig};
 use prosel::estimators::EstimatorKind;
 use prosel::mart::BoostParams;
 use prosel::monitor::MonitorBuilder;
-use prosel::obs::{MetricsRegistry, MetricsSnapshot, ObsOptions};
+use prosel::obs::{MetricsRegistry, MetricsSnapshot};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::PlanBuilder;
 use std::sync::Arc;
@@ -45,10 +45,6 @@ fn main() {
     let service = MonitorBuilder::fixed(EstimatorKind::Dne)
         .shards(n_shards)
         .metrics(Arc::clone(&registry))
-        // The default stride samples 1-in-4096 hot-path timings — right
-        // for production tails, too sparse for a short demo. Dense
-        // sampling here so the latency brackets fill visibly.
-        .observability(ObsOptions { sample_every: 8 })
         .build_service()
         .expect("DNE is an online kind");
     for (qi, plan) in plans.iter().enumerate() {
@@ -73,7 +69,8 @@ fn main() {
         loop {
             std::thread::sleep(Duration::from_millis(10));
             // Reads ride the wait-free path and are themselves counted
-            // (`service_reads_total`) and sampled (`service_read_ns`).
+            // (`service_reads_total`); 1 in `prosel::obs::SAMPLE_EVERY` is
+            // timed into `service_read_ns`.
             let progress: f64 =
                 (0..n_queries).map(|qi| service.query_progress(qi).unwrap_or(0.0)).sum::<f64>()
                     / n_queries as f64;
@@ -85,17 +82,10 @@ fn main() {
                 .unwrap_or(ingested);
             let reads = snap.counter("service_reads_total").unwrap_or(0);
             let tap_bytes = snap.counter("tap_bytes_total").unwrap_or(0);
-            let ingest_ns = snap
-                .merge_histograms("_ingest_ns")
-                .and_then(|h| h.quantile_bounds(0.5))
-                .unwrap_or((0, 0));
             println!(
                 "scrape: progress {:3.0}% | {ingested:>6} events ingested (+{delta:<5}) | \
-                 {reads:>4} reads | {tap_bytes:>8} tap bytes | \
-                 ingest p50 in [{}, {}] ns",
+                 {reads:>4} reads | {tap_bytes:>8} tap bytes",
                 progress * 100.0,
-                ingest_ns.0,
-                ingest_ns.1
             );
             prev = Some(snap);
             let done = (0..n_queries).all(|qi| service.is_finished(qi) == Ok(true));

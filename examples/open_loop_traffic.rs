@@ -33,28 +33,10 @@ fn main() {
 
     let out = drive(&spec, &templates);
     let c = &out.metrics.counters;
-    let (p50, p99, p999) = out.metrics.read_latency.summary();
-    println!(
-        "drive: {} finished / {} arrivals in {:.2}s wall",
-        c.finished, c.arrivals, out.metrics.wall_seconds
-    );
-    println!(
-        "  ingest        {:.0} events/s ({} events)",
-        out.metrics.events_per_second(),
-        c.events_sent
-    );
-    println!(
-        "  reads         {} (p50 {:.1} us, p99 {:.1} us, p999 {:.1} us)",
-        c.reads,
-        p50 as f64 / 1e3,
-        p99 as f64 / 1e3,
-        p999 as f64 / 1e3
-    );
-    println!(
-        "  swaps         {} (p99 {:.1} us)",
-        c.swaps,
-        out.metrics.swap_latency.quantile(0.99) as f64 / 1e3
-    );
+    println!("drive: {} finished / {} arrivals", c.finished, c.arrivals);
+    println!("  ingest        {} events ({} B)", c.events_sent, c.event_bytes);
+    println!("  reads         {}", c.reads);
+    println!("  swaps         {}", c.swaps);
     println!("  admission     peak queue {} / max in flight {}", c.queue_peak, c.max_in_flight);
     println!(
         "  conservation  ingested {} unroutable {} dropped {}",

@@ -39,7 +39,6 @@ fn quick_soak_is_clean_and_deterministic_at_ten_thousand_queries() {
     assert_eq!(c.finished, c.arrivals, "every registered query reached Finished");
     assert!(c.max_in_flight <= spec.max_concurrency as u64);
     assert!(c.reads > 0 && c.swaps > 0, "the scenario must read and swap under load");
-    assert_eq!(a.metrics.read_latency.count() as u64, c.reads);
 
     // Shard-side conservation, service-wide.
     assert_eq!(a.stats.events_ingested, c.events_sent);
