@@ -27,8 +27,7 @@
 //! what the checkpointed one would have done.
 //!
 //! Entry points: [`crate::OnlineLearner::checkpoint`] and
-//! [`crate::OnlineLearner::restore`]. [`crate::Trainer::spawn_with_checkpoints`]
-//! emits these on a query cadence from the background thread.
+//! [`crate::OnlineLearner::restore`].
 
 use crate::buffer::{BufferConfig, DecayPolicy, GroupBy};
 use crate::learner::{LearnConfig, LearnStats};

@@ -199,12 +199,6 @@ impl OnlineLearner {
         self.obs = Some(obs);
     }
 
-    /// The trace ring attached via [`Self::observe`], if any. The
-    /// background [`crate::Trainer`] emits its checkpoint events here.
-    pub fn obs_ring(&self) -> Option<&TraceRing> {
-        self.obs.as_ref().map(|o| &o.ring)
-    }
-
     /// The selector currently considered best (the one to serve).
     pub fn current(&self) -> Arc<EstimatorSelector> {
         Arc::clone(&self.current)

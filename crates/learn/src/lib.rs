@@ -57,10 +57,9 @@
 //! * **Checkpoints** ([`checkpoint`]): [`OnlineLearner::checkpoint`] /
 //!   [`OnlineLearner::restore`] round-trip the entire learning state —
 //!   reservoir records *with their admission stamps and RNG position* —
-//!   through a strict checksummed text codec, and
-//!   [`Trainer::spawn_with_checkpoints`] emits them on a cadence, so a
-//!   crashed trainer resumes bit-identically (same buffer, same next
-//!   promoted selector) without losing rare-group samples.
+//!   through a strict checksummed text codec, so a restarted learner
+//!   resumes bit-identically (same buffer, same next promoted selector)
+//!   without losing rare-group samples.
 //! * **Decay** ([`buffer::DecayPolicy`]): a max-age bound (measured in
 //!   offered records, so replay stays deterministic) ages stale traffic
 //!   out of the buffer — after a workload shift the old distribution
@@ -77,9 +76,7 @@
 //! [`SelectorSubscriber::observe`] does the same for the follower side,
 //! emitting one [`prosel_obs::ObsEvent::FrameRejected`] — with the typed
 //! [`prosel_obs::FrameRejectReason`] — per refused publication frame;
-//! [`SelectorHub::observe`] counts publications; and the background
-//! [`Trainer`] notes each checkpoint artifact
-//! ([`prosel_obs::ObsEvent::CheckpointEmitted`]) on the learner's ring.
+//! and [`SelectorHub::observe`] counts publications.
 //! Share the monitor service's registry and ring
 //! ([`prosel_monitor::MonitorService::metrics_registry`] /
 //! [`prosel_monitor::MonitorService::trace_ring`]) to scrape serving and

@@ -18,21 +18,9 @@
 use crate::learner::OnlineLearner;
 use prosel_core::selection::EstimatorSelector;
 use prosel_monitor::HarvestedQuery;
-use prosel_obs::ObsEvent;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Serialize one checkpoint, hand it to the sink, and note the emission
-/// (artifact size included) on the learner's trace ring when one is
-/// attached via [`OnlineLearner::observe`].
-fn emit_checkpoint(learner: &OnlineLearner, sink: impl Fn(&str)) {
-    let text = learner.checkpoint();
-    if let Some(ring) = learner.obs_ring() {
-        ring.emit(ObsEvent::CheckpointEmitted { bytes: text.len() });
-    }
-    sink(&text);
-}
 
 /// Handle of the background retraining thread. See the module docs.
 pub struct Trainer {
@@ -46,59 +34,15 @@ impl Trainer {
     /// [`prosel_monitor::MonitorService::swap_selector`]. Rejected or
     /// skipped rounds publish nothing.
     pub fn spawn(
-        learner: OnlineLearner,
-        rx: Receiver<HarvestedQuery>,
-        publish: impl Fn(&Arc<EstimatorSelector>) + Send + 'static,
-    ) -> Trainer {
-        Self::spawn_impl(learner, rx, Box::new(publish), None)
-    }
-
-    /// [`Self::spawn`] plus crash safety: every `checkpoint_every`
-    /// harvested queries (and once more after the final tail retrain) the
-    /// trainer serializes the learner with
-    /// [`OnlineLearner::checkpoint`] and hands the text to `checkpoint` —
-    /// typically a closure writing it to a file, atomically-renamed, so a
-    /// restarted process resumes via [`OnlineLearner::restore`] without
-    /// losing its rare-group reservoir samples.
-    ///
-    /// `checkpoint_every == 0` checkpoints only at shutdown. Both hooks
-    /// run on the trainer thread; a slow checkpoint sink back-pressures
-    /// retraining, never the monitor's ingest path.
-    pub fn spawn_with_checkpoints(
-        learner: OnlineLearner,
-        rx: Receiver<HarvestedQuery>,
-        publish: impl Fn(&Arc<EstimatorSelector>) + Send + 'static,
-        checkpoint_every: usize,
-        checkpoint: impl Fn(&str) + Send + 'static,
-    ) -> Trainer {
-        Self::spawn_impl(
-            learner,
-            rx,
-            Box::new(publish),
-            Some((checkpoint_every, Box::new(checkpoint))),
-        )
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn spawn_impl(
         mut learner: OnlineLearner,
         rx: Receiver<HarvestedQuery>,
-        publish: Box<dyn Fn(&Arc<EstimatorSelector>) + Send>,
-        checkpoints: Option<(usize, Box<dyn Fn(&str) + Send>)>,
+        publish: impl Fn(&Arc<EstimatorSelector>) + Send + 'static,
     ) -> Trainer {
         let handle = std::thread::spawn(move || {
-            let mut since_checkpoint = 0usize;
             while let Ok(harvest) = rx.recv() {
                 if let Some(outcome) = learner.absorb_and_maybe_retrain(&harvest) {
                     if outcome.promoted {
                         publish(&learner.current());
-                    }
-                }
-                if let Some((every, sink)) = &checkpoints {
-                    since_checkpoint += 1;
-                    if *every > 0 && since_checkpoint >= *every {
-                        since_checkpoint = 0;
-                        emit_checkpoint(&learner, sink);
                     }
                 }
             }
@@ -109,11 +53,6 @@ impl Trainer {
                 if outcome.promoted {
                     publish(&learner.current());
                 }
-            }
-            // The shutdown checkpoint captures the tail retrain, so a
-            // restart resumes from the very state `join` returns.
-            if let Some((_, sink)) = &checkpoints {
-                emit_checkpoint(&learner, sink);
             }
             learner
         });

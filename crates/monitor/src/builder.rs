@@ -149,45 +149,52 @@ impl MonitorBuilder {
         self
     }
 
-    /// Build the prototype monitor both build paths share.
-    fn prototype(&self) -> Result<ProgressMonitor, MonitorError> {
-        Ok(ProgressMonitor::new(self.policy.clone(), self.config.clone(), self.harvester.clone())?)
-    }
-
     /// Build the single-threaded, deterministic [`ProgressMonitor`] form.
     pub fn build_monitor(self) -> Result<ProgressMonitor, MonitorError> {
-        let mut monitor = self.prototype()?;
-        match self.restore.len() {
-            0 => {}
-            1 => monitor.restore_harvest_state(&self.restore[0]),
-            n => {
-                return Err(MonitorError::Restore(format!(
-                    "{n} checkpointed shard state(s) for a single-shard monitor"
-                )))
-            }
+        if self.restore.len() > 1 {
+            return Err(MonitorError::Restore(format!(
+                "{} checkpointed shard state(s) for a single-shard monitor",
+                self.restore.len()
+            )));
+        }
+        let mut monitor = ProgressMonitor::new(self.policy, self.config, self.harvester, None)?;
+        if let Some(state) = self.restore.first() {
+            monitor.restore_harvest_state(state);
         }
         Ok(monitor)
     }
 
-    /// Build the sharded, concurrent [`MonitorService`] form.
-    pub fn build_service(mut self) -> Result<MonitorService, MonitorError> {
-        // The prototype never serves traffic in a service, so construct
-        // it without the registry (its counters stay detached — no dead
-        // all-zero `monitor_*` series in scrapes) and re-attach for the
-        // shard forks, which register under `monitor_shard<i>_*`.
-        let metrics = self.config.metrics.take();
-        let mut prototype = self.prototype()?;
-        if let Some(registry) = metrics {
-            prototype.attach_metrics(registry);
+    /// Build the sharded, concurrent [`MonitorService`] form: one core
+    /// per shard, each registering its counters as `monitor_shard<i>_*`
+    /// in the service's registry and re-seated from its checkpointed
+    /// state, if any.
+    pub fn build_service(self) -> Result<MonitorService, MonitorError> {
+        if !self.restore.is_empty() && self.restore.len() != self.shards {
+            return Err(MonitorError::Restore(format!(
+                "{} checkpointed shard state(s) for a {}-shard service",
+                self.restore.len(),
+                self.shards
+            )));
         }
-        let service = MonitorService::spawn(prototype, self.shards);
-        if !self.restore.is_empty() {
-            if let Err(e) = service.restore_harvest_states(&self.restore) {
-                service.shutdown();
-                return Err(e);
-            }
-        }
-        Ok(service)
+        // Every service has a scrapeable registry: the configured one, or
+        // a private one when the caller supplied none.
+        let metrics = self.config.metrics.clone().unwrap_or_default();
+        let config = MonitorConfig { metrics: Some(Arc::clone(&metrics)), ..self.config };
+        let cores = (0..self.shards)
+            .map(|si| {
+                let mut core = ProgressMonitor::new(
+                    self.policy.clone(),
+                    config.clone(),
+                    self.harvester.clone(),
+                    Some(si),
+                )?;
+                if let Some(state) = self.restore.get(si) {
+                    core.restore_harvest_state(state);
+                }
+                Ok(core)
+            })
+            .collect::<Result<Vec<_>, MonitorError>>()?;
+        Ok(MonitorService::spawn(cores, metrics))
     }
 }
 

@@ -11,7 +11,7 @@
 //! no lock shared with ingest (the unbounded switch history sits behind
 //! its own short mutex).
 
-use crate::eta::{Eta, StaleEta};
+use crate::eta::Eta;
 use prosel_engine::clock::Clock;
 use prosel_estimators::{EstimatorKind, ONLINE_KINDS};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -249,11 +249,6 @@ impl QueryCell {
     /// [`Self::eta`] with the staleness against `clock` folded in.
     pub(crate) fn remaining_time(&self, clock: &dyn Clock) -> Eta {
         self.eta().aged(clock.now())
-    }
-
-    /// [`Self::eta`] paired with its staleness against `clock`.
-    pub(crate) fn remaining_time_with_age(&self, clock: &dyn Clock) -> StaleEta {
-        StaleEta::at(self.eta(), clock.now())
     }
 
     /// Progress predicted for wall instant `deadline`; exactly 1.0 once

@@ -18,10 +18,10 @@ pub struct MonitorConfig {
     /// [`crate::SpeedTracker`] behind [`crate::ProgressMonitor::remaining_time`] /
     /// [`crate::ProgressMonitor::progress_at_deadline`]. Clamped to ≥ 2.
     pub eta_window: usize,
-    /// Clock consulted by [`crate::ProgressMonitor::remaining_time_with_age`]
-    /// to convert the event-stream-pure [`crate::Eta::as_of`] into a
-    /// staleness age. Must share the epoch of the clock stamping the
-    /// ingested trace events
+    /// Clock consulted by [`crate::ProgressMonitor::remaining_time`] to
+    /// age the event-stream-pure [`crate::Eta::as_of`] answer by its
+    /// staleness ([`crate::Eta::aged`]). Must share the epoch of the
+    /// clock stamping the ingested trace events
     /// ([`prosel_engine::context::ExecConfig::wall_clock`]) for the age
     /// to be meaningful — inject the same `Arc` in both places. A
     /// [`prosel_engine::clock::ManualClock`] makes the readouts fully

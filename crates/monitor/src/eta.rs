@@ -119,8 +119,7 @@ impl Eta {
 
     /// Fold staleness into the countdowns: subtract the wall seconds `now`
     /// has advanced past [`Eta::as_of`] from the point and both interval
-    /// estimates, flooring each at 0 — [`StaleEta::remaining_now`]
-    /// semantics applied to the whole answer. This is what makes a stalled
+    /// estimates, flooring each at 0. This is what makes a stalled
     /// query's served ETA shrink (and pin to 0) instead of freezing at the
     /// last accepted sample: [`SpeedTracker::offer`] correctly rejects
     /// non-advancing samples, so without aging the raw `remaining` would
@@ -140,40 +139,6 @@ impl Eta {
             remaining_hi: (self.remaining_hi - age).max(0.0),
             ..*self
         }
-    }
-}
-
-/// An [`Eta`] together with its staleness — the answer to "how old is
-/// this answer?".
-///
-/// The [`Eta`] is a pure function of the ingested event stream (measured
-/// from [`Eta::as_of`], bit-deterministic under a manual clock); the
-/// `age` is the one quantity that reads the *serving* clock
-/// ([`crate::MonitorConfig::clock`]), so a dashboard can render a
-/// live countdown without polluting the deterministic core. Served by
-/// [`crate::ProgressMonitor::remaining_time_with_age`] /
-/// [`crate::MonitorService::remaining_time_with_age`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaleEta {
-    pub eta: Eta,
-    /// `clock.now() − eta.as_of`, clamped to ≥ 0. Before the first
-    /// stamped event `as_of` is 0.0, so the age is measured from the
-    /// clock's epoch — "no answer yet, and this is how long we have been
-    /// waiting for one".
-    pub age: f64,
-}
-
-impl StaleEta {
-    /// Pair an [`Eta`] with the serving clock's current reading.
-    pub(crate) fn at(eta: Eta, now: f64) -> StaleEta {
-        StaleEta { eta, age: (now - eta.as_of).max(0.0) }
-    }
-
-    /// The staleness-adjusted countdown: the point estimate minus the time
-    /// already burned since `as_of`, floored at 0 (never negative, and
-    /// infinite exactly when the [`Eta`] itself is unknown).
-    pub fn remaining_now(&self) -> f64 {
-        (self.eta.remaining - self.age).max(0.0)
     }
 }
 

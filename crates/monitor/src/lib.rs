@@ -89,10 +89,9 @@
 //! [`SpeedTracker`] measures progress-per-second over a trailing window,
 //! and the served [`Eta`] carries a point estimate plus an
 //! optimistic/conservative interval; [`ProgressMonitor::progress_at_deadline`]
-//! answers the dual bounded-staleness question, and
-//! [`ProgressMonitor::remaining_time_with_age`] pairs the answer with its
-//! staleness against the serving clock ([`MonitorConfig::clock`]). See
-//! [`eta`] for semantics.
+//! answers the dual bounded-staleness question, and the served ETA is
+//! aged against the serving clock ([`MonitorConfig::clock`]) so a stalled
+//! query's countdown keeps shrinking. See [`eta`] for semantics.
 //!
 //! Finally, both shapes plug into the **online-learning loop** (the
 //! `prosel-learn` crate): a [`HarvestSink`] attached via
@@ -138,7 +137,7 @@ pub use builder::MonitorBuilder;
 pub use cell::{PipelineStatus, QueryStatus, SwitchEvent};
 pub use config::{HarvestConfig, MonitorConfig};
 pub use error::{MonitorError, QueryError, RegisterError, SwapError};
-pub use eta::{Eta, SpeedTracker, StaleEta};
+pub use eta::{Eta, SpeedTracker};
 pub use runtime::RuntimeConfig;
 pub use service::MonitorService;
 pub use shard::{HarvestSink, HarvestedQuery, ProgressMonitor};

@@ -21,9 +21,10 @@
 //! as `read_p99_ns` on `ingest_saturate`).
 //!
 //! **Writes go through one body each.** Events enter through
-//! `ServiceInner::push` (liveness check, the stopping protocol, the
-//! wake-up, the dead-shard sweep), whether sent one at a time or in
-//! batches; registrations through `MonitorService::admit`, which
+//! `ServiceInner::push` (the stopping and dead-shard refusals and the
+//! scheduled edge, all under the shard's queue lock — see
+//! `service/slots.rs`), whether sent one at a time or in batches;
+//! registrations through `MonitorService::admit`, which
 //! quiesces the owning shard's queue first so the
 //! registered-before-first-event contract of
 //! [`ProgressMonitor::register`] survives re-ordering-free. Unregister and
@@ -40,8 +41,8 @@ mod slots;
 
 use crate::cell::{QueryCell, QueryStatus, SwitchEvent};
 use crate::error::{QueryError, RegisterError, SwapError};
-use crate::eta::{Eta, StaleEta};
-use crate::runtime::{Runtime, RuntimeObs};
+use crate::eta::Eta;
+use crate::runtime::{RunQueue, Runtime, RuntimeObs};
 use crate::shard::ProgressMonitor;
 use crate::stats::ShardStats;
 use prosel_core::selection::EstimatorSelector;
@@ -49,8 +50,7 @@ use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::{TapSink, TraceEvent, TraceTap};
 use prosel_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, TraceRing, SAMPLE_EVERY};
 use slots::{ServiceInner, ServiceObs, ShardSlot};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Sharded, concurrent-safe progress monitor service with a wait-free read
@@ -62,46 +62,42 @@ pub struct MonitorService {
 }
 
 impl MonitorService {
-    /// Scale `prototype` across `n_shards` shard tasks (clamped to ≥ 1) —
-    /// the service form of [`crate::MonitorBuilder`]. Every shard is a
-    /// fork of `prototype` (same policy, config, selector epoch and —
-    /// notably — harvest sink, so one learning loop is fed from all
-    /// shards); forks start with no registered queries. The prototype's
-    /// [`crate::RuntimeConfig`] (inside its [`crate::MonitorConfig`])
-    /// sizes and pins the worker pool.
-    pub(crate) fn spawn(mut prototype: ProgressMonitor, n_shards: usize) -> MonitorService {
-        let n = n_shards.max(1);
-        // Every service has a scrapeable registry: the configured one, or
-        // a private one when the caller supplied none. Shard forks pick it
-        // up through the prototype's config.
-        let metrics = prototype.ensure_metrics();
-        let runtime_config = prototype.config().runtime.clone();
-        let clock = Arc::clone(&prototype.config().clock);
-        let shards = (0..n)
-            .map(|si| {
+    /// Serve `cores` — shard `i` is `cores[i]`, built by
+    /// [`crate::MonitorBuilder`] with its counters in `metrics` — as one
+    /// service. Shard 0's [`crate::RuntimeConfig`] (inside its
+    /// [`crate::MonitorConfig`], which every shard shares) sizes and pins
+    /// the worker pool.
+    pub(crate) fn spawn(
+        cores: Vec<ProgressMonitor>,
+        metrics: Arc<MetricsRegistry>,
+    ) -> MonitorService {
+        let config = cores[0].config();
+        let runtime_config = config.runtime.clone();
+        let clock = Arc::clone(&config.clock);
+        let n = cores.len();
+        let shards = cores
+            .into_iter()
+            .enumerate()
+            .map(|(si, core)| {
                 let wakes = metrics.counter(&format!("monitor_shard{si}_quiesce_wakes_total"));
-                ShardSlot::new(prototype.fork(si), wakes)
+                ShardSlot::new(core, wakes)
             })
             .collect();
-        let obs = ServiceObs::new(&metrics);
-        let ring = TraceRing::new(256, Arc::clone(&clock));
-        let runtime_obs = RuntimeObs::from_registry(&metrics);
+        let run_queue = Arc::new(RunQueue::new(RuntimeObs::from_registry(&metrics)));
         let inner = Arc::new(ServiceInner {
             shards,
+            ring: TraceRing::new(256, Arc::clone(&clock)),
             clock,
-            stopping: AtomicBool::new(false),
             swap_lock: Mutex::new(()),
-            runtime: OnceLock::new(),
+            run_queue: Arc::clone(&run_queue),
+            obs: ServiceObs::new(&metrics),
             metrics,
-            ring,
-            obs,
         });
         let body: Arc<dyn Fn(usize) -> bool + Send + Sync> = {
             let inner = Arc::clone(&inner);
             Arc::new(move |task| inner.drain_batch(task))
         };
-        let runtime = Runtime::spawn(n, &runtime_config, body, runtime_obs);
-        let _ = inner.runtime.set(runtime.shared());
+        let runtime = Runtime::spawn(&run_queue, n, &runtime_config, body);
         MonitorService { inner, runtime }
     }
 
@@ -191,7 +187,7 @@ impl MonitorService {
         let start = Instant::now();
         let slot = &self.inner.shards[si];
         let core = slot.is_alive().then(|| {
-            self.inner.quiesce_shard(si);
+            slot.quiesce();
             slot.core.lock().ok()
         });
         match core.flatten() {
@@ -220,7 +216,7 @@ impl MonitorService {
         // Quiesce first: events for this id already in the queue belong to
         // the registration being dropped and must drain into it, not into
         // the unroutable bucket of a later re-registration.
-        self.inner.quiesce_shard(si);
+        slot.quiesce();
         let mut core = slot.core.lock().map_err(|_| QueryError::ShardDown)?;
         let result = core.unregister(query);
         slot.registry.write().unwrap_or_else(|e| e.into_inner()).remove(&query);
@@ -323,14 +319,6 @@ impl MonitorService {
     /// clock).
     pub fn remaining_time_at_last_event(&self, query: usize) -> Result<Eta, QueryError> {
         self.read(query, QueryCell::eta)
-    }
-
-    /// [`Self::remaining_time_at_last_event`] plus its staleness: the raw
-    /// [`Eta`] paired with how far the serving clock has advanced past
-    /// [`Eta::as_of`] — the [`ProgressMonitor::remaining_time_with_age`]
-    /// contract, wait-free.
-    pub fn remaining_time_with_age(&self, query: usize) -> Result<StaleEta, QueryError> {
-        self.read(query, |cell| cell.remaining_time_with_age(&*self.inner.clock))
     }
 
     /// The selector epoch `query` was registered under.
@@ -469,28 +457,6 @@ impl MonitorService {
             .collect()
     }
 
-    /// Re-seat checkpointed per-shard state (builder restore path). Must
-    /// run before any registration; one state per shard, in shard order.
-    pub(crate) fn restore_harvest_states(
-        &self,
-        states: &[crate::HarvestState],
-    ) -> Result<(), crate::MonitorError> {
-        if states.len() != self.inner.shards.len() {
-            return Err(crate::MonitorError::Restore(format!(
-                "{} checkpointed shard state(s) for a {}-shard service",
-                states.len(),
-                self.inner.shards.len()
-            )));
-        }
-        for (slot, state) in self.inner.shards.iter().zip(states) {
-            let mut core = slot.core.lock().map_err(|_| {
-                crate::MonitorError::Restore("shard died during restore".to_string())
-            })?;
-            core.restore_harvest_state(state);
-        }
-        Ok(())
-    }
-
     /// Deliberately crash one shard task — test hook for the crash-path
     /// suites (dead-shard reads, partial swaps, conservation under
     /// failure). Sets a poison pill, schedules the shard, and waits until
@@ -499,16 +465,11 @@ impl MonitorService {
     /// already-dead shard.
     #[doc(hidden)]
     pub fn inject_shard_panic(&self, shard: usize) {
-        let slot = &self.inner.shards[shard % self.inner.shards.len()];
-        if !slot.is_alive() {
-            return;
-        }
-        slot.poison_pill.store(true, Ordering::Release);
-        if let Some(rt) = self.inner.runtime.get() {
-            rt.schedule(shard % self.inner.shards.len());
-        }
-        while slot.is_alive() {
-            std::thread::yield_now();
+        let si = shard % self.inner.shards.len();
+        if self.inner.poison(si) {
+            while self.inner.shards[si].is_alive() {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -522,15 +483,11 @@ impl MonitorService {
 
     fn stop(&mut self) {
         // Refuse new tap events, then drain what's already queued, then
-        // stop the pool (its own shutdown also runs queued tasks dry).
-        self.inner.stopping.store(true, Ordering::Release);
-        // Cycle every queue lock: a racing enqueue either completed its
-        // push before this barrier (so the quiesce below sees and drains
-        // it while the workers are still up) or takes the lock after it
-        // and observes `stopping` — no event can slip in unprocessed
-        // between the quiesce and the pool teardown.
+        // stop the pool. `stopping` is set under the lock every push
+        // takes, so a racing push either lands before it (and the quiesce
+        // below drains it while the workers are still up) or is refused.
         for slot in &self.inner.shards {
-            drop(slot.lock_queue());
+            slot.lock_queue().stopping = true;
         }
         self.inner.quiesce();
         self.runtime.stop();

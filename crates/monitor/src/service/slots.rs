@@ -2,9 +2,27 @@
 //! body behind every tap send, the shard task's batch drain, and the
 //! crash accounting that keeps the conservation law exact when a shard
 //! dies.
+//!
+//! **One lock per shard.** Every decision about a shard's events — is
+//! the service stopping, is the shard dead, is its task already on the
+//! run queue, how far has it drained, is anyone waiting for that — is
+//! taken under the mutex over its event queue ([`ShardQueue`]), the lock
+//! a push has to take anyway. So:
+//!
+//! - a shard id is on the run queue at most once: it is pushed only by
+//!   whoever flips `scheduled` from false to true, and only the drain
+//!   that leaves nothing to do flips it back;
+//! - a quiesce waiter checks `processed` and sleeps under the same mutex
+//!   the drain raises it under, so a wake-up cannot fall between the two;
+//! - a crash clears the queue and counts what it held under the lock a
+//!   push checks `dead` under, so no event lands on a dead shard
+//!   uncounted.
+//!
+//! The one atomic left is `alive`, a copy of `dead` for the wait-free
+//! read path.
 
 use crate::cell::QueryCell;
-use crate::runtime::Shared as RuntimeShared;
+use crate::runtime::RunQueue;
 use crate::shard::{Ingested, ProgressMonitor};
 use crate::stats::ShardCounters;
 use prosel_engine::clock::Clock;
@@ -12,8 +30,8 @@ use prosel_engine::trace::{TapSink, TraceEvent};
 use prosel_obs::{Counter, Histogram, MetricsRegistry, ObsEvent, TraceRing};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 /// Maximum number of events a shard task ingests per scheduling pass: large
@@ -53,21 +71,58 @@ impl ServiceObs {
     }
 }
 
+/// What a shard's queue mutex guards: the events awaiting the shard task
+/// and every fact about them (see the module docs).
+pub(super) struct ShardQueue {
+    pub(super) events: VecDeque<TraceEvent>,
+    /// The shard id is on the run queue or its task is running. Set by
+    /// the push (or panic injection) that finds it clear, which is then
+    /// the one to put the id on the run queue; cleared by the drain that
+    /// leaves nothing to do.
+    scheduled: bool,
+    /// Events ever accepted into `events` (monotone).
+    pub(super) enqueued: u64,
+    /// Events removed from `events` and fully accounted — ingested by the
+    /// core, or counted as rejected when the shard died. `processed ==
+    /// enqueued` means the queue is drained (the quiesce condition).
+    pub(super) processed: u64,
+    /// The smallest `processed` value a parked waiter is waiting for;
+    /// `u64::MAX` when nobody waits. A drain notifies only once it has
+    /// reached it.
+    wake_at: u64,
+    /// Set by shutdown: pushes are refused (returned to the sender,
+    /// uncounted) while queued events still drain.
+    pub(super) stopping: bool,
+    /// The shard task panicked: pushes are refused and counted in
+    /// `events_rejected`.
+    dead: bool,
+    /// Test hook: make the next drain pass panic mid-ingest (exercising
+    /// the real crash path, poisoned core mutex included).
+    poison: bool,
+}
+
+impl ShardQueue {
+    /// Does the shard task have a pass to run?
+    fn has_work(&self) -> bool {
+        !self.dead && (self.poison || !self.events.is_empty())
+    }
+
+    /// Claim the shard's scheduled edge: true exactly when the caller
+    /// must put the shard id on the run queue.
+    fn schedule(&mut self) -> bool {
+        !std::mem::replace(&mut self.scheduled, true)
+    }
+}
+
 /// One shard: the single-threaded monitor core, its event queue, and the
 /// registry reads find the core's cells through.
 pub(super) struct ShardSlot {
-    /// Events the tap routed here, awaiting the shard task.
-    queue: Mutex<VecDeque<TraceEvent>>,
-    /// Events ever accepted into `queue` (monotone).
-    enqueued: AtomicU64,
-    /// Events removed from `queue` and fully accounted — ingested by the
-    /// core, or counted as rejected on a dead shard. `processed ==
-    /// enqueued` means the queue is drained (the quiesce condition).
-    pub(super) processed: AtomicU64,
+    queue: Mutex<ShardQueue>,
+    /// Quiesce waiters park here; the drain notifies when it has carried
+    /// `processed` to `wake_at`.
+    drained: Condvar,
+    /// `!dead`, for the read path, which never takes the queue lock.
     alive: AtomicBool,
-    /// Test hook: make the next drain pass panic mid-ingest (exercising
-    /// the real crash path, poisoned core mutex included).
-    pub(super) poison_pill: AtomicBool,
     /// The shard's monitor core. Writers only: the shard task (ingest),
     /// registration, unregister, swaps. Never touched by reads.
     pub(super) core: Mutex<ProgressMonitor>,
@@ -80,20 +135,8 @@ pub(super) struct ShardSlot {
     /// truth — a dead (poisoned-mutex) shard's stats stay readable, and
     /// [`crate::ShardStats`] readouts equal a registry scrape by construction.
     /// The slot (not the core) owns the `events_rejected` increments: the
-    /// push body and dead-queue sweeps count refusals here.
+    /// push body and the crash accounting count refusals here.
     pub(super) counters: ShardCounters,
-    /// Quiesce waiters park here; the shard task notifies when a batch
-    /// has carried `processed` to a value one of them waits for.
-    drain_sync: Mutex<()>,
-    drained: Condvar,
-    /// The smallest `processed` value a parked waiter is waiting for;
-    /// `u64::MAX` when nobody waits. Waiters lower it (under
-    /// `drain_sync`) *before* re-checking `processed`, the shard task
-    /// raises `processed` *before* reading it — both `SeqCst`, so of a
-    /// waiter and a batch racing each other at least one sees the other:
-    /// either the task finds the target and notifies, or the waiter
-    /// finds its events processed and never parks.
-    wake_at: AtomicU64,
     /// Notifies issued (`monitor_shard<i>_quiesce_wakes_total`, scrape
     /// only).
     wakes: Arc<Counter>,
@@ -103,17 +146,21 @@ impl ShardSlot {
     pub(super) fn new(core: ProgressMonitor, wakes: Arc<Counter>) -> ShardSlot {
         let counters = core.counters();
         ShardSlot {
-            queue: Mutex::new(VecDeque::new()),
-            enqueued: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
+            queue: Mutex::new(ShardQueue {
+                events: VecDeque::new(),
+                scheduled: false,
+                enqueued: 0,
+                processed: 0,
+                wake_at: u64::MAX,
+                stopping: false,
+                dead: false,
+                poison: false,
+            }),
+            drained: Condvar::new(),
             alive: AtomicBool::new(true),
-            poison_pill: AtomicBool::new(false),
             core: Mutex::new(core),
             registry: RwLock::new(HashMap::new()),
             counters,
-            drain_sync: Mutex::new(()),
-            drained: Condvar::new(),
-            wake_at: AtomicU64::new(u64::MAX),
             wakes,
         }
     }
@@ -122,52 +169,38 @@ impl ShardSlot {
         self.alive.load(Ordering::Acquire)
     }
 
-    pub(super) fn lock_queue(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
+    pub(super) fn lock_queue(&self) -> MutexGuard<'_, ShardQueue> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Account `n` more events as processed. `SeqCst`: the store half of
-    /// the handshake described at `wake_at`.
-    fn add_processed(&self, n: u64) {
-        self.processed.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Wake the quiesce waiters if `processed` has reached the smallest
-    /// target among them — after most batches nobody waits, or not for
-    /// this little, and a notify is a futex syscall whether or not anyone
-    /// does. Everyone parked is woken and the target reset; waiters whose
-    /// own target is still ahead put it back before they park again.
-    fn notify_drained(&self) {
-        if self.wake_at.load(Ordering::SeqCst) > self.processed.load(Ordering::SeqCst) {
-            return;
-        }
-        // Through `drain_sync`: a waiter between its re-check and its
-        // park holds the lock, so the notify cannot fall into that gap.
-        let guard = self.drain_sync.lock().unwrap_or_else(|e| e.into_inner());
-        self.wake_at.store(u64::MAX, Ordering::SeqCst);
-        drop(guard);
-        self.drained.notify_all();
-        self.wakes.inc();
-    }
-
     /// Block until `processed >= target`. Terminates on dead shards too:
-    /// every enqueued event is eventually accounted (ingested or
-    /// rejected), and the 1ms re-check bounds any missed notify.
+    /// a crash accounts every event it can no longer ingest as processed.
     pub(super) fn wait_processed(&self, target: u64) {
-        if self.processed.load(Ordering::Acquire) >= target {
-            return;
-        }
-        let mut guard = self.drain_sync.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            self.wake_at.fetch_min(target, Ordering::SeqCst);
-            if self.processed.load(Ordering::SeqCst) >= target {
-                return;
-            }
-            let (g, _) = self
+        self.wait(self.lock_queue(), target);
+    }
+
+    /// Block until every event enqueued so far is accounted.
+    pub(super) fn quiesce(&self) {
+        let queue = self.lock_queue();
+        let target = queue.enqueued;
+        self.wait(queue, target);
+    }
+
+    fn wait(&self, mut queue: MutexGuard<'_, ShardQueue>, target: u64) {
+        while queue.processed < target {
+            queue.wake_at = queue.wake_at.min(target);
+            // The drain decides to notify under this lock, so no notify is
+            // missed and the timeout is not needed to see one. It buys
+            // wake-up latency: with a timer a millisecond away the parked
+            // core idles shallowly and a notify lands ~1.5 µs sooner than
+            // with no timer (50 ms does not help) — without it
+            // `emit_to_visible_p50_us` on `live_tapped` rises ~30 % on a
+            // 2-vCPU guest.
+            queue = self
                 .drained
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
+                .wait_timeout(queue, Duration::from_millis(1))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
@@ -175,20 +208,16 @@ impl ShardSlot {
 /// State shared by the service handle, the worker pool and the taps.
 pub(super) struct ServiceInner {
     pub(super) shards: Vec<ShardSlot>,
-    /// The serving clock (shared with the prototype's config) — stamps the
+    /// The serving clock (shared with the shards' config) — stamps the
     /// staleness fold of [`super::MonitorService::remaining_time`].
     pub(super) clock: Arc<dyn Clock>,
-    /// Set by shutdown before the final quiesce: taps refuse new events
-    /// (returned to the sender, uncounted) while queued ones still drain.
-    pub(super) stopping: AtomicBool,
     /// Serializes [`super::MonitorService::swap_selector`] broadcasts: two
     /// concurrent swaps must apply in the same order on every shard, or
     /// shards would serve different models under the same epoch.
     pub(super) swap_lock: Mutex<()>,
-    /// Handle into the worker pool (set once at construction; the runtime
-    /// body needs `ServiceInner` and the tap needs the runtime, so the
-    /// cycle is tied here).
-    pub(super) runtime: OnceLock<Arc<RuntimeShared>>,
+    /// The worker pool's run queue, which shard ids are pushed into on
+    /// their scheduled edge.
+    pub(super) run_queue: Arc<RunQueue>,
     /// The service's metrics registry: the shards' counters, the
     /// service-level instrumentation and the runtime's counters all
     /// register here — [`super::MonitorService::metrics`] scrapes it.
@@ -208,41 +237,33 @@ impl ServiceInner {
     }
 
     /// The one push body: append `batch` — events all owned by shard `si`
-    /// — to the shard's queue under one lock, wake the shard task once,
-    /// and return the `enqueued` count that covers them. `Err` hands the
-    /// events back: the service is stopping (uncounted — the post-shutdown
-    /// tap contract) or the shard is dead (counted in `events_rejected`:
-    /// a refusal must not break the conservation law).
+    /// — to the shard's queue under one lock, put the shard on the run
+    /// queue if it is not there yet, and return the `enqueued` count that
+    /// covers them. `Err` hands the events back: the service is stopping
+    /// (uncounted — the post-shutdown tap contract) or the shard is dead
+    /// (counted in `events_rejected`: a refusal must not break the
+    /// conservation law).
     fn push<B>(&self, si: usize, batch: B) -> Result<u64, B>
     where
         B: IntoIterator<Item = TraceEvent> + AsRef<[TraceEvent]>,
     {
         let slot = &self.shards[si];
         let count = batch.as_ref().len() as u64;
-        if !slot.is_alive() {
+        let mut queue = slot.lock_queue();
+        if queue.stopping {
+            return Err(batch);
+        }
+        if queue.dead {
             slot.counters.events_rejected.add(count);
             return Err(batch);
         }
-        let target = {
-            let mut queue = slot.lock_queue();
-            // The stopping check lives *inside* the queue lock: shutdown
-            // sets the flag and then cycles every queue lock before its
-            // final quiesce, so any push that slips past here is either
-            // visible to that quiesce (and drained) or refused.
-            if self.stopping.load(Ordering::Acquire) {
-                return Err(batch);
-            }
-            queue.extend(batch);
-            slot.enqueued.fetch_add(count, Ordering::AcqRel) + count
-        };
-        if let Some(rt) = self.runtime.get() {
-            rt.schedule(si);
-        }
-        // The shard may have died between the liveness check and the push;
-        // its final drain may already have run, so sweep the queue here
-        // (idempotent — drains count whatever they pop, exactly once).
-        if !slot.is_alive() {
-            self.drain_dead(si);
+        queue.events.extend(batch);
+        queue.enqueued += count;
+        let target = queue.enqueued;
+        let wake = queue.schedule();
+        drop(queue);
+        if wake {
+            self.run_queue.push(si);
         }
         Ok(target)
     }
@@ -252,35 +273,50 @@ impl ServiceInner {
         self.push(self.shard_of(ev.query()), [ev]).map_err(|[ev]| ev)
     }
 
+    /// Set shard `si`'s poison pill and schedule it, so its next pass
+    /// panics. False when the shard is already dead.
+    pub(super) fn poison(&self, si: usize) -> bool {
+        let mut queue = self.shards[si].lock_queue();
+        if queue.dead {
+            return false;
+        }
+        queue.poison = true;
+        let wake = queue.schedule();
+        drop(queue);
+        if wake {
+            self.run_queue.push(si);
+        }
+        true
+    }
+
     /// The shard task body: drain (up to) one batch of events into the
-    /// core. Returns whether more events are already waiting. Runs on the
-    /// worker pool; panics are caught here so the crash is accounted
-    /// (shard marked dead, events counted rejected) before the runtime's
-    /// own catch sees anything.
+    /// core, then account it. Returns whether the shard has more work, in
+    /// which case it stays scheduled. Runs on the worker pool only while
+    /// `scheduled` is set, so never on a dead shard and never twice at
+    /// once. Panics are caught here so the crash is accounted (shard
+    /// marked dead, events counted rejected) before the runtime's own
+    /// catch sees anything.
     pub(super) fn drain_batch(&self, si: usize) -> bool {
         let slot = &self.shards[si];
-        if !slot.is_alive() {
-            self.drain_dead(si);
-            return false;
-        }
-        let batch: Vec<TraceEvent> = {
+        let (batch, poison) = {
             let mut queue = slot.lock_queue();
-            let n = INGEST_BATCH.min(queue.len());
-            queue.drain(..n).collect()
+            let n = INGEST_BATCH.min(queue.events.len());
+            (queue.events.drain(..n).collect::<Vec<_>>(), queue.poison)
         };
-        if batch.is_empty() && !slot.poison_pill.load(Ordering::Acquire) {
-            return false;
-        }
         let total = batch.len() as u64;
         if total > 0 {
             self.obs.ingest_batch_len.record(total);
         }
-        let done = AtomicU64::new(0);
+        // Events fully ingested so far: if a later event of the batch
+        // panics the core, these stay counted as ingested and only the
+        // unprocessed tail is rejected. (No stats publish step: the core
+        // increments the same shared atomics the read path loads.)
+        let mut done = 0u64;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // A poisoned core mutex means an earlier panic escaped without
             // marking the shard dead; treat it as a fresh crash.
             let mut core = slot.core.lock().expect("shard core poisoned");
-            if slot.poison_pill.load(Ordering::Acquire) {
+            if poison {
                 panic!("injected shard panic (test hook)");
             }
             for ev in batch {
@@ -291,64 +327,51 @@ impl ServiceInner {
                 if core.ingest_outcome(ev) == Ingested::Dropped {
                     slot.registry.write().unwrap_or_else(|e| e.into_inner()).remove(&query);
                 }
-                // Per-event accounting (not per batch): if a later event
-                // in this batch panics the core, events already ingested
-                // stay counted as ingested — the crash bookkeeping below
-                // only rejects the genuinely unprocessed tail. (No stats
-                // publish step: the core increments the same shared
-                // atomics the read path loads.)
-                done.fetch_add(1, Ordering::Relaxed);
-                slot.add_processed(1);
+                done += 1;
             }
         }));
+        let mut queue = slot.lock_queue();
+        queue.processed += done;
         if outcome.is_err() {
-            self.kill_shard(si, total - done.load(Ordering::Relaxed));
+            self.kill_shard(si, &mut queue, total - done);
         }
-        slot.notify_drained();
-        slot.is_alive() && !slot.lock_queue().is_empty()
+        queue.scheduled = queue.has_work();
+        let more = queue.scheduled;
+        // Everyone parked is woken and the target reset; waiters whose own
+        // target is still ahead put it back before they park again.
+        let wake = queue.processed >= queue.wake_at;
+        if wake {
+            queue.wake_at = u64::MAX;
+        }
+        drop(queue);
+        // Notified after unlocking: a woken waiter's first step is to
+        // retake the lock, and every waiter the decision covers is already
+        // parked — it could only have parked by releasing the lock.
+        if wake {
+            slot.drained.notify_all();
+            slot.wakes.inc();
+        }
+        more
     }
 
     /// Mark a shard dead and account the events it can no longer ingest:
     /// `unprocessed` from the batch that crashed, plus everything still
     /// queued. Every one lands in `events_rejected` *and* `processed` so
     /// quiesce waiters and the conservation law both stay exact.
-    fn kill_shard(&self, si: usize, unprocessed: u64) {
+    fn kill_shard(&self, si: usize, queue: &mut ShardQueue, unprocessed: u64) {
         let slot = &self.shards[si];
+        queue.dead = true;
         slot.alive.store(false, Ordering::Release);
+        let rejected = unprocessed + queue.events.len() as u64;
+        queue.events.clear();
+        slot.counters.events_rejected.add(rejected);
+        queue.processed += rejected;
         self.ring.emit(ObsEvent::ShardPanic { shard: si });
-        if unprocessed > 0 {
-            slot.counters.events_rejected.add(unprocessed);
-            slot.add_processed(unprocessed);
-        }
-        self.drain_dead(si);
-    }
-
-    /// Sweep a dead shard's queue, counting the swept events as rejected.
-    fn drain_dead(&self, si: usize) {
-        let slot = &self.shards[si];
-        let n = {
-            let mut queue = slot.lock_queue();
-            let n = queue.len() as u64;
-            queue.clear();
-            n
-        };
-        if n > 0 {
-            slot.counters.events_rejected.add(n);
-            slot.add_processed(n);
-        }
-        slot.notify_drained();
-    }
-
-    /// Wait until every event enqueued on `si` so far is accounted.
-    pub(super) fn quiesce_shard(&self, si: usize) {
-        let slot = &self.shards[si];
-        let target = slot.enqueued.load(Ordering::Acquire);
-        slot.wait_processed(target);
     }
 
     pub(super) fn quiesce(&self) {
-        for si in 0..self.shards.len() {
-            self.quiesce_shard(si);
+        for slot in &self.shards {
+            slot.quiesce();
         }
     }
 }

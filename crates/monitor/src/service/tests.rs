@@ -4,7 +4,7 @@
 use super::*;
 use crate::cell::{kind_from_code, kind_to_code};
 use crate::test_support::{dne, scan_plan, selector_favoring, snapshot_event};
-use crate::{HarvestConfig, HarvestedQuery, MonitorConfig};
+use crate::{HarvestConfig, HarvestedQuery, MonitorConfig, RuntimeConfig};
 use prosel_estimators::{EstimatorKind, ONLINE_KINDS};
 
 #[test]
@@ -45,7 +45,7 @@ fn routes_registration_ingest_and_reads_by_query_id() {
     service.unregister(7).unwrap();
     assert_eq!(service.query_progress(7), Err(QueryError::QueryUnknown(7)));
     assert_eq!(service.remaining_time(7), Err(QueryError::QueryUnknown(7)));
-    // Every read counts, whichever of the ten it is and whether or not it
+    // Every read counts, whichever of the nine it is and whether or not it
     // finds its query.
     let reads = || service.metrics().counter("service_reads_total").expect("registered");
     let before = reads();
@@ -56,10 +56,9 @@ fn routes_registration_ingest_and_reads_by_query_id() {
     let _ = service.switch_history(3);
     let _ = service.remaining_time(3);
     let _ = service.remaining_time_at_last_event(3);
-    let _ = service.remaining_time_with_age(3);
     let _ = service.query_selector_epoch(3);
     let _ = service.progress_at_deadline(3, 50.0);
-    assert_eq!(reads() - before, 10, "one tick per read, for each of the ten reads");
+    assert_eq!(reads() - before, 9, "one tick per read, for each of the nine reads");
     service.shutdown();
 }
 
@@ -189,23 +188,22 @@ fn staleness_reads_are_routed() {
     service.ingest(snapshot_event(4, 0, 10.0, 25));
     service.ingest(snapshot_event(4, 1, 20.0, 50));
     clock.set(26.0);
-    let stale = service.remaining_time_with_age(4).expect("registered");
     // 0.025 progress/s, 0.5 left => 20 s from as_of 20.0; age 6.
-    assert!((stale.eta.remaining - 20.0).abs() < 1e-9);
-    assert!((stale.age - 6.0).abs() < 1e-9);
-    assert!((stale.remaining_now() - 14.0).abs() < 1e-9);
-    // The default remaining_time folds the same staleness in — the
+    let raw = service.remaining_time_at_last_event(4).expect("registered");
+    assert!((raw.remaining - 20.0).abs() < 1e-9);
+    // The default remaining_time folds the staleness in — the
     // stalled-query countdown keeps shrinking instead of freezing.
     let folded = service.remaining_time(4).expect("registered");
     assert!((folded.remaining - 14.0).abs() < 1e-9);
-    assert!((folded.remaining_lo - (stale.eta.remaining_lo - 6.0).max(0.0)).abs() < 1e-9);
+    assert!((folded.remaining_lo - (raw.remaining_lo - 6.0).max(0.0)).abs() < 1e-9);
+    assert_eq!(folded.as_of, raw.as_of, "aging keeps the sample provenance");
     clock.set(1000.0);
     assert_eq!(service.remaining_time(4).unwrap().remaining, 0.0, "pins to zero");
     assert!(
         service.remaining_time_at_last_event(4).unwrap().remaining > 0.0,
         "raw variant stays frozen at the last event by design"
     );
-    assert_eq!(service.remaining_time_with_age(99), Err(QueryError::QueryUnknown(99)));
+    assert_eq!(service.remaining_time(99), Err(QueryError::QueryUnknown(99)));
     service.shutdown();
 }
 
@@ -464,7 +462,7 @@ fn quiesce_waiters_wake_at_their_own_targets_and_rarely() {
             scope.spawn(move || {
                 start.wait();
                 slot.wait_processed(target);
-                let processed = slot.processed.load(Ordering::SeqCst);
+                let processed = slot.lock_queue().processed;
                 assert!(processed >= target, "woke at {processed}, waiting for {target}");
             });
         }
@@ -478,13 +476,79 @@ fn quiesce_waiters_wake_at_their_own_targets_and_rarely() {
     });
     // `quiesce` still means: everything accepted is visible.
     service.quiesce();
-    assert_eq!(slot.processed.load(Ordering::SeqCst), total);
+    assert_eq!(slot.lock_queue().processed, total);
     let metrics = service.metrics();
     let wakes = metrics.counter("monitor_shard0_quiesce_wakes_total").expect("registered");
     let batches = metrics.histogram("service_ingest_batch_len").expect("registered").count();
     assert!(wakes >= 1, "the waiters were woken, not timed out of every wait");
     assert!(wakes * 1000 < total, "{wakes} wakes for {total} events");
     assert!(wakes * 4 < batches, "{wakes} wakes for {batches} batches");
+    service.shutdown();
+}
+
+/// A service whose shards share one worker.
+fn one_worker(shards: usize) -> MonitorService {
+    let runtime = RuntimeConfig { worker_threads: 1, ..RuntimeConfig::default() };
+    dne().shards(shards).runtime(runtime).build_service().unwrap()
+}
+
+/// Wait until the worker has taken shard `si`'s queued events into a
+/// batch. With the shard's core mutex held by the test thread, the worker
+/// then stays parked mid-batch.
+fn wait_until_taken(service: &MonitorService, si: usize) {
+    while !service.inner.shards[si].lock_queue().events.is_empty() {
+        std::thread::yield_now();
+    }
+}
+
+fn run_queue_depth(service: &MonitorService) -> f64 {
+    service.metrics().gauge("runtime_queue_depth").expect("registered")
+}
+
+#[test]
+fn sends_to_a_queued_shard_leave_one_run_queue_entry() {
+    let plan = scan_plan();
+    let service = one_worker(2);
+    service.register(0, &plan);
+    service.register(1, &plan);
+    let tap = service.tap();
+    let core = service.inner.shards[0].core.lock().unwrap();
+    tap.send(snapshot_event(0, 0, 1.0, 1)).unwrap();
+    wait_until_taken(&service, 0);
+    // The only worker is parked in shard 0's batch: shard 1 goes on the
+    // run queue with its first event and stays there, however many more
+    // events follow.
+    for seq in 0..200u64 {
+        tap.send(snapshot_event(1, seq, (seq + 1) as f64, 1)).unwrap();
+        assert_eq!(run_queue_depth(&service), 1.0, "after send {seq}");
+    }
+    drop(core);
+    service.quiesce();
+    assert_eq!(service.stats().unwrap().events_ingested, 201);
+    service.shutdown();
+}
+
+#[test]
+fn events_pushed_mid_drain_are_drained_after_the_pass() {
+    let plan = scan_plan();
+    let service = one_worker(1);
+    service.register(0, &plan);
+    let tap = service.tap();
+    let core = service.inner.shards[0].core.lock().unwrap();
+    tap.send(snapshot_event(0, 0, 1.0, 1)).unwrap();
+    wait_until_taken(&service, 0);
+    // Shard 0 is still scheduled while its task runs: these sends queue
+    // events without putting it on the run queue again ...
+    for seq in 1..=200u64 {
+        tap.send(snapshot_event(0, seq, (seq + 1) as f64, 1)).unwrap();
+    }
+    assert_eq!(run_queue_depth(&service), 0.0);
+    assert_eq!(service.inner.shards[0].lock_queue().enqueued, 201);
+    // ... and the pass that ends finds them and keeps the shard running
+    // until they are drained, with no further send.
+    drop(core);
+    service.quiesce();
+    assert_eq!(service.stats().unwrap().events_ingested, 201);
     service.shutdown();
 }
 

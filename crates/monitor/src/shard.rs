@@ -19,7 +19,7 @@ mod ingest;
 use crate::cell::{PipelineStatus, QueryCell, QueryStatus, Served, SwitchEvent};
 use crate::config::{HarvestConfig, MonitorConfig};
 use crate::error::{QueryError, RegisterError};
-use crate::eta::{Eta, SpeedTracker, StaleEta};
+use crate::eta::{Eta, SpeedTracker};
 use crate::state::HarvestState;
 use crate::stats::{ShardCounters, ShardStats};
 use ingest::IngestScratch;
@@ -32,7 +32,6 @@ use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::TraceEvent;
 use prosel_engine::{decompose, pipeline_weight, Pipeline};
 use prosel_estimators::{EstimatorKind, IncrementalObs};
-use prosel_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -216,6 +215,11 @@ impl ProgressMonitor {
     /// to post-hoc extraction over the same trace) and delivers them,
     /// together with the switch history, as one [`HarvestedQuery`].
     ///
+    /// A service builds one per shard, all sharing the policy's selector
+    /// instance and the harvest sink (so one learning loop is fed from
+    /// every shard); `shard` names the counters `monitor_shard<i>_*`
+    /// instead of `monitor_*`.
+    ///
     /// Refuses a fixed oracle kind (`GetNextOracle`, `BytesOracle`) with
     /// [`RegisterError::OracleKind`]: they need post-hoc totals and
     /// cannot serve live progress.
@@ -223,13 +227,14 @@ impl ProgressMonitor {
         policy: Policy,
         config: MonitorConfig,
         harvester: Option<(Arc<dyn HarvestSink>, HarvestConfig)>,
+        shard: Option<usize>,
     ) -> Result<ProgressMonitor, RegisterError> {
         if let Policy::Fixed(kind) = policy {
             if !prosel_estimators::ONLINE_KINDS.contains(&kind) {
                 return Err(RegisterError::OracleKind(kind));
             }
         }
-        let counters = ShardCounters::from_config(&config, None);
+        let counters = ShardCounters::from_config(&config, shard);
         Ok(ProgressMonitor {
             policy,
             config,
@@ -430,17 +435,6 @@ impl ProgressMonitor {
         self.read(query, QueryCell::eta)
     }
 
-    /// [`Self::remaining_time_at_last_event`] plus its staleness: how many
-    /// wall seconds the configured [`MonitorConfig::clock`] has advanced
-    /// past the answer's [`Eta::as_of`]. The [`Eta`] inside is the **raw**
-    /// variant — a pure function of the ingested event stream
-    /// (bit-deterministic under a manual clock); only the `age` reads the
-    /// serving clock. [`StaleEta::remaining_now`] folds the two, which is
-    /// what [`Self::remaining_time`] serves directly.
-    pub fn remaining_time_with_age(&self, query: usize) -> Option<StaleEta> {
-        self.read(query, |cell| cell.remaining_time_with_age(&*self.config.clock))
-    }
-
     /// Bounded-staleness progress: the progress fraction this query is
     /// predicted to have reached at wall instant `deadline` (same clock
     /// epoch as the trace events), extrapolating the latest sample forward
@@ -531,8 +525,8 @@ impl ProgressMonitor {
     /// Re-seat a checkpointed [`HarvestState`]: the selector epoch resumes
     /// (future swaps keep increasing monotonically across the restart) and
     /// the monotone counters continue from their checkpointed values. Used
-    /// by [`crate::MonitorBuilder::restore`]; only meaningful on a monitor
-    /// with no registered queries.
+    /// by [`crate::MonitorBuilder::restore`] as each monitor is built,
+    /// before it has registered a query.
     pub(crate) fn restore_harvest_state(&mut self, state: &HarvestState) {
         self.epoch = state.epoch;
         // `registered` is derived from the live query map on read; only
@@ -546,45 +540,7 @@ impl ProgressMonitor {
         &self.config
     }
 
-    /// Service construction: make sure the config carries a metrics
-    /// registry (creating a fresh one when the caller supplied none), so
-    /// shard forks, the service instrumentation and the runtime counters
-    /// all land somewhere scrapeable. Returns the registry handle.
-    pub(crate) fn ensure_metrics(&mut self) -> Arc<MetricsRegistry> {
-        if self.config.metrics.is_none() {
-            self.config.metrics = Some(Arc::new(MetricsRegistry::new()));
-        }
-        Arc::clone(self.config.metrics.as_ref().expect("just ensured"))
-    }
-
-    /// Service construction: put `registry` in the config **without**
-    /// rebuilding this monitor's own counter handles. A service
-    /// prototype never serves traffic itself — only its forks do — so
-    /// registering its `monitor_*` series would leave a dead, all-zero
-    /// copy of every shard series in each scrape. The forks read the
-    /// registry out of the config and register `monitor_shard<i>_*`.
-    pub(crate) fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.config.metrics = Some(registry);
-    }
-
-    /// The per-shard policy, cloned — how the service stamps out N shards
-    /// sharing one selector instance. The fork's metric handles register
-    /// under the shard-indexed `monitor_shard<i>_*` names.
-    pub(crate) fn fork(&self, shard: usize) -> ProgressMonitor {
-        ProgressMonitor {
-            policy: self.policy.clone(),
-            config: self.config.clone(),
-            queries: BTreeMap::new(),
-            epoch: self.epoch,
-            harvester: self.harvester.clone(),
-            // Counters are per-instance: forks start their own tallies.
-            counters: ShardCounters::from_config(&self.config, Some(shard)),
-            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
-            obs_tick: 0,
-        }
-    }
-
-    /// The fork's counter handles, cloned — the service's slot keeps a
+    /// The monitor's counter handles, cloned — the service's slot keeps a
     /// set so its read path can load stats without the core's lock.
     pub(crate) fn counters(&self) -> ShardCounters {
         self.counters.clone()

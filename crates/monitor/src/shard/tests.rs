@@ -277,28 +277,22 @@ fn staleness_age_is_served_under_a_manual_clock() {
     // The latest accepted sample is as_of == 2.0; the serving clock
     // has moved on to 5.5 => age 3.5, countdown 8 − 3.5.
     clock.set(5.5);
-    let stale = monitor.remaining_time_with_age(2).expect("registered");
-    assert_eq!(
-        stale.eta,
-        monitor.remaining_time_at_last_event(2).unwrap(),
-        "the StaleEta carries the raw at-last-event answer"
-    );
-    assert!((stale.age - 3.5).abs() < 1e-12, "age {}", stale.age);
-    assert!((stale.remaining_now() - (8.0 - 3.5)).abs() < 1e-9);
-    // The default read path folds the same staleness in directly.
+    let raw = monitor.remaining_time_at_last_event(2).unwrap();
+    assert_eq!(raw.as_of, 2.0);
+    assert!((raw.remaining - 8.0).abs() < 1e-9, "raw {}", raw.remaining);
+    // The default read path folds the staleness in directly.
     let folded = monitor.remaining_time(2).unwrap();
-    assert!((folded.remaining - stale.remaining_now()).abs() < 1e-12);
-    assert_eq!(folded.as_of, stale.eta.as_of, "aging keeps the sample provenance");
-    // A clock that has burned past the estimate floors at zero — on
-    // both the StaleEta fold and the default read path.
+    assert_eq!(folded, raw.aged(5.5));
+    assert!((folded.remaining - (8.0 - 3.5)).abs() < 1e-9);
+    assert_eq!(folded.as_of, raw.as_of, "aging keeps the sample provenance");
+    // A clock that has burned past the estimate floors at zero.
     clock.set(100.0);
-    assert_eq!(monitor.remaining_time_with_age(2).unwrap().remaining_now(), 0.0);
     assert_eq!(monitor.remaining_time(2).unwrap().remaining, 0.0);
     assert!(
         monitor.remaining_time_at_last_event(2).unwrap().remaining > 0.0,
         "the raw variant stays frozen at the last event by design"
     );
-    assert_eq!(monitor.remaining_time_with_age(99), None, "unregistered");
+    assert_eq!(monitor.remaining_time(99), None, "unregistered");
 }
 
 #[test]
@@ -511,8 +505,6 @@ fn shard_stats_obey_the_event_conservation_law() {
     assert_eq!(stats.harvests, 1);
     assert_eq!(stats.registered, 0);
     assert_eq!(harvested.try_iter().count(), 1);
-    // Forks start fresh tallies (service shards own their counters).
-    assert_eq!(monitor.fork(0).shard_stats(), ShardStats::default());
     // merged() folds per-shard readouts element-wise.
     let sum = stats.merged(&stats);
     assert_eq!(sum.events_ingested, 2 * stats.events_ingested);

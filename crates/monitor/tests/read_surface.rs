@@ -26,7 +26,7 @@ use prosel_estimators::{EstimatorKind, ONLINE_KINDS};
 use prosel_mart::BoostParams;
 use prosel_monitor::{
     Eta, MonitorBuilder, MonitorConfig, MonitorService, ProgressMonitor, QueryError, QueryStatus,
-    StaleEta, SwitchEvent,
+    SwitchEvent,
 };
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
@@ -58,10 +58,6 @@ fn eta(e: Eta) -> Bits {
     floats.iter().map(|f| f.to_bits()).chain([e.samples as u64]).collect()
 }
 
-fn stale(s: StaleEta) -> Bits {
-    eta(s.eta).into_iter().chain([s.age.to_bits()]).collect()
-}
-
 fn status(s: QueryStatus) -> Bits {
     let mut bits = vec![s.query as u64, s.progress.to_bits(), s.time.to_bits(), s.finished as u64];
     for p in s.pipelines {
@@ -78,8 +74,8 @@ fn switches(history: Vec<SwitchEvent>) -> Bits {
         .collect()
 }
 
-/// The ten per-query reads.
-const READS: [Read; 10] = [
+/// The nine per-query reads.
+const READS: [Read; 9] = [
     Read {
         name: "query_progress",
         monitor: |m, p| m.query_progress(p.query).map(|v| vec![v.to_bits()]),
@@ -114,11 +110,6 @@ const READS: [Read; 10] = [
         name: "remaining_time_at_last_event",
         monitor: |m, p| m.remaining_time_at_last_event(p.query).map(eta),
         service: |s, p| s.remaining_time_at_last_event(p.query).map(eta),
-    },
-    Read {
-        name: "remaining_time_with_age",
-        monitor: |m, p| m.remaining_time_with_age(p.query).map(stale),
-        service: |s, p| s.remaining_time_with_age(p.query).map(stale),
     },
     Read {
         name: "query_selector_epoch",

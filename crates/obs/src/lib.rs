@@ -17,8 +17,8 @@
 //!   creation and at scrape time.
 //! * [`TraceRing`] — a bounded ring of clock-stamped structured
 //!   [`ObsEvent`]s (swap installed/refused, frame rejected with its
-//!   typed [`FrameRejectReason`], retrain promoted/held, shard panic,
-//!   checkpoint emitted). The [`prosel_engine::clock::Clock`] is
+//!   typed [`FrameRejectReason`], retrain promoted/held, shard panic).
+//!   The [`prosel_engine::clock::Clock`] is
 //!   injectable, so tests see deterministic stamps.
 //! * [`MetricsSnapshot`] — the diffable scrape artifact, serialized by
 //!   [`MetricsSnapshot::render_text`] in the workspace's strict

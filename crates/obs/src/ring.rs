@@ -4,7 +4,7 @@
 //! refused" or "what did the last retrain decide". [`TraceRing`] keeps
 //! the most recent N control-plane events — swap installs and refusals,
 //! frame rejections with their typed reason, retrain outcomes, shard
-//! panics, checkpoint emissions — each stamped by an injectable
+//! panics — each stamped by an injectable
 //! [`Clock`] so tests with a [`prosel_engine::clock::ManualClock`] see
 //! deterministic stamps.
 //!
@@ -106,11 +106,6 @@ pub enum ObsEvent {
         /// The dead shard's index.
         shard: usize,
     },
-    /// The trainer serialized a learner checkpoint.
-    CheckpointEmitted {
-        /// Size of the checkpoint artifact, in bytes.
-        bytes: usize,
-    },
 }
 
 impl fmt::Display for ObsEvent {
@@ -130,7 +125,6 @@ impl fmt::Display for ObsEvent {
                 "retrain held ({trained_on} records, L1 {candidate_l1:.4} vs {incumbent_l1:.4})"
             ),
             ObsEvent::ShardPanic { shard } => write!(f, "shard {shard} panicked"),
-            ObsEvent::CheckpointEmitted { bytes } => write!(f, "checkpoint emitted ({bytes} B)"),
         }
     }
 }
@@ -242,7 +236,7 @@ mod tests {
     fn clones_share_one_buffer() {
         let ring = TraceRing::new(8, Arc::new(ManualClock::new(0.0)));
         let clone = ring.clone();
-        clone.emit(ObsEvent::CheckpointEmitted { bytes: 99 });
+        clone.emit(ObsEvent::SwapInstalled { epoch: 99 });
         assert_eq!(ring.len(), 1);
     }
 }

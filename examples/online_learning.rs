@@ -34,7 +34,7 @@ fn main() {
     ));
     println!("bootstrap: {} records from {}", records.len(), bootstrap.label());
 
-    // 2. The serving side: a sharded service whose prototype harvests
+    // 2. The serving side: a sharded service whose shards all harvest
     //    every finished query into the learning loop's channel.
     let (harvest_sink, harvest_rx) = std::sync::mpsc::channel();
     let service = Arc::new(

@@ -92,7 +92,7 @@ fn dead_shard_serves_typed_errors_and_conserves_events() {
         // Reads on the dead shard's queries: ShardDown, promptly.
         assert_eq!(service.query_progress(2), Err(QueryError::ShardDown));
         assert_eq!(service.remaining_time(5).unwrap_err(), QueryError::ShardDown);
-        assert_eq!(service.remaining_time_with_age(2).unwrap_err(), QueryError::ShardDown);
+        assert_eq!(service.remaining_time(2).unwrap_err(), QueryError::ShardDown);
         assert_eq!(service.progress_at_deadline(5, 1.0), Err(QueryError::ShardDown));
         assert_eq!(service.is_finished(2), Err(QueryError::ShardDown));
         assert!(service.status(5).is_err() && service.switch_history(2).is_err());
