@@ -16,15 +16,16 @@
 //! * [`training`] — training-set assembly, feature modes, splits;
 //! * [`selection`] — the per-estimator error models and the selection /
 //!   evaluation logic (% optimal, error ratios, oracle floor);
-//! * [`textio`] — the shared strict text-codec helpers (FNV-1a checksums,
-//!   bit-exact float hex, line cursor) behind selector, checkpoint and
-//!   publication (de)serialization.
+//! * [`textio`] — the one envelope and line grammar every persisted
+//!   artifact is sealed and parsed through (defined in `prosel-mart`, the
+//!   lowest crate that persists one, and re-exported here).
 
 pub mod features;
 pub mod pipeline_runs;
 pub mod selection;
-pub mod textio;
 pub mod training;
+
+pub use prosel_mart::textio;
 
 pub use features::FeatureSchema;
 pub use pipeline_runs::{

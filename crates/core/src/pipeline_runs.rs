@@ -79,6 +79,20 @@ impl PipelineRecord {
     pub fn l1_of(&self, kind: EstimatorKind) -> f32 {
         self.errors_l1[kind.candidate_index().expect("candidate")]
     }
+
+    /// `Err` names a vector whose length training and selection do not
+    /// index by: [`features::FeatureSchema`]-wide features, one L1 and one
+    /// L2 error per [`EstimatorKind::CANDIDATES`] entry.
+    pub fn check_widths(&self) -> Result<(), String> {
+        let check = |name: &str, values: &[f32], want: usize| match values.len() {
+            len if len == want => Ok(()),
+            len => Err(format!("{name} has {len} values, not {want}")),
+        };
+        let n = EstimatorKind::CANDIDATES.len();
+        check("features", &self.features, features::FeatureSchema::get().len())?;
+        check("l1", &self.errors_l1, n)?;
+        check("l2", &self.errors_l2, n)
+    }
 }
 
 /// Collection configuration.

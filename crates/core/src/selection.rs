@@ -9,6 +9,7 @@
 //! 10× off costs a lot.
 
 use crate::features::schema::STATIC_LEN;
+use crate::textio::LineReader;
 use crate::training::{FeatureMode, TrainingSet};
 use prosel_estimators::EstimatorKind;
 use prosel_mart::{BinnedDataset, BoostParams, Dataset, Forest, Mart};
@@ -202,65 +203,44 @@ impl EstimatorSelector {
     /// The boost parameters of the returned config are defaults (they only
     /// matter for retraining).
     pub fn from_text(s: &str) -> Result<EstimatorSelector, String> {
-        let mut lines = s.lines().peekable();
-        if lines.next().map(str::trim) != Some("prosel-selector v1") {
-            return Err("bad selector header".into());
-        }
-        let mode_line = lines.next().ok_or("missing mode line")?;
-        let mode = match mode_line.strip_prefix("mode ").map(str::trim) {
-            Some("static") => FeatureMode::Static,
-            Some("dynamic") => FeatureMode::StaticDynamic,
-            other => return Err(format!("bad mode line: {other:?}")),
+        let mut r = LineReader::new(s);
+        let selector = EstimatorSelector::read(&mut r)?;
+        r.finish()?;
+        Ok(selector)
+    }
+
+    /// Parse one selector from `r`, as embedded in a frame or checkpoint.
+    /// Strict: one model section per candidate, in candidate order, so a
+    /// torn, concatenated or duplicated blob fails loudly instead of
+    /// scoring with whichever section parsed.
+    pub fn read(r: &mut LineReader<'_>) -> Result<EstimatorSelector, String> {
+        r.expect("prosel-selector v1")?;
+        let mode = match r.shape("mode _")? {
+            ["static"] => FeatureMode::Static,
+            ["dynamic"] => FeatureMode::StaticDynamic,
+            [other] => return Err(format!("line {}: bad mode {other:?}", r.line_no())),
         };
-        let cand_line = lines.next().ok_or("missing candidates line")?;
-        let names = cand_line.strip_prefix("candidates ").ok_or("bad candidates line")?;
-        let kind_by_name = |n: &str| -> Result<EstimatorKind, String> {
-            EstimatorKind::CANDIDATES
-                .into_iter()
-                .find(|k| k.name() == n)
-                .ok_or_else(|| format!("unknown estimator {n}"))
-        };
-        let candidates: Vec<EstimatorKind> =
-            names.split(',').map(kind_by_name).collect::<Result<_, _>>()?;
+        let [names] = r.shape("candidates _")?;
+        let candidates: Vec<EstimatorKind> = names
+            .split(',')
+            .map(|n| EstimatorKind::CANDIDATES.into_iter().find(|k| k.name() == n).ok_or(n))
+            .collect::<Result<_, _>>()
+            .map_err(|n| format!("unknown estimator {n}"))?;
         for (i, k) in candidates.iter().enumerate() {
             if candidates[..i].contains(k) {
                 return Err(format!("duplicate candidate {k}"));
             }
         }
-
-        // Strict section parsing: the trainer persists and reloads
-        // selectors, so a torn, concatenated or duplicated blob must fail
-        // loudly instead of silently yielding a model that scores with
-        // whichever section happened to parse first.
-        let mut models: Vec<(EstimatorKind, prosel_mart::Mart)> = Vec::new();
-        while let Some(line) = lines.next() {
-            let Some(name) = line.strip_prefix("model ") else {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                return Err(format!("unexpected line: {line}"));
-            };
-            let kind = kind_by_name(name.trim())?;
-            if !candidates.contains(&kind) {
-                return Err(format!("model {kind} is not in the candidates list"));
+        let mut models = Vec::with_capacity(candidates.len());
+        for &kind in &candidates {
+            let [name] = r.shape("model _")?;
+            if name != kind.name() {
+                return Err(format!(
+                    "line {}: expected the model section of {kind}, got `model {name}`",
+                    r.line_no()
+                ));
             }
-            if models.iter().any(|(k, _)| *k == kind) {
-                return Err(format!("duplicate model section for {kind}"));
-            }
-            let mut blob = String::new();
-            let mut terminated = false;
-            for l in lines.by_ref() {
-                if l.trim() == "endmodel" {
-                    terminated = true;
-                    break;
-                }
-                blob.push_str(l);
-                blob.push('\n');
-            }
-            if !terminated {
-                return Err(format!("model {kind} is missing its endmodel terminator"));
-            }
-            let model = prosel_mart::model_io::from_str(&blob)?;
+            let model = prosel_mart::model_io::read(r)?;
             if model.n_features() > mode.dims() {
                 // Scoring slices the feature vector to `mode.dims()`; a
                 // split past that would index out of bounds mid-ingest.
@@ -271,10 +251,8 @@ impl EstimatorSelector {
                     mode.dims()
                 ));
             }
+            r.expect("endmodel")?;
             models.push((kind, model));
-        }
-        if models.len() != candidates.len() {
-            return Err(format!("expected {} models, found {}", candidates.len(), models.len()));
         }
         Ok(EstimatorSelector::new(
             SelectorConfig { candidates, mode, boost: BoostParams::default() },

@@ -491,77 +491,51 @@ pub trait TapSink: Send + Sync {
     }
 }
 
-/// Sending half of a live observation stream. Cloneable; pass one to
-/// [`crate::exec::run_plan_tapped`] or [`crate::exec::run_concurrent_tapped`]
-/// and drain the paired `Receiver` from a monitor.
-///
-/// Two flavors:
-/// * a plain mpsc channel — `std::sync::mpsc::channel()`'s sender converts
-///   via `From`, so `run_plan_tapped(..., tap)` keeps working unchanged;
-/// * a routed sink ([`TraceTap::from_sink`]) — one tapped run fans out to
-///   the consumer that owns each event (e.g. a monitor shard selected by
-///   query id) **without** cloning every event to every consumer.
-#[derive(Clone)]
-pub struct TraceTap {
-    inner: TapInner,
+/// A plain mpsc sender is a tap sink: `Err` once the receiver hung up.
+impl TapSink for std::sync::mpsc::Sender<TraceEvent> {
+    fn send(&self, ev: TraceEvent) -> Result<(), TraceEvent> {
+        std::sync::mpsc::Sender::send(self, ev).map_err(|e| e.0)
+    }
 }
 
+/// Sending half of a live observation stream: one shared [`TapSink`].
+/// Cloneable; pass one to [`crate::exec::run_plan_tapped`] or
+/// [`crate::exec::run_concurrent_tapped`]. An mpsc channel's sender
+/// converts via `From`; a routed sink ([`TraceTap::from_sink`]) fans one
+/// tapped run out to the consumer that owns each event (e.g. a monitor
+/// shard selected by query id) without cloning every event to every
+/// consumer.
 #[derive(Clone)]
-enum TapInner {
-    Channel(std::sync::mpsc::Sender<TraceEvent>),
-    Sink(std::sync::Arc<dyn TapSink>),
-}
+pub struct TraceTap(std::sync::Arc<dyn TapSink>);
 
 impl TraceTap {
     /// Wrap a routing sink (see [`TapSink`]).
     pub fn from_sink(sink: std::sync::Arc<dyn TapSink>) -> TraceTap {
-        TraceTap { inner: TapInner::Sink(sink) }
+        TraceTap(sink)
     }
 
     /// Deliver one event; `Err` returns the event when the consumer is
     /// gone (receiver dropped / sink closed).
     pub fn send(&self, ev: TraceEvent) -> Result<(), TraceEvent> {
-        match &self.inner {
-            TapInner::Channel(tx) => tx.send(ev).map_err(|e| e.0),
-            TapInner::Sink(sink) => sink.send(ev),
-        }
+        self.0.send(ev)
     }
 
     /// Deliver many events at once (see [`TapSink::send_batch`]); `Err`
-    /// returns the undeliverable events. Channels deliver one by one
-    /// (mpsc has no batched send); routed sinks may amortize.
+    /// returns the undeliverable events.
     pub fn send_batch(&self, events: Vec<TraceEvent>) -> Result<(), Vec<TraceEvent>> {
-        match &self.inner {
-            TapInner::Channel(tx) => {
-                let mut returned = Vec::new();
-                for ev in events {
-                    if let Err(e) = tx.send(ev) {
-                        returned.push(e.0);
-                    }
-                }
-                if returned.is_empty() {
-                    Ok(())
-                } else {
-                    Err(returned)
-                }
-            }
-            TapInner::Sink(sink) => sink.send_batch(events),
-        }
+        self.0.send_batch(events)
     }
 }
 
 impl From<std::sync::mpsc::Sender<TraceEvent>> for TraceTap {
     fn from(tx: std::sync::mpsc::Sender<TraceEvent>) -> TraceTap {
-        TraceTap { inner: TapInner::Channel(tx) }
+        TraceTap(std::sync::Arc::new(tx))
     }
 }
 
 impl std::fmt::Debug for TraceTap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            TapInner::Channel(_) => f.write_str("TraceTap::Channel"),
-            TapInner::Sink(_) => f.write_str("TraceTap::Sink"),
-        }
+        f.write_str("TraceTap")
     }
 }
 

@@ -14,16 +14,22 @@
 //!
 //! For followers that do **not** share the trainer's address space, the
 //! hub speaks the fleet publication protocol: [`SelectorHub::publish_to`]
-//! frames the current `(epoch, checksum, selector-text)` onto any
-//! [`std::io::Write`] (a pipe, a socket, an append-only file), and the
-//! [`crate::subscriber::SelectorSubscriber`] on the other end decodes,
-//! verifies and installs it — rejecting torn, corrupted or stale frames
-//! with typed errors. See [`crate::subscriber`] for the frame grammar.
+//! writes the current epoch and selector text as one sealed frame
+//! ([`prosel_core::textio::seal`], the envelope every persisted artifact
+//! uses) onto any [`std::io::Write`] (a pipe, a socket, an append-only
+//! file), and the [`crate::subscriber::SelectorSubscriber`] on the other
+//! end verifies and installs it — rejecting torn, corrupted or stale
+//! frames with typed errors. See [`crate::subscriber`] for the rejection
+//! rules.
 
 use prosel_core::selection::EstimatorSelector;
-use prosel_core::textio::fnv64;
+use prosel_core::textio::seal;
 use prosel_obs::{Counter, MetricsRegistry};
 use std::sync::{Arc, OnceLock, RwLock};
+
+/// First and last line of a publication frame.
+pub(crate) const FRAME_HEADER: &str = "prosel-publication v2";
+pub(crate) const FRAME_FOOTER: &str = "endpublication";
 
 /// A reference-counted, epoch-versioned selector slot. Cloning the hub's
 /// `Arc` wrapper is the intended sharing pattern; reads are lock-held only
@@ -75,34 +81,13 @@ impl SelectorHub {
         guard.0
     }
 
-    /// Encode one `(epoch, checksum, selector-text)` publication frame.
-    ///
-    /// The frame grammar (see [`crate::subscriber`] for the decoder's
-    /// rejection rules):
-    ///
-    /// ```text
-    /// prosel-publication v1
-    /// epoch <n> bytes <len> checksum <fnv64 hex>
-    /// <exactly len bytes of selector text>
-    /// endpublication
-    /// ```
-    ///
-    /// The byte length makes truncation detectable without trusting the
-    /// payload's own structure, and the FNV-1a checksum covers the payload
-    /// bytes so corruption inside an otherwise well-formed frame is caught
-    /// before any parse is attempted.
+    /// Encode one publication frame: an `epoch <n>` line and the selector
+    /// text, sealed together (grammar in [`crate::subscriber`]). The
+    /// checksum covers the epoch too, so a corrupted epoch can neither
+    /// install a model under the wrong epoch nor make a follower refuse
+    /// the frames after it as stale.
     pub fn encode_frame(epoch: u64, selector: &EstimatorSelector) -> String {
-        let payload = selector.to_text();
-        let mut out = String::with_capacity(payload.len() + 96);
-        out.push_str("prosel-publication v1\n");
-        out.push_str(&format!(
-            "epoch {epoch} bytes {} checksum {:016x}\n",
-            payload.len(),
-            fnv64(payload.as_bytes())
-        ));
-        out.push_str(&payload);
-        out.push_str("endpublication\n");
-        out
+        seal(FRAME_HEADER, &format!("epoch {epoch}\n{}", selector.to_text()), FRAME_FOOTER)
     }
 
     /// Frame the hub's current `(epoch, selector)` onto a byte stream.

@@ -277,13 +277,12 @@ impl OnlineLearner {
     pub fn checkpoint(&self) -> String {
         checkpoint::encode(&LearnerParts {
             config: self.config.clone(),
-            boost: self.current.config().boost.clone(),
+            selector: Arc::clone(&self.current),
             records: self.buffer.records().to_vec(),
             stamps: self.buffer.stamps().to_vec(),
             seen: self.buffer.seen(),
             draws: self.buffer.draws(),
             validation: self.validation.iter().cloned().collect(),
-            selector_text: self.current.to_text(),
             record_counter: self.record_counter,
             since_retrain: self.since_retrain,
             rounds: self.rounds,
@@ -304,16 +303,11 @@ impl OnlineLearner {
             parts.seen,
             parts.draws,
         )?;
-        let mut selector = EstimatorSelector::from_text(&parts.selector_text)
-            .map_err(|e| CheckpointError(format!("embedded selector: {e}")))?;
-        // `from_text` drops the training recipe; re-seat the recorded one
-        // so the restored learner's next retrain replays exactly.
-        selector.set_boost(parts.boost);
         Ok(OnlineLearner {
             config: parts.config,
             buffer,
             validation: parts.validation.into(),
-            current: Arc::new(selector),
+            current: parts.selector,
             record_counter: parts.record_counter,
             since_retrain: parts.since_retrain,
             rounds: parts.rounds,

@@ -4,37 +4,42 @@
 //! process that should serve its models runs a [`SelectorSubscriber`]
 //! over whatever byte stream connects them (a pipe, a socket, a tailed
 //! file). The hub frames each promotion with
-//! [`crate::SelectorHub::publish_to`]:
+//! [`crate::SelectorHub::publish_to`] in the workspace's one sealed
+//! envelope, the epoch inside the checksum:
 //!
 //! ```text
-//! prosel-publication v1
-//! epoch <n> bytes <len> checksum <fnv64 hex>
-//! <exactly len bytes of selector text>
+//! prosel-publication v2
+//! bytes <len> checksum <fnv64 hex>
+//! epoch <n>
+//! <selector text>
 //! endpublication
 //! ```
 //!
-//! and the subscriber decodes frames one at a time, installing a
-//! publication **only** when every integrity gate passes:
+//! The subscriber reads frames one at a time through
+//! [`prosel_core::textio::read_sealed`] and installs a publication
+//! **only** when every integrity gate passes, checked in this order:
 //!
-//! * the frame is structurally complete — a stream that ends mid-frame is
+//! * the frame is structurally complete — a stream that ends mid-frame or
+//!   a header, meta line or terminator that does not match is
 //!   [`SubscribeError::Torn`], never a partial install;
-//! * the payload checksum matches the declared one
+//! * the body checksum matches the declared one
 //!   ([`SubscribeError::ChecksumMismatch`] otherwise — the frame is
 //!   consumed, the stream remains usable);
 //! * the epoch advances — an epoch at or below the installed one is
 //!   [`SubscribeError::StaleEpoch`] (consumed and skipped: replays and
 //!   out-of-order shippers must not roll a follower back);
-//! * the payload parses as selector text
+//! * the body parses as an epoch line and selector text
 //!   ([`SubscribeError::Malformed`] otherwise).
 //!
 //! The serving glue is one line: pass each installed
 //! [`Publication::selector`] to
 //! [`prosel_monitor::MonitorService::swap_selector`].
 
+use crate::hub::{FRAME_FOOTER, FRAME_HEADER};
 use prosel_core::selection::EstimatorSelector;
-use prosel_core::textio::fnv64;
+use prosel_core::textio::{decimal, read_sealed, LineReader, SealError};
 use prosel_obs::{Counter, FrameRejectReason, MetricsRegistry, ObsEvent, TraceRing};
-use std::io::{BufRead, Read};
+use std::io::BufRead;
 use std::sync::Arc;
 
 /// Metric handles + ring a subscriber publishes into when observed.
@@ -70,11 +75,11 @@ fn reject_reason(e: &SubscribeError) -> FrameRejectReason {
 pub enum SubscribeError {
     /// The underlying reader failed.
     Io(std::io::Error),
-    /// The stream ended (or lost sync) mid-frame: a partial header, a
-    /// payload shorter than declared, or a missing terminator. The stream
-    /// cannot be trusted past this point.
+    /// The stream ended (or lost sync) mid-frame: a partial or foreign
+    /// header, a bad meta line, a body shorter than declared, or a missing
+    /// terminator. The stream cannot be trusted past this point.
     Torn(String),
-    /// The payload arrived complete but its bytes do not hash to the
+    /// The frame arrived complete but its body does not hash to the
     /// declared checksum.
     ChecksumMismatch {
         /// Checksum declared in the frame header.
@@ -90,8 +95,8 @@ pub enum SubscribeError {
         /// Epoch offered by the refused frame.
         offered: u64,
     },
-    /// The frame structure was intact but a field or the payload itself
-    /// failed to parse.
+    /// The frame was intact and its checksum held, but the epoch line or
+    /// the selector text failed to parse.
     Malformed(String),
 }
 
@@ -125,6 +130,18 @@ impl std::error::Error for SubscribeError {
 impl From<std::io::Error> for SubscribeError {
     fn from(e: std::io::Error) -> Self {
         SubscribeError::Io(e)
+    }
+}
+
+impl From<SealError> for SubscribeError {
+    fn from(e: SealError) -> Self {
+        match e {
+            SealError::Io(e) => SubscribeError::Io(e),
+            SealError::Torn(detail) => SubscribeError::Torn(detail),
+            SealError::ChecksumMismatch { declared, computed } => {
+                SubscribeError::ChecksumMismatch { declared, computed }
+            }
+        }
     }
 }
 
@@ -215,72 +232,26 @@ impl SelectorSubscriber {
         &mut self,
         reader: &mut dyn BufRead,
     ) -> Result<Option<Publication>, SubscribeError> {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(body) = read_sealed(reader, FRAME_HEADER, FRAME_FOOTER)? else {
             return Ok(None);
-        }
-        if header.trim_end() != "prosel-publication v1" {
-            return Err(SubscribeError::Torn(format!(
-                "expected header \"prosel-publication v1\", got {:?}",
-                header.trim_end()
-            )));
-        }
-        let mut meta = String::new();
-        if reader.read_line(&mut meta)? == 0 || !meta.ends_with('\n') {
-            return Err(SubscribeError::Torn("stream ended inside the frame header".into()));
-        }
-        let parts: Vec<&str> = meta.split_whitespace().collect();
-        if parts.len() != 6 || parts[0] != "epoch" || parts[2] != "bytes" || parts[4] != "checksum"
-        {
-            return Err(SubscribeError::Malformed(format!(
-                "bad meta line (want `epoch <n> bytes <len> checksum <hex>`): {:?}",
-                meta.trim_end()
-            )));
-        }
-        let epoch: u64 = parts[1]
-            .parse()
-            .map_err(|e| SubscribeError::Malformed(format!("epoch {:?}: {e}", parts[1])))?;
-        let bytes: usize = parts[3]
-            .parse()
-            .map_err(|e| SubscribeError::Malformed(format!("bytes {:?}: {e}", parts[3])))?;
-        let declared = u64::from_str_radix(parts[5], 16)
-            .map_err(|e| SubscribeError::Malformed(format!("checksum {:?}: {e}", parts[5])))?;
-        // Read at most the declared length, into a buffer that grows with
-        // what actually arrives — never sized by the header's word.
-        let mut payload = Vec::new();
-        (&mut *reader).take(bytes as u64).read_to_end(&mut payload)?;
-        if payload.len() != bytes {
-            return Err(SubscribeError::Torn(format!(
-                "payload truncated: declared {bytes} bytes, stream held {}",
-                payload.len()
-            )));
-        }
-        let mut terminator = String::new();
-        if reader.read_line(&mut terminator)? == 0 {
-            return Err(SubscribeError::Torn("stream ended before the frame terminator".into()));
-        }
-        if terminator.trim_end() != "endpublication" {
-            return Err(SubscribeError::Torn(format!(
-                "expected \"endpublication\" after {bytes} payload bytes, got {:?} — \
-                 the declared length and the payload disagree",
-                terminator.trim_end()
-            )));
-        }
-        // The frame is structurally complete from here on: every further
-        // refusal consumes it and leaves the stream aligned on the next
-        // frame.
-        let computed = fnv64(&payload);
-        if computed != declared {
-            return Err(SubscribeError::ChecksumMismatch { declared, computed });
-        }
+        };
+        // The frame is whole and its checksum held: every refusal from
+        // here on has consumed it and leaves the stream aligned on the
+        // next frame.
+        let text = String::from_utf8(body)
+            .map_err(|e| SubscribeError::Malformed(format!("body is not utf-8: {e}")))?;
+        let mut r = LineReader::new(&text);
+        let epoch: u64 = r
+            .shape("epoch _")
+            .and_then(|[epoch]| decimal("epoch", epoch))
+            .map_err(SubscribeError::Malformed)?;
         if let Some(cur) = &self.current {
             if epoch <= cur.epoch {
                 return Err(SubscribeError::StaleEpoch { current: cur.epoch, offered: epoch });
             }
         }
-        let text = std::str::from_utf8(&payload)
-            .map_err(|e| SubscribeError::Malformed(format!("payload is not utf-8: {e}")))?;
-        let selector = EstimatorSelector::from_text(text).map_err(|e| {
+        let selector = EstimatorSelector::read(&mut r).and_then(|s| r.finish().map(|()| s));
+        let selector = selector.map_err(|e| {
             SubscribeError::Malformed(format!("payload failed selector parse: {e}"))
         })?;
         let publication = Publication { epoch, selector: Arc::new(selector) };

@@ -208,10 +208,11 @@ proptest! {
         corrupt3[body_start] ^= 0x20;
         let good4 = SelectorHub::encode_frame(4, &sel);
         let junk = "not a selector\n";
+        let body = format!("epoch 9\n{junk}");
         let malformed9 = format!(
-            "prosel-publication v1\nepoch 9 bytes {} checksum {:016x}\n{junk}endpublication\n",
-            junk.len(),
-            fnv64(junk.as_bytes()),
+            "prosel-publication v2\nbytes {} checksum {:016x}\n{body}endpublication\n",
+            body.len(),
+            fnv64(body.as_bytes()),
         );
         let frame10 = SelectorHub::encode_frame(10, &sel);
         let torn10 = &frame10.as_bytes()[..40];
@@ -289,8 +290,8 @@ fn hostile_length_fields_are_refused_not_allocated() {
 
     for n in ["18446744073709551615", "1000000000000"] {
         let frame = format!(
-            "prosel-publication v1\nepoch 1 bytes {n} checksum 0000000000000000\n\
-             short\nendpublication\n"
+            "prosel-publication v2\nbytes {n} checksum 0000000000000000\n\
+             epoch 1\nshort\nendpublication\n"
         );
         let mut sub = SelectorSubscriber::new();
         let out = sub.recv_from(&mut BufReader::new(frame.as_bytes()));
@@ -302,7 +303,10 @@ fn hostile_length_fields_are_refused_not_allocated() {
         let sel = tiny_selector(7).to_text();
         let meta = sel.lines().find(|l| l.contains(" trees ")).expect("a model meta line");
         let hostile = sel.replacen(meta, &format!("base 0 shrinkage 0.1 trees {n} features 2"), 1);
-        let frame = format!("prosel-publication v1\nepoch 1 {}endpublication\n", sealed(&hostile));
+        let frame = format!(
+            "prosel-publication v2\n{}endpublication\n",
+            sealed(&format!("epoch 1\n{hostile}"))
+        );
         match sub.recv_from(&mut BufReader::new(frame.as_bytes())) {
             Err(SubscribeError::Malformed(detail)) => {
                 assert!(detail.contains(&format!("trees {n}: more than")), "{detail}");

@@ -30,6 +30,7 @@ pub mod dataset;
 pub mod forest;
 pub mod importance;
 pub mod model_io;
+pub mod textio;
 pub mod tree;
 
 pub use boost::{BoostParams, Mart};

@@ -1,6 +1,7 @@
 //! Plain-text (de)serialization of trained models.
 //!
-//! A deliberately simple line-oriented format (no serde dependency):
+//! A deliberately simple line-oriented format, parsed through the shared
+//! [`crate::textio::LineReader`] grammar:
 //!
 //! ```text
 //! mart v1
@@ -9,8 +10,13 @@
 //! node <feature|-1> <threshold> <bin_threshold> <left> <right> <value>
 //! ...
 //! ```
+//!
+//! Floats are `Display`-printed; a declared count is bounded by the input
+//! left before anything is sized by it. A selector embeds one model per
+//! candidate and reads each with [`read`].
 
 use crate::boost::Mart;
+use crate::textio::{decimal, parse, LineReader};
 use crate::tree::{RegressionTree, TreeNode};
 use std::fmt::Write as _;
 
@@ -44,27 +50,24 @@ pub fn to_string(model: &Mart) -> String {
     out
 }
 
-/// Parse a model from [`to_string`] output.
+/// Parse a model from [`to_string`] output. Strict: nothing but trailing
+/// whitespace may follow the declared trees, so a torn or concatenated
+/// file can never parse as a *different* model.
 pub fn from_str(s: &str) -> Result<Mart, String> {
-    let mut lines = s.lines();
-    let header = lines.next().ok_or("empty input")?;
-    if header.trim() != "mart v1" {
-        return Err(format!("unsupported header: {header}"));
-    }
-    let meta = lines.next().ok_or("missing meta line")?;
-    let parts: Vec<&str> = meta.split_whitespace().collect();
-    if parts.len() != 8
-        || parts[0] != "base"
-        || parts[2] != "shrinkage"
-        || parts[4] != "trees"
-        || parts[6] != "features"
-    {
-        return Err(format!("bad meta line: {meta}"));
-    }
-    let base: f32 = parts[1].parse().map_err(|e| format!("base: {e}"))?;
-    let shrinkage: f32 = parts[3].parse().map_err(|e| format!("shrinkage: {e}"))?;
-    let n_trees: usize = parts[5].parse().map_err(|e| format!("trees: {e}"))?;
-    let n_features: usize = parts[7].parse().map_err(|e| format!("features: {e}"))?;
+    let mut r = LineReader::new(s);
+    let model = read(&mut r)?;
+    r.finish()?;
+    Ok(model)
+}
+
+/// Parse one model from `r`, leaving it on the line after the model's
+/// last node.
+pub fn read(r: &mut LineReader<'_>) -> Result<Mart, String> {
+    r.expect("mart v1")?;
+    let [base, shrinkage, trees, features] = r.shape("base _ shrinkage _ trees _ features _")?;
+    let base: f32 = parse("base", base)?;
+    let shrinkage: f32 = parse("shrinkage", shrinkage)?;
+    let n_features: usize = decimal("features", features)?;
     // The feature count is a width, not a count of lines, so the input's
     // length does not bound it; a compiled node's 16-bit feature field does.
     if n_features > MAX_FEATURES {
@@ -72,46 +75,36 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             "features {n_features}: a compiled node addresses at most {MAX_FEATURES}"
         ));
     }
-    // Every tree and every node is a line of `s`, so a declared count past
-    // its length is refused before anything is sized by it.
-    let fits = |what: &str, n: usize| {
-        if n <= s.len() {
-            Ok(n)
-        } else {
-            Err(format!("{what} {n}: more than the {}-byte input could hold", s.len()))
-        }
-    };
-
-    let mut trees = Vec::with_capacity(fits("trees", n_trees)?);
+    let n_trees = r.count("trees", trees)?;
+    let mut trees = Vec::with_capacity(n_trees);
     for _ in 0..n_trees {
-        let tl = lines.next().ok_or("missing tree line")?;
-        let tparts: Vec<&str> = tl.split_whitespace().collect();
-        if tparts.len() != 2 || tparts[0] != "tree" {
-            return Err(format!("bad tree line: {tl}"));
-        }
-        let n_nodes: usize = tparts[1].parse().map_err(|e| format!("tree size: {e}"))?;
+        let [size] = r.shape("tree _")?;
+        let n_nodes = r.count("tree", size)?;
         if n_nodes == 0 {
             // Every prediction starts at node 0.
             return Err(format!("tree {} has no nodes", trees.len()));
         }
-        let mut nodes = Vec::with_capacity(fits("tree", n_nodes)?);
+        let mut nodes = Vec::with_capacity(n_nodes);
         for i in 0..n_nodes {
-            let nl = lines.next().ok_or("missing node line")?;
-            let np: Vec<&str> = nl.split_whitespace().collect();
-            if np.len() != 7 || np[0] != "node" {
-                return Err(format!("bad node line: {nl}"));
-            }
-            let f: i64 = np[1].parse().map_err(|e| format!("feature: {e}"))?;
-            if f >= 0 && f as usize >= n_features {
-                return Err(format!("node feature {f} out of range (features {n_features})"));
-            }
+            let [feature, threshold, bin, left, right, value] = r.shape("node _ _ _ _ _ _")?;
+            let feature = match feature {
+                "-1" => u32::MAX,
+                f => match decimal::<u32>("feature", f)? {
+                    f if f as usize >= n_features => {
+                        return Err(format!(
+                            "node feature {f} out of range (features {n_features})"
+                        ))
+                    }
+                    f => f,
+                },
+            };
             let node = TreeNode {
-                feature: if f < 0 { u32::MAX } else { f as u32 },
-                threshold: np[2].parse().map_err(|e| format!("threshold: {e}"))?,
-                bin_threshold: np[3].parse().map_err(|e| format!("bin: {e}"))?,
-                left: np[4].parse().map_err(|e| format!("left: {e}"))?,
-                right: np[5].parse().map_err(|e| format!("right: {e}"))?,
-                value: np[6].parse().map_err(|e| format!("value: {e}"))?,
+                feature,
+                threshold: parse("threshold", threshold)?,
+                bin_threshold: decimal("bin", bin)?,
+                left: decimal("left", left)?,
+                right: decimal("right", right)?,
+                value: parse("value", value)?,
             };
             // Trees are serialized in construction order, so children
             // always come *after* their parent. Requiring strictly
@@ -132,15 +125,6 @@ pub fn from_str(s: &str) -> Result<Mart, String> {
             nodes.push(node);
         }
         trees.push(RegressionTree { nodes, split_gains: Vec::new() });
-    }
-    // Strictness matters once models are persisted and reloaded by the
-    // online trainer: silently ignoring content past the declared tree
-    // count would let a torn or concatenated file parse as a *different*
-    // model. Anything but trailing whitespace is an error.
-    for line in lines {
-        if !line.trim().is_empty() {
-            return Err(format!("trailing garbage after the declared trees: {line}"));
-        }
     }
     let feature_gain = vec![0.0; n_features];
     // Compiles the inference form: anything the parse above let through

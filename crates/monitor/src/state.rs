@@ -10,15 +10,15 @@
 //! per shard; [`crate::MonitorBuilder::restore`] re-seats them into a
 //! freshly built monitor or service.
 //!
-//! The codec follows the workspace's strict text-artifact discipline
-//! (`prosel_mart::model_io`, `prosel_learn::checkpoint`): a versioned
+//! The codec is sealed and parsed through [`prosel_core::textio`], the
+//! envelope and line grammar every persisted artifact shares: a versioned
 //! header, a byte count and an FNV-1a 64 checksum over the body, named
 //! positional fields, and an explicit terminator. Truncation, bit rot,
 //! trailing garbage and field drift are all rejected with a typed error
 //! — a restore either resumes the exact checkpointed state or refuses.
 
 use crate::stats::ShardStats;
-use prosel_core::textio::{open, parse, seal, LineReader};
+use prosel_core::textio::{decimal, open, seal, LineReader};
 use std::fmt;
 
 /// One shard's checkpointable harvest state: the selector epoch plus the
@@ -87,7 +87,7 @@ impl HarvestState {
     pub fn from_text(text: &str) -> Result<HarvestState, StateError> {
         let body = open(text, HEADER, FOOTER)?;
         let mut r = LineReader::new(body);
-        let epoch = parse("epoch", r.fields(&["epoch"])?[0])?;
+        let epoch = decimal("epoch", r.fields(&["epoch"])?[0])?;
         let f = r.fields(&[
             "registered",
             "admitted",
@@ -100,15 +100,15 @@ impl HarvestState {
             "events_rejected",
         ])?;
         let stats = ShardStats {
-            registered: parse("registered", f[0])?,
-            admitted: parse("admitted", f[1])?,
-            refused: parse("refused", f[2])?,
-            events_ingested: parse("events_ingested", f[3])?,
-            events_unroutable: parse("events_unroutable", f[4])?,
-            queries_dropped: parse("queries_dropped", f[5])?,
-            queries_finished: parse("queries_finished", f[6])?,
-            harvests: parse("harvests", f[7])?,
-            events_rejected: parse("events_rejected", f[8])?,
+            registered: decimal("registered", f[0])?,
+            admitted: decimal("admitted", f[1])?,
+            refused: decimal("refused", f[2])?,
+            events_ingested: decimal("events_ingested", f[3])?,
+            events_unroutable: decimal("events_unroutable", f[4])?,
+            queries_dropped: decimal("queries_dropped", f[5])?,
+            queries_finished: decimal("queries_finished", f[6])?,
+            harvests: decimal("harvests", f[7])?,
+            events_rejected: decimal("events_rejected", f[8])?,
         };
         r.finish()?;
         Ok(HarvestState { epoch, stats })

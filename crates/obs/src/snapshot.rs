@@ -2,17 +2,16 @@
 //!
 //! [`MetricsSnapshot`] is the diffable scrape artifact: every registered
 //! metric's value at one instant, sorted by name. [`MetricsSnapshot::render_text`]
-//! serializes it in the workspace's strict text-artifact discipline
-//! (versioned header, byte count + FNV-1a 64 checksum over the body,
-//! explicit terminator — the same shape as `prosel_mart::model_io` and
-//! the learner checkpoints), and [`MetricsSnapshot::parse_text`] is its
+//! seals it in the envelope every artifact shares ([`prosel_core::textio`]:
+//! versioned header, byte count + FNV-1a 64 checksum over the body,
+//! explicit terminator), and [`MetricsSnapshot::parse_text`] is its
 //! exact inverse: truncation, bit rot, trailing garbage and version
 //! drift are all rejected with a typed [`ExpositionError`]. Gauges are
 //! encoded as `f64` hex bit patterns, so the round trip is bit-exact
 //! for every value including infinities and NaN payloads.
 
 use crate::metrics::{bucket_lower, bucket_upper, HISTOGRAM_BUCKETS};
-use prosel_core::textio::{f64_from_hex, f64_to_hex, open, seal};
+use prosel_core::textio::{decimal, f64_from_hex, f64_to_hex, open, seal};
 use std::fmt;
 
 /// A point-in-time copy of one histogram: the per-bucket counts (see
@@ -292,7 +291,7 @@ impl MetricsSnapshot {
             let value = match kind {
                 "counter" => {
                     let v = fields.next().ok_or_else(|| bad("missing counter value"))?;
-                    let v: u64 = v.parse().map_err(|_| bad("counter value must be a u64"))?;
+                    let v: u64 = decimal("counter value", v).map_err(|e| bad(&e))?;
                     SampleValue::Counter(v)
                 }
                 "gauge" => {
@@ -308,7 +307,7 @@ impl MetricsSnapshot {
                         return Err(bad("expected `sum`"));
                     }
                     let sum = fields.next().ok_or_else(|| bad("missing histogram sum"))?;
-                    let sum: u64 = sum.parse().map_err(|_| bad("histogram sum must be a u64"))?;
+                    let sum: u64 = decimal("histogram sum", sum).map_err(|e| bad(&e))?;
                     if fields.next() != Some("buckets") {
                         return Err(bad("expected `buckets`"));
                     }
@@ -318,12 +317,11 @@ impl MetricsSnapshot {
                         let (i, c) = pair
                             .split_once(':')
                             .ok_or_else(|| bad("bucket entries are `idx:count`"))?;
-                        let i: usize =
-                            i.parse().map_err(|_| bad("bucket index must be a usize"))?;
+                        let i: usize = decimal("bucket index", i).map_err(|e| bad(&e))?;
                         if i >= HISTOGRAM_BUCKETS {
                             return Err(bad("bucket index out of range"));
                         }
-                        let c: u64 = c.parse().map_err(|_| bad("bucket count must be a u64"))?;
+                        let c: u64 = decimal("bucket count", c).map_err(|e| bad(&e))?;
                         if h.buckets[i] != 0 {
                             return Err(bad("duplicate bucket index"));
                         }
