@@ -34,3 +34,19 @@ pub use physical::{IndexDef, PhysicalDesign, TuningLevel};
 pub use schema::{ColumnMeta, TableMeta};
 pub use table::{Column, Database, Table};
 pub use zipf::Zipf;
+
+/// Configuration of every generator: [`tpch::generate`],
+/// [`tpcds::generate`], [`realworld::generate_real1`] and
+/// [`realworld::generate_real2`].
+#[derive(Debug, Clone)]
+pub struct GenConfig {
+    /// Scale factor. At `1.0`: ~6k TPC-H lineitem rows (a 1000×
+    /// scaled-down SF1), ~3k TPC-DS fact rows, ~4k Real-1 and ~5k Real-2
+    /// fact rows.
+    pub scale: f64,
+    /// Zipf skew Z of foreign keys (TPC-H: and of value columns);
+    /// 0 = uniform.
+    pub skew: f64,
+    /// RNG seed; generation is fully deterministic.
+    pub seed: u64,
+}

@@ -118,11 +118,12 @@ impl PhysicalDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tpch::{generate, TpchConfig};
+    use crate::tpch::generate;
+    use crate::GenConfig;
 
     #[test]
     fn untuned_has_pk_only() {
-        let db = generate(&TpchConfig { scale: 0.2, skew: 0.0, seed: 1 });
+        let db = generate(&GenConfig { scale: 0.2, skew: 0.0, seed: 1 });
         let d = PhysicalDesign::derive(&db, TuningLevel::Untuned);
         assert!(d.has_index("orders", "o_orderkey"));
         assert!(!d.has_index("orders", "o_custkey"));
@@ -131,7 +132,7 @@ mod tests {
 
     #[test]
     fn tuning_levels_monotone() {
-        let db = generate(&TpchConfig { scale: 0.2, skew: 0.0, seed: 1 });
+        let db = generate(&GenConfig { scale: 0.2, skew: 0.0, seed: 1 });
         let u = PhysicalDesign::derive(&db, TuningLevel::Untuned);
         let p = PhysicalDesign::derive(&db, TuningLevel::PartiallyTuned);
         let f = PhysicalDesign::derive(&db, TuningLevel::FullyTuned);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn fully_tuned_covers_fk_and_dates() {
-        let db = generate(&TpchConfig { scale: 0.2, skew: 0.0, seed: 1 });
+        let db = generate(&GenConfig { scale: 0.2, skew: 0.0, seed: 1 });
         let f = PhysicalDesign::derive(&db, TuningLevel::FullyTuned);
         assert!(f.has_index("lineitem", "l_orderkey"));
         assert!(f.has_index("lineitem", "l_partkey"));

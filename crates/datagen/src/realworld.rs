@@ -15,31 +15,16 @@
 use crate::schema::{ColumnMeta, ColumnRole, TableMeta};
 use crate::table::{Column, Database, Table};
 use crate::zipf::Zipf;
+use crate::GenConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Configuration shared by both real-world generators.
-#[derive(Debug, Clone)]
-pub struct RealConfig {
-    /// Scale factor; `1.0` ≈ 4k fact rows for real1, 5k for real2.
-    pub scale: f64,
-    /// Skew of fact-table foreign keys.
-    pub skew: f64,
-    pub seed: u64,
-}
-
-impl Default for RealConfig {
-    fn default() -> Self {
-        RealConfig { scale: 1.0, skew: 1.2, seed: 42 }
-    }
-}
 
 fn pk(n: usize) -> Vec<i64> {
     (1..=n as i64).collect()
 }
 
 /// Generate the Real-1 style sales database.
-pub fn generate_real1(cfg: &RealConfig) -> Database {
+pub fn generate_real1(cfg: &GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5a1e_5a1e);
     let mut db = Database::new(&format!("real1_sf{}", cfg.scale));
 
@@ -309,7 +294,7 @@ pub const REAL2_DIMS: usize = 6;
 
 /// Generate the Real-2 style snowflake database (1 fact + 6 dims + 6
 /// sub-dims = 13 tables).
-pub fn generate_real2(cfg: &RealConfig) -> Database {
+pub fn generate_real2(cfg: &GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x2ea1_2222);
     let mut db = Database::new(&format!("real2_sf{}", cfg.scale));
 
@@ -403,16 +388,18 @@ pub fn generate_real2(cfg: &RealConfig) -> Database {
 mod tests {
     use super::*;
 
+    const CFG: GenConfig = GenConfig { scale: 1.0, skew: 1.2, seed: 42 };
+
     #[test]
     fn real1_has_eight_tables() {
-        let db = generate_real1(&RealConfig::default());
+        let db = generate_real1(&CFG);
         assert_eq!(db.table_names().len(), 8);
         assert!(db.table("sales").rows() >= 200);
     }
 
     #[test]
     fn real1_amount_correlates_with_price() {
-        let db = generate_real1(&RealConfig::default());
+        let db = generate_real1(&CFG);
         let sales = db.table("sales");
         let products = db.table("products");
         let s_prod = sales.column(sales.col("s_product"));
@@ -427,7 +414,7 @@ mod tests {
 
     #[test]
     fn real2_has_thirteen_tables() {
-        let db = generate_real2(&RealConfig::default());
+        let db = generate_real2(&CFG);
         assert_eq!(db.table_names().len(), 1 + 2 * REAL2_DIMS);
         let ev = db.table("events");
         for i in 0..REAL2_DIMS {
@@ -448,11 +435,11 @@ mod tests {
 
     #[test]
     fn real_generators_deterministic() {
-        let a = generate_real1(&RealConfig::default());
-        let b = generate_real1(&RealConfig::default());
+        let a = generate_real1(&CFG);
+        let b = generate_real1(&CFG);
         assert_eq!(a.table("sales").column(1), b.table("sales").column(1));
-        let c = generate_real2(&RealConfig::default());
-        let d = generate_real2(&RealConfig::default());
+        let c = generate_real2(&CFG);
+        let d = generate_real2(&CFG);
         assert_eq!(c.table("events").column(1), d.table("events").column(1));
     }
 }

@@ -10,30 +10,15 @@
 use crate::schema::{ColumnMeta, ColumnRole, TableMeta};
 use crate::table::{Column, Database, Table};
 use crate::zipf::Zipf;
+use crate::GenConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Configuration for [`generate`].
-#[derive(Debug, Clone)]
-pub struct TpcdsConfig {
-    /// Scale factor; `1.0` ≈ 3k fact rows.
-    pub scale: f64,
-    /// Skew applied to dimensional foreign keys.
-    pub skew: f64,
-    pub seed: u64,
-}
-
-impl Default for TpcdsConfig {
-    fn default() -> Self {
-        TpcdsConfig { scale: 1.0, skew: 1.0, seed: 42 }
-    }
-}
 
 /// Number of days in the `date_dim` dimension (5 years).
 pub const N_DATES: usize = 1826;
 
 /// Generate the TPC-DS-shaped [`Database`].
-pub fn generate(cfg: &TpcdsConfig) -> Database {
+pub fn generate(cfg: &GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xd5_0bad_5eed);
     let mut db = Database::new(&format!("tpcds_sf{}", cfg.scale));
 
@@ -246,7 +231,7 @@ mod tests {
 
     #[test]
     fn generates_star_schema() {
-        let db = generate(&TpcdsConfig { scale: 0.5, skew: 1.0, seed: 2 });
+        let db = generate(&GenConfig { scale: 0.5, skew: 1.0, seed: 2 });
         for t in ["date_dim", "item", "store", "customer_dim", "promotion", "store_sales"] {
             assert!(db.try_table(t).is_some(), "missing {t}");
         }
@@ -255,7 +240,7 @@ mod tests {
 
     #[test]
     fn fact_fks_valid() {
-        let db = generate(&TpcdsConfig { scale: 0.5, skew: 2.0, seed: 2 });
+        let db = generate(&GenConfig { scale: 0.5, skew: 2.0, seed: 2 });
         let ss = db.table("store_sales");
         let n_item = db.table("item").rows() as i64;
         for &v in ss.column(ss.col("ss_item_sk")) {
@@ -269,8 +254,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = generate(&TpcdsConfig::default());
-        let b = generate(&TpcdsConfig::default());
+        let a = generate(&GenConfig { scale: 1.0, skew: 1.0, seed: 42 });
+        let b = generate(&GenConfig { scale: 1.0, skew: 1.0, seed: 42 });
         let ta = a.table("store_sales");
         let tb = b.table("store_sales");
         assert_eq!(ta.column(0), tb.column(0));

@@ -15,25 +15,9 @@
 use crate::schema::{ColumnMeta, ColumnRole, TableMeta};
 use crate::table::{Column, Database, Table};
 use crate::zipf::Zipf;
+use crate::GenConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Configuration for [`generate`].
-#[derive(Debug, Clone)]
-pub struct TpchConfig {
-    /// Scale factor; `1.0` ≈ 6k lineitem rows (a 1000× scaled-down SF1).
-    pub scale: f64,
-    /// Zipf skew Z applied to foreign keys and value columns (0 = uniform).
-    pub skew: f64,
-    /// RNG seed; generation is fully deterministic.
-    pub seed: u64,
-}
-
-impl Default for TpchConfig {
-    fn default() -> Self {
-        TpchConfig { scale: 1.0, skew: 1.0, seed: 42 }
-    }
-}
 
 fn scaled(base: u64, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(1)
@@ -45,7 +29,7 @@ pub const DATE_MIN: i64 = 0;
 pub const DATE_MAX: i64 = 2556;
 
 /// Generate a TPC-H-shaped [`Database`].
-pub fn generate(cfg: &TpchConfig) -> Database {
+pub fn generate(cfg: &GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7c67_15c3);
     let mut db = Database::new(&format!("tpch_sf{}_z{}", cfg.scale, cfg.skew));
 
@@ -373,7 +357,7 @@ mod tests {
 
     #[test]
     fn generates_all_eight_tables() {
-        let db = generate(&TpchConfig { scale: 0.5, skew: 1.0, seed: 1 });
+        let db = generate(&GenConfig { scale: 0.5, skew: 1.0, seed: 1 });
         for t in
             ["region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"]
         {
@@ -383,8 +367,8 @@ mod tests {
 
     #[test]
     fn row_counts_scale() {
-        let small = generate(&TpchConfig { scale: 1.0, skew: 0.0, seed: 1 });
-        let large = generate(&TpchConfig { scale: 4.0, skew: 0.0, seed: 1 });
+        let small = generate(&GenConfig { scale: 1.0, skew: 0.0, seed: 1 });
+        let large = generate(&GenConfig { scale: 4.0, skew: 0.0, seed: 1 });
         assert_eq!(small.table("orders").rows(), 1500);
         assert_eq!(large.table("orders").rows(), 6000);
         let ratio = large.table("lineitem").rows() as f64 / small.table("lineitem").rows() as f64;
@@ -393,8 +377,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = generate(&TpchConfig { scale: 0.5, skew: 1.0, seed: 9 });
-        let b = generate(&TpchConfig { scale: 0.5, skew: 1.0, seed: 9 });
+        let a = generate(&GenConfig { scale: 0.5, skew: 1.0, seed: 9 });
+        let b = generate(&GenConfig { scale: 0.5, skew: 1.0, seed: 9 });
         let la = a.table("lineitem");
         let lb = b.table("lineitem");
         assert_eq!(la.rows(), lb.rows());
@@ -403,7 +387,7 @@ mod tests {
 
     #[test]
     fn foreign_keys_reference_valid_rows() {
-        let db = generate(&TpchConfig { scale: 0.5, skew: 2.0, seed: 3 });
+        let db = generate(&GenConfig { scale: 0.5, skew: 2.0, seed: 3 });
         let li = db.table("lineitem");
         let n_orders = db.table("orders").rows() as i64;
         let n_part = db.table("part").rows() as i64;
@@ -417,8 +401,8 @@ mod tests {
 
     #[test]
     fn skew_concentrates_part_references() {
-        let uniform = generate(&TpchConfig { scale: 1.0, skew: 0.0, seed: 3 });
-        let skewed = generate(&TpchConfig { scale: 1.0, skew: 2.0, seed: 3 });
+        let uniform = generate(&GenConfig { scale: 1.0, skew: 0.0, seed: 3 });
+        let skewed = generate(&GenConfig { scale: 1.0, skew: 2.0, seed: 3 });
         let top_share = |db: &Database| {
             let li = db.table("lineitem");
             let col = li.column(li.col("l_partkey"));

@@ -110,7 +110,8 @@ impl<'a> Catalog<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prosel_datagen::tpch::{generate, TpchConfig};
+    use prosel_datagen::tpch::generate;
+    use prosel_datagen::GenConfig;
     use prosel_datagen::TuningLevel;
 
     #[test]
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn catalog_builds_design_indexes() {
-        let db = generate(&TpchConfig { scale: 0.2, skew: 0.0, seed: 1 });
+        let db = generate(&GenConfig { scale: 0.2, skew: 0.0, seed: 1 });
         let design = PhysicalDesign::derive(&db, TuningLevel::FullyTuned);
         let cat = Catalog::new(&db, &design);
         let li = db.table("lineitem");

@@ -33,10 +33,9 @@ pub struct SnapshotCtx {
 impl SnapshotCtx {
     /// Compute the context for one snapshot with the scalar reference
     /// pass ([`crate::refine::bounds`]) — what the compiled kernel is
-    /// pinned against, and the self-computing
-    /// [`IncrementalObs::offer`](crate::incremental::IncrementalObs::offer).
-    /// Allocates the two bound vectors; production consumers refresh a
-    /// context in place with [`Self::recompute`] / [`Self::refresh_from`].
+    /// pinned against. Allocates the two bound vectors; production
+    /// consumers refresh a context in place with [`Self::recompute`] /
+    /// [`Self::refresh_from`].
     pub fn new(plan: &PhysicalPlan, snap: &Snapshot) -> SnapshotCtx {
         let (lb, ub) = bounds(plan, &snap.k);
         SnapshotCtx { lb, ub }

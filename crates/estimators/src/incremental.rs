@@ -9,9 +9,11 @@
 //! — the same protocol driven from the recorded trace — so training labels
 //! and dynamic features come from the very code that serves. The numbers
 //! are pinned by stored digests (`tests/curve_digest.rs`, recorded from the
-//! batch implementation this path replaced); the compiled aggregate walk
-//! and the monotone LUO window pointer each keep one independent scalar
-//! reference (`entry_for_scalar`, `rebuild_luo`).
+//! batch implementation this path replaced). The compiled aggregate walk
+//! is pinned bit for bit to a per-node scalar walk that exists only in
+//! this module's tests; the monotone LUO window pointer shares its point
+//! formula with the backward walk that rebuilds LUO after thinning
+//! (`rebuild_luo`).
 //!
 //! [`TraceEvent`]: prosel_engine::trace::TraceEvent
 //! [`QueryRun`]: prosel_engine::QueryRun
@@ -21,12 +23,14 @@
 //! The engine's [`prosel_engine::trace::TraceEvent`] stream drives three
 //! entry points:
 //!
-//! * [`IncrementalObs::offer`] for every snapshot, with the pipeline's
-//!   *currently known* activity window. Snapshots before the pipeline's
-//!   first tick are skipped; snapshots provably inside the window commit
-//!   immediately; snapshots past the last tick seen so far stay *pending*
-//!   until a later tick (or finalization) proves whether they fall inside
-//!   the final window — the
+//! * [`IncrementalObs::offer_view`] for every snapshot, with the
+//!   pipeline's *currently known* activity window and the query's shared
+//!   [`SnapshotCtx`] ([`IncrementalObs::offer_unchanged`] when the caller
+//!   knows none of the pipeline's inputs moved). Snapshots before the
+//!   pipeline's first tick are skipped; snapshots provably inside the
+//!   window commit immediately; snapshots past the last tick seen so far
+//!   stay *pending* until a later tick (or finalization) proves whether
+//!   they fall inside the final window — the
 //!   [`prosel_engine::trace::ObservationTrace::pipeline_observations`]
 //!   rule (all in-window snapshots plus the first one past the end).
 //! * [`IncrementalObs::thin`] when the engine thins its bounded snapshot
@@ -53,7 +57,11 @@
 //! and no quantity is held twice. Readers that want a *column* (a curve,
 //! the observation times, the driver fractions) get a [`Column`]: a
 //! strided, non-allocating view over the rows, so record extraction and
-//! evaluation read the layout in place.
+//! evaluation read the layout in place. Both live in `incremental/column.rs`.
+
+mod column;
+
+pub use column::Column;
 
 use crate::ctx::{SnapshotCtx, TraceCtx};
 use crate::kinds::EstimatorKind;
@@ -62,8 +70,10 @@ use crate::pipeline_obs::{
 };
 use crate::refine::{alpha, clamp_estimate};
 use crate::soa::PipeCols;
+use column::{Row, Scale, F_ALPHA, F_DONE_BYTES, F_LUO, F_LUO_REMAINING, F_SUM_K, F_TIME};
+use column::{F_VALUES, ROW_F64S};
 use prosel_engine::plan::{NodeId, OperatorKind, PhysicalPlan};
-use prosel_engine::trace::{QueryRun, Snapshot, SnapshotView};
+use prosel_engine::trace::{QueryRun, SnapshotView};
 use prosel_engine::Pipeline;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,121 +94,6 @@ pub const ONLINE_KINDS: [EstimatorKind; 9] = [
 
 fn online_index(kind: EstimatorKind) -> Option<usize> {
     ONLINE_KINDS.iter().position(|&k| k == kind)
-}
-
-/// Positions of the `f64` fields of a [`Row`]: the aggregates retained
-/// past the commit, then one value per [`ONLINE_KINDS`] entry.
-const F_TIME: usize = 0;
-const F_ALPHA: usize = 1;
-const F_SUM_K: usize = 2;
-const F_DONE_BYTES: usize = 3;
-/// Bytes LUO still expects (driver input left + output left + pending
-/// spill) — a function of the observation alone, so the window rebuild
-/// after a thinning event reads it back instead of re-deriving it.
-const F_LUO_REMAINING: usize = 4;
-const F_VALUES: usize = 5;
-const F_LUO: usize = F_VALUES + 2;
-const ROW_F64S: usize = F_VALUES + ONLINE_KINDS.len();
-const _: () = assert!(matches!(ONLINE_KINDS[F_LUO - F_VALUES], EstimatorKind::Luo));
-
-/// One committed observation: all that is kept of it, contiguous (see the
-/// module docs). The `f64` fields sit in one array so that a [`Column`]
-/// is a field index and a stride.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    serial: u64,
-    /// Σ K over the pipeline's nodes in integer precision (the harvest
-    /// path's `total_getnext`; `f[F_SUM_K]` is its f64 shadow).
-    k_u64: u64,
-    f: [f64; ROW_F64S],
-}
-
-/// How a [`Column`] turns the stored field into the served value.
-#[derive(Debug, Clone, Copy)]
-enum Scale {
-    /// The field as stored.
-    Stored,
-    /// An oracle curve: the field over its post-hoc total, clamped.
-    Over(f64),
-    /// An oracle curve whose total is zero: complete throughout.
-    Ones,
-}
-
-/// One column of the committed observations — a curve, the observation
-/// times, the driver fractions — read in place: a strided view over the
-/// rows that allocates nothing. Index with [`Column::get`], walk with
-/// [`Column::iter`], score against a truth curve with
-/// [`Column::l1_error`] and friends, copy out with [`Column::to_vec`].
-#[derive(Clone, Copy)]
-pub struct Column<'a> {
-    rows: &'a [Row],
-    field: usize,
-    scale: Scale,
-}
-
-impl<'a> Column<'a> {
-    /// Number of observations.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    // `inline(always)`: re-selection reads a few marker points per curve
-    // through `get`, from another crate; left to the inliner's judgement
-    // both stayed calls.
-    #[inline(always)]
-    fn value_of(&self, row: &Row) -> f64 {
-        let v = row.f[self.field];
-        match self.scale {
-            Scale::Stored => v,
-            Scale::Over(total) => clamp01(v / total),
-            Scale::Ones => 1.0,
-        }
-    }
-
-    /// The value at observation `j`.
-    ///
-    /// # Panics
-    /// Panics when `j` is out of range, like slice indexing.
-    #[inline(always)]
-    pub fn get(&self, j: usize) -> f64 {
-        self.value_of(&self.rows[j])
-    }
-
-    /// The value at the latest observation.
-    pub fn last(&self) -> Option<f64> {
-        self.rows.last().map(|r| self.value_of(r))
-    }
-
-    /// The values in observation order.
-    #[inline]
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = f64> + ExactSizeIterator + 'a {
-        let column = *self;
-        self.rows.iter().map(move |r| column.value_of(r))
-    }
-
-    /// Copy the column out.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.iter().collect()
-    }
-}
-
-/// Columns compare like the slices they stand for.
-impl PartialEq for Column<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl std::fmt::Debug for Column<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
 }
 
 /// Per-observation aggregates computed once when a snapshot is offered.
@@ -253,8 +148,6 @@ impl ObsEntry {
 enum Aggregates {
     /// The compiled struct-of-arrays walk (`entry_for`).
     Compiled,
-    /// The scalar reference walk (`entry_for_scalar`).
-    Scalar,
     /// The previous offer's, re-stamped: the caller knows nothing moved.
     Unchanged,
 }
@@ -262,11 +155,6 @@ enum Aggregates {
 /// Driver-set state resolved at the pipeline's first observation.
 #[derive(Debug, Clone)]
 struct DriverState {
-    drivers: Vec<(NodeId, f64)>,
-    /// The driver node ids alone (hot-path membership test).
-    driver_set: Vec<NodeId>,
-    batch_extra: Vec<(NodeId, f64)>,
-    seek_extra: Vec<(NodeId, f64)>,
     /// Chained totals for the three DNE-family estimators.
     total_dne: f64,
     total_batch: f64,
@@ -276,9 +164,35 @@ struct DriverState {
     /// `(join node, build-side spill bytes)` — final once the build
     /// pipeline completed, i.e. before this pipeline starts.
     hash_joins: Vec<(NodeId, u64)>,
-    /// Struct-of-arrays columns compiled from the fields above — what the
-    /// hot-path aggregate walk actually reads (see [`crate::soa`]).
+    /// Struct-of-arrays columns compiled from the driver family — what
+    /// the aggregate walk reads (see [`crate::soa`]).
     cols: PipeCols,
+}
+
+/// A pipeline's driver family as of its first in-window snapshot: the
+/// driver nodes with their known totals, then the batch-sort and the
+/// index-seek nodes outside the driver set with their optimizer
+/// estimates, which BATCHDNE and DNESEEK chain after the drivers.
+fn driver_family(
+    plan: &PhysicalPlan,
+    pipeline: &Pipeline,
+    materialized: &[u64],
+) -> [Vec<(NodeId, f64)>; 3] {
+    let drivers: Vec<(NodeId, f64)> = pipeline
+        .driver_nodes
+        .iter()
+        .map(|&d| (d, driver_node_total(plan, d, materialized).max(1.0)))
+        .collect();
+    let extra = |nodes: &[NodeId]| -> Vec<(NodeId, f64)> {
+        nodes
+            .iter()
+            .filter(|d| !drivers.iter().any(|&(n, _)| n == **d))
+            .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
+            .collect()
+    };
+    let batch_extra = extra(&pipeline.batch_sort_nodes);
+    let seek_extra = extra(&pipeline.index_seek_nodes);
+    [drivers, batch_extra, seek_extra]
 }
 
 /// Incrementally built estimator state for one pipeline of a running
@@ -418,27 +332,8 @@ impl IncrementalObs {
     /// finished.
     fn resolve(&mut self, snap: SnapshotView<'_>) {
         let plan = &self.plan;
-        let drivers: Vec<(NodeId, f64)> = self
-            .pipeline
-            .driver_nodes
-            .iter()
-            .map(|&d| (d, driver_node_total(plan, d, snap.materialized).max(1.0)))
-            .collect();
-        let driver_set: Vec<NodeId> = drivers.iter().map(|&(d, _)| d).collect();
-        let batch_extra: Vec<(NodeId, f64)> = self
-            .pipeline
-            .batch_sort_nodes
-            .iter()
-            .filter(|d| !driver_set.contains(d))
-            .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
-            .collect();
-        let seek_extra: Vec<(NodeId, f64)> = self
-            .pipeline
-            .index_seek_nodes
-            .iter()
-            .filter(|d| !driver_set.contains(d))
-            .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
-            .collect();
+        let [drivers, batch_extra, seek_extra] =
+            driver_family(plan, &self.pipeline, snap.materialized);
         // Chained sums over drivers ++ extras, front to back — the order
         // the per-observation numerators use, and the one the recorded
         // digests pin (f64 addition is order-sensitive).
@@ -460,10 +355,6 @@ impl IncrementalObs {
             .collect();
         let cols = PipeCols::build(plan, &self.pipeline.nodes, &drivers, &batch_extra, &seek_extra);
         self.state = Some(DriverState {
-            drivers,
-            driver_set,
-            batch_extra,
-            seek_extra,
             total_dne,
             total_batch,
             total_seek,
@@ -480,8 +371,8 @@ impl IncrementalObs {
     /// a branch-light pass over contiguous slices (gathers into the
     /// counter vectors, no plan-node access, no membership tests). Same
     /// floating-point operations in the same accumulation order as the
-    /// scalar reference (`entry_for_scalar`), hence bit-identical
-    /// output — the property nets pin this.
+    /// per-node scalar walk in this module's tests, hence bit-identical
+    /// output — those tests pin this on real workloads.
     fn entry_for(&self, serial: u64, snap: SnapshotView<'_>, ctx: &SnapshotCtx) -> ObsEntry {
         let state = self.state.as_ref().expect("drivers resolved");
         let cols = &state.cols;
@@ -509,7 +400,7 @@ impl IncrementalObs {
         }
         // One pass over the driver columns serves all three per-driver
         // sums. Each accumulator's additions stay in driver order, so
-        // every value is bitwise equal to the scalar reference's separate
+        // every value is bitwise equal to the scalar walk's separate
         // walks (f64 addition is order-sensitive, not pass-sensitive).
         let mut k_driver = 0.0;
         let mut driver_read = 0.0;
@@ -550,96 +441,15 @@ impl IncrementalObs {
         }
     }
 
-    /// The original per-node *scalar* walk: per-node plan access,
-    /// [`OperatorKind`] dispatch and driver-set membership tests. Kept as
-    /// the reference implementation the compiled [`PipeCols`] path is
-    /// pinned against (the `soa_equivalence` bit-identity nets); not used
-    /// on any hot path.
-    fn entry_for_scalar(&self, serial: u64, snap: SnapshotView<'_>, ctx: &SnapshotCtx) -> ObsEntry {
-        let plan = &self.plan;
-        let state = self.state.as_ref().expect("drivers resolved");
-        let (lb, ub) = (&ctx.lb, &ctx.ub);
-        let is_leaf_read = |id: NodeId| {
-            matches!(
-                plan.node(id).op,
-                OperatorKind::TableScan { .. }
-                    | OperatorKind::IndexScan { .. }
-                    | OperatorKind::IndexSeek { .. }
-            )
-        };
-        let mut k_total = 0.0;
-        let mut k_u64 = 0u64;
-        let mut e_clamped = 0.0;
-        let mut wl = 0.0;
-        let mut wu = 0.0;
-        let mut bytes = 0.0;
-        for &n in &self.pipeline.nodes {
-            let k = snap.k[n] as f64;
-            k_total += k;
-            k_u64 += snap.k[n];
-            e_clamped += clamp_estimate(plan.node(n).est_rows, lb[n], ub[n]);
-            wu += ub[n];
-            wl += k;
-            if state.driver_set.contains(&n) || !is_leaf_read(n) {
-                bytes += snap.bytes_read[n] as f64;
-            }
-            bytes += snap.bytes_written[n] as f64;
-        }
-        for &(d, total) in &state.drivers {
-            wl += (total - snap.k[d] as f64).max(0.0);
-        }
-        let k_driver: f64 = state.drivers.iter().map(|&(d, _)| snap.k[d] as f64).sum();
-        let mut pending_spill = 0.0;
-        for &(j_node, build_spill) in &state.hash_joins {
-            let expected = build_spill as f64 + snap.bytes_written[j_node] as f64;
-            pending_spill += (expected - snap.bytes_read[j_node] as f64).max(0.0);
-        }
-        let k_of = |extra: &[(NodeId, f64)]| -> f64 {
-            state.drivers.iter().chain(extra).map(|&(n, _)| snap.k[n] as f64).sum()
-        };
-        ObsEntry {
-            serial,
-            time: snap.time,
-            sum_k: k_total,
-            k_u64,
-            sum_e_clamped: e_clamped.max(1.0),
-            work_lb: wl.max(1.0),
-            work_ub: wu.max(1.0),
-            alpha: alpha(k_driver, state.sum_d),
-            done_bytes: bytes,
-            pending_spill,
-            k_dne: k_of(&[]),
-            k_batch: k_of(&state.batch_extra),
-            k_seek: k_of(&state.seek_extra),
-            driver_read: state.drivers.iter().map(|&(d, _)| snap.bytes_read[d] as f64).sum(),
-        }
-    }
-
     /// Offer one snapshot together with the pipeline's *currently known*
-    /// activity window (from the live `TraceEvent`). Returns the number of
-    /// observations committed by this call.
-    ///
-    /// Computes the per-snapshot refinement bounds itself. When several
-    /// pipelines of the same query consume the same snapshot, build one
-    /// [`SnapshotCtx`] and call [`Self::offer_view`] instead, so the
-    /// O(plan) bound pass runs once per snapshot rather than once per
-    /// pipeline.
-    pub fn offer(&mut self, serial: u64, snap: &Snapshot, window: (f64, f64)) -> usize {
-        assert!(!self.finalized, "offer after finalize");
-        let (start, _) = window;
-        if !start.is_finite() || snap.time < start {
-            return 0; // pipeline not started, or pre-window snapshot
-        }
-        let ctx = SnapshotCtx::new(&self.plan, snap);
-        self.offer_view(serial, snap.as_view(), window, &ctx)
-    }
-
-    /// [`Self::offer`] with the refinement bounds precomputed once per
-    /// query per snapshot and shared across pipelines, over a borrowed
-    /// [`SnapshotView`] — consumers that reconstruct counter state from
-    /// delta events (the monitor shard's per-query scratch) never
-    /// materialize an owned [`Snapshot`]. Always evaluates the aggregates:
-    /// the entry point of replay, training and every reference.
+    /// activity window (from the live `TraceEvent`) and the snapshot's
+    /// refinement bounds, computed once per query per snapshot and shared
+    /// across pipelines. Returns the number of observations committed by
+    /// this call. The snapshot is a borrowed [`SnapshotView`]: consumers
+    /// that reconstruct counter state from delta events (the monitor
+    /// shard's per-query scratch) never materialize an owned `Snapshot`.
+    /// Always evaluates the aggregates: the entry point of replay and
+    /// training.
     pub fn offer_view(
         &mut self,
         serial: u64,
@@ -669,21 +479,6 @@ impl IncrementalObs {
         ctx: &SnapshotCtx,
     ) -> usize {
         self.offer_impl(serial, snap, window, ctx, Aggregates::Unchanged)
-    }
-
-    /// [`Self::offer_view`] computing the per-observation aggregates via
-    /// the original scalar walk (`entry_for_scalar`) instead of
-    /// the compiled struct-of-arrays columns. Identical protocol,
-    /// bit-identical curves — this is the reference side of the
-    /// `soa_equivalence` property nets. Not a hot path.
-    pub fn offer_shared_scalar(
-        &mut self,
-        serial: u64,
-        snap: &Snapshot,
-        window: (f64, f64),
-        ctx: &SnapshotCtx,
-    ) -> usize {
-        self.offer_impl(serial, snap.as_view(), window, ctx, Aggregates::Scalar)
     }
 
     fn offer_impl(
@@ -716,7 +511,6 @@ impl IncrementalObs {
                 );
                 entry
             }
-            (Aggregates::Scalar, _) => self.entry_for_scalar(serial, snap, ctx),
             _ => self.entry_for(serial, snap, ctx),
         };
         self.latest = Some(entry);
@@ -763,6 +557,7 @@ impl IncrementalObs {
             dne(e.k_batch, state.total_batch),
             dne(e.k_seek, state.total_seek),
             {
+                // TGNINT: eq. (2), K + (1 - α)·E, summed over the pipeline.
                 let denom = e.sum_k + (1.0 - e.alpha) * self.sum_e_raw;
                 clamp01(e.sum_k / denom.max(1.0))
             },
@@ -962,137 +757,4 @@ impl IncrementalObs {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use prosel_engine::plan::{CmpOp, PlanNode, Predicate};
-    use prosel_engine::{decompose, OperatorKind};
-
-    fn scan_filter_plan() -> Arc<PhysicalPlan> {
-        Arc::new(PhysicalPlan {
-            nodes: vec![
-                PlanNode {
-                    op: OperatorKind::TableScan { table: "t".into(), cols: vec![0] },
-                    children: vec![],
-                    est_rows: 100.0,
-                    est_row_bytes: 8.0,
-                    out_cols: 1,
-                },
-                PlanNode {
-                    op: OperatorKind::Filter {
-                        pred: Predicate::ColCmp { col: 0, op: CmpOp::Gt, val: 0 },
-                    },
-                    children: vec![0],
-                    est_rows: 50.0,
-                    est_row_bytes: 8.0,
-                    out_cols: 1,
-                },
-            ],
-            root: 1,
-        })
-    }
-
-    fn snap(time: f64, k0: u64, k1: u64) -> Snapshot {
-        Snapshot {
-            time,
-            k: vec![k0, k1].into_boxed_slice(),
-            bytes_read: vec![k0 * 8, 0].into_boxed_slice(),
-            bytes_written: vec![0, 0].into_boxed_slice(),
-            materialized: vec![0, 0].into_boxed_slice(),
-        }
-    }
-
-    #[test]
-    fn skips_snapshots_before_the_window() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        // Pipeline not started yet: window is (inf, -inf).
-        assert_eq!(obs.offer(0, &snap(5.0, 0, 0), (f64::INFINITY, f64::NEG_INFINITY)), 0);
-        assert!(!obs.started());
-        // Started at t=10; a snapshot inside the known window commits.
-        assert_eq!(obs.offer(1, &snap(12.0, 20, 10), (10.0, 12.0)), 1);
-        assert!(obs.started());
-        assert_eq!(obs.len(), 1);
-        assert!((obs.value(EstimatorKind::Dne).unwrap() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pendings_commit_when_proven_in_window() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        obs.offer(0, &snap(12.0, 20, 10), (10.0, 12.0));
-        // Snapshot past the last known tick: cannot commit yet (it might
-        // land past the final window end).
-        assert_eq!(obs.offer(1, &snap(30.0, 20, 10), (10.0, 12.0)), 0);
-        assert_eq!(obs.len(), 1);
-        // A later tick at t=40 proves the pending was inside the window;
-        // both it and the new snapshot commit.
-        assert_eq!(obs.offer(2, &snap(40.0, 80, 40), (10.0, 40.0)), 2);
-        assert_eq!(obs.len(), 3);
-        // Finalize: the first trailing pending commits (the
-        // one-past-end rule), later ones are dropped.
-        obs.offer(3, &snap(45.0, 100, 50), (10.0, 41.0));
-        obs.offer(4, &snap(50.0, 100, 50), (10.0, 41.0));
-        obs.finalize((10.0, 41.0));
-        assert_eq!(obs.len(), 4, "exactly one past-end observation");
-        assert_eq!(obs.times().last(), Some(45.0));
-        let dne = obs.curve(EstimatorKind::Dne);
-        assert!((dne.last().unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "after finalize")]
-    fn oracle_curves_require_finalization() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        obs.offer(0, &snap(12.0, 20, 10), (10.0, 12.0));
-        let _ = obs.curve(EstimatorKind::GetNextOracle);
-    }
-
-    #[test]
-    fn truth_and_total_getnext_unlock_at_finalize() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        obs.offer(0, &snap(12.0, 20, 10), (10.0, 12.0));
-        obs.offer(1, &snap(40.0, 80, 40), (10.0, 40.0));
-        obs.finalize((10.0, 40.0));
-        // Elapsed-time fractions of the final [10, 40] window.
-        let truth = obs.truth();
-        assert_eq!(truth.len(), 2);
-        assert!((truth[0] - 2.0 / 30.0).abs() < 1e-12);
-        assert!((truth[1] - 1.0).abs() < 1e-12);
-        // Counters frozen at the window end: Σ K of the last observation.
-        assert_eq!(obs.total_getnext(), 120);
-    }
-
-    #[test]
-    #[should_panic(expected = "after finalize")]
-    fn truth_requires_finalization() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        obs.offer(0, &snap(12.0, 20, 10), (10.0, 12.0));
-        let _ = obs.truth();
-    }
-
-    #[test]
-    fn online_values_track_curves() {
-        let plan = scan_filter_plan();
-        let pipelines = decompose(&plan);
-        let mut obs = IncrementalObs::new(plan, &pipelines[0]);
-        assert_eq!(obs.value(EstimatorKind::Tgn), None);
-        for (i, t) in [12.0, 20.0, 28.0].iter().enumerate() {
-            let k = 20 * (i as u64 + 1);
-            obs.offer(i as u64, &snap(*t, k, k / 2), (10.0, *t));
-        }
-        for kind in ONLINE_KINDS {
-            let c = obs.curve(kind);
-            assert_eq!(c.len(), 3);
-            assert_eq!(obs.value(kind), c.last().copied());
-            assert!(c.iter().all(|v| (0.0..=1.0).contains(v)), "{kind} out of range");
-        }
-    }
-}
+mod tests;

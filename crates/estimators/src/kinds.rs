@@ -25,7 +25,9 @@ pub enum EstimatorKind {
     BatchDne,
     /// DNE with index-seek nodes included among the drivers (paper §5.1.1).
     DneSeek,
-    /// TGN with LUO-style cardinality interpolation (paper §5.2, eq. (8)).
+    /// TGN with LUO-style cardinality interpolation (paper §5.2, eq. (8)):
+    /// each E_i becomes eq. (2)'s `K_i + (1 - α)·E_i`, α the driver
+    /// fraction of eq. (1), so progress is `ΣK / (ΣK + (1 - α)·ΣE)`.
     TgnInt,
     /// TGN over the *unrefined* optimizer estimates (no bound clamping) —
     /// the ablation baseline for the paper's §7 observation that online

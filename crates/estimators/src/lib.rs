@@ -35,7 +35,9 @@
 //! aggregate walk — run in compiled struct-of-arrays form
 //! ([`soa::BoundsKernel`] and the columns behind
 //! [`IncrementalObs::offer_view`]), allocation-free per snapshot and
-//! bit-identical to the scalar references kept beside them; see [`soa`].
+//! bit-identical to scalar walks: [`refine::bounds`] for the bound pass,
+//! and for the aggregate walk a reference that exists only in the
+//! crate's tests; see [`soa`].
 
 pub mod ctx;
 pub mod eval;

@@ -114,12 +114,6 @@ pub fn alpha(sum_k_driver: f64, sum_d_driver: f64) -> f64 {
     (sum_k_driver / sum_d_driver).clamp(0.0, 1.0)
 }
 
-/// Interpolated per-node estimate (eq. (2)): `α·(K/α) + (1-α)·E = K + (1-α)·E`.
-#[inline]
-pub fn interpolated_estimate(k: f64, e: f64, alpha: f64) -> f64 {
-    k + (1.0 - alpha.clamp(0.0, 1.0)) * e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,15 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn alpha_and_interpolation() {
+    fn alpha_is_the_clamped_driver_fraction() {
         assert_eq!(alpha(50.0, 100.0), 0.5);
         assert_eq!(alpha(10.0, 0.0), 0.0);
         assert_eq!(alpha(200.0, 100.0), 1.0);
-        // eq (2): at alpha=0 we keep the estimate (plus K), at alpha=1 we
-        // trust what we've seen.
-        assert_eq!(interpolated_estimate(30.0, 100.0, 0.0), 130.0);
-        assert_eq!(interpolated_estimate(30.0, 100.0, 1.0), 30.0);
-        assert_eq!(interpolated_estimate(30.0, 100.0, 0.5), 80.0);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! the scalar walk would have loaded, and every consuming loop performs
 //! the same floating-point operations in the same order (f64 addition is
 //! order-sensitive; the 0/1 byte mask is exact because adding `+0.0` to a
-//! non-negative accumulator is the identity). The scalar walks are kept
-//! as each kernel's one independent reference ([`crate::refine::bounds`],
-//! [`crate::incremental::IncrementalObs::offer_shared_scalar`]), off every
-//! serving and collection path; the property nets pin the kernels to them.
+//! non-negative accumulator is the identity). Each kernel is pinned to
+//! one independent scalar walk, off every serving and collection path:
+//! the bound pass to [`crate::refine::bounds`] (the `soa_equivalence`
+//! test), the aggregate walk to a per-node walk that exists only in
+//! `incremental`'s tests.
 //!
 //! # Dependency masks
 //!

@@ -1,80 +1,14 @@
-//! The struct-of-arrays hot paths ([`prosel_estimators::soa`]) are
-//! refactorings, not approximations: on real workload executions every
-//! estimator curve and every refinement bound must match the pinned scalar
-//! reference walks **bitwise**, across all 11 estimator kinds.
+//! The compiled bound pass ([`prosel_estimators::soa::BoundsKernel`]) is a
+//! refactoring, not an approximation: on real workload executions every
+//! refinement bound must match the scalar pass ([`bounds`]) **bitwise**.
+//! (The compiled per-pipeline aggregate walk is pinned to its scalar
+//! reference by `incremental::tests` inside the crate.)
 
 use prosel_engine::{run_plan, Catalog, ExecConfig};
 use prosel_estimators::refine::bounds;
 use prosel_estimators::soa::BoundsKernel;
-use prosel_estimators::{EstimatorKind, IncrementalObs, SnapshotCtx, ONLINE_KINDS};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
-use std::sync::Arc;
-
-/// All 11 kinds: the 9 online-maintained curves plus the two post-finalize
-/// oracles.
-fn all_kinds() -> Vec<EstimatorKind> {
-    let mut kinds = ONLINE_KINDS.to_vec();
-    kinds.push(EstimatorKind::GetNextOracle);
-    kinds.push(EstimatorKind::BytesOracle);
-    assert_eq!(kinds.len(), 11);
-    kinds
-}
-
-#[test]
-fn soa_and_scalar_paths_are_bit_identical_on_real_workloads() {
-    let mut pipelines_checked = 0usize;
-    for (kind, queries) in [(WorkloadKind::TpchLike, 14), (WorkloadKind::TpcdsLike, 8)] {
-        let spec = WorkloadSpec::new(kind, 4321).with_queries(queries).with_scale(0.6);
-        let w = materialize(&spec);
-        let catalog = Catalog::new(&w.db, &w.design);
-        let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
-        for (qi, q) in w.queries.iter().enumerate() {
-            let plan = builder.build(q).expect("plan");
-            let run = run_plan(
-                &catalog,
-                &plan,
-                &ExecConfig { seed: 0x50A ^ qi as u64, ..ExecConfig::default() },
-            );
-            let plan = Arc::new(run.plan.clone());
-            let kernel = BoundsKernel::new(&plan);
-            let mut soa_ctx = SnapshotCtx::empty();
-            for pid in 0..run.pipelines.len() {
-                let mut soa = IncrementalObs::new(Arc::clone(&plan), &run.pipelines[pid]);
-                let mut scalar = IncrementalObs::new(Arc::clone(&plan), &run.pipelines[pid]);
-                let (start, end) = run.trace.pipeline_windows[pid];
-                for (j, snap) in run.trace.snapshots.iter().enumerate() {
-                    let window = (start, end.min(snap.time));
-                    // SoA path: compiled kernel + columnar per-pipeline walk.
-                    soa_ctx.recompute(&kernel, &snap.k);
-                    soa.offer_view(j as u64, snap.as_view(), window, &soa_ctx);
-                    // Reference path: scalar bound pass + scalar walk.
-                    let ctx = SnapshotCtx::new(&plan, snap);
-                    scalar.offer_shared_scalar(j as u64, snap, window, &ctx);
-                }
-                soa.finalize((start, end));
-                scalar.finalize((start, end));
-                assert_eq!(soa.len(), scalar.len());
-                if soa.is_empty() {
-                    continue;
-                }
-                pipelines_checked += 1;
-                for k in all_kinds() {
-                    let (a, b) = (soa.curve(k), scalar.curve(k));
-                    assert_eq!(a.len(), b.len(), "{k} curve length, pid {pid}");
-                    for (j, (x, y)) in a.iter().zip(&b).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{k} diverges at obs {j} of pipeline {pid} (soa {x}, scalar {y})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-    assert!(pipelines_checked > 30, "only {pipelines_checked} pipelines exercised");
-}
 
 #[test]
 fn bounds_kernel_matches_scalar_bounds_bitwise() {

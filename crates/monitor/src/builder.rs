@@ -1,21 +1,21 @@
 //! The one construction surface for both monitor shapes.
 //!
 //! [`MonitorBuilder`] is the only way to obtain a [`ProgressMonitor`] or
-//! a [`MonitorService`]: pick a policy, chain the knobs you care about
-//! (config, harvest sink, checkpoint restore, shard count), and build
-//! either shape.
+//! a [`MonitorService`]: pick a policy, chain what you care about (the
+//! [`MonitorConfig`] knobs, metrics registry, harvest sink, checkpoint
+//! restore, shard count), and build either shape.
 //!
 //! ```
 //! use prosel_estimators::EstimatorKind;
-//! use prosel_monitor::MonitorBuilder;
+//! use prosel_monitor::{MonitorBuilder, MonitorConfig};
 //!
 //! let monitor = MonitorBuilder::fixed(EstimatorKind::Dne)
-//!     .reselect_every(8)
+//!     .config(MonitorConfig { reselect_every: 8, ..MonitorConfig::default() })
 //!     .build_monitor()
 //!     .expect("DNE is an online kind");
 //! let service = MonitorBuilder::fixed(EstimatorKind::Dne)
+//!     .config(MonitorConfig { max_queries: 1024, ..MonitorConfig::default() })
 //!     .shards(4)
-//!     .max_queries(1024)
 //!     .build_service()
 //!     .expect("DNE is an online kind");
 //! service.shutdown();
@@ -24,12 +24,10 @@
 
 use crate::config::{HarvestConfig, MonitorConfig};
 use crate::error::MonitorError;
-use crate::runtime::RuntimeConfig;
 use crate::service::MonitorService;
 use crate::shard::{HarvestSink, Policy, ProgressMonitor};
 use crate::state::HarvestState;
 use prosel_core::selection::EstimatorSelector;
-use prosel_engine::clock::Clock;
 use prosel_estimators::EstimatorKind;
 use std::sync::Arc;
 
@@ -69,43 +67,10 @@ impl MonitorBuilder {
         }
     }
 
-    /// Replace the whole [`MonitorConfig`] at once (the per-knob methods
-    /// below then refine it).
+    /// Set every [`MonitorConfig`] knob at once: re-selection cadence, ETA
+    /// window, clock, admission cap, worker pool, metrics registry.
     pub fn config(mut self, config: MonitorConfig) -> MonitorBuilder {
         self.config = config;
-        self
-    }
-
-    /// Dynamic re-selection cadence, in observations per pipeline
-    /// (0 disables re-selection).
-    pub fn reselect_every(mut self, every: usize) -> MonitorBuilder {
-        self.config.reselect_every = every;
-        self
-    }
-
-    /// Speed-window length for the ETA tracker.
-    pub fn eta_window(mut self, window: usize) -> MonitorBuilder {
-        self.config.eta_window = window;
-        self
-    }
-
-    /// Wall-clock source (tests inject a manual clock here).
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> MonitorBuilder {
-        self.config.clock = clock;
-        self
-    }
-
-    /// Admission cap per shard (0 = unbounded): registrations past it are
-    /// refused with `RegisterError::Saturated`.
-    pub fn max_queries(mut self, cap: usize) -> MonitorBuilder {
-        self.config.max_queries = cap;
-        self
-    }
-
-    /// Worker-pool shape for the service form (ignored by
-    /// [`Self::build_monitor`]).
-    pub fn runtime(mut self, runtime: RuntimeConfig) -> MonitorBuilder {
-        self.config.runtime = runtime;
         self
     }
 

@@ -489,7 +489,11 @@ fn quiesce_waiters_wake_at_their_own_targets_and_rarely() {
 /// A service whose shards share one worker.
 fn one_worker(shards: usize) -> MonitorService {
     let runtime = RuntimeConfig { worker_threads: 1, ..RuntimeConfig::default() };
-    dne().shards(shards).runtime(runtime).build_service().unwrap()
+    dne()
+        .config(MonitorConfig { runtime, ..Default::default() })
+        .shards(shards)
+        .build_service()
+        .unwrap()
 }
 
 /// Wait until the worker has taken shard `si`'s queued events into a

@@ -14,7 +14,9 @@
 //! is how the paper's Table 1 operator-mix shift across tuning levels
 //! arises.
 
-use crate::cardinality::{conjunct_selectivity, filter_selectivity, group_count, join_size};
+mod join;
+
+use crate::cardinality::{conjunct_selectivity, filter_selectivity, group_count};
 use crate::query::{AggKind, AggSpec, FilterSpec, OrderTarget, QuerySpec, TableRef};
 use crate::stats::DbStats;
 use prosel_datagen::{Database, PhysicalDesign};
@@ -128,8 +130,7 @@ impl<'a> PlanBuilder<'a> {
         );
 
         for ji in 0..spec.joins.len() {
-            let right_idx = ji + 1;
-            cur = self.attach_join(&mut nodes, cur, spec, ji, right_idx, &needed[right_idx])?;
+            cur = self.attach_join(&mut nodes, cur, spec, ji, &needed[ji + 1])?;
             cur = self.project_dead_columns(&mut nodes, cur, spec, ji + 1);
         }
 
@@ -360,412 +361,6 @@ impl<'a> PlanBuilder<'a> {
         Partial { root, est, bound, sorted }
     }
 
-    /// Join `cur` with `spec.tables[right_idx]`.
-    fn attach_join(
-        &self,
-        nodes: &mut Vec<PlanNode>,
-        cur: Partial,
-        spec: &QuerySpec,
-        join_idx: usize,
-        right_idx: usize,
-        right_needed: &Needed,
-    ) -> Result<Partial, String> {
-        let join = &spec.joins[join_idx];
-        let tref = &spec.tables[right_idx];
-        let table = self.db.table(&tref.table);
-        let tstats = self.stats.table(&tref.table);
-        let t_rows = tstats.rows as f64;
-
-        let left_pos = cur
-            .bound
-            .iter()
-            .position(|b| b.table_idx == join.left_table && b.name == join.left_col)
-            .ok_or_else(|| {
-                format!(
-                    "join {join_idx}: left column {}.{} not in scope",
-                    join.left_table, join.left_col
-                )
-            })?;
-
-        let local_filters: Vec<(usize, FilterSpec)> =
-            tref.filters.iter().map(|f| (table.col(f.col()), f.clone())).collect();
-        let local_sel = if local_filters.is_empty() {
-            1.0
-        } else {
-            conjunct_selectivity(tstats, &local_filters)
-        };
-        let t_after = (t_rows * local_sel).max(1.0);
-
-        let left_base = &spec.tables[join.left_table].table;
-        let lcol_stats =
-            &self.stats.table(left_base).columns[self.db.table(left_base).col(&join.left_col)];
-        let rcol_stats = &tstats.columns[table.col(&join.right_col)];
-        let raw_join = join_size(cur.est, t_rows, lcol_stats, rcol_stats).max(1.0);
-        let post_join = (raw_join * local_sel).max(1.0);
-
-        // Method costs. Seeks are cheap when the inner table is small
-        // enough to stay buffer-pool resident, or when the batch sort that
-        // would be inserted localizes the references ([9]; paper §5.1).
-        let idx_on_right = self.has_index(&tref.table, &join.right_col);
-        let inner_bytes = t_rows * table.row_bytes() as f64;
-        let eff_seek_cost = if inner_bytes <= 96.0 * 1024.0 {
-            2.5
-        } else if cur.est >= self.cfg.batch_sort_min_outer {
-            self.cfg.seek_cost * 0.35
-        } else {
-            self.cfg.seek_cost
-        };
-        let cost_nlj =
-            if idx_on_right { cur.est * eff_seek_cost + post_join } else { f64::INFINITY };
-        let cost_rescan = if tstats.rows <= self.cfg.tiny_inner_rows {
-            cur.est * t_rows * 0.5 + post_join
-        } else {
-            f64::INFINITY
-        };
-        let merge_feasible =
-            idx_on_right && cur.sorted == Some(left_pos) && local_filters.is_empty();
-        let cost_merge = if merge_feasible { cur.est + t_rows + post_join } else { f64::INFINITY };
-        // Hash joins whose build side exceeds memory pay for spilling.
-        let est_build_bytes = t_after.min(cur.est) * 24.0;
-        let spill_penalty =
-            if est_build_bytes > 24.0 * 1024.0 { 0.8 * (t_after + cur.est) } else { 0.0 };
-        let cost_hash = t_after.min(cur.est) * self.cfg.hash_build_cost
-            + t_after.max(cur.est)
-            + post_join
-            + spill_penalty;
-        // Sort both inputs, then merge — attractive for large-large joins
-        // that would make the hash join spill.
-        let cost_sort_merge = 0.08
-            * (cur.est * (cur.est + 2.0).log2() + t_after * (t_after + 2.0).log2())
-            + cur.est
-            + t_after
-            + post_join;
-        let best = cost_nlj.min(cost_rescan).min(cost_merge).min(cost_hash).min(cost_sort_merge);
-
-        if best == cost_merge {
-            return Ok(self.build_merge_join(
-                nodes,
-                cur,
-                join_idx,
-                right_idx,
-                spec,
-                right_needed,
-                left_pos,
-                t_rows,
-                post_join,
-            ));
-        }
-        if best == cost_sort_merge {
-            return Ok(self.build_sort_merge_join(
-                nodes,
-                cur,
-                spec,
-                join_idx,
-                right_idx,
-                right_needed,
-                left_pos,
-                post_join,
-            ));
-        }
-        if best == cost_nlj || best == cost_rescan {
-            return Ok(self.build_nl_join(
-                nodes,
-                cur,
-                spec,
-                join_idx,
-                right_idx,
-                right_needed,
-                left_pos,
-                raw_join,
-                post_join,
-                t_rows,
-                best == cost_nlj,
-            ));
-        }
-        Ok(self.build_hash_join(
-            nodes,
-            cur,
-            spec,
-            join_idx,
-            right_idx,
-            right_needed,
-            left_pos,
-            post_join,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_merge_join(
-        &self,
-        nodes: &mut Vec<PlanNode>,
-        cur: Partial,
-        join_idx: usize,
-        right_idx: usize,
-        spec: &QuerySpec,
-        right_needed: &Needed,
-        left_pos: usize,
-        t_rows: f64,
-        post_join: f64,
-    ) -> Partial {
-        let join = &spec.joins[join_idx];
-        let tref = &spec.tables[right_idx];
-        let table = self.db.table(&tref.table);
-        // No local filters by feasibility; carry columns only.
-        let carry = &right_needed.cols[..right_needed.carry_len];
-        let key = table.col(&join.right_col);
-        let proj: Vec<usize> = carry.iter().map(|c| table.col(c)).collect();
-        let right = push(
-            nodes,
-            OperatorKind::IndexScan { table: tref.table.clone(), key_col: key, cols: proj },
-            vec![],
-            t_rows.max(1.0),
-            table.row_bytes() as f64,
-            carry.len(),
-        );
-        let right_key =
-            carry.iter().position(|c| c == &join.right_col).expect("join col projected");
-        let out_cols = cur.bound.len() + carry.len();
-        let root = push(
-            nodes,
-            OperatorKind::MergeJoin { left_key: left_pos, right_key },
-            vec![cur.root, right],
-            post_join,
-            8.0 * out_cols as f64,
-            out_cols,
-        );
-        let mut bound = cur.bound;
-        bound.extend(carry.iter().map(|c| BoundCol { table_idx: right_idx, name: c.clone() }));
-        Partial { root, est: post_join, bound, sorted: Some(left_pos) }
-    }
-
-    /// Sort both inputs on the join key, then merge-join them.
-    #[allow(clippy::too_many_arguments)]
-    fn build_sort_merge_join(
-        &self,
-        nodes: &mut Vec<PlanNode>,
-        cur: Partial,
-        spec: &QuerySpec,
-        join_idx: usize,
-        right_idx: usize,
-        right_needed: &Needed,
-        left_pos: usize,
-        post_join: f64,
-    ) -> Partial {
-        let join = &spec.joins[join_idx];
-        let tref = &spec.tables[right_idx];
-        // Left input sorted on the join column (unless already sorted).
-        let left_sorted = if cur.sorted == Some(left_pos) {
-            cur.root
-        } else {
-            push(
-                nodes,
-                OperatorKind::Sort { key_cols: vec![left_pos] },
-                vec![cur.root],
-                cur.est,
-                8.0 * cur.bound.len() as f64,
-                cur.bound.len(),
-            )
-        };
-        // Right input: access path, then sort on its join column.
-        let right_sub = self.access_path(nodes, right_idx, tref, right_needed, None);
-        let right_key = right_sub
-            .bound
-            .iter()
-            .position(|b| b.name == join.right_col)
-            .expect("join col projected");
-        let right_sorted = if right_sub.sorted == Some(right_key) {
-            right_sub.root
-        } else {
-            push(
-                nodes,
-                OperatorKind::Sort { key_cols: vec![right_key] },
-                vec![right_sub.root],
-                right_sub.est,
-                8.0 * right_sub.bound.len() as f64,
-                right_sub.bound.len(),
-            )
-        };
-        let out_cols = cur.bound.len() + right_sub.bound.len();
-        let root = push(
-            nodes,
-            OperatorKind::MergeJoin { left_key: left_pos, right_key },
-            vec![left_sorted, right_sorted],
-            post_join,
-            8.0 * out_cols as f64,
-            out_cols,
-        );
-        let mut bound = cur.bound;
-        bound.extend(right_sub.bound);
-        Partial { root, est: post_join, bound, sorted: Some(left_pos) }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_nl_join(
-        &self,
-        nodes: &mut Vec<PlanNode>,
-        cur: Partial,
-        spec: &QuerySpec,
-        join_idx: usize,
-        right_idx: usize,
-        right_needed: &Needed,
-        left_pos: usize,
-        raw_join: f64,
-        post_join: f64,
-        t_rows: f64,
-        use_seek: bool,
-    ) -> Partial {
-        let join = &spec.joins[join_idx];
-        let tref = &spec.tables[right_idx];
-        let table = self.db.table(&tref.table);
-
-        // Maybe batch-sort the outer to localize inner references.
-        let mut outer_root = cur.root;
-        let mut outer_sorted = cur.sorted;
-        if use_seek && cur.est >= self.cfg.batch_sort_min_outer && cur.sorted != Some(left_pos) {
-            let batch = (cur.est / 3.0).clamp(64.0, 4096.0) as usize;
-            outer_root = push(
-                nodes,
-                OperatorKind::BatchSort { key_col: left_pos, batch },
-                vec![outer_root],
-                cur.est,
-                8.0 * cur.bound.len() as f64,
-                cur.bound.len(),
-            );
-            outer_sorted = None; // sorted only within batches
-        }
-
-        let proj: Vec<usize> = right_needed.cols.iter().map(|c| table.col(c)).collect();
-        let pos_of = |name: &str| -> usize {
-            right_needed.cols.iter().position(|c| c == name).expect("needed column missing")
-        };
-        let mut inner = if use_seek {
-            push(
-                nodes,
-                OperatorKind::IndexSeek {
-                    table: tref.table.clone(),
-                    key_col: table.col(&join.right_col),
-                    cols: proj,
-                    seek: SeekKind::BoundParam,
-                },
-                vec![],
-                raw_join, // total GetNext calls over all rebinds
-                table.row_bytes() as f64,
-                right_needed.cols.len(),
-            )
-        } else {
-            let scan = push(
-                nodes,
-                OperatorKind::TableScan { table: tref.table.clone(), cols: proj },
-                vec![],
-                (cur.est * t_rows).max(1.0),
-                table.row_bytes() as f64,
-                right_needed.cols.len(),
-            );
-            push(
-                nodes,
-                OperatorKind::Filter {
-                    pred: Predicate::BoundCmp { col: pos_of(&join.right_col), op: CmpOp::Eq },
-                },
-                vec![scan],
-                raw_join,
-                table.row_bytes() as f64,
-                right_needed.cols.len(),
-            )
-        };
-        if !tref.filters.is_empty() {
-            let pred = filters_to_predicate(&tref.filters, &|name| pos_of(name));
-            inner = push(
-                nodes,
-                OperatorKind::Filter { pred },
-                vec![inner],
-                post_join,
-                table.row_bytes() as f64,
-                right_needed.cols.len(),
-            );
-        }
-        // Project the inner down to carry columns before the join output.
-        if right_needed.carry_len < right_needed.cols.len() {
-            inner = push(
-                nodes,
-                OperatorKind::Project { cols: (0..right_needed.carry_len).collect() },
-                vec![inner],
-                post_join,
-                8.0 * right_needed.carry_len as f64,
-                right_needed.carry_len,
-            );
-        }
-        let carry = &right_needed.cols[..right_needed.carry_len];
-        let out_cols = cur.bound.len() + carry.len();
-        let root = push(
-            nodes,
-            OperatorKind::NestedLoopJoin { outer_key: left_pos },
-            vec![outer_root, inner],
-            post_join,
-            8.0 * out_cols as f64,
-            out_cols,
-        );
-        let mut bound = cur.bound;
-        bound.extend(carry.iter().map(|c| BoundCol { table_idx: right_idx, name: c.clone() }));
-        Partial { root, est: post_join, bound, sorted: outer_sorted }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_hash_join(
-        &self,
-        nodes: &mut Vec<PlanNode>,
-        cur: Partial,
-        spec: &QuerySpec,
-        join_idx: usize,
-        right_idx: usize,
-        right_needed: &Needed,
-        left_pos: usize,
-        post_join: f64,
-    ) -> Partial {
-        let join = &spec.joins[join_idx];
-        let tref = &spec.tables[right_idx];
-        let right_sub = self.access_path(nodes, right_idx, tref, right_needed, None);
-        let right_key = right_sub
-            .bound
-            .iter()
-            .position(|b| b.name == join.right_col)
-            .expect("join col projected");
-        // Build the smaller estimated side.
-        let (probe, build, probe_key, build_key, probe_bound, build_bound, probe_sorted) =
-            if right_sub.est <= cur.est {
-                (
-                    cur.root,
-                    right_sub.root,
-                    left_pos,
-                    right_key,
-                    cur.bound,
-                    right_sub.bound,
-                    cur.sorted,
-                )
-            } else {
-                (
-                    right_sub.root,
-                    cur.root,
-                    right_key,
-                    left_pos,
-                    right_sub.bound,
-                    cur.bound,
-                    right_sub.sorted,
-                )
-            };
-        let out_cols = probe_bound.len() + build_bound.len();
-        let root = push(
-            nodes,
-            OperatorKind::HashJoin { probe_key, build_key },
-            vec![probe, build],
-            post_join,
-            8.0 * out_cols as f64,
-            out_cols,
-        );
-        let mut bound = probe_bound;
-        bound.extend(build_bound);
-        Partial { root, est: post_join, bound, sorted: probe_sorted }
-    }
-
     /// Insert a projection dropping columns not used by joins after
     /// `next_join`, aggregation, or ordering.
     fn project_dead_columns(
@@ -970,176 +565,4 @@ fn push(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::query::{JoinSpec, TableRef};
-    use prosel_datagen::tpch::{generate, TpchConfig};
-    use prosel_datagen::TuningLevel;
-
-    fn setup() -> (prosel_datagen::Database, DbStats) {
-        let db = generate(&TpchConfig { scale: 0.3, skew: 1.0, seed: 11 });
-        let stats = DbStats::build(&db);
-        (db, stats)
-    }
-
-    #[test]
-    fn single_table_scan_plan() {
-        let (db, stats) = setup();
-        let design = PhysicalDesign::derive(&db, TuningLevel::Untuned);
-        let b = PlanBuilder::new(&db, &stats, &design);
-        let spec = QuerySpec::single(TableRef::new("lineitem").with_filter(FilterSpec::Range {
-            col: "l_shipdate".into(),
-            lo: 100,
-            hi: 500,
-        }));
-        let plan = b.build(&spec).unwrap();
-        assert!(plan.validate().is_ok());
-        // Untuned: table scan + filter (+ maybe project).
-        assert!(matches!(plan.node(0).op, OperatorKind::TableScan { .. }));
-        assert!(plan.nodes.iter().any(|n| matches!(n.op, OperatorKind::Filter { .. })));
-    }
-
-    #[test]
-    fn tuned_design_uses_index_seek_access() {
-        let (db, stats) = setup();
-        let design = PhysicalDesign::derive(&db, TuningLevel::FullyTuned);
-        let b = PlanBuilder::new(&db, &stats, &design);
-        let spec = QuerySpec::single(TableRef::new("lineitem").with_filter(FilterSpec::Range {
-            col: "l_shipdate".into(),
-            lo: 100,
-            hi: 200,
-        }));
-        let plan = b.build(&spec).unwrap();
-        assert!(
-            plan.nodes.iter().any(|n| matches!(n.op, OperatorKind::IndexSeek { .. })),
-            "expected a seek access path:\n{}",
-            plan.render()
-        );
-    }
-
-    #[test]
-    fn untuned_join_is_hash_join() {
-        let (db, stats) = setup();
-        let design = PhysicalDesign::derive(&db, TuningLevel::Untuned);
-        let b = PlanBuilder::new(&db, &stats, &design);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("orders"), TableRef::new("lineitem")],
-            joins: vec![JoinSpec {
-                left_table: 0,
-                left_col: "o_orderkey".into(),
-                right_col: "l_orderkey".into(),
-            }],
-            aggregate: None,
-            order_by: None,
-            top: None,
-        };
-        let plan = b.build(&spec).unwrap();
-        assert!(
-            plan.nodes.iter().any(|n| matches!(n.op, OperatorKind::HashJoin { .. })),
-            "expected hash join:\n{}",
-            plan.render()
-        );
-    }
-
-    #[test]
-    fn tuned_selective_outer_uses_nlj_with_seek() {
-        let (db, stats) = setup();
-        let design = PhysicalDesign::derive(&db, TuningLevel::FullyTuned);
-        let b = PlanBuilder::new(&db, &stats, &design);
-        // Small filtered orders side drives a seek into lineitem.
-        let spec = QuerySpec {
-            tables: vec![
-                TableRef::new("orders").with_filter(FilterSpec::Range {
-                    col: "o_orderdate".into(),
-                    lo: 0,
-                    hi: 60,
-                }),
-                TableRef::new("lineitem"),
-            ],
-            joins: vec![JoinSpec {
-                left_table: 0,
-                left_col: "o_orderkey".into(),
-                right_col: "l_orderkey".into(),
-            }],
-            aggregate: None,
-            order_by: None,
-            top: None,
-        };
-        let plan = b.build(&spec).unwrap();
-        assert!(
-            plan.nodes.iter().any(|n| matches!(n.op, OperatorKind::NestedLoopJoin { .. })),
-            "expected nested loop:\n{}",
-            plan.render()
-        );
-        assert!(plan
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, OperatorKind::IndexSeek { seek: SeekKind::BoundParam, .. })));
-    }
-
-    #[test]
-    fn aggregate_and_order_compose() {
-        let (db, stats) = setup();
-        let design = PhysicalDesign::derive(&db, TuningLevel::Untuned);
-        let b = PlanBuilder::new(&db, &stats, &design);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("lineitem")],
-            joins: vec![],
-            aggregate: Some(AggSpec {
-                group_cols: vec![(0, "l_returnflag".into())],
-                aggs: vec![AggKind::Count, AggKind::Sum { table: 0, col: "l_quantity".into() }],
-                having: None,
-            }),
-            order_by: Some(OrderTarget::AggResult { idx: 0 }),
-            top: Some(5),
-        };
-        let plan = b.build(&spec).unwrap();
-        let kinds: Vec<&str> = plan.nodes.iter().map(|n| n.op.name()).collect();
-        assert!(kinds.contains(&"HashAggregate"));
-        assert!(kinds.contains(&"Sort"));
-        assert!(kinds.contains(&"Top"));
-    }
-
-    #[test]
-    fn estimates_are_positive_and_finite() {
-        let (db, stats) = setup();
-        for level in TuningLevel::ALL {
-            let design = PhysicalDesign::derive(&db, level);
-            let b = PlanBuilder::new(&db, &stats, &design);
-            let spec = QuerySpec {
-                tables: vec![
-                    TableRef::new("customer").with_filter(FilterSpec::Cmp {
-                        col: "c_mktsegment".into(),
-                        op: CmpOp::Eq,
-                        val: 1,
-                    }),
-                    TableRef::new("orders"),
-                    TableRef::new("lineitem"),
-                ],
-                joins: vec![
-                    JoinSpec {
-                        left_table: 0,
-                        left_col: "c_custkey".into(),
-                        right_col: "o_custkey".into(),
-                    },
-                    JoinSpec {
-                        left_table: 1,
-                        left_col: "o_orderkey".into(),
-                        right_col: "l_orderkey".into(),
-                    },
-                ],
-                aggregate: Some(AggSpec {
-                    group_cols: vec![(1, "o_orderdate".into())],
-                    aggs: vec![AggKind::Sum { table: 2, col: "l_extendedprice".into() }],
-                    having: None,
-                }),
-                order_by: None,
-                top: None,
-            };
-            let plan = b.build(&spec).unwrap();
-            for n in &plan.nodes {
-                assert!(n.est_rows.is_finite() && n.est_rows >= 0.0);
-            }
-        }
-    }
-}
+mod tests;

@@ -15,13 +15,11 @@
 pub mod builder;
 pub mod cardinality;
 pub mod query;
-pub mod sql;
 pub mod stats;
 pub mod workload;
 
 pub use builder::{PlanBuilder, PlannerConfig};
 pub use query::{AggKind, AggSpec, FilterSpec, JoinSpec, OrderTarget, QuerySpec, TableRef};
-pub use sql::{parse_sql, SqlError};
 pub use stats::{ColumnStats, DbStats, EquiDepthHistogram, TableStats};
 pub use workload::{
     build_database, generate_queries, materialize, Workload, WorkloadKind, WorkloadSpec,

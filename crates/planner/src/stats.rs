@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn db_stats_lookup() {
-        let db = prosel_datagen::tpch::generate(&prosel_datagen::tpch::TpchConfig {
+        let db = prosel_datagen::tpch::generate(&prosel_datagen::GenConfig {
             scale: 0.2,
             skew: 1.0,
             seed: 5,

@@ -12,7 +12,7 @@ use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::{DbStats, PlanBuilder, PlannerConfig};
 
 fn tpch(tuning: TuningLevel) -> (prosel_datagen::Database, DbStats, PhysicalDesign) {
-    let db = prosel_datagen::tpch::generate(&prosel_datagen::tpch::TpchConfig {
+    let db = prosel_datagen::tpch::generate(&prosel_datagen::GenConfig {
         scale: 1.0,
         skew: 1.0,
         seed: 99,

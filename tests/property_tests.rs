@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use prosel::datagen::Zipf;
 use prosel::engine::plan::{CmpOp, OperatorKind, PhysicalPlan, PlanNode, Predicate};
 use prosel::engine::{run_plan, run_plan_tapped, Catalog, ExecConfig, SortedIndex, Tuple};
-use prosel::estimators::refine::{bounds, clamp_estimate, interpolated_estimate};
+use prosel::estimators::refine::{bounds, clamp_estimate};
 use prosel::estimators::{l1_error, l2_error, EstimatorKind, PipelineObs};
 use prosel::mart::{BoostParams, Dataset, Mart};
 use prosel::monitor::MonitorBuilder;
@@ -140,13 +140,6 @@ proptest! {
         prop_assert!(clamped >= lb[1] - 1e-9 && clamped <= ub[1] + 1e-9);
         // The clamped estimate never contradicts what has been observed.
         prop_assert!(clamped >= k1 as f64 - 1e-9);
-    }
-
-    #[test]
-    fn interpolation_between_k_and_k_plus_e(k in 0.0f64..1000.0, e in 0.0f64..1000.0, a in 0.0f64..1.0) {
-        let v = interpolated_estimate(k, e, a);
-        prop_assert!(v >= k - 1e-9);
-        prop_assert!(v <= k + e + 1e-9);
     }
 
     // ---------------- Error metrics ----------------------------------------
