@@ -52,13 +52,13 @@ const SHARES: [[f64; COR_POINTS]; X_MARKERS.len()] = {
 
 /// Every marker of [`SHARES`]: the first observation where the driver
 /// fraction reaches that share, clamped to the last observation when
-/// never reached.
+/// never reached — and whether every one was reached.
 ///
 /// One forward pass: per x the four shares ascend with `i`, and the first
 /// index reaching a larger share is never before the first index reaching
 /// a smaller one, so a cursor per x resolves them in order — whatever the
 /// shape of the fraction curve — and the scan stops once `t{20}` is found.
-fn markers(df: Column<'_>) -> [[usize; COR_POINTS]; X_MARKERS.len()] {
+fn markers(df: Column<'_>) -> ([[usize; COR_POINTS]; X_MARKERS.len()], bool) {
     let mut at = [[df.len().saturating_sub(1); COR_POINTS]; X_MARKERS.len()];
     let mut next = [0usize; X_MARKERS.len()];
     let mut open = X_MARKERS.len();
@@ -76,7 +76,7 @@ fn markers(df: Column<'_>) -> [[usize; COR_POINTS]; X_MARKERS.len()] {
             break;
         }
     }
-    at
+    (at, open == 0)
 }
 
 /// Extract the dynamic feature suffix.
@@ -94,11 +94,18 @@ pub fn extract(obs: &IncrementalObs) -> Vec<f32> {
 /// [`extract`], appending the [`DYNAMIC_LEN`] features to `out` — no
 /// allocation of its own when `out` has the room (the maintained curves
 /// are read in place, a few marker points each).
-pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
+///
+/// Returns whether every marker `t{x·i/4}` was reached. The vector is then
+/// *final*: it reads only committed rows up to the last marker, their
+/// times and the window start, none of which a later observation changes
+/// — only a [`IncrementalObs::thin`] (which re-indexes the rows and
+/// rebuilds LUO) or [`IncrementalObs::finalize`] (which re-seats the
+/// window) can.
+pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) -> bool {
     let curves = COR_ESTIMATORS.map(|name| obs.curve_view(kind_by_name(name)));
     let start = obs.window().0;
     let times = obs.times();
-    let at = markers(obs.driver_fraction());
+    let (at, reached) = markers(obs.driver_fraction());
 
     // Pairwise differences at t{x}.
     for (a, b) in DIFF_PAIRS {
@@ -130,6 +137,7 @@ pub fn extract_into(obs: &IncrementalObs, out: &mut Vec<f32>) {
             }
         }
     }
+    reached
 }
 
 #[cfg(test)]
@@ -196,9 +204,12 @@ mod tests {
         }
     }
 
+    /// The live-prefix walk also checks the finality report: once an
+    /// extraction says every marker was reached, every later prefix with
+    /// no thinning in between extracts the bit-identical vector.
     #[test]
     fn single_pass_extraction_matches_the_per_feature_definition() {
-        let (mut replayed, mut prefixes, mut thinned) = (0, 0, 0);
+        let (mut replayed, mut prefixes, mut thinned, mut held_final) = (0, 0, 0, 0);
         for (kind, seed) in [(WorkloadKind::TpchLike, 6), (WorkloadKind::TpcdsLike, 9)] {
             let spec = WorkloadSpec::new(kind, seed).with_queries(5).with_scale(0.4);
             let w = materialize(&spec);
@@ -222,6 +233,7 @@ mod tests {
                     // observation buffer halved every 24 snapshots.
                     let mut live = IncrementalObs::new(Arc::clone(&plan), &run.pipelines[pid]);
                     let mut serials = Vec::new();
+                    let mut frozen: Option<Vec<f32>> = None;
                     let (start, end) = run.trace.pipeline_windows[pid];
                     for (j, snap) in run.trace.snapshots.iter().enumerate() {
                         ctx.recompute(&kernel, &snap.k);
@@ -232,16 +244,34 @@ mod tests {
                             thin_half(&mut serials);
                             live.thin(&serials);
                             thinned += !live.is_empty() as usize;
+                            frozen = None;
                         }
                         if !live.is_empty() {
                             assert_matches_reference(&live, &format!("{label} prefix {j}"));
                             prefixes += 1;
+                            let mut v = Vec::new();
+                            let reached = extract_into(&live, &mut v);
+                            match &frozen {
+                                Some(held) => {
+                                    assert!(reached, "{label} prefix {j}: final, then not");
+                                    let bits = |v: &[f32]| {
+                                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                                    };
+                                    assert_eq!(bits(&v), bits(held), "{label} prefix {j}");
+                                    held_final += 1;
+                                }
+                                None if reached => frozen = Some(v),
+                                None => {}
+                            }
                         }
                     }
                 }
             }
         }
-        assert!(replayed > 10 && prefixes > 500 && thinned > 10, "{replayed} {prefixes} {thinned}");
+        assert!(
+            replayed > 10 && prefixes > 500 && thinned > 10 && held_final > 1000,
+            "{replayed} {prefixes} {thinned} {held_final}"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! * [`ProgressMonitor`] registers queries *before* they run (static
 //!   features, eq. (5) pipeline weights and the initial estimator choice
-//!   all come from the plan alone), ingests
+//!   all come from the plan alone, so each shard derives them once per
+//!   plan `Arc` and shares them across that plan's queries), ingests
 //!   [`prosel_engine::trace::TraceEvent`]s one at a time, and serves
 //!   per-query / per-pipeline progress on demand in O(1);
 //! * per pipeline it maintains a

@@ -30,6 +30,21 @@
 //! [`ProgressMonitor::register`] survives re-ordering-free. Unregister and
 //! selector swaps lock the owning shard's core directly.
 //!
+//! **Admission is compiled once per plan per shard.** What a registration
+//! derives from the plan alone — pipelines, eq. (5) weights, static
+//! features and the initial choice under the current selector, the bound
+//! kernel and its pipeline masks — is kept by each shard core per
+//! registering `Arc<PhysicalPlan>` and shared by every query registered
+//! against that `Arc`, so a registration builds only the query's live
+//! state. That assumes what serving traffic looks like: queries recur
+//! over plan templates, and a caller keeps one `Arc` per template (all
+//! four benchmark workloads register from 24). A caller passing
+//! `&PhysicalPlan` or an owned plan makes a fresh `Arc` per call and pays
+//! a full compile each time (`tests/traffic_soak.rs` exercises that
+//! path). The per-shard map is bounded by the plans still alive: each
+//! entry holds only a `Weak` to its plan, dead entries are pruned
+//! whenever the map doubles, and a selector swap empties it.
+//!
 //! Dead shards degrade, never lie: a panicking shard task is caught, the
 //! shard is marked dead, its queued events are counted as
 //! `events_rejected` (the conservation law `ingested + unroutable +
@@ -138,7 +153,8 @@ impl MonitorService {
     /// Non-panicking [`Self::register`]: duplicate ids come back as
     /// [`RegisterError::DuplicateQuery`], a dead shard as
     /// [`RegisterError::ShardDown`]. Accepts `&PhysicalPlan`, an owned
-    /// plan, or `Arc<PhysicalPlan>` (no deep clone for shared plans).
+    /// plan, or `Arc<PhysicalPlan>` (no deep clone for shared plans, and
+    /// the owning shard's compiled admission record is shared too).
     pub fn try_register(
         &self,
         query: usize,
@@ -151,8 +167,12 @@ impl MonitorService {
 
     /// Register many queries against one plan with **one quiesce + core
     /// lock per shard** instead of one per query — the admission path for
-    /// bulk workloads. Returns one `(query, result)` pair per input query;
-    /// queries owned by a dead shard report [`RegisterError::ShardDown`].
+    /// bulk workloads. The plan is cloned into one `Arc` for the whole
+    /// batch, so each shard compiles its admission record once and every
+    /// query of the batch on that shard shares it (see the module docs);
+    /// a later batch of the same plan is a fresh `Arc` and compiles again.
+    /// Returns one `(query, result)` pair per input query; queries owned
+    /// by a dead shard report [`RegisterError::ShardDown`].
     pub fn try_register_batch(
         &self,
         queries: &[usize],

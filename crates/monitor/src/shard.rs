@@ -14,6 +14,7 @@
 //! pipeline's observation state (unlocking oracle curves and exact
 //! post-hoc equivalence).
 
+mod compiled;
 mod ingest;
 
 use crate::cell::{PipelineStatus, QueryCell, QueryStatus, Served, SwitchEvent};
@@ -22,15 +23,15 @@ use crate::error::{QueryError, RegisterError};
 use crate::eta::{Eta, SpeedTracker};
 use crate::state::HarvestState;
 use crate::stats::{ShardCounters, ShardStats};
+use compiled::{CompiledPlan, PlanCache};
 use ingest::IngestScratch;
 pub(crate) use ingest::Ingested;
+use prosel_core::features::dynamic_features;
 use prosel_core::features::schema::{DYNAMIC_LEN, STATIC_LEN};
-use prosel_core::features::{dynamic_features, static_features};
 use prosel_core::pipeline_runs::PipelineRecord;
 use prosel_core::selection::EstimatorSelector;
 use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::TraceEvent;
-use prosel_engine::{decompose, pipeline_weight, Pipeline};
 use prosel_estimators::{EstimatorKind, IncrementalObs};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
@@ -79,40 +80,62 @@ pub(crate) enum Policy {
 struct PipeState {
     obs: IncrementalObs,
     choice: EstimatorKind,
-    initial: EstimatorKind,
-    /// The full feature vector `choice` was last scored on (selector mode
-    /// only; empty under a fixed policy): the static prefix, extracted at
-    /// registration, and the dynamic suffix of the latest re-selection —
-    /// zeros until the first one, the static-selection convention. Scoring
-    /// is a pure function of this vector and the query's captured
-    /// selector, so a re-selection whose vector is bit-equal to it keeps
-    /// `choice` without consulting the forest.
-    feats: Vec<f32>,
+    /// The dynamic suffix `choice` was last scored on, behind the
+    /// pipeline's static prefix in the query's [`CompiledPlan`] (selector
+    /// mode only; empty under a fixed policy) — zeros until the first
+    /// re-selection, the static-selection convention. Scoring is a pure
+    /// function of prefix, suffix and the query's captured selector, so a
+    /// re-selection whose suffix is bit-equal to this one keeps `choice`
+    /// without consulting the forest.
+    scored: Vec<f32>,
+    /// The last extraction reached every dynamic-feature marker, so
+    /// `scored` is final until the next thinning (see
+    /// [`dynamic_features::extract_into`]): re-selections keep `choice`
+    /// without extracting.
+    settled: bool,
     since_select: usize,
 }
 
 impl PipeState {
-    /// A due re-selection: extract the dynamic features into `scratch`
-    /// and score — unless they are bit-equal to the ones scored last
-    /// time, in which case the same input to the same pure function gives
-    /// the choice already held.
+    /// A due re-selection: extract the dynamic features behind `statics`
+    /// into `scratch` and score — unless they are bit-equal to the ones
+    /// scored last time, in which case the same input to the same pure
+    /// function gives the choice already held. A settled suffix is known
+    /// to be bit-equal without extracting; it counts as the memo hit it
+    /// is.
     fn rescore(
         &mut self,
+        statics: &[f32],
         sel: &EstimatorSelector,
         scratch: &mut Vec<f32>,
         counters: &ShardCounters,
     ) -> EstimatorKind {
         counters.reselect.inc();
         scratch.clear();
-        dynamic_features::extract_into(&self.obs, scratch);
-        let scored = &mut self.feats[STATIC_LEN..];
-        if scored.iter().zip(&*scratch).all(|(a, b)| a.to_bits() == b.to_bits()) {
+        if self.settled {
+            debug_assert!(
+                dynamic_features::extract_into(&self.obs, scratch)
+                    && bits_equal(scratch, &self.scored),
+                "pipeline {}: a settled dynamic suffix moved",
+                self.obs.pipeline_id()
+            );
             counters.reselect_memo_hits.inc();
             return self.choice;
         }
-        scored.copy_from_slice(scratch);
-        sel.select(&self.feats)
+        scratch.extend_from_slice(statics);
+        self.settled = dynamic_features::extract_into(&self.obs, scratch);
+        let extracted = &scratch[STATIC_LEN..];
+        if bits_equal(extracted, &self.scored) {
+            counters.reselect_memo_hits.inc();
+            return self.choice;
+        }
+        self.scored.copy_from_slice(extracted);
+        sel.select(scratch)
     }
+}
+
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The pipeline rows a query serves: each pipeline's progress under the
@@ -134,15 +157,14 @@ struct QueryState {
     /// The registered plan (shared with every pipeline's observation
     /// state); the per-snapshot bound context is computed against it.
     plan: Arc<PhysicalPlan>,
+    /// What admission derived from the plan alone, shared by every query
+    /// registered against the same `Arc` on this shard. Its selector is
+    /// the one captured at registration — in-flight queries keep scoring
+    /// with their registration-time model even when
+    /// [`ProgressMonitor::swap_selector`] installs a newer one.
+    compiled: Arc<CompiledPlan>,
     /// Reusable counter/bound scratch (see [`IngestScratch`]).
     scratch: IngestScratch,
-    weights: Vec<f64>,
-    total_weight: f64,
-    /// The selector captured at registration — in-flight queries keep
-    /// scoring with their registration-time model even when
-    /// [`ProgressMonitor::swap_selector`] installs a newer one (`None`
-    /// under a fixed policy).
-    selector: Option<Arc<EstimatorSelector>>,
     pipes: Vec<PipeState>,
     /// Serials of the engine's currently retained snapshots (mirrors the
     /// bounded trace buffer across thinning events).
@@ -164,11 +186,12 @@ impl QueryState {
     /// Eq. (5)-weighted progress of an unfinished query under each
     /// pipeline's current estimator.
     fn weighted_progress(&self) -> f64 {
-        if self.total_weight <= 0.0 {
+        let CompiledPlan { weights, total_weight, .. } = &*self.compiled;
+        if *total_weight <= 0.0 {
             return 0.0;
         }
         let mut acc = 0.0f64;
-        for (pipe, &w) in self.pipes.iter().zip(&self.weights) {
+        for (pipe, &w) in self.pipes.iter().zip(weights) {
             if w <= 0.0 {
                 continue;
             }
@@ -176,7 +199,7 @@ impl QueryState {
                 acc += w * v;
             }
         }
-        (acc / self.total_weight).clamp(0.0, 1.0)
+        (acc / total_weight).clamp(0.0, 1.0)
     }
 
     fn publish(&self) {
@@ -197,8 +220,10 @@ pub struct ProgressMonitor {
     /// Monotone operation counters and latency histograms — shared
     /// wait-free atomics; [`Self::shard_stats`] is a view over them.
     counters: ShardCounters,
-    /// Scratch the dynamic features of a due re-selection are extracted
-    /// into before being compared with the pipeline's last-scored vector.
+    /// Admission records of the plans registered here under `policy`.
+    plans: PlanCache,
+    /// Scratch a due re-selection assembles its feature vector in (static
+    /// prefix, then the freshly extracted dynamic suffix).
     dynamic_feats: Vec<f32>,
     /// Rolling event tick for 1-in-N latency sampling.
     obs_tick: u32,
@@ -242,7 +267,8 @@ impl ProgressMonitor {
             epoch: 0,
             harvester,
             counters,
-            dynamic_feats: Vec::with_capacity(DYNAMIC_LEN),
+            plans: PlanCache::default(),
+            dynamic_feats: Vec::with_capacity(STATIC_LEN + DYNAMIC_LEN),
             obs_tick: 0,
         })
     }
@@ -254,9 +280,11 @@ impl ProgressMonitor {
     /// `tests/online_learning.rs`) — while every later
     /// [`Self::register`] scores with the new model. Swapping onto a
     /// fixed-policy monitor upgrades it to selector mode (existing
-    /// fixed-policy queries keep their fixed estimator).
+    /// fixed-policy queries keep their fixed estimator). The shard's
+    /// compiled plans were scored under the old policy and are dropped.
     pub fn swap_selector(&mut self, selector: Arc<EstimatorSelector>) -> u64 {
         self.policy = Policy::Selector(selector);
+        self.plans.clear();
         self.epoch += 1;
         self.epoch
     }
@@ -269,7 +297,9 @@ impl ProgressMonitor {
 
     /// Register a query **before it runs**. Everything derivable without
     /// execution happens here: pipeline decomposition, eq. (5) weights,
-    /// static features and the initial estimator choice.
+    /// static features and the initial estimator choice — once per plan
+    /// per shard: queries registered against the same `Arc<PhysicalPlan>`
+    /// share that record until the next [`Self::swap_selector`].
     ///
     /// Registration must precede the query's first snapshot: once the
     /// engine has emitted (and possibly thinned) snapshots this monitor
@@ -291,7 +321,9 @@ impl ProgressMonitor {
     ///
     /// Accepts `&PhysicalPlan`, an owned plan, or `Arc<PhysicalPlan>` —
     /// the `Arc` form avoids a deep clone when the caller (e.g. the
-    /// sharded service) already holds a shared plan.
+    /// sharded service) already holds a shared plan, and lets every
+    /// registration of that `Arc` share one compiled admission record;
+    /// the other forms make a fresh `Arc`, compiled anew each call.
     pub fn try_register(
         &mut self,
         query: usize,
@@ -317,49 +349,30 @@ impl ProgressMonitor {
             self.counters.refused.inc();
             return Err(RegisterError::Saturated { limit: cap });
         }
-        let pipelines: Vec<Pipeline> = decompose(&plan);
-        let weights: Vec<f64> = pipelines.iter().map(|p| pipeline_weight(&plan, p)).collect();
-        let total_weight: f64 = weights.iter().filter(|&&w| w > 0.0).sum();
-        let pipes: Vec<PipeState> = pipelines
+        let compiled = self.plans.get_or_compile(&plan, &self.policy);
+        // Static selection scored the prefix followed by zeros: that is
+        // the suffix to remember.
+        let suffix = if compiled.selector.is_some() { DYNAMIC_LEN } else { 0 };
+        let pipes: Vec<PipeState> = compiled
+            .pipelines
             .iter()
-            .map(|p| {
-                let (feats, choice) = match &self.policy {
-                    Policy::Fixed(kind) => (Vec::new(), *kind),
-                    Policy::Selector(sel) => {
-                        // Static selection scores the prefix followed by
-                        // zeros; that is the vector to remember.
-                        let mut feats = static_features::extract_parts(&plan, &pipelines, p.id);
-                        feats.resize(STATIC_LEN + DYNAMIC_LEN, 0.0);
-                        let choice = sel.select_static(&feats);
-                        (feats, choice)
-                    }
-                };
-                PipeState {
-                    obs: IncrementalObs::new(Arc::clone(&plan), p),
-                    choice,
-                    initial: choice,
-                    feats,
-                    since_select: 0,
-                }
+            .zip(&compiled.initial)
+            .map(|(p, &choice)| PipeState {
+                obs: IncrementalObs::new(Arc::clone(&plan), p),
+                choice,
+                scored: vec![0.0; suffix],
+                settled: false,
+                since_select: 0,
             })
             .collect();
-        // Capture the selector behind this registration: re-selection for
-        // this query stays on it even across later swaps.
-        let selector = match &self.policy {
-            Policy::Fixed(_) => None,
-            Policy::Selector(sel) => Some(Arc::clone(sel)),
-        };
-        let scratch = IngestScratch::new(&plan, &pipelines);
         let eta = SpeedTracker::new(self.config.eta_window);
         // No pipeline has an observation yet: the weighted sum is 0.
         let served = Served { progress: 0.0, time: 0.0, finished: false, eta: eta.estimate() };
         let cell = Arc::new(QueryCell::new(self.epoch, &served, served_rows(&pipes, false)));
         let qs = QueryState {
             plan,
-            scratch,
-            weights,
-            total_weight,
-            selector,
+            compiled,
+            scratch: IngestScratch::new(),
             pipes,
             live: Vec::new(),
             serial_next: 0,
@@ -475,7 +488,7 @@ impl ProgressMonitor {
 
     /// The estimator chosen from static features at registration.
     pub fn initial_choice(&self, query: usize, pipeline: usize) -> Option<EstimatorKind> {
-        self.queries.get(&query)?.pipes.get(pipeline).map(|p| p.initial)
+        self.queries.get(&query)?.compiled.initial.get(pipeline).copied()
     }
 
     /// The estimator currently in charge of a pipeline.

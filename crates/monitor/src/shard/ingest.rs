@@ -14,17 +14,15 @@
 //! aggregates in O(1)
 //! ([`IncrementalObs::offer_unchanged`](prosel_estimators::IncrementalObs::offer_unchanged)).
 
-use super::{HarvestSink, HarvestedQuery, ProgressMonitor, QueryState};
+use super::{CompiledPlan, HarvestSink, HarvestedQuery, ProgressMonitor, QueryState};
 use crate::cell::SwitchEvent;
 use crate::config::HarvestConfig;
 use crate::eta::Eta;
 use crate::stats::ShardCounters;
 use prosel_core::pipeline_runs::record_from_online;
-use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::{
     thin_half, CounterKind, CounterUpdate, DeltaDecoder, Snapshot, TraceEvent,
 };
-use prosel_engine::Pipeline;
 use prosel_estimators::soa::BoundsKernel;
 use prosel_estimators::SnapshotCtx;
 use prosel_obs::SAMPLE_EVERY;
@@ -49,30 +47,24 @@ pub(crate) enum Ingested {
 /// Per-query reusable ingest scratch. One allocation set per query for
 /// its whole lifetime: the [`DeltaDecoder`] holds the current counter
 /// vectors and windows (full snapshots are copied into it in place,
-/// [`TraceEvent::Delta`] events patch it sparsely), the [`SnapshotCtx`]
-/// is the refinement-bound scratch refreshed per event, the
-/// [`BoundsKernel`] is the bound pass compiled once at registration, and
-/// `readers` its per-node pipeline masks
-/// ([`BoundsKernel::pipeline_readers`]).
+/// [`TraceEvent::Delta`] events patch it sparsely) and the [`SnapshotCtx`]
+/// is the refinement-bound scratch refreshed per event. Only these are
+/// per query: the [`BoundsKernel`] that refreshes the scratch and its
+/// per-node pipeline masks ([`BoundsKernel::pipeline_readers`]) depend on
+/// the plan alone, so they live in the query's shared
+/// [`CompiledPlan`](super::compiled::CompiledPlan), compiled once per
+/// plan `Arc` per shard.
 /// Before this existed, every ingested snapshot allocated a fresh
 /// `SnapshotCtx` (two `Vec<f64>` plus the topological order) — visible
 /// under the 24k-query saturated-ingest bench.
 pub(super) struct IngestScratch {
     decoder: DeltaDecoder,
     ctx: SnapshotCtx,
-    kernel: BoundsKernel,
-    readers: Vec<u64>,
 }
 
 impl IngestScratch {
-    pub(super) fn new(plan: &PhysicalPlan, pipelines: &[Pipeline]) -> IngestScratch {
-        let kernel = BoundsKernel::new(plan);
-        IngestScratch {
-            decoder: DeltaDecoder::new(),
-            ctx: SnapshotCtx::empty(),
-            readers: kernel.pipeline_readers(pipelines),
-            kernel,
-        }
+    pub(super) fn new() -> IngestScratch {
+        IngestScratch { decoder: DeltaDecoder::new(), ctx: SnapshotCtx::empty() }
     }
 }
 
@@ -167,9 +159,12 @@ impl ProgressMonitor {
                 !qs.served.finished && {
                     // Mirror the engine: odd positions survive, interval
                     // doubles (the interval is the engine's business).
+                    // Thinning re-indexes the rows the dynamic features
+                    // read: no suffix stays settled.
                     thin_half(&mut qs.live);
                     for pipe in &mut qs.pipes {
                         pipe.obs.thin(&qs.live);
+                        pipe.settled = false;
                     }
                     // Thinning rebuilds the LUO window: a served value moved.
                     qs.served.progress = qs.weighted_progress();
@@ -226,7 +221,7 @@ impl ProgressMonitor {
                         &pipe.obs,
                         &hcfg.label,
                         query,
-                        qs.weights[pipe.obs.pipeline_id()],
+                        qs.compiled.weights[pipe.obs.pipeline_id()],
                         hcfg.min_observations,
                     )
                 })
@@ -290,9 +285,9 @@ impl ProgressMonitor {
         // Copy the full counter vectors into the per-query scratch (no
         // allocation once the scratch is warm), noting which of them
         // differ from what it held, and run the shared tail.
-        let IngestScratch { decoder, kernel, readers, .. } = &mut qs.scratch;
+        let CompiledPlan { kernel, readers, .. } = &*qs.compiled;
         let mut dirty = Dirty::default();
-        decoder.apply_full_diff(snapshot, windows, |node, counter| {
+        qs.scratch.decoder.apply_full_diff(snapshot, windows, |node, counter| {
             dirty.mark(kernel, readers, node, counter)
         });
         Self::advance_query(qs, env, wall, dirty);
@@ -326,7 +321,7 @@ impl ProgressMonitor {
         }
         env.counters.delta_decodes.inc();
         // The delta names exactly which counters moved.
-        let IngestScratch { kernel, readers, .. } = &qs.scratch;
+        let CompiledPlan { kernel, readers, .. } = &*qs.compiled;
         let mut dirty = Dirty::default();
         for u in changes {
             dirty.mark(kernel, readers, u.node as usize, u.counter);
@@ -348,11 +343,11 @@ impl ProgressMonitor {
         qs.live.push(serial);
         // Destructure so the pipe loop can borrow the scratch (view +
         // ctx) and the pipes mutably at the same time.
-        let QueryState { scratch, pipes, selector, served, cell, .. } = qs;
-        let IngestScratch { decoder, ctx, kernel, .. } = scratch;
+        let QueryState { compiled, scratch, pipes, served, cell, .. } = qs;
+        let IngestScratch { decoder, ctx } = scratch;
         let view = decoder.view();
         let windows = decoder.windows();
-        ctx.refresh_dirty(kernel, view.k, dirty.positions);
+        ctx.refresh_dirty(&compiled.kernel, view.k, dirty.positions);
         served.time = view.time;
         for pipe in pipes.iter_mut() {
             let pid = pipe.obs.pipeline_id();
@@ -367,14 +362,15 @@ impl ProgressMonitor {
             // Re-selection scores with the selector captured at this
             // query's registration, not the monitor's current policy: a
             // hot swap must never change an in-flight query's behavior.
-            if let Some(sel) = selector {
+            if let Some(sel) = &compiled.selector {
                 pipe.since_select += committed;
                 if env.reselect_every > 0
                     && pipe.since_select >= env.reselect_every
                     && !pipe.obs.is_empty()
                 {
                     pipe.since_select = 0;
-                    let next = pipe.rescore(sel, env.dynamic_feats, env.counters);
+                    let statics = compiled.statics(pid);
+                    let next = pipe.rescore(statics, sel, env.dynamic_feats, env.counters);
                     if next != pipe.choice {
                         cell.push_switch(SwitchEvent {
                             pipeline: pid,

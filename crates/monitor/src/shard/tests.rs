@@ -323,32 +323,47 @@ fn swap_selector_affects_future_registrations_only() {
     assert_eq!(monitor.switch_history(0), Some(vec![]), "no switch forced by the swap");
 }
 
+/// Two selectors trained on TPC-H-like records, the second a
+/// warm-started retrain of the first, trained once per test binary.
+/// Serving them TPC-DS-like queries — another family — revises the
+/// initial choices.
+fn cross_family_selectors() -> (Arc<EstimatorSelector>, Arc<EstimatorSelector>) {
+    use prosel_core::pipeline_runs::collect_workload_records;
+    use prosel_core::selection::SelectorConfig;
+    use prosel_core::training::TrainingSet;
+    use prosel_mart::BoostParams;
+    use prosel_planner::workload::{WorkloadKind, WorkloadSpec};
+    use std::sync::OnceLock;
+
+    static PAIR: OnceLock<(Arc<EstimatorSelector>, Arc<EstimatorSelector>)> = OnceLock::new();
+    let (first, second) = PAIR.get_or_init(|| {
+        let trained_on =
+            WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(16).with_scale(0.4);
+        let records = collect_workload_records(&trained_on).expect("records");
+        let train = TrainingSet::from_records(&records);
+        let cfg = SelectorConfig::default()
+            .with_boost(BoostParams { iterations: 40, ..BoostParams::default() });
+        let first = Arc::new(EstimatorSelector::train(&train, &cfg));
+        let second = Arc::new(EstimatorSelector::retrain_from(&first, &train, 20, 0x5EC0));
+        (first, second)
+    });
+    (Arc::clone(first), Arc::clone(second))
+}
+
 /// The re-selection memo is an identity, not an approximation: a
-/// monitor that answers bit-equal feature vectors from the memo and
-/// one forced to re-score every due re-selection must agree on every
-/// choice, switch and served progress bit after every event — across
-/// buffer thinning and a selector hot swap.
+/// monitor that answers bit-equal feature vectors from the memo (or
+/// knows them bit-equal because every marker was reached) and one forced
+/// to re-score every due re-selection must agree on every choice, switch
+/// and served progress bit after every event — across buffer thinning and
+/// a selector hot swap.
 #[test]
 fn memoised_reselection_equals_rescoring_every_time() {
-    use prosel_core::pipeline_runs::collect_workload_records;
-    use prosel_core::selection::{EstimatorSelector, SelectorConfig};
-    use prosel_core::training::TrainingSet;
     use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
-    use prosel_mart::BoostParams;
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
 
-    // Trained on one workload family, serving another: the initial
-    // choices get revised.
-    let trained_on = WorkloadSpec::new(WorkloadKind::TpchLike, 21).with_queries(16).with_scale(0.4);
-    let records = collect_workload_records(&trained_on).expect("records");
+    let (first, second) = cross_family_selectors();
     let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(10).with_scale(0.4);
-    let train = TrainingSet::from_records(&records);
-    let cfg = SelectorConfig::default()
-        .with_boost(BoostParams { iterations: 40, ..BoostParams::default() });
-    let first = Arc::new(EstimatorSelector::train(&train, &cfg));
-    let second = Arc::new(EstimatorSelector::retrain_from(&first, &train, 20, 0x5EC0));
-
     let w = materialize(&spec);
     let catalog = Catalog::new(&w.db, &w.design);
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
@@ -383,10 +398,12 @@ fn memoised_reselection_equals_rescoring_every_time() {
                 assert_eq!(rescoring.swap_selector(Arc::clone(&second)), 1);
             }
             thinned += matches!(ev, TraceEvent::Thinned { .. }) as usize;
-            // No finite feature is bit-equal to NaN: the memo of the
-            // rescoring monitor never hits.
+            // No finite feature is bit-equal to NaN, and an unsettled
+            // suffix is re-extracted: the memo of the rescoring monitor
+            // never hits.
             for pipe in &mut rescoring.queries.get_mut(&qi).expect("registered").pipes {
-                pipe.feats[STATIC_LEN..].fill(f32::NAN);
+                pipe.scored.fill(f32::NAN);
+                pipe.settled = false;
             }
             memo.ingest(ev.clone());
             rescoring.ingest(ev);
@@ -408,6 +425,142 @@ fn memoised_reselection_equals_rescoring_every_time() {
     assert_eq!(due.get(), rescoring.counters.reselect.get());
     assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
     assert_eq!(rescoring.counters.reselect_memo_hits.get(), 0);
+}
+
+/// A shared admission record is an identity too: a monitor whose
+/// queries register one `Arc` per plan template (sharing one compiled
+/// record per template) and one registering a fresh `Arc` per query
+/// (compiling every time) serve the same tapped streams — several queries
+/// of each template in flight at once, a selector hot swap mid-stream —
+/// with identical choices, switch histories, progress bits and harvests.
+#[test]
+fn shared_admission_records_serve_what_fresh_ones_do() {
+    use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
+    use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
+    use prosel_planner::PlanBuilder;
+
+    let (first, second) = cross_family_selectors();
+    let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(3).with_scale(0.4);
+    let w = materialize(&spec);
+    let catalog = Catalog::new(&w.db, &w.design);
+    let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+    let templates: Vec<Arc<PhysicalPlan>> =
+        w.queries.iter().map(|q| Arc::new(builder.build(q).expect("plan"))).collect();
+    let config = MonitorConfig { reselect_every: 2, ..MonitorConfig::default() };
+    let build = || {
+        let (sink, harvested) = std::sync::mpsc::channel();
+        let monitor = MonitorBuilder::with_selector(Arc::clone(&first))
+            .config(config.clone())
+            .harvester(Arc::new(sink), HarvestConfig { label: "live".into(), min_observations: 2 })
+            .build_monitor()
+            .unwrap();
+        (monitor, harvested)
+    };
+    let ((mut shared, shared_harvest), (mut fresh, fresh_harvest)) = (build(), build());
+    let (mut switched, mut harvested) = (0usize, 0usize);
+    // Three rounds of four in-flight queries over three templates.
+    for round in 0..3 {
+        let ids: Vec<usize> = (4 * round..4 * round + 4).collect();
+        let mut streams = Vec::new();
+        for &qi in &ids {
+            let plan = &templates[qi % templates.len()];
+            shared.register(qi, Arc::clone(plan));
+            fresh.register(qi, Arc::new(PhysicalPlan::clone(plan)));
+            for pid in 0..plan.len() {
+                assert_eq!(shared.initial_choice(qi, pid), fresh.initial_choice(qi, pid));
+            }
+            let (tap, rx) = std::sync::mpsc::channel();
+            let exec = ExecConfig {
+                max_snapshots: 32,
+                initial_snapshot_interval: 5.0,
+                seed: qi as u64,
+                ..ExecConfig::default()
+            };
+            run_plan_tapped(&catalog, plan, &exec, qi, tap);
+            streams.push(rx.try_iter().collect::<Vec<_>>().into_iter());
+        }
+        let (q0, q3) = (&shared.queries[&ids[0]].compiled, &shared.queries[&ids[3]].compiled);
+        assert!(Arc::ptr_eq(q0, q3), "same template, same record");
+        let (q0, q3) = (&fresh.queries[&ids[0]].compiled, &fresh.queries[&ids[3]].compiled);
+        assert!(!Arc::ptr_eq(q0, q3), "fresh Arcs compile anew");
+        // Round-robin over the in-flight streams.
+        let mut ingested = 0;
+        while streams.iter().any(|s| s.len() > 0) {
+            for (stream, &qi) in streams.iter_mut().zip(&ids) {
+                let Some(ev) = stream.next() else { continue };
+                ingested += 1;
+                if round == 1 && ingested == 25 {
+                    assert_eq!(shared.swap_selector(Arc::clone(&second)), 1);
+                    assert_eq!(fresh.swap_selector(Arc::clone(&second)), 1);
+                }
+                shared.ingest(ev.clone());
+                fresh.ingest(ev);
+                let plan = &templates[qi % templates.len()];
+                for pid in 0..plan.len() {
+                    assert_eq!(shared.current_choice(qi, pid), fresh.current_choice(qi, pid));
+                }
+                assert_eq!(shared.switch_history(qi), fresh.switch_history(qi));
+                assert_eq!(
+                    shared.query_progress(qi).map(f64::to_bits),
+                    fresh.query_progress(qi).map(f64::to_bits)
+                );
+            }
+        }
+        for &qi in &ids {
+            assert_eq!(shared.is_finished(qi), Some(true));
+            switched += shared.switch_history(qi).expect("registered").len();
+            shared.unregister(qi).unwrap();
+            fresh.unregister(qi).unwrap();
+        }
+        for (a, b) in shared_harvest.try_iter().zip(fresh_harvest.try_iter()) {
+            // `{:?}` prints every float in round-trip form: equal text is
+            // equal bits.
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            harvested += a.records.len();
+        }
+    }
+    assert!(switched > 0 && harvested > 0, "{switched} switches, {harvested} records");
+    assert_eq!(shared.selector_epoch(), 1, "the swap happened");
+    assert_eq!(shared.counters.reselect.get(), fresh.counters.reselect.get());
+    assert_eq!(shared.plans.len(), templates.len(), "one record per template since the swap");
+}
+
+#[test]
+fn re_registering_a_plan_after_a_swap_scores_with_the_new_selector() {
+    let plan = Arc::new(scan_plan());
+    let mut monitor =
+        MonitorBuilder::with_selector(Arc::new(selector_favoring(EstimatorKind::Dne)))
+            .build_monitor()
+            .unwrap();
+    monitor.register(0, Arc::clone(&plan));
+    monitor.register(1, Arc::clone(&plan));
+    assert!(Arc::ptr_eq(&monitor.queries[&0].compiled, &monitor.queries[&1].compiled));
+    monitor.swap_selector(Arc::new(selector_favoring(EstimatorKind::Tgn)));
+    monitor.register(2, Arc::clone(&plan));
+    assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
+    assert_eq!(monitor.initial_choice(2, 0), Some(EstimatorKind::Tgn));
+    assert!(!Arc::ptr_eq(&monitor.queries[&0].compiled, &monitor.queries[&2].compiled));
+    assert_eq!(monitor.plans.len(), 1);
+}
+
+/// Records of plans nobody holds any more are pruned: fresh `Arc`s
+/// registered and retired one after another keep the map small.
+#[test]
+fn compiled_plans_are_bounded_by_live_plans() {
+    let mut monitor = dne().build_monitor().unwrap();
+    let held = Arc::new(scan_plan());
+    monitor.register(usize::MAX, Arc::clone(&held));
+    let mut largest = 0;
+    for q in 0..10_000 {
+        monitor.register(q, Arc::new(scan_plan()));
+        monitor.unregister(q).unwrap();
+        largest = largest.max(monitor.plans.len());
+    }
+    assert!(largest <= 128, "{largest} records for at most 2 live plans");
+    // The plan still held still shares its record.
+    monitor.register(10_000, Arc::clone(&held));
+    let (a, b) = (&monitor.queries[&usize::MAX].compiled, &monitor.queries[&10_000].compiled);
+    assert!(Arc::ptr_eq(a, b));
 }
 
 #[test]
