@@ -33,18 +33,21 @@
 //! * [`ProgressMonitor`] ([`shard`]) — the single-threaded core. Embed it
 //!   when one ingest thread suffices (one receiver draining a channel).
 //!   Every accepted event goes through one ingest funnel whose last step
-//!   stores what the query now serves into the query's seqlocked cell
-//!   ([`cell`]), and every per-query read (`query_progress`,
-//!   `remaining_time`, `status`, …) is answered from that cell.
+//!   stores what the query now serves into the query's cell ([`cell`],
+//!   one mutex per query), and every per-query read (`query_progress`,
+//!   `remaining_time`, `status`, …) is answered from a copy out of that
+//!   cell.
 //! * [`MonitorService`] ([`service`]) — N such cores as cooperatively
 //!   scheduled tasks on a small worker pool with one run queue
 //!   ([`runtime`]; sized and pinned via [`RuntimeConfig`]). Its
 //!   [`MonitorService::tap`] routes each engine event to the shard owning
 //!   `query % n_shards` (one push body, no broadcast), which drains its
 //!   queue in batches into the core. Reads are the *same* cell methods
-//!   behind a per-shard registry lookup: **wait-free** loads that never
-//!   enqueue behind ingest, so read tail latency is flat under saturated
-//!   ingest — and service-vs-monitor agreement holds by construction.
+//!   behind a per-shard registry lookup. They never take the core or
+//!   queue lock and never enqueue behind ingest; a read can wait behind
+//!   one writer's copy of about a hundred bytes into the cell. So read
+//!   tail latency stays flat under saturated ingest, and
+//!   service-vs-monitor agreement holds by construction.
 //!
 //! Feed either from [`prosel_engine::run_plan_tapped`] or
 //! [`prosel_engine::run_concurrent_tapped`]:

@@ -4,8 +4,8 @@
 //! Each shard of the [`MonitorService`](crate::MonitorService) is a *task*
 //! (an index `0..n_tasks`), and a fixed pool of workers runs whichever
 //! tasks have work. Reads never come anywhere near this runtime — they are
-//! wait-free loads from the per-query cells — so the pool only ever
-//! executes the ingest drain.
+//! copies out of the per-query cells — so the pool only ever executes the
+//! ingest drain.
 //!
 //! Design notes:
 //!

@@ -1,5 +1,5 @@
 //! The sharded monitor service: N shards as cooperative tasks on a small
-//! worker pool, with a wait-free read path.
+//! worker pool, with a read path that never touches ingest.
 //!
 //! [`MonitorService`] scales the [`ProgressMonitor`] core past one ingest
 //! thread. Each shard owns the queries with `query % n_shards == shard`:
@@ -16,7 +16,11 @@
 //! **Reads never touch the ingest path.** Every per-query read is one
 //! registry lookup (`MonitorService::read`, the one place the read
 //! counter and sampled read timer tick) plus one method of the cell — no
-//! channel send, no queueing behind events, no lock shared with ingest.
+//! channel send, no queueing behind events, never the core or queue lock.
+//! A read takes the registry's read lock for a hash probe, releases it,
+//! then locks the cell to copy out; it can wait behind one writer's copy
+//! of about a hundred bytes into that cell, never behind an event's
+//! evaluation. The lock order is written down in `service/slots.rs`.
 //! Under a saturated tap the read tail stays flat (`benchmark/` reports it
 //! as `read_p99_ns` on `ingest_saturate`).
 //!
@@ -68,9 +72,9 @@ use slots::{ServiceInner, ServiceObs, ShardSlot};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Sharded, concurrent-safe progress monitor service with a wait-free read
-/// path. See the module docs for the architecture and the crate docs for
-/// when to prefer the plain [`ProgressMonitor`].
+/// Sharded, concurrent-safe progress monitor service whose reads never
+/// queue behind ingest. See the module docs for the architecture and the
+/// crate docs for when to prefer the plain [`ProgressMonitor`].
 pub struct MonitorService {
     inner: Arc<ServiceInner>,
     runtime: Runtime,
@@ -128,9 +132,10 @@ impl MonitorService {
 
     /// Block until every event enqueued so far (tap or
     /// [`Self::ingest`]) has been drained into shard state — the explicit
-    /// read-your-writes barrier. Reads are wait-free snapshots and do
-    /// **not** queue behind ingest, so a caller that just finished a
-    /// tapped run quiesces once before asserting on final state.
+    /// read-your-writes barrier. Reads are snapshots of what has been
+    /// ingested and do **not** queue behind the events still queued, so a
+    /// caller that just finished a tapped run quiesces once before
+    /// asserting on final state.
     /// Terminates even with dead shards (their events are accounted as
     /// rejected).
     pub fn quiesce(&self) {
@@ -268,9 +273,11 @@ impl MonitorService {
 
     /// Answer a per-query read from the query's cell — every read below
     /// is this lookup plus one [`QueryCell`] method, and this is the only
-    /// place the read counter and the sampled read timer tick. Wait-free
-    /// apart from the registry read lock (held for a hash probe; writers
-    /// touch it only at register/unregister/drop, never per event).
+    /// place the read counter and the sampled read timer tick. It takes
+    /// the registry read lock for a hash probe (writers touch the registry
+    /// only at register/unregister/drop, never per event) and releases it
+    /// before `f` locks the cell, which waits at most for one writer's
+    /// copy.
     fn read<R>(&self, query: usize, f: impl FnOnce(&QueryCell) -> R) -> Result<R, QueryError> {
         let obs = &self.inner.obs;
         // The sampling tick is the read counter itself — one `fetch_add`
@@ -294,9 +301,10 @@ impl MonitorService {
     }
 
     /// Estimated progress of `query` in [0, 1] — the
-    /// [`ProgressMonitor::query_progress`] contract (wait-free; never
-    /// queues behind ingest). Unregistered queries and dead shards come
-    /// back as distinct [`QueryError`] values.
+    /// [`ProgressMonitor::query_progress`] contract (never queues behind
+    /// ingest: one registry probe, then a copy out of the query's cell).
+    /// Unregistered queries and dead shards come back as distinct
+    /// [`QueryError`] values.
     pub fn query_progress(&self, query: usize) -> Result<f64, QueryError> {
         self.read(query, QueryCell::progress)
     }

@@ -18,8 +18,29 @@
 //!   push checks `dead` under, so no event lands on a dead shard
 //!   uncounted.
 //!
-//! The one atomic left is `alive`, a copy of `dead` for the wait-free
-//! read path.
+//! The one atomic left is `alive`, a copy of `dead` for the read path,
+//! which never takes the queue lock.
+//!
+//! **Lock order.** A query's cell ([`crate::cell`]) is one mutex, so the
+//! order in which the monitor's locks nest is the whole concurrency
+//! argument for the read model. No path takes two of them in the other
+//! order:
+//!
+//! - core → registry (write), on admit, unregister and the defensive
+//!   drop of a query whose event the core refused;
+//! - core → cell, on ingest: the core's funnel stores into the query's
+//!   cell and logs its switches there;
+//! - registry (read) is released before the cell is locked: a read
+//!   clones the cell's `Arc` under the read lock and drops the guard
+//!   first;
+//! - queue → no other monitor lock: the queue mutex is released before
+//!   the core is locked or a shard id is put on the run queue, and a
+//!   quiesce waiter sleeps on the queue's own condvar.
+//!
+//! (Selector swaps take the service's swap lock and then each core in
+//! turn.) A read holds one lock at a time, and the cell's only for a
+//! copy of about a hundred bytes, so it can wait behind one writer's
+//! copy but never behind an event's evaluation.
 
 use crate::cell::QueryCell;
 use crate::runtime::RunQueue;

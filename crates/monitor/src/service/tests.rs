@@ -2,10 +2,9 @@
 //! surface's typed errors, quiesce wake-ups and the dead-shard paths.
 
 use super::*;
-use crate::cell::{kind_from_code, kind_to_code};
 use crate::test_support::{dne, scan_plan, selector_favoring, snapshot_event};
 use crate::{HarvestConfig, HarvestedQuery, MonitorConfig, RuntimeConfig};
-use prosel_estimators::{EstimatorKind, ONLINE_KINDS};
+use prosel_estimators::EstimatorKind;
 
 #[test]
 fn routes_registration_ingest_and_reads_by_query_id() {
@@ -21,7 +20,7 @@ fn routes_registration_ingest_and_reads_by_query_id() {
     for q in [0usize, 1, 2, 3, 7] {
         tap.send(snapshot_event(q, 0, 10.0, 25 * (q as u64 % 4 + 1))).unwrap();
     }
-    // Reads are wait-free snapshots: quiesce is the read-your-writes
+    // Reads are snapshots: quiesce is the read-your-writes
     // barrier after tap sends (ingest() below needs none).
     service.quiesce();
     assert!((service.query_progress(0).unwrap() - 0.25).abs() < 1e-12);
@@ -312,13 +311,6 @@ fn oracle_kinds_are_refused() {
 }
 
 #[test]
-fn online_kind_codes_roundtrip() {
-    for &kind in ONLINE_KINDS.iter() {
-        assert_eq!(kind_from_code(kind_to_code(kind)), kind);
-    }
-}
-
-#[test]
 fn batched_tap_sends_are_equivalent_to_singles() {
     let plan = scan_plan();
     let service = dne().shards(3).build_service().unwrap();
@@ -337,45 +329,95 @@ fn batched_tap_sends_are_equivalent_to_singles() {
     service.shutdown();
 }
 
+/// A [`QueryStatus`] bit for bit, less its query id.
+type StatusBits = (u64, u64, bool, Vec<(usize, EstimatorKind, u64, usize)>);
+
+fn status_bits(st: &QueryStatus) -> StatusBits {
+    let rows = st
+        .pipelines
+        .iter()
+        .map(|p| (p.pipeline, p.estimator, p.progress.to_bits(), p.observations))
+        .collect();
+    (st.progress.to_bits(), st.time.to_bits(), st.finished, rows)
+}
+
+fn eta_bits(eta: &Eta) -> [u64; 7] {
+    [
+        eta.as_of.to_bits(),
+        eta.progress.to_bits(),
+        eta.samples as u64,
+        eta.speed.to_bits(),
+        eta.remaining.to_bits(),
+        eta.remaining_lo.to_bits(),
+        eta.remaining_hi.to_bits(),
+    ]
+}
+
 #[test]
 fn reads_are_concurrent_with_ingest() {
     // Hammer one service from parallel reader threads while a writer
-    // streams events: every read must return a sane value and the
+    // streams events. Every read must equal, bit for bit, what a
+    // single-threaded monitor serves after the event it is stamped with —
+    // a read that mixes two events matches no reference row — and the
     // final state must be exact.
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
     let plan = scan_plan();
+    let event = |q: usize, seq: u64| snapshot_event(q, seq, (seq + 1) as f64, seq + 1);
+    // What the stream serves after each event, by `time` (status) and by
+    // `as_of` (ETA; tests stamp wall == time), registration included.
+    let mut want_status: HashMap<u64, StatusBits> = HashMap::new();
+    let mut want_eta: HashMap<u64, [u64; 7]> = HashMap::new();
+    let mut reference = dne().build_monitor().unwrap();
+    reference.register(0, &plan);
+    for seq in 0..=100u64 {
+        if seq > 0 {
+            reference.ingest(event(0, seq - 1));
+        }
+        let st = status_bits(&reference.status(0).unwrap());
+        want_status.insert(st.1, st);
+        let eta = eta_bits(&reference.remaining_time_at_last_event(0).unwrap());
+        assert_eq!(*want_eta.entry(eta[0]).or_insert(eta), eta, "ETA moved without a sample");
+    }
     let service = std::sync::Arc::new(dne().shards(4).build_service().unwrap());
     let n_queries = 32usize;
     for q in 0..n_queries {
         service.register(q, &plan);
     }
+    let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let writer = {
-            let service = Arc::clone(&service);
-            scope.spawn(move || {
-                let tap = service.tap();
-                for seq in 0..100u64 {
-                    for q in 0..n_queries {
-                        let k = seq + 1; // 1% of the 100-row scan per event
-                        tap.send(snapshot_event(q, seq, (seq + 1) as f64, k)).unwrap();
-                    }
+        scope.spawn(|| {
+            let tap = service.tap();
+            for seq in 0..100u64 {
+                for q in 0..n_queries {
+                    // 1% of the 100-row scan per event.
+                    tap.send(event(q, seq)).unwrap();
                 }
-            })
-        };
+            }
+            // Readers keep going until every event is visible.
+            service.quiesce();
+            done.store(true, Ordering::Release);
+        });
         for reader in 0..3usize {
-            let service = Arc::clone(&service);
+            let (service, want_status, want_eta, done) = (&service, &want_status, &want_eta, &done);
             scope.spawn(move || {
-                for i in 0..200usize {
+                let mut i = 0usize;
+                while i < 200 || !done.load(Ordering::Acquire) {
                     // Stride across all queries (and thus all shards).
                     let q = (i * 7 + reader) % n_queries;
-                    if let Ok(p) = service.query_progress(q) {
-                        assert!((0.0..=1.0).contains(&p));
-                    }
+                    let p = service.query_progress(q).unwrap();
+                    assert!((0.0..=1.0).contains(&p));
+                    let st = service.status(q).unwrap();
+                    assert_eq!(st.query, q);
+                    let got = status_bits(&st);
+                    assert_eq!(Some(&got), want_status.get(&got.1), "q{q}: torn status");
+                    let eta = eta_bits(&service.remaining_time_at_last_event(q).unwrap());
+                    assert_eq!(Some(&eta), want_eta.get(&eta[0]), "q{q}: torn ETA");
+                    i += 1;
                 }
             });
         }
-        writer.join().unwrap();
     });
-    service.quiesce();
     for q in 0..n_queries {
         let p = service.query_progress(q).expect("registered");
         assert!((p - 1.0).abs() < 1e-12, "q{q} final progress {p}");

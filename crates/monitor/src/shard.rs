@@ -141,10 +141,7 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 /// The pipeline rows a query serves: each pipeline's progress under the
 /// estimator in charge of it, 0.0 before its first observation and 1.0
 /// once the query finished.
-fn served_rows(
-    pipes: &[PipeState],
-    finished: bool,
-) -> impl Iterator<Item = PipelineStatus> + Clone + '_ {
+fn served_rows(pipes: &[PipeState], finished: bool) -> impl Iterator<Item = PipelineStatus> + '_ {
     pipes.iter().map(move |pipe| PipelineStatus {
         pipeline: pipe.obs.pipeline_id(),
         estimator: pipe.choice,

@@ -12,9 +12,9 @@
 //! * [`MetricsRegistry`] — a named collection of atomic [`Counter`]s,
 //!   [`Gauge`]s and fixed log₂-bucketed [`Histogram`]s. Hot paths hold
 //!   `Arc` handles and record through a few relaxed atomic adds — no
-//!   locks, no allocation, consistent with the service's seqlock
-//!   read-path discipline. The registry mutex is touched only at metric
-//!   creation and at scrape time.
+//!   locks, no allocation, so timing a read or an ingest adds no lock to
+//!   it. The registry mutex is touched only at metric creation and at
+//!   scrape time.
 //! * [`TraceRing`] — a bounded ring of clock-stamped structured
 //!   [`ObsEvent`]s (swap installed/refused, frame rejected with its
 //!   typed [`FrameRejectReason`], retrain promoted/held, shard panic).

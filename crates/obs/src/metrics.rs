@@ -96,7 +96,7 @@ impl Gauge {
 /// Bucket 0 holds exactly the value 0; bucket `i ≥ 1` holds the range
 /// `[2^(i-1), 2^i - 1]`. [`Histogram::record`] is two relaxed
 /// `fetch_add`s (the bucket and the running sum) — wait-free, no locks,
-/// consistent with the seqlock read-path discipline of the service.
+/// so recording adds no lock to the path it times.
 ///
 /// Quantiles are served as **bucket brackets**: the exact sample
 /// quantile provably lies inside the returned `[lo, hi]` range (the

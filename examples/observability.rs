@@ -68,7 +68,7 @@ fn main() {
         let mut prev: Option<MetricsSnapshot> = None;
         loop {
             std::thread::sleep(Duration::from_millis(10));
-            // Reads ride the wait-free path and are themselves counted
+            // Reads never queue behind ingest and are themselves counted
             // (`service_reads_total`); 1 in `prosel::obs::SAMPLE_EVERY` is
             // timed into `service_read_ns`.
             let progress: f64 =

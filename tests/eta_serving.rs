@@ -110,7 +110,7 @@ fn shard_and_service_serve_identical_deterministic_etas() {
 
     // The sharded service, fed the same stream, must serve byte-identical
     // answers. `MonitorService::ingest` blocks until the owning shard has
-    // drained the event (read-your-writes), so each wait-free read below
+    // drained the event (read-your-writes), so each read below
     // observes exactly the prefix the single-threaded shard observed.
     let service =
         MonitorBuilder::fixed(EstimatorKind::Dne).shards(3).build_service().expect("build");

@@ -279,7 +279,7 @@ fn eta_reads_stay_served_and_sane_during_hot_swaps_under_load() {
         writer.join().unwrap();
     });
 
-    // Reads are wait-free snapshots: drain everything the writer enqueued
+    // Reads are snapshots: drain everything the writer enqueued
     // before comparing final state.
     service.quiesce();
 

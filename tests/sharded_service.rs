@@ -31,7 +31,7 @@ fn service_matches_single_monitor_on_concurrent_workload() {
         service.register(qi, plan);
     }
     let runs = run_concurrent_tapped(&catalog, &plans, &cfg, service.tap());
-    // Service reads are wait-free snapshots — drain the tapped events
+    // Service reads are snapshots — drain the tapped events
     // before comparing final state.
     service.quiesce();
 
