@@ -8,11 +8,11 @@
 //! near-identical estimators costs nothing, picking an estimator that is
 //! 10× off costs a lot.
 
-use crate::features::schema::STATIC_LEN;
+use crate::features::schema::{DYNAMIC_LEN, STATIC_LEN};
 use crate::textio::LineReader;
 use crate::training::{FeatureMode, TrainingSet};
 use prosel_estimators::EstimatorKind;
-use prosel_mart::{BinnedDataset, BoostParams, Dataset, Forest, Mart};
+use prosel_mart::{BinnedDataset, BoostParams, Dataset, Mart};
 
 /// Selector configuration.
 #[derive(Debug, Clone)]
@@ -51,36 +51,9 @@ impl SelectorConfig {
 pub struct EstimatorSelector {
     config: SelectorConfig,
     models: Vec<(EstimatorKind, Mart)>,
-    /// In [`FeatureMode::StaticDynamic`], each model as seen by a vector
-    /// whose dynamic suffix is zero — what static selection scores. The
-    /// models split mostly on dynamic features, so these are a small
-    /// fraction of the full forests. Empty in [`FeatureMode::Static`].
-    static_forests: Vec<Forest>,
 }
 
 impl EstimatorSelector {
-    fn new(config: SelectorConfig, models: Vec<(EstimatorKind, Mart)>) -> EstimatorSelector {
-        let static_forests = match config.mode {
-            FeatureMode::Static => Vec::new(),
-            FeatureMode::StaticDynamic => {
-                models.iter().map(|(_, m)| m.pinned_forest(STATIC_LEN, 0.0)).collect()
-            }
-        };
-        EstimatorSelector { config, models, static_forests }
-    }
-
-    /// The candidate with the smallest of `errors` (one per candidate, in
-    /// order), under the tie rule documented on [`Self::select`].
-    fn least(&self, errors: impl Iterator<Item = f32>) -> EstimatorKind {
-        let mut best: Option<(usize, f32)> = None;
-        for (candidate, error) in errors.enumerate() {
-            if best.is_none_or(|(_, least)| least > error) {
-                best = Some((candidate, error));
-            }
-        }
-        self.models[best.expect("at least one candidate").0].0
-    }
-
     /// Train the per-estimator error models.
     pub fn train(train: &TrainingSet, config: &SelectorConfig) -> EstimatorSelector {
         assert!(!train.is_empty(), "cannot train a selector on zero pipelines");
@@ -89,7 +62,7 @@ impl EstimatorSelector {
                 BoostParams { seed: model_seed(config.boost.seed, kind), ..config.boost.clone() };
             Mart::train_binned(data, binned, &params)
         });
-        EstimatorSelector::new(config.clone(), models)
+        EstimatorSelector { config: config.clone(), models }
     }
 
     /// Warm-start retraining — the online-feedback path. Continues
@@ -114,7 +87,7 @@ impl EstimatorSelector {
             let params = BoostParams { seed: model_seed(seed, kind), ..config.boost.clone() };
             Mart::warm_start_binned(&base.models[i].1, data, binned, &params, extra)
         });
-        EstimatorSelector::new(config, models)
+        EstimatorSelector { config, models }
     }
 
     pub fn config(&self) -> &SelectorConfig {
@@ -155,24 +128,27 @@ impl EstimatorSelector {
     pub fn select(&self, features: &[f32]) -> EstimatorKind {
         let dims = self.config.mode.dims();
         assert!(features.len() >= dims, "feature vector too short");
-        self.least(self.models.iter().map(|(_, m)| m.predict(&features[..dims])))
+        let mut best: Option<(EstimatorKind, f32)> = None;
+        for (kind, model) in &self.models {
+            let error = model.predict(&features[..dims]);
+            if best.is_none_or(|(_, least)| least > error) {
+                best = Some((*kind, error));
+            }
+        }
+        best.expect("at least one candidate").0
     }
 
     /// Choose from *static features only* — the information available at
     /// pipeline registration, before any execution feedback exists.
     /// `features` may be the static prefix alone or a full vector; any
     /// dynamic suffix is taken as zero (the convention the monitor and the
-    /// Figure 3 replay both use for the pre-20%-marker phase). Same answer
-    /// as [`Self::select`] on the prefix followed by zeros, from the
-    /// forests compiled for exactly that case.
+    /// Figure 3 replay both use for the pre-20%-marker phase): this is
+    /// [`Self::select`] on the prefix followed by zeros.
     pub fn select_static(&self, features: &[f32]) -> EstimatorKind {
         assert!(features.len() >= STATIC_LEN, "need at least the static feature prefix");
-        match self.config.mode {
-            FeatureMode::Static => self.select(&features[..STATIC_LEN]),
-            FeatureMode::StaticDynamic => {
-                self.least(self.static_forests.iter().map(|f| f.predict(&features[..STATIC_LEN])))
-            }
-        }
+        let mut row = [0.0f32; STATIC_LEN + DYNAMIC_LEN];
+        row[..STATIC_LEN].copy_from_slice(&features[..STATIC_LEN]);
+        self.select(&row)
     }
 
     /// The model trained for a given candidate (for inspection).
@@ -254,10 +230,10 @@ impl EstimatorSelector {
             r.expect("endmodel")?;
             models.push((kind, model));
         }
-        Ok(EstimatorSelector::new(
-            SelectorConfig { candidates, mode, boost: BoostParams::default() },
+        Ok(EstimatorSelector {
+            config: SelectorConfig { candidates, mode, boost: BoostParams::default() },
             models,
-        ))
+        })
     }
 
     /// Evaluate on a held-out set.
@@ -487,21 +463,14 @@ mod tests {
         for r in &records {
             let mut zeroed = r.features.clone();
             zeroed[STATIC_LEN..].fill(0.0);
-            for ((_, model), pinned) in sel.models.iter().zip(&sel.static_forests) {
-                assert_eq!(
-                    pinned.predict(&r.features[..STATIC_LEN]).to_bits(),
-                    model.predict(&zeroed).to_bits()
-                );
-            }
             assert_eq!(sel.select_static(&r.features), sel.select(&zeroed));
             assert_eq!(sel.select_static(&r.features[..STATIC_LEN]), sel.select(&zeroed));
         }
-        // A static-mode selector has nothing to pin.
+        // A static-mode selector reads the prefix alone.
         let static_sel = EstimatorSelector::train(
             &TrainingSet::from_records(&records),
             &cfg.clone().with_mode(FeatureMode::Static),
         );
-        assert!(static_sel.static_forests.is_empty());
         for r in records.iter().take(20) {
             assert_eq!(static_sel.select_static(&r.features), static_sel.select(&r.features));
         }

@@ -167,16 +167,6 @@ impl Mart {
         self.forest.predict(row)
     }
 
-    /// The inference form for rows known to hold `value` in every feature
-    /// `from..` ([`Forest::compile_pinned`]): bit-identical to
-    /// [`Self::predict`] on such rows, much smaller when the model splits
-    /// mostly on the pinned features.
-    pub fn pinned_forest(&self, from: usize, value: f32) -> Forest {
-        let n_features = self.feature_gain.len();
-        Forest::compile_pinned(self.base, self.shrinkage, &self.trees, n_features, from, value)
-            .expect("trees that compiled unpinned compile pinned")
-    }
-
     /// Mean squared error over a dataset.
     pub fn mse(&self, data: &Dataset) -> f64 {
         if data.is_empty() {

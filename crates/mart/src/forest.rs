@@ -36,15 +36,6 @@
 //! leaf`, starting from the ensemble's base — the exact operation
 //! sequence of a tree-by-tree walk in boosting order, hence bit-identical
 //! to it (pinned by `tests/forest_equivalence.rs`).
-//!
-//! # Pinned features
-//!
-//! [`Forest::compile_pinned`] compiles the ensemble *as seen by rows that
-//! hold one known value in every feature from some index on*: a split on
-//! such a feature has one reachable child, which takes the split's place.
-//! The result reaches, tree by tree, the leaf the full forest reaches on
-//! such a row, so it predicts bit-identically on them — from fewer and
-//! shallower trees, and without reading the pinned features at all.
 
 use crate::tree::RegressionTree;
 use std::collections::VecDeque;
@@ -137,22 +128,6 @@ impl Forest {
         trees: &[RegressionTree],
         n_features: usize,
     ) -> Result<Forest, String> {
-        // No feature index reaches `usize::MAX`: nothing is pinned.
-        Forest::compile_pinned(base, shrinkage, trees, n_features, usize::MAX, 0.0)
-    }
-
-    /// [`Self::compile`] for rows known to hold `value` in every feature
-    /// `from..`: bit-identical to the full forest on those rows (see the
-    /// module docs), and never reads `row[from..]` — a row of the first
-    /// `from` features is enough.
-    pub fn compile_pinned(
-        base: f32,
-        shrinkage: f32,
-        trees: &[RegressionTree],
-        n_features: usize,
-        from: usize,
-        value: f32,
-    ) -> Result<Forest, String> {
         let mut forest = Forest {
             base,
             shrinkage,
@@ -165,9 +140,7 @@ impl Forest {
         let mut shape = Vec::with_capacity(trees.len());
         for (t, tree) in trees.iter().enumerate() {
             let root = forest.nodes.len();
-            let depth = forest
-                .push_tree(tree, n_features, from, value)
-                .map_err(|e| format!("tree {t}: {e}"))?;
+            let depth = forest.push_tree(tree, n_features).map_err(|e| format!("tree {t}: {e}"))?;
             shape.push((root, depth));
         }
         for block in shape.chunks(BLOCK) {
@@ -192,42 +165,23 @@ impl Forest {
 
     /// Append `tree`, re-laid in level order with siblings adjacent;
     /// returns its depth (steps from the root to its deepest leaf).
-    fn push_tree(
-        &mut self,
-        tree: &RegressionTree,
-        n_features: usize,
-        pinned_from: usize,
-        pinned_value: f32,
-    ) -> Result<u32, String> {
+    fn push_tree(&mut self, tree: &RegressionTree, n_features: usize) -> Result<u32, String> {
         let src = &tree.nodes;
         if src.is_empty() {
             return Err("has no nodes".into());
         }
         let root = self.nodes.len();
         let mut seen = vec![false; src.len()];
-        // Claim `node` for the compiled tree, then follow splits on pinned
-        // features to the child the pinned value selects; the node that
-        // ends the chain is the one to place.
-        let mut claim = |mut parent: usize, mut node: usize| -> Result<usize, String> {
-            loop {
-                match seen.get_mut(node) {
-                    None => {
-                        return Err(format!(
-                            "node {parent} points at child {node} of {} nodes",
-                            src.len()
-                        ))
-                    }
-                    Some(s) if *s => {
-                        return Err(format!("node {node} is reachable along two paths"))
-                    }
-                    Some(s) => *s = true,
+        // Claim `node` for the compiled tree; a node claimed twice is a
+        // shared child or on a cycle.
+        let mut claim = |parent: usize, node: usize| -> Result<usize, String> {
+            match seen.get_mut(node) {
+                None => Err(format!("node {parent} points at child {node} of {} nodes", src.len())),
+                Some(s) if *s => Err(format!("node {node} is reachable along two paths")),
+                Some(s) => {
+                    *s = true;
+                    Ok(node)
                 }
-                let n = &src[node];
-                if n.is_leaf() || (n.feature as usize) < pinned_from {
-                    return Ok(node);
-                }
-                let next = if goes_right(pinned_value, n.threshold) { n.right } else { n.left };
-                (parent, node) = (node, next as usize);
             }
         };
         // (source index, compiled root-relative index, depth)
@@ -355,25 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_features_are_resolved_at_compile_time() {
-        // Feature 1 pinned at 0.25: the root's split on it takes the left
-        // branch (0.25 <= 0.25), leaving the split on feature 0; a NaN pin
-        // goes right, leaving a single leaf.
-        let t =
-            tree(vec![split(1, 0.25, 1, 2), split(0, 0.0, 3, 4), leaf(9.0), leaf(1.0), leaf(2.0)]);
-        let full = Forest::compile(0.0, 1.0, std::slice::from_ref(&t), 2).expect("compiles");
-        let pinned =
-            Forest::compile_pinned(0.0, 1.0, std::slice::from_ref(&t), 2, 1, 0.25).expect("pins");
-        assert_eq!(pinned.nodes.len(), 3);
-        for x in [-1.0, 0.0, 1.0, f32::NAN] {
-            // The pinned forest needs only the unpinned prefix of the row.
-            assert_eq!(pinned.predict(&[x]).to_bits(), full.predict(&[x, 0.25]).to_bits());
-        }
-        let nan = Forest::compile_pinned(0.0, 1.0, &[t], 2, 1, f32::NAN).expect("pins");
-        assert_eq!((nan.nodes.len(), nan.predict(&[])), (1, 9.0));
-    }
-
-    #[test]
     fn rejects_what_a_compiled_node_cannot_hold() {
         let err = |trees: &[RegressionTree], n_features| {
             Forest::compile(0.0, 1.0, trees, n_features).expect_err("must not compile")
@@ -382,14 +317,9 @@ mod tests {
         assert!(err(&[tree(vec![split(0, 0.0, 1, 7), leaf(0.0)])], 1).contains("child 7"));
         assert!(err(&[tree(vec![split(3, 0.0, 1, 2), leaf(0.0), leaf(0.0)])], 3)
             .contains("feature 3 of 3"));
-        // Shared child and self-cycle: reachable along two paths — also
-        // when the cycle runs through a pinned split.
+        // Shared child and self-cycle: reachable along two paths.
         assert!(err(&[tree(vec![split(0, 0.0, 1, 1), leaf(0.0)])], 1).contains("two paths"));
         assert!(err(&[tree(vec![split(0, 0.0, 0, 1), leaf(0.0)])], 1).contains("two paths"));
-        let looped = tree(vec![split(1, 0.0, 0, 1), leaf(0.0)]);
-        assert!(Forest::compile_pinned(0.0, 1.0, &[looped], 2, 1, -1.0)
-            .expect_err("a pinned cycle")
-            .contains("two paths"));
         // A feature index past the 16-bit field.
         let wide = 1usize << 16;
         assert!(err(&[tree(vec![split(wide as u32, 0.0, 1, 2), leaf(0.0), leaf(0.0)])], wide + 1)

@@ -181,29 +181,6 @@ fn trained_and_warm_started_models_predict_bit_identically() {
 }
 
 #[test]
-fn pinned_forests_predict_bit_identically_on_rows_holding_the_pinned_value() {
-    let mut rng = StdRng::seed_from_u64(0x91_77ED);
-    let data = training_data(&mut rng, 300);
-    let mut models = vec![Mart::train(&data, &BoostParams::fast())];
-    for trees in [0, 1, 9, 65, 130] {
-        models.push(random_model(&mut rng, trees));
-    }
-    for model in &models {
-        for (from, value) in [(3, 0.0), (0, 0.125), (5, f32::NAN), (N_FEATURES, 1.0), (2, -2.5)] {
-            let pinned = model.pinned_forest(from, value);
-            for _ in 0..60 {
-                let mut row = random_row(&mut rng);
-                row[from..].fill(value);
-                let want = reference(model, &row).to_bits();
-                // The unpinned prefix is all a pinned forest reads.
-                assert_eq!(pinned.predict(&row[..from]).to_bits(), want, "{from} {value} {row:?}");
-                assert_eq!(pinned.predict(&row).to_bits(), want);
-            }
-        }
-    }
-}
-
-#[test]
 fn text_round_trip_recompiles_to_the_same_predictions() {
     let mut rng = StdRng::seed_from_u64(0x10_7E87);
     let rows: Vec<Vec<f32>> = (0..50).map(|_| random_row(&mut rng)).collect();

@@ -415,16 +415,18 @@ impl MonitorService {
         all
     }
 
-    /// Per-shard operation counters, in shard order — the traffic
-    /// harness's invariant and interference hook. Wait-free: served from
-    /// each shard's published stats snapshot (republished after every
-    /// event), so it never queues behind ingest; call [`Self::quiesce`]
-    /// first when the readout must reflect every event already sent. Dead
-    /// shards serve their counters frozen at the crash plus a live
-    /// `events_rejected`, so the conservation law `ingested + unroutable +
-    /// rejected == sent` stays exact service-wide — which is why this
-    /// cannot fail: the `Result` is kept for API stability and is always
-    /// `Ok`.
+    /// Per-shard operation counters, in shard order. Lock-free: every
+    /// counter of every shard is loaded on its own from the atomics the
+    /// shard bumps, so the readout never queues behind ingest — and,
+    /// taken while events are in flight, it can show an event
+    /// half-counted (say, `events_ingested` bumped and `queries_finished`
+    /// not yet). Call [`Self::quiesce`] first when the readout must
+    /// reflect every event already sent, whole. Dead shards serve their
+    /// counters frozen at the crash plus a live `events_rejected`, so
+    /// after a quiesce the conservation law `ingested + unroutable +
+    /// rejected == sent` holds exactly service-wide (`tests/traffic_soak.rs`
+    /// checks it). Nothing here can fail: the `Result` is kept for API
+    /// stability and is always `Ok`.
     pub fn shard_stats(&self) -> Result<Vec<ShardStats>, QueryError> {
         Ok(self.inner.shards.iter().map(|slot| slot.counters.load()).collect())
     }

@@ -80,29 +80,19 @@ pub(crate) enum Policy {
 struct PipeState {
     obs: IncrementalObs,
     choice: EstimatorKind,
-    /// The dynamic suffix `choice` was last scored on, behind the
-    /// pipeline's static prefix in the query's [`CompiledPlan`] (selector
-    /// mode only; empty under a fixed policy) — zeros until the first
-    /// re-selection, the static-selection convention. Scoring is a pure
-    /// function of prefix, suffix and the query's captured selector, so a
-    /// re-selection whose suffix is bit-equal to this one keeps `choice`
-    /// without consulting the forest.
-    scored: Vec<f32>,
-    /// The last extraction reached every dynamic-feature marker, so
-    /// `scored` is final until the next thinning (see
-    /// [`dynamic_features::extract_into`]): re-selections keep `choice`
-    /// without extracting.
+    /// The last extraction reached every dynamic-feature marker, so the
+    /// features `choice` was scored on are final until the next thinning
+    /// (see [`dynamic_features::extract_into`]): re-selections keep
+    /// `choice` without extracting.
     settled: bool,
     since_select: usize,
 }
 
 impl PipeState {
     /// A due re-selection: extract the dynamic features behind `statics`
-    /// into `scratch` and score — unless they are bit-equal to the ones
-    /// scored last time, in which case the same input to the same pure
-    /// function gives the choice already held. A settled suffix is known
-    /// to be bit-equal without extracting; it counts as the memo hit it
-    /// is.
+    /// into `scratch` and score them — unless the pipeline is settled, in
+    /// which case the same input to the query's captured selector gives
+    /// the choice already held.
     fn rescore(
         &mut self,
         statics: &[f32],
@@ -111,31 +101,34 @@ impl PipeState {
         counters: &ShardCounters,
     ) -> EstimatorKind {
         counters.reselect.inc();
-        scratch.clear();
         if self.settled {
-            debug_assert!(
-                dynamic_features::extract_into(&self.obs, scratch)
-                    && bits_equal(scratch, &self.scored),
-                "pipeline {}: a settled dynamic suffix moved",
+            debug_assert_eq!(
+                score(&self.obs, statics, sel, scratch),
+                (true, self.choice),
+                "pipeline {}: a settled pipeline's choice moved",
                 self.obs.pipeline_id()
             );
             counters.reselect_memo_hits.inc();
             return self.choice;
         }
-        scratch.extend_from_slice(statics);
-        self.settled = dynamic_features::extract_into(&self.obs, scratch);
-        let extracted = &scratch[STATIC_LEN..];
-        if bits_equal(extracted, &self.scored) {
-            counters.reselect_memo_hits.inc();
-            return self.choice;
-        }
-        self.scored.copy_from_slice(extracted);
-        sel.select(scratch)
+        let (settled, choice) = score(&self.obs, statics, sel, scratch);
+        self.settled = settled;
+        choice
     }
 }
 
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+/// Assemble `statics` and the dynamic features of `obs` in `scratch` and
+/// score them: whether every marker was reached, and the choice.
+fn score(
+    obs: &IncrementalObs,
+    statics: &[f32],
+    sel: &EstimatorSelector,
+    scratch: &mut Vec<f32>,
+) -> (bool, EstimatorKind) {
+    scratch.clear();
+    scratch.extend_from_slice(statics);
+    let settled = dynamic_features::extract_into(obs, scratch);
+    (settled, sel.select(scratch))
 }
 
 /// The pipeline rows a query serves: each pipeline's progress under the
@@ -347,9 +340,6 @@ impl ProgressMonitor {
             return Err(RegisterError::Saturated { limit: cap });
         }
         let compiled = self.plans.get_or_compile(&plan, &self.policy);
-        // Static selection scored the prefix followed by zeros: that is
-        // the suffix to remember.
-        let suffix = if compiled.selector.is_some() { DYNAMIC_LEN } else { 0 };
         let pipes: Vec<PipeState> = compiled
             .pipelines
             .iter()
@@ -357,7 +347,6 @@ impl ProgressMonitor {
             .map(|(p, &choice)| PipeState {
                 obs: IncrementalObs::new(Arc::clone(&plan), p),
                 choice,
-                scored: vec![0.0; suffix],
                 settled: false,
                 since_select: 0,
             })

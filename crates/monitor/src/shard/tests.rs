@@ -350,14 +350,13 @@ fn cross_family_selectors() -> (Arc<EstimatorSelector>, Arc<EstimatorSelector>) 
     (Arc::clone(first), Arc::clone(second))
 }
 
-/// The re-selection memo is an identity, not an approximation: a
-/// monitor that answers bit-equal feature vectors from the memo (or
-/// knows them bit-equal because every marker was reached) and one forced
-/// to re-score every due re-selection must agree on every choice, switch
-/// and served progress bit after every event — across buffer thinning and
-/// a selector hot swap.
+/// The settled skip is an identity, not an approximation: a monitor that
+/// keeps a settled pipeline's choice (every marker reached, so its
+/// features are final) and one forced to re-score every due re-selection
+/// must agree on every choice, switch and served progress bit after every
+/// event — across buffer thinning and a selector hot swap.
 #[test]
-fn memoised_reselection_equals_rescoring_every_time() {
+fn settled_reselection_equals_rescoring_every_time() {
     use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
@@ -374,11 +373,11 @@ fn memoised_reselection_equals_rescoring_every_time() {
             .build_monitor()
             .unwrap()
     };
-    let (mut memo, mut rescoring) = (build(), build());
+    let (mut settling, mut rescoring) = (build(), build());
     let (mut thinned, mut switched) = (0usize, 0usize);
     for (qi, q) in w.queries.iter().enumerate() {
         let plan = Arc::new(builder.build(q).expect("plan"));
-        memo.register(qi, Arc::clone(&plan));
+        settling.register(qi, Arc::clone(&plan));
         rescoring.register(qi, Arc::clone(&plan));
         let (tap, rx) = std::sync::mpsc::channel();
         let exec = ExecConfig {
@@ -394,34 +393,32 @@ fn memoised_reselection_equals_rescoring_every_time() {
             // selector it registered under, later ones get the new.
             ingested += 1;
             if qi == w.queries.len() / 2 && ingested == 10 {
-                assert_eq!(memo.swap_selector(Arc::clone(&second)), 1);
+                assert_eq!(settling.swap_selector(Arc::clone(&second)), 1);
                 assert_eq!(rescoring.swap_selector(Arc::clone(&second)), 1);
             }
             thinned += matches!(ev, TraceEvent::Thinned { .. }) as usize;
-            // No finite feature is bit-equal to NaN, and an unsettled
-            // suffix is re-extracted: the memo of the rescoring monitor
-            // never hits.
+            // An unsettled pipeline is re-extracted and re-scored: the
+            // rescoring monitor never skips.
             for pipe in &mut rescoring.queries.get_mut(&qi).expect("registered").pipes {
-                pipe.scored.fill(f32::NAN);
                 pipe.settled = false;
             }
-            memo.ingest(ev.clone());
+            settling.ingest(ev.clone());
             rescoring.ingest(ev);
             for pid in 0..plan.len() {
-                assert_eq!(memo.current_choice(qi, pid), rescoring.current_choice(qi, pid));
+                assert_eq!(settling.current_choice(qi, pid), rescoring.current_choice(qi, pid));
             }
-            assert_eq!(memo.switch_history(qi), rescoring.switch_history(qi));
+            assert_eq!(settling.switch_history(qi), rescoring.switch_history(qi));
             assert_eq!(
-                memo.query_progress(qi).map(f64::to_bits),
+                settling.query_progress(qi).map(f64::to_bits),
                 rescoring.query_progress(qi).map(f64::to_bits)
             );
         }
-        assert_eq!(memo.is_finished(qi), Some(true));
-        switched += memo.switch_history(qi).expect("registered").len();
+        assert_eq!(settling.is_finished(qi), Some(true));
+        switched += settling.switch_history(qi).expect("registered").len();
     }
     assert!(thinned > 0 && switched > 0, "{thinned} thinnings, {switched} switches");
-    assert_eq!(memo.selector_epoch(), 1, "the swap happened");
-    let (due, hits) = (&memo.counters.reselect, &memo.counters.reselect_memo_hits);
+    assert_eq!(settling.selector_epoch(), 1, "the swap happened");
+    let (due, hits) = (&settling.counters.reselect, &settling.counters.reselect_memo_hits);
     assert_eq!(due.get(), rescoring.counters.reselect.get());
     assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
     assert_eq!(rescoring.counters.reselect_memo_hits.get(), 0);

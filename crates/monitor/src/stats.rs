@@ -93,8 +93,8 @@ pub(crate) struct ShardCounters {
     /// Re-selections that came due (a pipeline reached its
     /// `reselect_every` cadence) …
     pub(crate) reselect: Arc<Counter>,
-    /// … and those of them answered from the memo: the feature vector was
-    /// bit-equal to the one last scored, so the forest was not touched.
+    /// … and those of them skipped because the pipeline was settled: its
+    /// features were final, so the choice held was kept unscored.
     pub(crate) reselect_memo_hits: Arc<Counter>,
     /// Sampled per-event ingest latency (see [`prosel_obs::SAMPLE_EVERY`]).
     pub(crate) ingest_ns: Arc<Histogram>,
@@ -134,8 +134,9 @@ impl ShardCounters {
         }
     }
 
-    /// Point-in-time [`ShardStats`] view over the atomics (`registered`
-    /// included — the service reads it without locking the shard core).
+    /// [`ShardStats`] view over the atomics, each loaded on its own — not
+    /// a point-in-time snapshot (`registered` included — the service reads
+    /// it without locking the shard core).
     pub(crate) fn load(&self) -> ShardStats {
         ShardStats {
             registered: self.registered.get() as usize,
