@@ -99,7 +99,8 @@ impl FeatureSchema {
     }
 
     /// Index of a feature by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
     }
 }

@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn real1_has_eight_tables() {
         let db = generate_real1(&CFG);
-        assert_eq!(db.table_names().len(), 8);
+        assert_eq!(db.tables().count(), 8);
         assert!(db.table("sales").rows() >= 200);
     }
 
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn real2_has_thirteen_tables() {
         let db = generate_real2(&CFG);
-        assert_eq!(db.table_names().len(), 1 + 2 * REAL2_DIMS);
+        assert_eq!(db.tables().count(), 1 + 2 * REAL2_DIMS);
         let ev = db.table("events");
         for i in 0..REAL2_DIMS {
             let dim = db.table(&format!("dim{i}"));

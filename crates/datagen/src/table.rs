@@ -72,21 +72,6 @@ impl Table {
     pub fn value(&self, row: usize, col: usize) -> i64 {
         self.columns[col].data[row]
     }
-
-    /// Minimum and maximum of a column, or `None` for an empty table.
-    pub fn min_max(&self, col: usize) -> Option<(i64, i64)> {
-        let d = &self.columns[col].data;
-        if d.is_empty() {
-            return None;
-        }
-        let mut lo = d[0];
-        let mut hi = d[0];
-        for &v in &d[1..] {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Some((lo, hi))
-    }
 }
 
 /// A named collection of tables.
@@ -113,21 +98,13 @@ impl Database {
             .unwrap_or_else(|| panic!("database {} has no table {name}", self.name))
     }
 
-    pub fn try_table(&self, name: &str) -> Option<&Table> {
+    #[cfg(test)]
+    pub(crate) fn try_table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
     }
 
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.values()
-    }
-
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Total number of rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.rows()).sum()
     }
 }
 
@@ -160,7 +137,6 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.col("v"), 1);
         assert_eq!(t.value(2, 1), 42);
-        assert_eq!(t.min_max(1), Some((-7, 42)));
     }
 
     #[test]
@@ -188,7 +164,6 @@ mod tests {
         let mut db = Database::new("d");
         db.add(toy_table());
         assert_eq!(db.table("toy").rows(), 3);
-        assert_eq!(db.total_rows(), 3);
         assert!(db.try_table("none").is_none());
     }
 }

@@ -78,10 +78,6 @@ impl<'a> Catalog<'a> {
         Catalog { db, design, indexes }
     }
 
-    pub fn database(&self) -> &'a Database {
-        self.db
-    }
-
     pub fn design(&self) -> &'a PhysicalDesign {
         self.design
     }

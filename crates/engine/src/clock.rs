@@ -96,18 +96,6 @@ impl ManualClock {
         st.0 += dt;
         st.0
     }
-
-    /// Jump forward to instant `t` and return the resulting time — the
-    /// open-loop pacing primitive: a simulation driver advances the shared
-    /// clock to each scheduled instant before delivering the work due
-    /// there, and out-of-order instants are simply absorbed (like
-    /// [`ManualClock::set`], the clock never moves backwards, so the
-    /// return value is `max(current, t)`).
-    pub fn advance_to(&self, t: f64) -> f64 {
-        let mut st = self.state.lock().expect("clock poisoned");
-        st.0 = st.0.max(t);
-        st.0
-    }
 }
 
 impl Clock for ManualClock {
@@ -142,17 +130,6 @@ mod tests {
         assert_eq!(c.now(), 7.5);
         c.set(10.0);
         assert_eq!(c.now(), 10.0);
-    }
-
-    #[test]
-    fn advance_to_is_a_clamped_forward_jump() {
-        let c = ManualClock::new(2.0);
-        assert_eq!(c.advance_to(5.0), 5.0);
-        assert_eq!(c.now(), 5.0);
-        // Behind the current time: absorbed, not a regression.
-        assert_eq!(c.advance_to(1.0), 5.0);
-        assert_eq!(c.now(), 5.0);
-        assert_eq!(c.advance_to(5.0), 5.0);
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Default for CostModel {
 
 impl CostModel {
     /// A fully deterministic variant (no jitter, no stalls) for tests.
-    pub fn deterministic() -> Self {
+    #[cfg(test)]
+    pub(crate) fn deterministic() -> Self {
         CostModel { jitter: 0.0, stall_prob: 0.0, ..CostModel::default() }
     }
 }

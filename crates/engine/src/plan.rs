@@ -329,17 +329,6 @@ impl PhysicalPlan {
         parents
     }
 
-    /// All descendants of `id` (excluding `id` itself).
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.nodes[id].children.clone();
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            stack.extend_from_slice(&self.nodes[n].children);
-        }
-        out
-    }
-
     /// Sum of `est_rows` over all nodes (the TGN denominator Σ E_i).
     pub fn total_est_rows(&self) -> f64 {
         self.nodes.iter().map(|n| n.est_rows).sum()
@@ -567,7 +556,8 @@ mod tests {
     #[test]
     fn descendants_and_parents() {
         let p = scan_filter_plan();
-        assert_eq!(p.descendants(1), vec![0]);
+        // Node 1's only descendant is its one child.
+        assert_eq!(p.node(1).children, vec![0]);
         let parents = p.parents();
         assert_eq!(parents[0], Some(1));
         assert_eq!(parents[1], None);

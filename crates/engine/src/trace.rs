@@ -61,19 +61,6 @@ pub struct SnapshotView<'a> {
     pub materialized: &'a [u64],
 }
 
-impl SnapshotView<'_> {
-    /// Copy the view into an owned [`Snapshot`].
-    pub fn to_snapshot(&self) -> Snapshot {
-        Snapshot {
-            time: self.time,
-            k: self.k.into(),
-            bytes_read: self.bytes_read.into(),
-            bytes_written: self.bytes_written.into(),
-            materialized: self.materialized.into(),
-        }
-    }
-}
-
 /// The full observable history of one query execution.
 #[derive(Debug, Clone)]
 pub struct ObservationTrace {
@@ -109,42 +96,6 @@ impl ObservationTrace {
             return 1.0;
         }
         (self.snapshots[j].time / self.total_time).clamp(0.0, 1.0)
-    }
-
-    /// True *pipeline-level* progress at snapshot `j` for pipeline `pid`:
-    /// elapsed fraction of the pipeline's own activity window, clamped to
-    /// `[0,1]` outside the window.
-    pub fn true_pipeline_progress(&self, pid: usize, j: usize) -> f64 {
-        let (start, end) = self.pipeline_windows[pid];
-        let t = self.snapshots[j].time;
-        if !start.is_finite() || end <= start {
-            return 1.0;
-        }
-        ((t - start) / (end - start)).clamp(0.0, 1.0)
-    }
-
-    /// Indices of snapshots that fall inside pipeline `pid`'s activity
-    /// window (inclusive of the first snapshot at/after completion so the
-    /// curve reaches 1.0).
-    pub fn pipeline_observations(&self, pid: usize) -> Vec<usize> {
-        let (start, end) = self.pipeline_windows[pid];
-        if !start.is_finite() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut past_end = false;
-        for (j, s) in self.snapshots.iter().enumerate() {
-            if s.time < start {
-                continue;
-            }
-            if s.time <= end {
-                out.push(j);
-            } else if !past_end {
-                out.push(j);
-                past_end = true;
-            }
-        }
-        out
     }
 }
 
@@ -235,18 +186,6 @@ impl TraceEvent {
             | TraceEvent::Delta { query, .. }
             | TraceEvent::Thinned { query }
             | TraceEvent::Finished { query, .. } => *query,
-        }
-    }
-
-    /// The wall-clock stamp of this event, if it carries one (`Thinned`
-    /// events mark a buffer transformation, not an observation, and are
-    /// unstamped).
-    pub fn wall(&self) -> Option<f64> {
-        match self {
-            TraceEvent::Snapshot { wall, .. }
-            | TraceEvent::Delta { wall, .. }
-            | TraceEvent::Finished { wall, .. } => Some(*wall),
-            TraceEvent::Thinned { .. } => None,
         }
     }
 
@@ -607,31 +546,6 @@ mod tests {
         assert_eq!(t.true_progress(0), 0.0);
         assert_eq!(t.true_progress(5), 0.5);
         assert_eq!(t.true_progress(10), 1.0);
-    }
-
-    #[test]
-    fn pipeline_progress_clamps_to_window() {
-        let t = toy_trace();
-        // Pipeline 0 active over [0, 40].
-        assert_eq!(t.true_pipeline_progress(0, 0), 0.0);
-        assert_eq!(t.true_pipeline_progress(0, 2), 0.5);
-        assert_eq!(t.true_pipeline_progress(0, 4), 1.0);
-        assert_eq!(t.true_pipeline_progress(0, 9), 1.0);
-        // Pipeline 1 active over [40, 100].
-        assert_eq!(t.true_pipeline_progress(1, 4), 0.0);
-        assert_eq!(t.true_pipeline_progress(1, 7), 0.5);
-        assert_eq!(t.true_pipeline_progress(1, 10), 1.0);
-        // Never-active pipeline reports complete.
-        assert_eq!(t.true_pipeline_progress(2, 3), 1.0);
-    }
-
-    #[test]
-    fn pipeline_observations_cover_window() {
-        let t = toy_trace();
-        let obs = t.pipeline_observations(0);
-        // Snapshots at t=0..40 plus one past the end (t=50).
-        assert_eq!(obs, vec![0, 1, 2, 3, 4, 5]);
-        assert!(t.pipeline_observations(2).is_empty());
     }
 
     #[test]

@@ -21,19 +21,6 @@ impl Tuple {
         Tuple { vals: [0; MAX_COLS], len: 0 }
     }
 
-    /// Build from a slice.
-    ///
-    /// # Panics
-    /// Panics if `vals.len() > MAX_COLS`.
-    #[inline]
-    pub fn from_slice(vals: &[i64]) -> Self {
-        assert!(vals.len() <= MAX_COLS, "tuple arity {} exceeds MAX_COLS", vals.len());
-        let mut t = Tuple::new();
-        t.vals[..vals.len()].copy_from_slice(vals);
-        t.len = vals.len() as u8;
-        t
-    }
-
     /// Number of columns.
     #[inline]
     pub fn len(&self) -> usize {
@@ -104,9 +91,17 @@ impl Eq for Tuple {}
 mod tests {
     use super::*;
 
+    fn from_slice(vals: &[i64]) -> Tuple {
+        let mut t = Tuple::new();
+        for &v in vals {
+            t.push(v);
+        }
+        t
+    }
+
     #[test]
     fn build_and_read() {
-        let t = Tuple::from_slice(&[1, -2, 3]);
+        let t = from_slice(&[1, -2, 3]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(1), -2);
         assert_eq!(t.as_slice(), &[1, -2, 3]);
@@ -115,8 +110,8 @@ mod tests {
 
     #[test]
     fn concat_joins() {
-        let a = Tuple::from_slice(&[1, 2]);
-        let b = Tuple::from_slice(&[3]);
+        let a = from_slice(&[1, 2]);
+        let b = from_slice(&[3]);
         let c = a.concat(&b);
         assert_eq!(c.as_slice(), &[1, 2, 3]);
     }
@@ -130,18 +125,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MAX_COLS")]
-    fn from_slice_overflow_panics() {
+    #[should_panic(expected = "tuple overflow")]
+    fn push_past_max_cols_panics() {
         let vals = vec![0i64; MAX_COLS + 1];
-        let _ = Tuple::from_slice(&vals);
+        let _ = from_slice(&vals);
     }
 
     #[test]
     fn equality_ignores_padding() {
-        let mut a = Tuple::from_slice(&[1, 2, 3]);
-        let b = Tuple::from_slice(&[1, 2]);
+        let mut a = from_slice(&[1, 2, 3]);
+        let b = from_slice(&[1, 2]);
         assert_ne!(a, b);
-        a = Tuple::from_slice(&[1, 2]);
+        a = from_slice(&[1, 2]);
         assert_eq!(a, b);
     }
 }

@@ -173,13 +173,6 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
     combine_pipeline_curves(run, |pid, obs| obs.curve(choose(pid)))
 }
 
-/// Query-level L1 error for a fixed estimator used on every pipeline.
-pub fn query_l1(run: &QueryRun, kind: EstimatorKind) -> f64 {
-    let curve = query_progress_curve(run, |_| kind);
-    let truth: Vec<f64> = (0..curve.len()).map(|j| run.trace.true_progress(j)).collect();
-    l1_error(&curve, &truth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,9 +30,8 @@
 //!   pipeline's first tick are skipped; snapshots provably inside the
 //!   window commit immediately; snapshots past the last tick seen so far
 //!   stay *pending* until a later tick (or finalization) proves whether
-//!   they fall inside the final window — the
-//!   [`prosel_engine::trace::ObservationTrace::pipeline_observations`]
-//!   rule (all in-window snapshots plus the first one past the end).
+//!   they fall inside the final window: the committed observations are
+//!   all in-window snapshots plus the first one past the end.
 //! * [`IncrementalObs::thin`] when the engine thins its bounded snapshot
 //!   buffer, so the mirror keeps tracking the final trace.
 //! * [`IncrementalObs::finalize`] when the query terminates, which
@@ -208,8 +207,8 @@ pub struct IncrementalObs {
     /// The aggregates of the snapshot offered last, committed or not —
     /// what [`Self::offer_unchanged`] re-stamps. `Some` once started.
     latest: Option<ObsEntry>,
-    /// Committed observations (the trace's `pipeline_observations` set),
-    /// one row each.
+    /// Committed observations (every in-window snapshot plus the first one
+    /// past the end), one row each.
     rows: Vec<Row>,
     /// LUO speed-window pointer (monotone) and last-estimate fallback.
     luo_w: usize,
@@ -261,16 +260,13 @@ impl IncrementalObs {
         self.rows.is_empty()
     }
 
-    /// Has the pipeline produced its first observation?
-    pub fn started(&self) -> bool {
-        self.state.is_some()
-    }
-
     pub fn finalized(&self) -> bool {
         self.finalized
     }
 
     /// Activity window as known so far (final after [`Self::finalize`]).
+    /// Its start is finite once the pipeline has produced its first
+    /// observation, and infinite until then.
     pub fn window(&self) -> (f64, f64) {
         (self.window_start, self.window_end)
     }
@@ -304,8 +300,8 @@ impl IncrementalObs {
     }
 
     /// True pipeline progress at each committed observation — the
-    /// elapsed-time fraction of the final activity window (the formula and
-    /// clamping of `ObservationTrace::true_pipeline_progress`).
+    /// elapsed-time fraction of the final activity window, clamped to
+    /// `[0, 1]`, and 1 for a degenerate window.
     ///
     /// # Panics
     /// Panics before [`Self::finalize`]: truth needs the final window.
@@ -655,8 +651,7 @@ impl IncrementalObs {
 
     /// The query terminated: resolve the trailing pendings against the
     /// final activity window — everything inside commits, plus the first
-    /// observation past the end (the `pipeline_observations` rule) — and
-    /// unlock the oracle curves.
+    /// observation past the end — and unlock the oracle curves.
     pub fn finalize(&mut self, final_window: (f64, f64)) {
         if self.finalized {
             return;

@@ -130,10 +130,10 @@ fn skips_snapshots_before_the_window() {
     let mut obs = IncrementalObs::new(plan, &pipelines[0]);
     // Pipeline not started yet: window is (inf, -inf).
     assert_eq!(offer(&mut obs, 0, &snap(5.0, 0, 0), (f64::INFINITY, f64::NEG_INFINITY)), 0);
-    assert!(!obs.started());
+    assert!(!obs.window().0.is_finite());
     // Started at t=10; a snapshot inside the known window commits.
     assert_eq!(offer(&mut obs, 1, &snap(12.0, 20, 10), (10.0, 12.0)), 1);
-    assert!(obs.started());
+    assert!(obs.window().0.is_finite());
     assert_eq!(obs.len(), 1);
     assert!((obs.value(EstimatorKind::Dne).unwrap() - 0.2).abs() < 1e-12);
 }
@@ -249,7 +249,7 @@ fn soa_and_scalar_paths_are_bit_identical_on_real_workloads() {
                     let window = (start, end.min(snap.time));
                     soa_ctx.recompute(&kernel, &snap.k);
                     obs.offer_view(j as u64, snap.as_view(), window, &soa_ctx);
-                    if !obs.started() {
+                    if !obs.window().0.is_finite() {
                         continue;
                     }
                     let first = *first_in_window.get_or_insert(j);

@@ -49,8 +49,8 @@ pub mod soa;
 
 pub use ctx::{SnapshotCtx, TraceCtx};
 pub use eval::{
-    combine_pipeline_curves, evaluate_pipeline_shared, l1_error, l2_error, query_l1,
-    query_progress_curve, ratio_error, EstimatorError,
+    combine_pipeline_curves, evaluate_pipeline_shared, l1_error, l2_error, query_progress_curve,
+    ratio_error, EstimatorError,
 };
 pub use incremental::{Column, IncrementalObs, ONLINE_KINDS};
 pub use kinds::EstimatorKind;

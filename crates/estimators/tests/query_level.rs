@@ -1,9 +1,16 @@
 //! Query-level progress combination (eq. (5)) and per-query evaluation.
 
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{l1_error, query_l1, query_progress_curve, EstimatorKind};
+use prosel_estimators::{l1_error, query_progress_curve, EstimatorKind};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
+
+/// Query-level L1 error of one estimator used on every pipeline.
+fn query_l1(run: &prosel_engine::QueryRun, kind: EstimatorKind) -> f64 {
+    let curve = query_progress_curve(run, |_| kind);
+    let truth: Vec<f64> = (0..curve.len()).map(|j| run.trace.true_progress(j)).collect();
+    l1_error(&curve, &truth)
+}
 
 fn some_runs(n: usize) -> Vec<prosel_engine::QueryRun> {
     let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 404).with_queries(n).with_scale(0.8);

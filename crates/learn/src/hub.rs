@@ -24,8 +24,7 @@
 
 use prosel_core::selection::EstimatorSelector;
 use prosel_core::textio::seal;
-use prosel_obs::{Counter, MetricsRegistry};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// First and last line of a publication frame.
 pub(crate) const FRAME_HEADER: &str = "prosel-publication v2";
@@ -36,22 +35,13 @@ pub(crate) const FRAME_FOOTER: &str = "endpublication";
 /// long enough to clone an `Arc`.
 pub struct SelectorHub {
     inner: RwLock<(u64, Arc<EstimatorSelector>)>,
-    /// `hub_publications_total` handle, once [`Self::observe`] bound one.
-    publications: OnceLock<Arc<Counter>>,
 }
 
 impl SelectorHub {
     /// A hub holding `initial` at epoch 0 (matching a monitor that has
     /// never seen a swap).
     pub fn new(initial: Arc<EstimatorSelector>) -> SelectorHub {
-        SelectorHub { inner: RwLock::new((0, initial)), publications: OnceLock::new() }
-    }
-
-    /// Count every [`Self::publish`] into `registry` as
-    /// `hub_publications_total`. One-shot: later calls on an already
-    /// observed hub are ignored.
-    pub fn observe(&self, registry: &MetricsRegistry) {
-        let _ = self.publications.set(registry.counter("hub_publications_total"));
+        SelectorHub { inner: RwLock::new((0, initial)) }
     }
 
     /// The latest `(epoch, selector)` pair.
@@ -75,9 +65,6 @@ impl SelectorHub {
         let mut guard = self.inner.write().expect("hub poisoned");
         guard.0 += 1;
         guard.1 = selector;
-        if let Some(counter) = self.publications.get() {
-            counter.inc();
-        }
         guard.0
     }
 

@@ -75,8 +75,8 @@
 //! ([`prosel_obs::ObsEvent::RetrainPromoted`] / `RetrainHeld`);
 //! [`SelectorSubscriber::observe`] does the same for the follower side,
 //! emitting one [`prosel_obs::ObsEvent::FrameRejected`] — with the typed
-//! [`prosel_obs::FrameRejectReason`] — per refused publication frame;
-//! and [`SelectorHub::observe`] counts publications.
+//! [`prosel_obs::FrameRejectReason`] — per refused publication frame.
+//! The hub itself keeps no metrics: its epoch is the publication count.
 //! Share the monitor service's registry and ring
 //! ([`prosel_monitor::MonitorService::metrics_registry`] /
 //! [`prosel_monitor::MonitorService::trace_ring`]) to scrape serving and

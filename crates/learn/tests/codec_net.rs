@@ -13,7 +13,7 @@
 use prosel_core::features::FeatureSchema;
 use prosel_core::pipeline_runs::PipelineRecord;
 use prosel_core::selection::{EstimatorSelector, SelectorConfig};
-use prosel_core::textio::{open, seal};
+use prosel_core::textio::{open, seal, LineReader};
 use prosel_core::training::TrainingSet;
 use prosel_estimators::EstimatorKind;
 use prosel_learn::{BufferConfig, LearnConfig, OnlineLearner, SelectorHub, SelectorSubscriber};
@@ -129,7 +129,10 @@ fn model_text() {
     let selector = tiny_selector();
     let model = selector.model(EstimatorKind::Tgn).expect("a model");
     check("model", &model_io::to_string(model), false, |t| {
-        model_io::from_str(t).map(|m| model_io::to_string(&m))
+        let mut r = LineReader::new(t);
+        let model = model_io::read(&mut r)?;
+        r.finish()?;
+        Ok(model_io::to_string(&model))
     });
 }
 

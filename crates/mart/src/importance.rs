@@ -1,5 +1,5 @@
 //! Feature-importance analysis: greedy forward selection (the paper's
-//! Section 6.5 methodology) plus split-count ranking.
+//! Section 6.5 methodology).
 
 use crate::boost::{BoostParams, Mart};
 use crate::dataset::Dataset;
@@ -65,14 +65,6 @@ pub fn project(data: &Dataset, cols: &[usize]) -> Dataset {
     out
 }
 
-/// Rank features by gain importance of a trained model (descending).
-/// Returns `(feature, total_gain)` pairs.
-pub fn rank_by_gain(model: &Mart) -> Vec<(usize, f64)> {
-    let mut ranked: Vec<(usize, f64)> = model.feature_gain().iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,17 +105,6 @@ mod tests {
             assert_eq!(p.row(i)[0], d.row(i)[2]);
             assert_eq!(p.row(i)[1], d.row(i)[0]);
             assert_eq!(p.target(i), d.target(i));
-        }
-    }
-
-    #[test]
-    fn rank_by_gain_orders_descending() {
-        let train = data(4, 800);
-        let model = Mart::train(&train, &BoostParams::fast());
-        let ranked = rank_by_gain(&model);
-        assert_eq!(ranked[0].0, 2);
-        for w in ranked.windows(2) {
-            assert!(w[0].1 >= w[1].1);
         }
     }
 }

@@ -36,5 +36,5 @@ pub mod tree;
 pub use boost::{BoostParams, Mart};
 pub use dataset::{BinnedDataset, Dataset, MAX_BINS};
 pub use forest::Forest;
-pub use importance::{greedy_forward_selection, project, rank_by_gain, SelectionStep};
+pub use importance::{greedy_forward_selection, project, SelectionStep};
 pub use tree::{FitScratch, RegressionTree, TreeNode, TreeParams};

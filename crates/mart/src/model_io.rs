@@ -50,16 +50,6 @@ pub fn to_string(model: &Mart) -> String {
     out
 }
 
-/// Parse a model from [`to_string`] output. Strict: nothing but trailing
-/// whitespace may follow the declared trees, so a torn or concatenated
-/// file can never parse as a *different* model.
-pub fn from_str(s: &str) -> Result<Mart, String> {
-    let mut r = LineReader::new(s);
-    let model = read(&mut r)?;
-    r.finish()?;
-    Ok(model)
-}
-
 /// Parse one model from `r`, leaving it on the line after the model's
 /// last node.
 pub fn read(r: &mut LineReader<'_>) -> Result<Mart, String> {
@@ -138,6 +128,16 @@ mod tests {
     use super::*;
     use crate::boost::BoostParams;
     use crate::dataset::Dataset;
+
+    /// Parse a model from [`to_string`] output. Strict: nothing but
+    /// trailing whitespace may follow the declared trees, so a torn or
+    /// concatenated file can never parse as a *different* model.
+    fn from_str(s: &str) -> Result<Mart, String> {
+        let mut r = LineReader::new(s);
+        let model = read(&mut r)?;
+        r.finish()?;
+        Ok(model)
+    }
 
     #[test]
     fn round_trip_preserves_predictions() {

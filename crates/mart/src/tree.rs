@@ -231,11 +231,6 @@ impl RegressionTree {
         n.value
     }
 
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
     /// Accumulate least-squares split gains per feature into `out`
     /// (gain-based feature importance).
     pub fn accumulate_gains(&self, out: &mut [f64]) {
@@ -397,6 +392,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    fn n_leaves(tree: &RegressionTree) -> usize {
+        tree.nodes.iter().filter(|n| n.is_leaf()).count()
+    }
+
     /// The dense row-major split search the feature-major kernel replaced,
     /// kept as its oracle: one `features × bins` histogram per node, every
     /// bin of every feature scanned.
@@ -491,7 +490,7 @@ mod tests {
         let (d, b) = step_data();
         let rows: Vec<u32> = (0..d.len() as u32).collect();
         let (tree, preds) = fit_all(&b, d.targets(), &rows, &TreeParams::default());
-        assert!(tree.n_leaves() >= 2);
+        assert!(n_leaves(&tree) >= 2);
         // Perfectly separable: training MSE should be ~0.
         let mse: f64 =
             (0..d.len()).map(|i| (preds[i] - d.target(i)) as f64).map(|e| e * e).sum::<f64>()
@@ -513,7 +512,7 @@ mod tests {
         let rows: Vec<u32> = (0..500).collect();
         let params = TreeParams { max_leaves: 8, min_samples_leaf: 5 };
         let (tree, _) = fit_all(&b, d.targets(), &rows, &params);
-        assert!(tree.n_leaves() <= 8);
+        assert!(n_leaves(&tree) <= 8);
     }
 
     #[test]
@@ -525,7 +524,7 @@ mod tests {
         let b = BinnedDataset::build(&d);
         let rows: Vec<u32> = (0..50).collect();
         let (tree, preds) = fit_all(&b, d.targets(), &rows, &TreeParams::default());
-        assert_eq!(tree.n_leaves(), 1);
+        assert_eq!(n_leaves(&tree), 1);
         assert!(preds.iter().all(|&p| (p - 3.25).abs() < 1e-6));
     }
 

@@ -187,7 +187,9 @@ fn text_round_trip_recompiles_to_the_same_predictions() {
     let data = training_data(&mut rng, 300);
     let model = Mart::train(&data, &BoostParams::fast());
     let text = prosel_mart::model_io::to_string(&model);
-    let back = prosel_mart::model_io::from_str(&text).expect("parse");
+    let mut r = prosel_mart::textio::LineReader::new(&text);
+    let back = prosel_mart::model_io::read(&mut r).expect("parse");
+    r.finish().expect("nothing after the model");
     assert_eq!(prosel_mart::model_io::to_string(&back), text);
     for row in &rows {
         assert_eq!(back.predict(row).to_bits(), reference(&model, row).to_bits());

@@ -189,7 +189,7 @@ mod tests {
         };
         let monitor =
             MonitorBuilder::fixed(EstimatorKind::Dne).restore(vec![state]).build_monitor().unwrap();
-        assert_eq!(monitor.selector_epoch(), 5);
+        assert_eq!(monitor.harvest_state().epoch, 5);
         assert_eq!(monitor.shard_stats().queries_finished, 12);
         assert_eq!(monitor.shard_stats().registered, 0, "no phantom registrations");
     }

@@ -193,10 +193,6 @@ impl Runtime {
         Runtime { rq: Arc::clone(rq), workers }
     }
 
-    pub(crate) fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Signal shutdown and join the pool. Idempotent.
     pub(crate) fn stop(&mut self) {
         self.rq.lock().stop = true;
@@ -317,7 +313,7 @@ mod tests {
         };
         let rq = run_queue();
         let mut rt = Runtime::spawn(&rq, 32, &config(3), body);
-        assert_eq!(rt.worker_count(), 3);
+        assert_eq!(rt.workers.len(), 3);
         for task in 0..32 {
             rq.push(task);
         }

@@ -120,16 +120,6 @@ impl MonitorService {
         MonitorService { inner, runtime }
     }
 
-    /// Number of shards (tasks, not threads — see [`Self::n_workers`]).
-    pub fn n_shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Number of pool workers executing the shard tasks.
-    pub fn n_workers(&self) -> usize {
-        self.runtime.worker_count()
-    }
-
     /// Block until every event enqueued so far (tap or
     /// [`Self::ingest`]) has been drained into shard state — the explicit
     /// read-your-writes barrier. Reads are snapshots of what has been
@@ -399,20 +389,6 @@ impl MonitorService {
             self.inner.ring.emit(ObsEvent::SwapRefused { dead_shards: dead.len() });
             Err(SwapError { shards: dead, epoch })
         }
-    }
-
-    /// Queries currently registered across all shards, ascending.
-    /// Quiesces first so defensive drops from already-enqueued events are
-    /// reflected (the admin-API mirror of the old FIFO round-trip).
-    pub fn registered_queries(&self) -> Vec<usize> {
-        self.inner.quiesce();
-        let mut all = Vec::new();
-        for slot in &self.inner.shards {
-            let registry = slot.registry.read().unwrap_or_else(|e| e.into_inner());
-            all.extend(registry.keys().copied());
-        }
-        all.sort_unstable();
-        all
     }
 
     /// Per-shard operation counters, in shard order. Lock-free: every

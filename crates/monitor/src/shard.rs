@@ -279,12 +279,6 @@ impl ProgressMonitor {
         self.epoch
     }
 
-    /// The current selector epoch: 0 until the first
-    /// [`Self::swap_selector`], incremented by each swap.
-    pub fn selector_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Register a query **before it runs**. Everything derivable without
     /// execution happens here: pipeline decomposition, eq. (5) weights,
     /// static features and the initial estimator choice — once per plan
@@ -472,25 +466,10 @@ impl ProgressMonitor {
         self.read(query, QueryCell::epoch)
     }
 
-    /// The estimator chosen from static features at registration.
-    pub fn initial_choice(&self, query: usize, pipeline: usize) -> Option<EstimatorKind> {
-        self.queries.get(&query)?.compiled.initial.get(pipeline).copied()
-    }
-
-    /// The estimator currently in charge of a pipeline.
-    pub fn current_choice(&self, query: usize, pipeline: usize) -> Option<EstimatorKind> {
-        self.queries.get(&query)?.pipes.get(pipeline).map(|p| p.choice)
-    }
-
     /// The incremental observation state of one pipeline — curves,
     /// windows, driver fractions (read access for analysis and tests).
     pub fn observation(&self, query: usize, pipeline: usize) -> Option<&IncrementalObs> {
         self.queries.get(&query)?.pipes.get(pipeline).map(|p| &p.obs)
-    }
-
-    /// Queries currently registered, ascending.
-    pub fn registered_queries(&self) -> Vec<usize> {
-        self.queries.keys().copied().collect()
     }
 
     /// This monitor's monotone operation counters (plus the current

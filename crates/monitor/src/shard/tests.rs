@@ -8,6 +8,16 @@ use prosel_core::features::FeatureSchema;
 use prosel_engine::clock::{Clock, ManualClock};
 use prosel_engine::trace::CounterUpdate;
 
+/// The estimator in charge of each pipeline of `query`, as the core holds
+/// it, after checking that [`ProgressMonitor::status`] serves the same.
+fn choices(monitor: &ProgressMonitor, query: usize) -> Vec<EstimatorKind> {
+    let held: Vec<EstimatorKind> = monitor.queries[&query].pipes.iter().map(|p| p.choice).collect();
+    let status = monitor.status(query).expect("registered");
+    let served: Vec<EstimatorKind> = status.pipelines.iter().map(|p| p.estimator).collect();
+    assert_eq!(served, held, "q{query}: status serves the held choices");
+    held
+}
+
 #[test]
 fn delta_stream_matches_full_snapshot_stream_bitwise() {
     use prosel_engine::trace::DeltaEncoder;
@@ -122,7 +132,7 @@ fn late_registration_is_refused_not_corrupted() {
     monitor.register(7, &plan);
     monitor.ingest(snapshot_event(7, 1, 20.0, 40));
     assert_eq!(monitor.query_progress(7), None, "late-joined query must be dropped");
-    assert!(monitor.registered_queries().is_empty());
+    assert_eq!(monitor.shard_stats().registered, 0);
 }
 
 #[test]
@@ -249,7 +259,7 @@ fn try_register_reports_duplicates_as_values() {
     // The original registration survives the refused duplicate.
     monitor.ingest(snapshot_event(3, 0, 10.0, 50));
     assert!((monitor.query_progress(3).unwrap() - 0.5).abs() < 1e-12);
-    assert_eq!(monitor.registered_queries(), vec![3]);
+    assert_eq!(monitor.shard_stats().registered, 1);
 }
 
 #[test]
@@ -302,16 +312,16 @@ fn swap_selector_affects_future_registrations_only() {
     let favor_tgn = Arc::new(selector_favoring(EstimatorKind::Tgn));
     let mut monitor =
         MonitorBuilder::with_selector(Arc::clone(&favor_dne)).build_monitor().unwrap();
-    assert_eq!(monitor.selector_epoch(), 0);
+    assert_eq!(monitor.harvest_state().epoch, 0);
     monitor.register(0, &plan);
-    assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
+    assert_eq!(choices(&monitor, 0), [EstimatorKind::Dne]);
     // Feed the in-flight query half its stream, then swap.
     monitor.ingest(snapshot_event(0, 0, 1.0, 10));
     assert_eq!(monitor.swap_selector(Arc::clone(&favor_tgn)), 1);
     monitor.register(1, &plan);
     // New registration scores with the new model; the in-flight query
     // keeps its registration-time choice and epoch.
-    assert_eq!(monitor.initial_choice(1, 0), Some(EstimatorKind::Tgn));
+    assert_eq!(choices(&monitor, 1), [EstimatorKind::Tgn]);
     assert_eq!(monitor.query_selector_epoch(0), Some(0));
     assert_eq!(monitor.query_selector_epoch(1), Some(1));
     // Re-selection on query 0 keeps using the DNE-favoring selector
@@ -319,7 +329,7 @@ fn swap_selector_affects_future_registrations_only() {
     for seq in 1..9 {
         monitor.ingest(snapshot_event(0, seq, 1.0 + seq as f64, 10 * (seq + 1)));
     }
-    assert_eq!(monitor.current_choice(0, 0), Some(EstimatorKind::Dne));
+    assert_eq!(choices(&monitor, 0), [EstimatorKind::Dne]);
     assert_eq!(monitor.switch_history(0), Some(vec![]), "no switch forced by the swap");
 }
 
@@ -404,9 +414,7 @@ fn settled_reselection_equals_rescoring_every_time() {
             }
             settling.ingest(ev.clone());
             rescoring.ingest(ev);
-            for pid in 0..plan.len() {
-                assert_eq!(settling.current_choice(qi, pid), rescoring.current_choice(qi, pid));
-            }
+            assert_eq!(choices(&settling, qi), choices(&rescoring, qi));
             assert_eq!(settling.switch_history(qi), rescoring.switch_history(qi));
             assert_eq!(
                 settling.query_progress(qi).map(f64::to_bits),
@@ -417,7 +425,7 @@ fn settled_reselection_equals_rescoring_every_time() {
         switched += settling.switch_history(qi).expect("registered").len();
     }
     assert!(thinned > 0 && switched > 0, "{thinned} thinnings, {switched} switches");
-    assert_eq!(settling.selector_epoch(), 1, "the swap happened");
+    assert_eq!(settling.harvest_state().epoch, 1, "the swap happened");
     let (due, hits) = (&settling.counters.reselect, &settling.counters.reselect_memo_hits);
     assert_eq!(due.get(), rescoring.counters.reselect.get());
     assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
@@ -463,9 +471,7 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
             let plan = &templates[qi % templates.len()];
             shared.register(qi, Arc::clone(plan));
             fresh.register(qi, Arc::new(PhysicalPlan::clone(plan)));
-            for pid in 0..plan.len() {
-                assert_eq!(shared.initial_choice(qi, pid), fresh.initial_choice(qi, pid));
-            }
+            assert_eq!(choices(&shared, qi), choices(&fresh, qi));
             let (tap, rx) = std::sync::mpsc::channel();
             let exec = ExecConfig {
                 max_snapshots: 32,
@@ -492,10 +498,7 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
                 }
                 shared.ingest(ev.clone());
                 fresh.ingest(ev);
-                let plan = &templates[qi % templates.len()];
-                for pid in 0..plan.len() {
-                    assert_eq!(shared.current_choice(qi, pid), fresh.current_choice(qi, pid));
-                }
+                assert_eq!(choices(&shared, qi), choices(&fresh, qi));
                 assert_eq!(shared.switch_history(qi), fresh.switch_history(qi));
                 assert_eq!(
                     shared.query_progress(qi).map(f64::to_bits),
@@ -517,7 +520,7 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
         }
     }
     assert!(switched > 0 && harvested > 0, "{switched} switches, {harvested} records");
-    assert_eq!(shared.selector_epoch(), 1, "the swap happened");
+    assert_eq!(shared.harvest_state().epoch, 1, "the swap happened");
     assert_eq!(shared.counters.reselect.get(), fresh.counters.reselect.get());
     assert_eq!(shared.plans.len(), templates.len(), "one record per template since the swap");
 }
@@ -534,10 +537,44 @@ fn re_registering_a_plan_after_a_swap_scores_with_the_new_selector() {
     assert!(Arc::ptr_eq(&monitor.queries[&0].compiled, &monitor.queries[&1].compiled));
     monitor.swap_selector(Arc::new(selector_favoring(EstimatorKind::Tgn)));
     monitor.register(2, Arc::clone(&plan));
-    assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
-    assert_eq!(monitor.initial_choice(2, 0), Some(EstimatorKind::Tgn));
+    assert_eq!(choices(&monitor, 0), [EstimatorKind::Dne]);
+    assert_eq!(choices(&monitor, 2), [EstimatorKind::Tgn]);
     assert!(!Arc::ptr_eq(&monitor.queries[&0].compiled, &monitor.queries[&2].compiled));
     assert_eq!(monitor.plans.len(), 1);
+}
+
+/// `admit` seeds the cell from the compiled plan's initial choices, so a
+/// `status` read after `register` and before the first event names each
+/// pipeline's static choice: the read the integration tests take the
+/// initial choice from.
+#[test]
+fn status_before_the_first_event_names_the_static_choices() {
+    use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
+    use prosel_planner::PlanBuilder;
+
+    let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(10).with_scale(0.4);
+    let w = materialize(&spec);
+    let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+    let plans: Vec<PhysicalPlan> =
+        w.queries.iter().map(|q| builder.build(q).expect("plan")).collect();
+    let (trained, _) = cross_family_selectors();
+    let favoring = |kind| (Arc::new(selector_favoring(kind)), Some(kind));
+    // The two one-sided selectors pin what the static choice is, so a
+    // cell seeded from anything else fails one of them.
+    for (selector, favored) in
+        [(trained, None), favoring(EstimatorKind::Dne), favoring(EstimatorKind::Tgn)]
+    {
+        let mut monitor = MonitorBuilder::with_selector(selector).build_monitor().unwrap();
+        for (qi, plan) in plans.iter().enumerate() {
+            monitor.register(qi, plan);
+            let status = monitor.status(qi).expect("registered");
+            let served: Vec<EstimatorKind> = status.pipelines.iter().map(|p| p.estimator).collect();
+            assert_eq!(served, monitor.queries[&qi].compiled.initial, "q{qi}");
+            if let Some(kind) = favored {
+                assert!(served.iter().all(|&k| k == kind), "q{qi}: {served:?}, not all {kind:?}");
+            }
+        }
+    }
 }
 
 /// Records of plans nobody holds any more are pruned: fresh `Arc`s

@@ -152,7 +152,10 @@ impl Surfaces {
     fn ingest(&mut self, ev: &TraceEvent) {
         self.monitor.ingest(ev.clone());
         self.service.ingest(ev.clone());
-        if let Some(wall) = ev.wall() {
+        if let TraceEvent::Snapshot { wall, .. }
+        | TraceEvent::Delta { wall, .. }
+        | TraceEvent::Finished { wall, .. } = ev
+        {
             self.clock.set(wall + 0.3);
         }
     }
@@ -184,7 +187,7 @@ impl Surfaces {
 
     /// The served status of a registered query against the core's own
     /// state: each pipeline's row is its observation state under the
-    /// estimator in charge, the query's progress their eq. (5)-weighted
+    /// estimator the row names, the query's progress their eq. (5)-weighted
     /// sum, and a finished query reads exactly 1 everywhere.
     fn check_published(&self, query: usize, plan: &PhysicalPlan, finished: bool, context: &str) {
         let m = &self.monitor;
@@ -194,12 +197,11 @@ impl Surfaces {
         let (mut acc, mut total) = (0.0f64, 0.0f64);
         for (p, row) in pipelines.iter().zip(&status.pipelines) {
             let obs = m.observation(query, p.id).expect("pipeline");
-            let choice = m.current_choice(query, p.id).expect("pipeline");
-            let value = obs.value(choice).unwrap_or(0.0);
+            let value = obs.value(row.estimator).unwrap_or(0.0);
             let want = if finished { 1.0 } else { value };
             assert_eq!(
-                (row.pipeline, row.estimator, row.progress.to_bits(), row.observations),
-                (p.id, choice, want.to_bits(), obs.len()),
+                (row.pipeline, row.progress.to_bits(), row.observations),
+                (p.id, want.to_bits(), obs.len()),
                 "{context}: pipeline {}",
                 p.id
             );

@@ -89,7 +89,8 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// Single-table query.
-    pub fn single(table: TableRef) -> Self {
+    #[cfg(test)]
+    pub(crate) fn single(table: TableRef) -> Self {
         QuerySpec {
             tables: vec![table],
             joins: Vec::new(),

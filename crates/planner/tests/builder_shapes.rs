@@ -153,11 +153,13 @@ fn nlj_inner_filters_sit_above_the_seek() {
         .iter()
         .position(|n| matches!(n.op, OperatorKind::NestedLoopJoin { .. }))
         .unwrap_or_else(|| panic!("no NLJ:\n{}", plan.render()));
-    let inner = plan.node(nlj).children[1];
-    let inner_ops: Vec<&str> = std::iter::once(inner)
-        .chain(plan.descendants(inner))
-        .map(|n| plan.node(n).op.name())
-        .collect();
+    let mut inner = vec![plan.node(nlj).children[1]];
+    let mut walked = 0;
+    while walked < inner.len() {
+        inner.extend_from_slice(&plan.node(inner[walked]).children);
+        walked += 1;
+    }
+    let inner_ops: Vec<&str> = inner.iter().map(|&n| plan.node(n).op.name()).collect();
     assert!(inner_ops.contains(&"Filter"), "inner filter missing:\n{}", plan.render());
     assert!(
         plan.nodes

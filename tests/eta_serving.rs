@@ -62,9 +62,12 @@ fn shard_and_service_serve_identical_deterministic_etas() {
     // increasing across the interleaved stream.
     let mut prev = f64::NEG_INFINITY;
     for ev in &events {
-        if let Some(wall) = ev.wall() {
-            assert!(wall > prev, "wall stamps must increase along the stream");
-            prev = wall;
+        if let TraceEvent::Snapshot { wall, .. }
+        | TraceEvent::Delta { wall, .. }
+        | TraceEvent::Finished { wall, .. } = ev
+        {
+            assert!(*wall > prev, "wall stamps must increase along the stream");
+            prev = *wall;
         }
     }
 
@@ -168,7 +171,10 @@ fn eta_converges_on_a_live_run() {
         assert!(eta.remaining_lo <= eta.remaining && eta.remaining <= eta.remaining_hi);
         if eta.is_known() {
             known += 1;
-            if let Some(wall) = ev.wall() {
+            if let TraceEvent::Snapshot { wall, .. }
+            | TraceEvent::Delta { wall, .. }
+            | TraceEvent::Finished { wall, .. } = ev
+            {
                 assert!(eta.as_of <= wall + 1e-12, "as_of cannot outrun the stream");
             }
         }

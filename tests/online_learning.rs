@@ -17,12 +17,19 @@ use prosel::core::training::TrainingSet;
 use prosel::engine::{
     run_concurrent_tapped, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig, TraceEvent,
 };
+use prosel::estimators::EstimatorKind;
 use prosel::learn::{BufferConfig, LearnConfig, OnlineLearner};
 use prosel::mart::BoostParams;
-use prosel::monitor::{HarvestConfig, MonitorBuilder};
+use prosel::monitor::{HarvestConfig, MonitorBuilder, ProgressMonitor};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::PlanBuilder;
 use std::sync::Arc;
+
+/// The estimator `status` names for each pipeline of `query`.
+fn estimators(monitor: &ProgressMonitor, query: usize) -> Vec<EstimatorKind> {
+    let status = monitor.status(query).expect("registered");
+    status.pipelines.iter().map(|p| p.estimator).collect()
+}
 
 fn selector_on(spec: &WorkloadSpec, boost_iters: usize) -> EstimatorSelector {
     let records = collect_workload_records(spec).expect("workload");
@@ -93,12 +100,7 @@ fn hot_swap_mid_workload_is_invisible_to_registered_queries() {
             swapped.switch_history(qi),
             "q{qi}: switch history must be unaffected by the swap"
         );
-        for pid in 0.. {
-            match (plain.current_choice(qi, pid), swapped.current_choice(qi, pid)) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b, "q{qi} p{pid} current choice"),
-            }
-        }
+        assert_eq!(estimators(&plain, qi), estimators(&swapped, qi), "q{qi} current choices");
         assert_eq!(swapped.query_selector_epoch(qi), Some(0), "registered pre-swap");
     }
 
@@ -110,12 +112,12 @@ fn hot_swap_mid_workload_is_invisible_to_registered_queries() {
     swapped.register(q_new, &plans[0]);
     reference.register(q_new, &plans[0]);
     assert_eq!(swapped.query_selector_epoch(q_new), Some(1));
-    for pid in 0.. {
-        match (swapped.initial_choice(q_new, pid), reference.initial_choice(q_new, pid)) {
-            (None, None) => break,
-            (a, b) => assert_eq!(a, b, "post-swap registration must score with s2 (p{pid})"),
-        }
-    }
+    // Before its first event a query serves its static choices.
+    assert_eq!(
+        estimators(&swapped, q_new),
+        estimators(&reference, q_new),
+        "post-swap registration must score with s2"
+    );
 }
 
 #[test]
@@ -175,7 +177,7 @@ fn feedback_retrained_selector_is_no_worse_than_the_static_baseline() {
     assert!(stats.harvested_records > 50, "harvested {}", stats.harvested_records);
     assert!(stats.retrains == 3);
     assert!(stats.promotions >= 1, "the loop must actually learn something here");
-    assert_eq!(monitor.selector_epoch(), stats.promotions as u64);
+    assert_eq!(monitor.harvest_state().epoch, stats.promotions as u64);
 
     let final_l1 = learner.current().evaluate(&held).chosen_l1;
     assert!(

@@ -24,6 +24,12 @@ fn all_kinds() -> Vec<EstimatorKind> {
     kinds
 }
 
+/// The estimator `status` names for each pipeline of `query`.
+fn estimators(monitor: &ProgressMonitor, query: usize) -> Vec<EstimatorKind> {
+    let status = monitor.status(query).expect("registered");
+    status.pipelines.iter().map(|p| p.estimator).collect()
+}
+
 /// Assert that the monitor's observation state, fed live (deltas, thinning,
 /// provisional windows), equals post-hoc replay of the final trace bit for
 /// bit on every pipeline of `run`.
@@ -184,8 +190,11 @@ fn selector_driven_monitor_end_to_end() {
         .config(MonitorConfig { reselect_every: 3, ..MonitorConfig::default() })
         .build_monitor()
         .expect("build");
+    // Before its first event a query serves its static choices.
+    let mut initial = Vec::new();
     for (qi, plan) in plans.iter().enumerate() {
         monitor.register(qi, plan);
+        initial.push(estimators(&monitor, qi));
     }
     let runs = run_concurrent_tapped(&catalog, &plans, &ConcurrentConfig::default(), tap);
     while let Ok(ev) = rx.try_recv() {
@@ -206,13 +215,14 @@ fn selector_driven_monitor_end_to_end() {
         }
         // Initial choices came from static features; current choice must
         // equal the initial one composed with the logged switches.
+        let current = estimators(&monitor, qi);
         for pid in 0..run.pipelines.len() {
-            let mut k = monitor.initial_choice(qi, pid).expect("pipeline");
+            let mut k = *initial[qi].get(pid).expect("pipeline");
             for s in switches.iter().filter(|s| s.pipeline == pid) {
                 assert_eq!(s.from, k, "q{qi} p{pid}: switch chain broken");
                 k = s.to;
             }
-            assert_eq!(monitor.current_choice(qi, pid), Some(k));
+            assert_eq!(current.get(pid), Some(&k));
         }
     }
 }

@@ -14,6 +14,15 @@ use prosel::planner::PlanBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A tuple built column by column, the way operators build their output.
+fn tuple(vals: &[i64]) -> Tuple {
+    let mut t = Tuple::new();
+    for &v in vals {
+        t.push(v);
+    }
+    t
+}
+
 proptest! {
     // ---------------- Zipf ------------------------------------------------
     #[test]
@@ -38,7 +47,7 @@ proptest! {
     // ---------------- Tuples ----------------------------------------------
     #[test]
     fn tuple_roundtrip(vals in proptest::collection::vec(any::<i64>(), 0..24)) {
-        let t = Tuple::from_slice(&vals);
+        let t = tuple(&vals);
         prop_assert_eq!(t.len(), vals.len());
         prop_assert_eq!(t.as_slice(), vals.as_slice());
         prop_assert_eq!(t.width_bytes(), vals.len() as u64 * 8);
@@ -49,7 +58,7 @@ proptest! {
         a in proptest::collection::vec(any::<i64>(), 0..12),
         b in proptest::collection::vec(any::<i64>(), 0..12),
     ) {
-        let t = Tuple::from_slice(&a).concat(&Tuple::from_slice(&b));
+        let t = tuple(&a).concat(&tuple(&b));
         let mut expect = a.clone();
         expect.extend_from_slice(&b);
         prop_assert_eq!(t.as_slice(), expect.as_slice());

@@ -336,7 +336,7 @@ fn drive(templates: &[Vec<Template>], queries: usize, window: usize, retrain: bo
 
     while let Some(Reverse((bits, _, step))) = agenda.pop() {
         let at = f64::from_bits(bits);
-        clock.advance_to(at);
+        clock.set(at);
         match step {
             Step::Arrive(query) => {
                 if let Some(next) = arrivals.get(query + 1) {
