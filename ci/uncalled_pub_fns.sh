@@ -25,8 +25,8 @@ defined=$(non_test_code $(rust_files crates/*/src) \
 # Every name used call-shaped anywhere in caller code.
 used=$(non_test_code $(rust_files crates/*/src src examples benchmark/src) \
     | sed -E 's/^[^:]+:[0-9]+: //; s/\bfn [A-Za-z_][A-Za-z0-9_]*//g' \
-    | grep -oE '(\.|::)[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*\(' \
-    | sed -E 's/^(\.|::)//; s/\($//' | sort -u)
+    | grep -oE '::[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*(\(|::<)' \
+    | sed -E 's/^:://; s/(\(|::<)$//' | sort -u)
 
 uncalled=$(echo "$defined" | awk 'NR == FNR { used[$0] = 1; next } !($2 in used)' <(echo "$used") -)
 

@@ -21,8 +21,19 @@ use prosel_estimators::IncrementalObs;
 pub use schema::FeatureSchema;
 
 /// Extract the full feature vector (static ++ dynamic) of `obs`'s pipeline.
-pub fn extract(plan: &PhysicalPlan, obs: &IncrementalObs) -> Vec<f32> {
-    let mut v = static_features::extract_pipeline(plan, obs.pipeline());
+/// `statics` is the pipeline's static prefix when the caller already holds
+/// it (it must be what [`static_features::extract_pipeline`] returns);
+/// `None` extracts it from `plan`.
+pub fn extract(plan: &PhysicalPlan, statics: Option<&[f32]>, obs: &IncrementalObs) -> Vec<f32> {
+    let mut v = match statics {
+        Some(prefix) => {
+            let mut v = Vec::with_capacity(FeatureSchema::get().len());
+            v.extend_from_slice(prefix);
+            v
+        }
+        None => static_features::extract_pipeline(plan, obs.pipeline()),
+    };
+    debug_assert_eq!(v.len(), FeatureSchema::get().static_len());
     dynamic_features::extract_into(obs, &mut v);
     debug_assert_eq!(v.len(), FeatureSchema::get().len());
     debug_assert!(v.iter().all(|x| x.is_finite()), "non-finite feature");

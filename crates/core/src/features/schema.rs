@@ -94,7 +94,8 @@ impl FeatureSchema {
         &self.names[i]
     }
 
-    pub fn names(&self) -> &[String] {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> &[String] {
         &self.names
     }
 

@@ -187,6 +187,26 @@ pub fn record_from_online(
     weight: f64,
     min_observations: usize,
 ) -> Option<PipelineRecord> {
+    record_with_statics(plan, None, obs, workload, query_idx, weight, min_observations)
+}
+
+/// [`record_from_online`] for a caller that already holds the pipeline's
+/// static-feature prefix — the monitor's harvest, whose admission record
+/// derived it from the same plan — so it is not extracted again. A
+/// `Some` prefix must be what `static_features::extract_pipeline` returns
+/// for `obs`'s pipeline; `None` extracts it.
+///
+/// # Panics
+/// Panics if `obs` is not finalized (labels need the final window).
+pub fn record_with_statics(
+    plan: &PhysicalPlan,
+    statics: Option<&[f32]>,
+    obs: &IncrementalObs,
+    workload: &str,
+    query_idx: usize,
+    weight: f64,
+    min_observations: usize,
+) -> Option<PipelineRecord> {
     assert!(obs.finalized(), "harvest needs a finalized observation state");
     if obs.is_empty() || obs.len() < min_observations {
         return None;
@@ -197,7 +217,7 @@ pub fn record_from_online(
         workload: workload.to_string(),
         query_idx,
         pipeline_id: obs.pipeline_id(),
-        features: features::extract(plan, obs),
+        features: features::extract(plan, statics, obs),
         errors_l1,
         errors_l2,
         total_getnext: obs.total_getnext(),

@@ -55,12 +55,18 @@ pub struct EstimatorSelector {
 
 impl EstimatorSelector {
     /// Train the per-estimator error models.
+    ///
+    /// The candidates' models are fit side by side on
+    /// `min(available_parallelism, candidates)` scoped threads (inline
+    /// when that is 1). Each model depends only on the shared feature
+    /// matrix, its candidate's targets and its own seed, so the selector
+    /// is the same, bit for bit, whatever the width.
     pub fn train(train: &TrainingSet, config: &SelectorConfig) -> EstimatorSelector {
         assert!(!train.is_empty(), "cannot train a selector on zero pipelines");
-        let models = fit_models(train, config.mode, &config.candidates, |_, kind, data, binned| {
+        let models = fit_models(train, config.mode, &config.candidates, |_, kind, _, binned, y| {
             let params =
                 BoostParams { seed: model_seed(config.boost.seed, kind), ..config.boost.clone() };
-            Mart::train_binned(data, binned, &params)
+            Mart::train_binned(binned, y, &params)
         });
         EstimatorSelector { config: config.clone(), models }
     }
@@ -74,6 +80,9 @@ impl EstimatorSelector {
     /// base ensemble is kept. `seed` varies the subsample stream per
     /// feedback round; per-model seeds are derived from it the same way
     /// [`EstimatorSelector::train`] derives them from the config seed.
+    /// The candidates are retrained side by side under the same width rule
+    /// as [`EstimatorSelector::train`], with the same width-independent
+    /// result.
     pub fn retrain_from(
         base: &EstimatorSelector,
         train: &TrainingSet,
@@ -83,9 +92,9 @@ impl EstimatorSelector {
         assert!(!train.is_empty(), "cannot retrain a selector on zero pipelines");
         let config = base.config.clone();
         let kinds: Vec<EstimatorKind> = base.models.iter().map(|(kind, _)| *kind).collect();
-        let models = fit_models(train, config.mode, &kinds, |i, kind, data, binned| {
+        let models = fit_models(train, config.mode, &kinds, |i, kind, data, binned, y| {
             let params = BoostParams { seed: model_seed(seed, kind), ..config.boost.clone() };
-            Mart::warm_start_binned(&base.models[i].1, data, binned, &params, extra)
+            Mart::warm_start_binned(&base.models[i].1, data, binned, y, &params, extra)
         });
         EstimatorSelector { config, models }
     }
@@ -279,27 +288,52 @@ fn model_seed(seed: u64, kind: EstimatorKind) -> u64 {
 
 /// One error model per entry of `kinds`, in order. Every candidate's
 /// model regresses over the same feature matrix, so it is assembled and
-/// binned once; each candidate swaps its own targets in before `fit`
-/// (given the candidate's position and kind) trains on it.
+/// binned once and shared read-only; `fit` gets a candidate's position,
+/// kind, the matrix (whose own targets are the first candidate's), its
+/// binning and the candidate's targets. The candidates are fit across
+/// `min(available_parallelism, candidates)` threads — the rule the
+/// monitor's shard runtime sizes its pool by.
 fn fit_models(
     train: &TrainingSet,
     mode: FeatureMode,
     kinds: &[EstimatorKind],
-    fit: impl Fn(usize, EstimatorKind, &Dataset, &BinnedDataset) -> Mart,
+    fit: impl Fn(usize, EstimatorKind, &Dataset, &BinnedDataset, &[f32]) -> Mart + Sync,
 ) -> Vec<(EstimatorKind, Mart)> {
     let Some(&first) = kinds.first() else {
         return Vec::new();
     };
-    let mut data = train.dataset_for(first, mode);
+    let data = train.dataset_for(first, mode);
     let binned = BinnedDataset::build(&data);
-    kinds
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| {
-            data.set_targets(&train.targets_for(kind));
-            (kind, fit(i, kind, &data, &binned))
-        })
-        .collect()
+    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    let models = fan_out(kinds.len(), cores.min(kinds.len()), |i| {
+        fit(i, kinds[i], &data, &binned, &train.targets_for(kinds[i]))
+    });
+    kinds.iter().copied().zip(models).collect()
+}
+
+/// `[f(0), f(1), …, f(n − 1)]`, computed in contiguous shares of
+/// `⌈n / width⌉` indices, one share per scoped thread (the calling thread
+/// takes the first), and returned in index order, so the result does not
+/// depend on `width` as long as `f` does not. A width of 1 (or one item)
+/// runs inline. A panic in any share reaches the caller with its own
+/// payload, after every other share has finished.
+fn fan_out<R: Send>(n: usize, width: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let share = n.div_ceil(width.max(1)).max(1);
+    if share >= n {
+        return (0..n).map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = (share..n)
+            .step_by(share)
+            .map(|start| s.spawn(move || (start..n.min(start + share)).map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = (0..share).map(f).collect();
+        for handle in rest {
+            out.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
+    })
 }
 
 /// Held-out evaluation summary.
@@ -534,6 +568,64 @@ mod tests {
             a.evaluate(&held).chosen_l1 <= base.evaluate(&held).chosen_l1,
             "warm retrain must not be worse on held-out data here"
         );
+    }
+
+    #[test]
+    fn side_by_side_fits_equal_each_candidate_fit_alone() {
+        use crate::pipeline_runs::collect_workload_records;
+        use prosel_mart::model_io::to_string;
+        use prosel_planner::workload::{WorkloadKind, WorkloadSpec};
+        let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 8).with_queries(24).with_scale(0.4);
+        let records = collect_workload_records(&spec).expect("records");
+        let (first, second) = records.split_at(records.len() / 2);
+        let (bootstrap, feedback) =
+            (TrainingSet::from_records(first), TrainingSet::from_records(second));
+        let cfg = SelectorConfig::default()
+            .with_boost(BoostParams { iterations: 20, ..BoostParams::default() });
+        let trained = EstimatorSelector::train(&bootstrap, &cfg);
+        let retrained = EstimatorSelector::retrain_from(&trained, &feedback, 10, 0xFEED);
+        for sel in [&trained, &retrained] {
+            let kinds: Vec<EstimatorKind> = sel.models.iter().map(|(k, _)| *k).collect();
+            assert_eq!(kinds, cfg.candidates, "models come back in candidate order");
+        }
+        for &kind in &cfg.candidates {
+            let params =
+                BoostParams { seed: model_seed(cfg.boost.seed, kind), ..cfg.boost.clone() };
+            let alone = Mart::train(&bootstrap.dataset_for(kind, cfg.mode), &params);
+            assert!(alone.n_trees() > 0, "{kind}: the oracle must fit trees for this to bite");
+            assert_eq!(to_string(trained.model(kind).unwrap()), to_string(&alone), "train {kind}");
+            let params = BoostParams { seed: model_seed(0xFEED, kind), ..cfg.boost.clone() };
+            let warm = Mart::warm_start(&alone, &feedback.dataset_for(kind, cfg.mode), &params, 10);
+            assert!(warm.n_trees() > alone.n_trees(), "{kind}: the warm start must add trees");
+            let got = to_string(retrained.model(kind).unwrap());
+            assert_eq!(got, to_string(&warm), "retrain_from {kind}");
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_input_order_and_passes_panics_on() {
+        for width in [1, 2, 3, 7] {
+            for n in [1, 6, 7] {
+                let got = fan_out(n, width, |i| (i, std::thread::current().id()));
+                let order: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "width {width}, {n} items");
+                let mut threads: Vec<String> = got.iter().map(|(_, t)| format!("{t:?}")).collect();
+                threads.dedup();
+                let shares = n.div_ceil(n.div_ceil(width));
+                assert_eq!(threads.len(), shares, "width {width}, {n} items");
+                // A panic in the calling thread's share and one in the
+                // last (spawned, when there is more than one) share both
+                // reach the caller with their own message.
+                for bad in [0, n - 1] {
+                    let caught = std::panic::catch_unwind(|| {
+                        fan_out(n, width, |i| if i == bad { panic!("item {i}") } else { i })
+                    });
+                    let payload = caught.expect_err("the panic reaches the caller");
+                    let message = payload.downcast_ref::<String>().map(String::as_str);
+                    assert_eq!(message, Some(format!("item {bad}").as_str()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use rand::{Rng, RngExt};
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
     /// Cumulative probabilities; `cdf[k-1] = P(X <= k)`. Empty when θ = 0
     /// (uniform fast path).
     cdf: Vec<f64>,
@@ -56,17 +55,12 @@ impl Zipf {
         // Odd multiplier for an invertible multiplicative permutation of the
         // domain; derived from the golden ratio like SplitMix64.
         let perm_mult = 0x9E37_79B9_7F4A_7C15 | 1;
-        Zipf { n, theta, cdf, perm_mult }
+        Zipf { n, cdf, perm_mult }
     }
 
     /// Domain size.
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// Skew parameter θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Draw a rank in `1..=n`; rank 1 is the most probable.

@@ -78,10 +78,6 @@ impl<'a> Catalog<'a> {
         Catalog { db, design, indexes }
     }
 
-    pub fn design(&self) -> &'a PhysicalDesign {
-        self.design
-    }
-
     pub fn table(&self, name: &str) -> &'a Table {
         self.db.table(name)
     }

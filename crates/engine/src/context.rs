@@ -212,8 +212,8 @@ impl ExecContext {
     }
 
     /// GetNext count so far at `node`.
-    #[inline]
-    pub fn k(&self, node: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn k(&self, node: usize) -> u64 {
         self.k[node]
     }
 

@@ -310,11 +310,6 @@ impl TrainingBuffer {
         self.counts.get(group).copied().unwrap_or(0)
     }
 
-    /// Groups currently holding at least one record, ascending.
-    pub fn groups(&self) -> Vec<&str> {
-        self.counts.iter().filter(|&(_, &c)| c > 0).map(|(g, _)| g.as_str()).collect()
-    }
-
     /// The buffer's configuration.
     pub fn config(&self) -> &BufferConfig {
         &self.config

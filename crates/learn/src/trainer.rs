@@ -9,6 +9,14 @@
 //! closure that stores the model in a [`crate::SelectorHub`] and
 //! hot-swaps it into the [`prosel_monitor::MonitorService`].
 //!
+//! A retrain fits the selector's candidates side by side
+//! ([`EstimatorSelector::train`] / [`EstimatorSelector::retrain_from`]) on
+//! `min(available_parallelism, candidates)` threads, and the models it
+//! promotes are the same, bit for bit, at any width. The trainer thread is
+//! one of them, so while a retrain runs it competes for the host's cores
+//! with busy shard workers instead of holding to one; what that costs
+//! ingest during the fit is not measured.
+//!
 //! Lifecycle: the thread runs until every harvest sender is dropped; it
 //! then performs one final retrain over any not-yet-trained tail (so a
 //! short session still learns from its last queries) and returns the

@@ -88,30 +88,28 @@ impl Mart {
 
     /// Train on `data`.
     pub fn train(data: &Dataset, params: &BoostParams) -> Mart {
-        let binned = BinnedDataset::build(data);
-        Mart::train_binned(data, &binned, params)
+        Mart::train_binned(&BinnedDataset::build(data), data.targets(), params)
     }
 
-    /// [`Mart::train`] when the caller already binned the data. `binned`
-    /// must be [`BinnedDataset::build`] of `data`'s feature matrix; it
+    /// [`Mart::train`] on a feature matrix the caller already binned,
+    /// regressing onto `targets` (one per row of `binned`). The binning
     /// does not depend on the targets, so models that share the matrix —
-    /// the selector's per-candidate error models swap targets with
-    /// [`Dataset::set_targets`] — bin it once and each pass it here. The
-    /// result is the model `Mart::train(data, params)` returns, bit for
-    /// bit.
-    pub fn train_binned(data: &Dataset, binned: &BinnedDataset, params: &BoostParams) -> Mart {
-        let n = data.len();
+    /// the selector's per-candidate error models — bin it once and each
+    /// pass their own targets here. The result is the model
+    /// `Mart::train` returns on a dataset of the binned matrix and
+    /// `targets`, bit for bit.
+    pub fn train_binned(binned: &BinnedDataset, targets: &[f32], params: &BoostParams) -> Mart {
+        let n = targets.len();
         assert!(n > 0, "cannot train on an empty dataset");
         assert_eq!(binned.n_rows(), n);
-        assert_eq!(binned.n_features(), data.n_features());
-        let base = data.targets().iter().map(|&t| t as f64).sum::<f64>() as f32 / n as f32;
+        let base = targets.iter().map(|&t| t as f64).sum::<f64>() as f32 / n as f32;
         let mut grown = Grown {
             shrinkage: params.shrinkage as f32,
             trees: Vec::with_capacity(params.iterations),
-            feature_gain: vec![0.0f64; data.n_features()],
+            feature_gain: vec![0.0f64; binned.n_features()],
         };
         let mut preds = vec![base; n];
-        boost_rounds(&mut grown, data, binned, params, &mut preds, params.iterations);
+        boost_rounds(&mut grown, binned, targets, params, &mut preds, params.iterations);
         grown.into_model(base)
     }
 
@@ -128,15 +126,20 @@ impl Mart {
     /// `extra == 0` returns a clone of `base`. Deterministic given
     /// `params.seed`.
     pub fn warm_start(base: &Mart, data: &Dataset, params: &BoostParams, extra: usize) -> Mart {
-        Mart::warm_start_binned(base, data, &BinnedDataset::build(data), params, extra)
+        let binned = BinnedDataset::build(data);
+        Mart::warm_start_binned(base, data, &binned, data.targets(), params, extra)
     }
 
     /// [`Mart::warm_start`] when the caller already binned the data, under
-    /// the same rule as [`Mart::train_binned`].
+    /// the same rule as [`Mart::train_binned`]: `binned` is
+    /// [`BinnedDataset::build`] of `data`, whose rows `base` is scored on,
+    /// and the new trees regress onto `targets` (`data`'s own targets are
+    /// not read).
     pub fn warm_start_binned(
         base: &Mart,
         data: &Dataset,
         binned: &BinnedDataset,
+        targets: &[f32],
         params: &BoostParams,
         extra: usize,
     ) -> Mart {
@@ -147,6 +150,7 @@ impl Mart {
             base.feature_gain.len(),
             "warm start needs the feature space the base model was trained on"
         );
+        assert_eq!(targets.len(), n);
         assert_eq!(binned.n_rows(), n);
         assert_eq!(binned.n_features(), data.n_features());
         if extra == 0 {
@@ -158,7 +162,7 @@ impl Mart {
             trees: base.trees.clone(),
             feature_gain: base.feature_gain.clone(),
         };
-        boost_rounds(&mut grown, data, binned, params, &mut preds, extra);
+        boost_rounds(&mut grown, binned, targets, params, &mut preds, extra);
         grown.into_model(base.base)
     }
 
@@ -226,24 +230,24 @@ impl Grown {
 }
 
 /// The boosting loop shared by fresh training and [`Mart::warm_start`]:
-/// fit up to `iterations` trees to the residuals of `preds` (which must
-/// hold `model`'s current prediction for every row of `data`), appending
+/// fit up to `iterations` trees to the residuals `targets − preds` (`preds`
+/// must hold `model`'s current prediction for every row of `binned`), appending
 /// to `model.trees` and accumulating `model.feature_gain`. Prediction
 /// updates use `model.shrinkage` — for fresh training that equals
 /// `params.shrinkage`; for a warm start it is the base ensemble's.
 fn boost_rounds(
     model: &mut Grown,
-    data: &Dataset,
     binned: &BinnedDataset,
+    targets: &[f32],
     params: &BoostParams,
     preds: &mut [f32],
     iterations: usize,
 ) {
-    let n = data.len();
+    let n = targets.len();
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut residuals = vec![0.0f32; n];
     let sample_n = ((n as f64 * params.subsample).round() as usize).clamp(1, n);
-    let nf = data.n_features();
+    let nf = binned.n_features();
     let col_n = ((nf as f64 * params.colsample).round() as usize).clamp(1, nf);
 
     let mut all_rows: Vec<u32> = (0..n as u32).collect();
@@ -251,7 +255,7 @@ fn boost_rounds(
     let mut scratch = FitScratch::default();
     for _ in 0..iterations {
         for i in 0..n {
-            residuals[i] = data.target(i) - preds[i];
+            residuals[i] = targets[i] - preds[i];
         }
         // Partial Fisher–Yates for the subsample.
         let rows: &[u32] = if sample_n < n {
@@ -455,7 +459,7 @@ mod tests {
         }
         let binned = BinnedDataset::build(&d);
         let params = BoostParams { iterations: 60, ..BoostParams::default() };
-        let model = Mart::train_binned(&d, &binned, &params);
+        let model = Mart::train_binned(&binned, d.targets(), &params);
         assert_eq!(model.n_trees(), 60);
         for i in 0..d.len() {
             assert_eq!(
@@ -473,13 +477,15 @@ mod tests {
         let binned = BinnedDataset::build(&train);
         let params = BoostParams { iterations: 25, ..BoostParams::default() };
         let base = Mart::train(&train, &params);
-        let same = Mart::train_binned(&train, &binned, &params);
+        let same = Mart::train_binned(&binned, train.targets(), &params);
         assert_eq!(crate::model_io::to_string(&base), crate::model_io::to_string(&same));
         // Other targets over the same matrix reuse the binning.
-        let mut flipped = train.clone();
-        flipped.set_targets(&train.targets().iter().map(|t| -t).collect::<Vec<f32>>());
+        let mut flipped = Dataset::new(train.n_features());
+        for i in 0..train.len() {
+            flipped.push(train.row(i), -train.target(i));
+        }
         let more = Mart::warm_start(&base, &flipped, &params, 10);
-        let same = Mart::warm_start_binned(&base, &flipped, &binned, &params, 10);
+        let same = Mart::warm_start_binned(&base, &train, &binned, flipped.targets(), &params, 10);
         assert_eq!(more.n_trees(), 35);
         assert_eq!(crate::model_io::to_string(&more), crate::model_io::to_string(&same));
     }

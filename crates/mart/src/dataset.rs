@@ -5,7 +5,7 @@
 //! split search runs over bin histograms — the standard histogram
 //! gradient-boosting construction. The bin codes depend on the feature
 //! matrix only, so one [`BinnedDataset`] serves every model trained on
-//! that matrix, whatever its targets ([`Dataset::set_targets`]).
+//! that matrix, whatever its targets ([`crate::Mart::train_binned`]).
 
 /// A dense row-major feature matrix with regression targets.
 #[derive(Debug, Clone, Default)]
@@ -57,15 +57,6 @@ impl Dataset {
 
     pub fn targets(&self) -> &[f32] {
         &self.y
-    }
-
-    /// Overwrite every target in place, keeping the feature matrix — and
-    /// with it any [`BinnedDataset`] built from this dataset — valid.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != self.len()`.
-    pub fn set_targets(&mut self, y: &[f32]) {
-        self.y.copy_from_slice(y);
     }
 }
 
@@ -156,8 +147,8 @@ impl BinnedDataset {
     }
 
     /// Bin code of (row, feature).
-    #[inline]
-    pub fn bin(&self, row: usize, feature: usize) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn bin(&self, row: usize, feature: usize) -> u8 {
         self.bins[row * self.n_features + feature]
     }
 

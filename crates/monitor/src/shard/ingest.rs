@@ -19,7 +19,7 @@ use crate::cell::SwitchEvent;
 use crate::config::HarvestConfig;
 use crate::eta::Eta;
 use crate::stats::ShardCounters;
-use prosel_core::pipeline_runs::record_from_online;
+use prosel_core::pipeline_runs::record_with_statics;
 use prosel_engine::trace::{
     thin_half, CounterKind, CounterUpdate, DeltaDecoder, Snapshot, TraceEvent,
 };
@@ -210,18 +210,22 @@ impl ProgressMonitor {
         }
         // Harvest hook: the pipes are finalized, so their committed
         // curves, truth and totals now match what post-hoc replay would
-        // compute over this trace.
+        // compute over this trace. Under a selector policy admission
+        // already derived each pipeline's static prefix from this plan.
         if let Some((sink, hcfg)) = env.harvester {
+            let compiled = &qs.compiled;
             let records = qs
                 .pipes
                 .iter()
                 .filter_map(|pipe| {
-                    record_from_online(
+                    let pid = pipe.obs.pipeline_id();
+                    record_with_statics(
                         &qs.plan,
+                        compiled.selector.is_some().then(|| compiled.statics(pid)),
                         &pipe.obs,
                         &hcfg.label,
                         query,
-                        qs.compiled.weights[pipe.obs.pipeline_id()],
+                        compiled.weights[pid],
                         hcfg.min_observations,
                     )
                 })

@@ -525,6 +525,45 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
     assert_eq!(shared.plans.len(), templates.len(), "one record per template since the swap");
 }
 
+/// Under a selector policy the harvest takes each pipeline's static
+/// prefix from the query's admission record instead of extracting it
+/// again; the records are still the batch extraction's over the same run.
+#[test]
+fn selector_policy_harvest_equals_batch_extraction() {
+    use prosel_core::pipeline_runs::records_from_run;
+    use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
+    use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
+    use prosel_planner::PlanBuilder;
+
+    let (first, _) = cross_family_selectors();
+    let spec = WorkloadSpec::new(WorkloadKind::TpcdsLike, 12).with_queries(6).with_scale(0.4);
+    let w = materialize(&spec);
+    let catalog = Catalog::new(&w.db, &w.design);
+    let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+    let (sink, harvested) = std::sync::mpsc::channel();
+    let mut monitor = MonitorBuilder::with_selector(first)
+        .harvester(Arc::new(sink), HarvestConfig { label: "live".into(), min_observations: 2 })
+        .build_monitor()
+        .unwrap();
+    let mut batch = Vec::new();
+    for (qi, q) in w.queries.iter().enumerate() {
+        let plan = builder.build(q).expect("plan");
+        monitor.register(qi, &plan);
+        let (tap, rx) = std::sync::mpsc::channel();
+        let run = run_plan_tapped(&catalog, &plan, &ExecConfig::default(), qi, tap);
+        monitor.drain(&rx);
+        records_from_run(&run, "live", qi, 2, &mut batch);
+    }
+    let online: Vec<PipelineRecord> = harvested.try_iter().flat_map(|h| h.records).collect();
+    assert!(batch.iter().any(|r| r.pipeline_id > 0), "multi-pipeline plans");
+    assert_eq!(online.len(), batch.len());
+    for (a, b) in online.iter().zip(&batch) {
+        // `{:?}` prints every float in round-trip form: equal text is
+        // equal bits.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+}
+
 #[test]
 fn re_registering_a_plan_after_a_swap_scores_with_the_new_selector() {
     let plan = Arc::new(scan_plan());

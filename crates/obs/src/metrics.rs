@@ -277,11 +277,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registered metric names, ascending.
-    pub fn names(&self) -> Vec<String> {
-        self.metrics.lock().expect("metrics registry poisoned").keys().cloned().collect()
-    }
-
     /// A point-in-time, diffable copy of every registered metric. Values
     /// are read per metric with relaxed loads; the snapshot is
     /// *per-metric* consistent, not globally atomic (fine for

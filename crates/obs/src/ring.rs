@@ -174,7 +174,7 @@ impl TraceRing {
     }
 
     /// Append one event, stamped with the ring clock's current reading.
-    /// Evicts the oldest entry when full (counted in [`Self::dropped`]).
+    /// Evicts the oldest entry when full, and counts the eviction.
     pub fn emit(&self, event: ObsEvent) {
         let at = self.inner.clock.now();
         let mut buf = self.inner.buf.lock().expect("trace ring poisoned");
@@ -201,13 +201,9 @@ impl TraceRing {
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
     }
 }
 
