@@ -15,7 +15,7 @@
 
 use crate::report::Table;
 use crate::suite::{ExpScale, Suite};
-use prosel_engine::{run_concurrent, run_plan, Catalog, ConcurrentConfig, ExecConfig, QueryRun};
+use prosel_engine::{run_concurrent, run_plan, Catalog, ExecConfig, QueryRun};
 use prosel_estimators::{evaluate_pipeline_shared, EstimatorKind, TraceCtx};
 use prosel_planner::query::{AggKind, AggSpec, FilterSpec, JoinSpec, QuerySpec, TableRef};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -101,10 +101,7 @@ pub fn run(_suite: &mut Suite, scale: ExpScale) -> String {
         .collect();
     let mut steady = Vec::new();
     for (gi, group) in plans.chunks(3).enumerate() {
-        let cfg = ConcurrentConfig {
-            exec: ExecConfig { seed: gi as u64, ..ExecConfig::default() },
-            ..Default::default()
-        };
+        let cfg = ExecConfig { seed: gi as u64, ..ExecConfig::default() };
         steady.extend(run_concurrent(&catalog, group, &cfg));
     }
     let (solo_err, n_solo) = mean_errors(&solo);
@@ -120,11 +117,7 @@ pub fn run(_suite: &mut Suite, scale: ExpScale) -> String {
         tgt_solo.push(run_plan(&catalog, &target, &exec));
         let comp_a = builder.build(&competitor_query(600)).expect("competitor");
         let comp_b = builder.build(&competitor_query(1400)).expect("competitor");
-        let runs = run_concurrent(
-            &catalog,
-            &[target.clone(), comp_a, comp_b],
-            &ConcurrentConfig { exec, ..Default::default() },
-        );
+        let runs = run_concurrent(&catalog, &[target.clone(), comp_a, comp_b], &exec);
         tgt_conc.push(runs.into_iter().next().expect("target run"));
     }
     let (tsolo_err, n_tgt) = mean_errors(&tgt_solo);

@@ -12,6 +12,8 @@
 //! `--scale quick` output of every experiment but `table7` is pinned in
 //! `golden/experiments_quick.txt`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 pub mod suite;

@@ -20,6 +20,8 @@
 //!   artifact is sealed and parsed through (defined in `prosel-mart`, the
 //!   lowest crate that persists one, and re-exported here).
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod pipeline_runs;
 pub mod selection;

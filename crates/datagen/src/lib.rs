@@ -22,6 +22,8 @@
 //!
 //! All generation is deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod physical;
 pub mod realworld;
 pub mod schema;

@@ -14,6 +14,11 @@ use crate::exec::TurnScheduler;
 use crate::trace::{DeltaEncoder, ObservationTrace, Snapshot, TraceEvent, TraceTap};
 use std::sync::Arc;
 
+/// Charged operations (ticks, byte transfers, seeks) a query runs under
+/// concurrent execution before it hands the machine on (see
+/// [`crate::exec::run_concurrent`]).
+const QUANTUM_TICKS: u32 = 512;
+
 /// Configuration for one execution.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -75,8 +80,8 @@ pub struct ExecContext {
     pipeline_of: Vec<usize>,
     pipe_first: Vec<f64>,
     pipe_last: Vec<f64>,
-    /// Concurrent-execution hook: (scheduler, my id, quantum).
-    sched: Option<(Arc<TurnScheduler>, usize, u32)>,
+    /// Concurrent-execution hook: (scheduler, my id).
+    sched: Option<(Arc<TurnScheduler>, usize)>,
     ticks_left: u32,
     /// Live observation stream: (sender, query id). Dropped on send error.
     tap: Option<(TraceTap, usize)>,
@@ -128,12 +133,13 @@ impl ExecContext {
         }
     }
 
-    /// Attach a concurrent-execution scheduler: after every `quantum`
-    /// charged operations this context yields the virtual machine and
-    /// fast-forwards over the time other queries consumed.
-    pub fn attach_scheduler(&mut self, sched: Arc<TurnScheduler>, id: usize, quantum: u32) {
-        self.sched = Some((sched, id, quantum.max(1)));
-        self.ticks_left = quantum.max(1);
+    /// Attach a concurrent-execution scheduler: after every
+    /// [`QUANTUM_TICKS`] charged operations this context yields the
+    /// virtual machine and fast-forwards over the time other queries
+    /// consumed.
+    pub(crate) fn attach_scheduler(&mut self, sched: Arc<TurnScheduler>, id: usize) {
+        self.sched = Some((sched, id));
+        self.ticks_left = QUANTUM_TICKS;
     }
 
     /// Attach a live observation stream: every retained snapshot (and the
@@ -237,10 +243,10 @@ impl ExecContext {
         if self.clock >= self.next_snap {
             self.take_snapshot();
         }
-        if let Some((sched, id, quantum)) = &self.sched {
+        if let Some((sched, id)) = &self.sched {
             self.ticks_left -= 1;
             if self.ticks_left == 0 {
-                self.ticks_left = *quantum;
+                self.ticks_left = QUANTUM_TICKS;
                 let (sched, id) = (Arc::clone(sched), *id);
                 let resume = sched.yield_turn(id, self.clock);
                 self.fast_forward(resume);

@@ -3,39 +3,29 @@
 //!
 //! Queries share one virtual machine under **time-quantum round-robin**:
 //! each query runs on its own thread, but execution is strictly
-//! serialized — a [`TurnScheduler`] hands the (virtual) CPU to one query
-//! at a time, preempting it after `quantum_ticks` charged operations, even
-//! in the middle of blocking phases (hash builds, sort drains). While
-//! preempted, a query's counters freeze but the shared clock advances, so
-//! its trace shows exactly the stalls a concurrent system produces.
+//! serialized — a `TurnScheduler` hands the (virtual) CPU to one query
+//! at a time, preempting it after a fixed quantum of 512 charged
+//! operations (ticks, byte transfers, seeks), even in the middle of
+//! blocking phases (hash builds, sort drains). While preempted, a query's
+//! counters freeze but the shared clock advances, so its trace shows
+//! exactly the stalls a concurrent system produces.
+//!
+//! The quantum is a constant, not a setting: every experiment, example
+//! and integration test of concurrent progress ran at 512, and it sets
+//! the granularity of the stalls their traces (and the experiments
+//! golden) record. Each query runs through the same loop as
+//! [`run_plan`](super::run_plan); only the turn-taking is added.
 //!
 //! Execution remains fully deterministic: the turn order is fixed and the
 //! threads never run concurrently, so a given (plans, config) pair always
 //! yields the same traces.
 
 use crate::catalog::Catalog;
-use crate::context::{ExecConfig, ExecContext};
-use crate::exec::build_executor;
-use crate::pipeline::{decompose, pipeline_of};
+use crate::context::ExecConfig;
+use crate::exec::execute;
 use crate::plan::PhysicalPlan;
 use crate::trace::{QueryRun, TraceTap};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Concurrency configuration.
-#[derive(Debug, Clone)]
-pub struct ConcurrentConfig {
-    /// Charged operations (ticks, byte transfers, seeks) per scheduling
-    /// quantum before the query is preempted.
-    pub quantum_ticks: u32,
-    /// Per-query execution configuration (seeds are derived per query).
-    pub exec: ExecConfig,
-}
-
-impl Default for ConcurrentConfig {
-    fn default() -> Self {
-        ConcurrentConfig { quantum_ticks: 512, exec: ExecConfig::default() }
-    }
-}
 
 #[derive(Debug)]
 struct SchedState {
@@ -49,13 +39,13 @@ struct SchedState {
 
 /// Strict round-robin turn scheduler over a shared virtual clock.
 #[derive(Debug)]
-pub struct TurnScheduler {
+pub(crate) struct TurnScheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
 }
 
 impl TurnScheduler {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         TurnScheduler {
             state: Mutex::new(SchedState { turn: 0, live: vec![true; n], global: 0.0 }),
             cv: Condvar::new(),
@@ -77,7 +67,7 @@ impl TurnScheduler {
 
     /// Block until it is `me`'s turn; returns the shared clock to resume
     /// from.
-    pub fn wait_turn(&self, me: usize) -> f64 {
+    pub(crate) fn wait_turn(&self, me: usize) -> f64 {
         let mut st = self.state.lock().expect("scheduler poisoned");
         while st.turn != me {
             st = self.cv.wait(st).expect("scheduler poisoned");
@@ -87,7 +77,7 @@ impl TurnScheduler {
 
     /// Yield after a quantum: publish `clock`, pass the turn on, and block
     /// until scheduled again. Returns the clock to resume from.
-    pub fn yield_turn(&self, me: usize, clock: f64) -> f64 {
+    pub(crate) fn yield_turn(&self, me: usize, clock: f64) -> f64 {
         let mut st = self.state.lock().expect("scheduler poisoned");
         st.global = st.global.max(clock);
         Self::rotate(&mut st, me);
@@ -102,7 +92,7 @@ impl TurnScheduler {
     }
 
     /// Mark `me` finished and hand the machine to the next live query.
-    pub fn finish(&self, me: usize, clock: f64) {
+    pub(crate) fn finish(&self, me: usize, clock: f64) {
         let mut st = self.state.lock().expect("scheduler poisoned");
         st.global = st.global.max(clock);
         st.live[me] = false;
@@ -113,13 +103,19 @@ impl TurnScheduler {
 
 /// Execute `plans` concurrently on one shared virtual clock; returns one
 /// [`QueryRun`] per plan (same order). All traces use the shared time
-/// axis, so progress curves of different queries are comparable.
+/// axis, so progress curves of different queries are comparable. Query
+/// `i` runs with `exec`'s settings and a seed derived from `exec.seed`
+/// and `i`.
+///
+/// # Panics
+/// Panics if any plan fails [`PhysicalPlan::validate`], before any query
+/// starts.
 pub fn run_concurrent(
     catalog: &Catalog<'_>,
     plans: &[PhysicalPlan],
-    cfg: &ConcurrentConfig,
+    exec: &ExecConfig,
 ) -> Vec<QueryRun> {
-    run_concurrent_inner(catalog, plans, cfg, None)
+    run_concurrent_inner(catalog, plans, exec, None)
 }
 
 /// [`run_concurrent`] with a live observation stream: every query sends
@@ -131,18 +127,21 @@ pub fn run_concurrent(
 pub fn run_concurrent_tapped(
     catalog: &Catalog<'_>,
     plans: &[PhysicalPlan],
-    cfg: &ConcurrentConfig,
+    exec: &ExecConfig,
     tap: impl Into<TraceTap>,
 ) -> Vec<QueryRun> {
-    run_concurrent_inner(catalog, plans, cfg, Some(tap.into()))
+    run_concurrent_inner(catalog, plans, exec, Some(tap.into()))
 }
 
 fn run_concurrent_inner(
     catalog: &Catalog<'_>,
     plans: &[PhysicalPlan],
-    cfg: &ConcurrentConfig,
+    exec: &ExecConfig,
     tap: Option<TraceTap>,
 ) -> Vec<QueryRun> {
+    // Every plan is checked before any thread starts: a query that
+    // panicked before taking its first turn would leave the others
+    // waiting for it forever.
     for (qi, plan) in plans.iter().enumerate() {
         if let Err(e) = plan.validate() {
             panic!("invalid plan {qi}: {e}");
@@ -155,42 +154,13 @@ fn run_concurrent_inner(
             .iter()
             .enumerate()
             .map(|(qi, plan)| {
-                let sched = Arc::clone(&sched);
-                let tap = tap.clone();
-                let exec_cfg = ExecConfig {
-                    seed: cfg.exec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ..cfg.exec.clone()
+                let turn = Some((Arc::clone(&sched), qi));
+                let tap = tap.clone().map(|tap| (tap, qi));
+                let cfg = ExecConfig {
+                    seed: exec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    ..exec.clone()
                 };
-                let quantum = cfg.quantum_ticks.max(1);
-                scope.spawn(move || {
-                    let pipelines = decompose(plan);
-                    let pmap = pipeline_of(plan, &pipelines);
-                    let mut ctx = ExecContext::new(&exec_cfg, plan.len(), pmap, pipelines.len());
-                    if let Some(tap) = tap {
-                        ctx.attach_tap(tap, qi);
-                    }
-                    ctx.attach_scheduler(Arc::clone(&sched), qi, quantum);
-                    let start = sched.wait_turn(qi);
-                    ctx.fast_forward(start);
-
-                    let mut exec = build_executor(plan, plan.root, catalog);
-                    exec.open(&mut ctx);
-                    let mut result_rows = 0u64;
-                    while let Some(t) = exec.next(&mut ctx) {
-                        result_rows += 1;
-                        ctx.write_bytes(plan.root, t.width_bytes());
-                    }
-                    drop(exec);
-                    // Finish the trace (which emits the terminal tap
-                    // events) *before* handing the turn away: once
-                    // `sched.finish` runs, the next query starts emitting,
-                    // and terminal events racing it would make the stream
-                    // order nondeterministic.
-                    let clock = ctx.now();
-                    let trace = ctx.finish();
-                    sched.finish(qi, clock);
-                    QueryRun { plan: plan.clone(), pipelines, trace, result_rows }
-                })
+                scope.spawn(move || execute(catalog, plan, &cfg, tap, turn))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("query thread panicked")).collect()
@@ -272,7 +242,7 @@ mod tests {
         let design = PhysicalDesign::derive(&database, TuningLevel::Untuned);
         let catalog = Catalog::new(&database, &design);
         let plans = vec![scan_plan(500), agg_plan(500), scan_plan(500)];
-        let runs = run_concurrent(&catalog, &plans, &ConcurrentConfig::default());
+        let runs = run_concurrent(&catalog, &plans, &ExecConfig::default());
         assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].result_rows, 500);
         assert_eq!(runs[1].result_rows, 10);
@@ -285,11 +255,8 @@ mod tests {
         let database = db(2000);
         let design = PhysicalDesign::derive(&database, TuningLevel::Untuned);
         let catalog = Catalog::new(&database, &design);
-        let cfg = ConcurrentConfig {
-            exec: ExecConfig { cost: CostModel::deterministic(), ..ExecConfig::default() },
-            ..Default::default()
-        };
-        let solo = run_plan(&catalog, &scan_plan(2000), &cfg.exec);
+        let cfg = ExecConfig { cost: CostModel::deterministic(), ..ExecConfig::default() };
+        let solo = run_plan(&catalog, &scan_plan(2000), &cfg);
         let runs = run_concurrent(&catalog, &[scan_plan(2000), scan_plan(2000)], &cfg);
         let ratio = runs[0].trace.total_time / solo.trace.total_time;
         assert!(
@@ -307,17 +274,14 @@ mod tests {
         let database = db(4000);
         let design = PhysicalDesign::derive(&database, TuningLevel::Untuned);
         let catalog = Catalog::new(&database, &design);
-        let cfg = ConcurrentConfig {
-            quantum_ticks: 128,
-            exec: ExecConfig {
-                cost: CostModel::deterministic(),
-                // Dense snapshots so the preemption gap dominates the
-                // inter-snapshot window.
-                initial_snapshot_interval: 10.0,
-                ..ExecConfig::default()
-            },
+        let cfg = ExecConfig {
+            cost: CostModel::deterministic(),
+            // Dense snapshots so the preemption gap dominates the
+            // inter-snapshot window.
+            initial_snapshot_interval: 10.0,
+            ..ExecConfig::default()
         };
-        let solo_agg = run_plan(&catalog, &agg_plan(4000), &cfg.exec);
+        let solo_agg = run_plan(&catalog, &agg_plan(4000), &cfg);
         let runs = run_concurrent(&catalog, &[agg_plan(4000), scan_plan(4000)], &cfg);
         let stretch = runs[0].trace.total_time / solo_agg.trace.total_time;
         assert!(
@@ -327,9 +291,9 @@ mod tests {
         // And its trace must contain preemption stalls: consecutive
         // snapshots where time advances with (almost) no counter movement.
         let t = &runs[0].trace;
-        // A competitor quantum of 128 charges is ~55 time units; snapshots
-        // are 10 apart, so a window spanning a stall is several times the
-        // normal spacing with almost no counter movement.
+        // A competitor quantum of 512 charges is ~220 time units;
+        // snapshots are 10 apart, so a window spanning a stall is many
+        // times the normal spacing with almost no counter movement.
         let stalled = t.snapshots.windows(2).any(|w| {
             let dk: u64 = (0..w[0].k.len()).map(|i| w[1].k[i] - w[0].k[i]).sum();
             w[1].time > w[0].time + 40.0 && dk < 16
@@ -343,7 +307,7 @@ mod tests {
         let design = PhysicalDesign::derive(&database, TuningLevel::Untuned);
         let catalog = Catalog::new(&database, &design);
         let plans = [agg_plan(1500), scan_plan(1500)];
-        let cfg = ConcurrentConfig::default();
+        let cfg = ExecConfig::default();
         let a = run_concurrent(&catalog, &plans, &cfg);
         let b = run_concurrent(&catalog, &plans, &cfg);
         for (x, y) in a.iter().zip(&b) {

@@ -20,7 +20,8 @@ mod scan;
 mod sort;
 
 pub use aggregate::{HashAggregateExec, StreamAggregateExec};
-pub use concurrent::{run_concurrent, run_concurrent_tapped, ConcurrentConfig, TurnScheduler};
+pub(crate) use concurrent::TurnScheduler;
+pub use concurrent::{run_concurrent, run_concurrent_tapped};
 pub use filter::{ComputeScalarExec, FilterExec, ProjectExec, TopExec};
 pub use hash_join::HashJoinExec;
 pub use merge_join::MergeJoinExec;
@@ -32,8 +33,9 @@ use crate::catalog::Catalog;
 use crate::context::{ExecConfig, ExecContext};
 use crate::pipeline::{decompose, pipeline_of};
 use crate::plan::{NodeId, OperatorKind, PhysicalPlan};
-use crate::trace::QueryRun;
+use crate::trace::{QueryRun, TraceTap};
 use crate::tuple::Tuple;
+use std::sync::Arc;
 
 /// A physical operator instance.
 pub trait Executor {
@@ -123,15 +125,15 @@ pub fn run_plan(catalog: &Catalog<'_>, plan: &PhysicalPlan, cfg: &ExecConfig) ->
 /// proceeds, tagged with `query`. Tapping does not alter execution — the
 /// returned [`QueryRun`] is identical to an untapped run.
 ///
-/// `tap` accepts anything convertible into a [`crate::trace::TraceTap`]:
-/// a plain `std::sync::mpsc::Sender<TraceEvent>`, or a routed sink (e.g. a
+/// `tap` accepts anything convertible into a [`TraceTap`]: a plain
+/// `std::sync::mpsc::Sender<TraceEvent>`, or a routed sink (e.g. a
 /// sharded monitor service's tap).
 pub fn run_plan_tapped(
     catalog: &Catalog<'_>,
     plan: &PhysicalPlan,
     cfg: &ExecConfig,
     query: usize,
-    tap: impl Into<crate::trace::TraceTap>,
+    tap: impl Into<TraceTap>,
 ) -> QueryRun {
     run_plan_inner(catalog, plan, cfg, Some((tap.into(), query)))
 }
@@ -140,16 +142,35 @@ fn run_plan_inner(
     catalog: &Catalog<'_>,
     plan: &PhysicalPlan,
     cfg: &ExecConfig,
-    tap: Option<(crate::trace::TraceTap, usize)>,
+    tap: Option<(TraceTap, usize)>,
 ) -> QueryRun {
     if let Err(e) = plan.validate() {
         panic!("invalid plan: {e}\n{}", plan.render());
     }
+    execute(catalog, plan, cfg, tap, None)
+}
+
+/// The one execution loop behind [`run_plan`] and
+/// [`run_concurrent`](concurrent::run_concurrent): runs an already
+/// validated `plan` to completion. With `turn = Some((scheduler, id))` the
+/// query runs only on its turns, starting at the shared clock, and hands
+/// the machine on once its trace is finished.
+fn execute(
+    catalog: &Catalog<'_>,
+    plan: &PhysicalPlan,
+    cfg: &ExecConfig,
+    tap: Option<(TraceTap, usize)>,
+    turn: Option<(Arc<TurnScheduler>, usize)>,
+) -> QueryRun {
     let pipelines = decompose(plan);
     let pmap = pipeline_of(plan, &pipelines);
     let mut ctx = ExecContext::new(cfg, plan.len(), pmap, pipelines.len());
     if let Some((tap, query)) = tap {
         ctx.attach_tap(tap, query);
+    }
+    if let Some((sched, id)) = &turn {
+        ctx.attach_scheduler(Arc::clone(sched), *id);
+        ctx.fast_forward(sched.wait_turn(*id));
     }
     let mut exec = build_executor(plan, plan.root, catalog);
     exec.open(&mut ctx);
@@ -160,5 +181,14 @@ fn run_plan_inner(
         ctx.write_bytes(plan.root, t.width_bytes());
     }
     drop(exec);
-    QueryRun { plan: plan.clone(), pipelines, trace: ctx.finish(), result_rows }
+    // Finish the trace (which emits the terminal tap events) *before*
+    // handing the turn away: once the scheduler's `finish` runs, the next
+    // query starts emitting, and terminal events racing it would make the
+    // stream order nondeterministic.
+    let clock = ctx.now();
+    let trace = ctx.finish();
+    if let Some((sched, id)) = turn {
+        sched.finish(id, clock);
+    }
+    QueryRun { plan: plan.clone(), pipelines, trace, result_rows }
 }

@@ -21,6 +21,8 @@
 //! model of progress correlates strongly but imperfectly with virtual
 //! time, reproducing the paper's Section 6.7 observation.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod clock;
 pub mod context;
@@ -36,8 +38,7 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use context::{ExecConfig, ExecContext};
 pub use cost::{CostModel, SplitMix64};
 pub use exec::{
-    build_executor, run_concurrent, run_concurrent_tapped, run_plan, run_plan_tapped,
-    ConcurrentConfig, Executor, TurnScheduler,
+    build_executor, run_concurrent, run_concurrent_tapped, run_plan, run_plan_tapped, Executor,
 };
 pub use pipeline::{decompose, pipeline_of, pipeline_weight, Pipeline};
 pub use plan::{

@@ -39,6 +39,8 @@
 //! and for the aggregate walk a reference that exists only in the
 //! crate's tests; see [`soa`].
 
+#![forbid(unsafe_code)]
+
 pub mod ctx;
 pub mod eval;
 pub mod incremental;

@@ -14,10 +14,16 @@
 //! * a **seeded reservoir** over the whole stream — every offered record
 //!   has a chance to displace a retained one, so the buffer tracks the
 //!   traffic distribution without growing; with
-//! * **per-group floors** ([`BufferConfig::group_quota`], keyed by
-//!   workload label or pipeline fingerprint): a reservoir eviction is
-//!   refused when it would shrink a group that holds at most its quota,
-//!   so heavy traffic can never evict the last examples of a rare group.
+//! * **per-group floors** ([`BufferConfig::group_quota`], keyed by the
+//!   record's workload label): a reservoir eviction is refused when it
+//!   would shrink a group that holds at most its quota, so heavy traffic
+//!   can never evict the last examples of a rare group.
+//!
+//! The group is always the workload label ([`PipelineRecord::workload`],
+//! the harvest label a tenant or workload class is served under). No
+//! caller ever grouped by anything else, so the key is fixed, not a
+//! setting: grouping by plan fingerprint would need a caller and an
+//! experiment that shows what it buys first.
 //!
 //! Everything is a pure function of the insertion sequence and the seed:
 //! the reservoir draws come from one seeded generator consumed in
@@ -41,17 +47,6 @@ use prosel_core::training::TrainingSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-
-/// Which record field partitions the buffer into quota groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupBy {
-    /// The harvest label ([`PipelineRecord::workload`]) — tenant /
-    /// workload-class quotas.
-    Workload,
-    /// The structural pipeline fingerprint — rare *plan shapes* keep
-    /// their floor even inside one hot workload.
-    Fingerprint,
-}
 
 /// How retained records age out of the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,8 +82,6 @@ pub struct BufferConfig {
     /// contradictory then) — size the capacity for the group cardinality
     /// you expect.
     pub group_quota: usize,
-    /// Grouping key for the quota.
-    pub group_by: GroupBy,
     /// Seed of the reservoir's random stream.
     pub seed: u64,
     /// Aging policy for retained records (see [`DecayPolicy`]).
@@ -97,13 +90,7 @@ pub struct BufferConfig {
 
 impl Default for BufferConfig {
     fn default() -> Self {
-        BufferConfig {
-            capacity: 4096,
-            group_quota: 64,
-            group_by: GroupBy::Workload,
-            seed: 0x1EA2,
-            decay: DecayPolicy::None,
-        }
+        BufferConfig { capacity: 4096, group_quota: 64, seed: 0x1EA2, decay: DecayPolicy::None }
     }
 }
 
@@ -173,8 +160,8 @@ impl TrainingBuffer {
         let mut write = 0;
         for read in 0..self.items.len() {
             if self.seen - self.stamps[read] > max_age {
-                let group = self.key_of(&self.items[read]);
-                *self.counts.get_mut(&group).expect("retained record has a count") -= 1;
+                let group = &self.items[read].workload;
+                *self.counts.get_mut(group).expect("retained record has a count") -= 1;
                 self.evicted += 1;
                 continue;
             }
@@ -195,7 +182,7 @@ impl TrainingBuffer {
     pub fn insert(&mut self, rec: PipelineRecord) -> bool {
         self.seen += 1;
         self.expire();
-        let group = self.key_of(&rec);
+        let group = rec.workload.clone();
         if self.items.len() < self.config.capacity {
             *self.counts.entry(group).or_insert(0) += 1;
             self.oldest_stamp = self.oldest_stamp.min(self.seen);
@@ -233,7 +220,7 @@ impl TrainingBuffer {
                 .items
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| self.group_matches(r, &victim_group))
+                .filter(|(_, r)| r.workload == victim_group)
                 .nth(pick)
                 .map(|(i, _)| i)
                 .expect("group count matches membership");
@@ -252,7 +239,7 @@ impl TrainingBuffer {
         if j >= self.items.len() {
             return false;
         }
-        let victim_group = self.key_of(&self.items[j]);
+        let victim_group = self.items[j].workload.clone();
         if victim_group != group && self.counts[&victim_group] <= self.config.group_quota {
             // Replacing would shrink a group at (or below) its floor:
             // the rare group wins, the incoming record is dropped.
@@ -263,22 +250,6 @@ impl TrainingBuffer {
         self.items[j] = rec;
         self.stamps[j] = self.seen;
         true
-    }
-
-    fn key_of(&self, rec: &PipelineRecord) -> String {
-        match self.config.group_by {
-            GroupBy::Workload => rec.workload.clone(),
-            GroupBy::Fingerprint => rec.fingerprint.clone(),
-        }
-    }
-
-    /// Allocation-free membership test (the eviction scan runs it over up
-    /// to `capacity` records per insert).
-    fn group_matches(&self, rec: &PipelineRecord, group: &str) -> bool {
-        match self.config.group_by {
-            GroupBy::Workload => rec.workload == group,
-            GroupBy::Fingerprint => rec.fingerprint == group,
-        }
     }
 
     /// Retained records (insertion/replacement order; not meaningful as a
@@ -374,7 +345,7 @@ impl TrainingBuffer {
         }
         let mut buf = TrainingBuffer::new(config);
         for rec in &records {
-            *buf.counts.entry(buf.key_of(rec)).or_insert(0) += 1;
+            *buf.counts.entry(rec.workload.clone()).or_insert(0) += 1;
         }
         buf.oldest_stamp = stamps.iter().copied().min().unwrap_or(u64::MAX);
         buf.items = records;
@@ -412,13 +383,7 @@ mod tests {
     }
 
     fn cfg(capacity: usize, quota: usize) -> BufferConfig {
-        BufferConfig {
-            capacity,
-            group_quota: quota,
-            group_by: GroupBy::Workload,
-            seed: 7,
-            decay: DecayPolicy::None,
-        }
+        BufferConfig { capacity, group_quota: quota, seed: 7, decay: DecayPolicy::None }
     }
 
     #[test]
@@ -496,24 +461,6 @@ mod tests {
         };
         assert_eq!(run(3), run(3), "same seed, same stream => same buffer");
         assert_ne!(run(3), run(4), "the reservoir really is random across seeds");
-    }
-
-    #[test]
-    fn fingerprint_grouping_protects_rare_plan_shapes() {
-        let mut buf = TrainingBuffer::new(BufferConfig {
-            capacity: 40,
-            group_quota: 4,
-            group_by: GroupBy::Fingerprint,
-            seed: 1,
-            decay: DecayPolicy::None,
-        });
-        for i in 0..3 {
-            buf.insert(rec("w", "merge-sort|a,b", i));
-        }
-        for i in 0..2000 {
-            buf.insert(rec("w", "scan|t", i));
-        }
-        assert_eq!(buf.group_count("merge-sort|a,b"), 3);
     }
 
     #[test]

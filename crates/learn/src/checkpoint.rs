@@ -10,7 +10,7 @@
 //! ([`prosel_core::textio`]):
 //!
 //! ```text
-//! prosel-checkpoint v1
+//! prosel-checkpoint v2
 //! bytes <len> checksum <fnv64 hex>
 //! <exactly len bytes of body>
 //! endcheckpoint
@@ -31,7 +31,7 @@
 //! Entry points: [`crate::OnlineLearner::checkpoint`] and
 //! [`crate::OnlineLearner::restore`].
 
-use crate::buffer::{BufferConfig, DecayPolicy, GroupBy};
+use crate::buffer::{BufferConfig, DecayPolicy};
 use crate::learner::{LearnConfig, LearnStats};
 use prosel_core::pipeline_runs::PipelineRecord;
 use prosel_core::selection::EstimatorSelector;
@@ -78,21 +78,6 @@ pub(crate) struct LearnerParts {
     pub since_retrain: usize,
     pub rounds: u64,
     pub stats: LearnStats,
-}
-
-fn group_by_str(g: GroupBy) -> &'static str {
-    match g {
-        GroupBy::Workload => "workload",
-        GroupBy::Fingerprint => "fingerprint",
-    }
-}
-
-fn group_by_parse(s: &str) -> Result<GroupBy, String> {
-    match s {
-        "workload" => Ok(GroupBy::Workload),
-        "fingerprint" => Ok(GroupBy::Fingerprint),
-        other => Err(format!("group_by: unknown value {other:?}")),
-    }
 }
 
 fn decay_str(d: DecayPolicy) -> String {
@@ -170,7 +155,10 @@ fn read_record(r: &mut LineReader<'_>) -> Result<PipelineRecord, String> {
     Ok(rec)
 }
 
-const HEADER: &str = "prosel-checkpoint v1";
+/// A v1 checkpoint carries two fields this body no longer has (the
+/// validation cap and the buffer's grouping key); the header refuses it
+/// as version drift.
+const HEADER: &str = "prosel-checkpoint v2";
 const FOOTER: &str = "endcheckpoint";
 
 pub(crate) fn encode(parts: &LearnerParts) -> String {
@@ -178,11 +166,10 @@ pub(crate) fn encode(parts: &LearnerParts) -> String {
     let c = &parts.config;
     let _ = writeln!(
         body,
-        "config retrain_every {} holdout_every {} validation_cap {} min_records {} \
-         warm_trees {} max_trees {} promote_margin {} seed {}",
+        "config retrain_every {} holdout_every {} min_records {} warm_trees {} max_trees {} \
+         promote_margin {} seed {}",
         c.retrain_every,
         c.holdout_every,
-        c.validation_cap,
         c.min_records,
         c.warm_trees,
         c.max_trees,
@@ -192,10 +179,9 @@ pub(crate) fn encode(parts: &LearnerParts) -> String {
     let b = &c.buffer;
     let _ = writeln!(
         body,
-        "buffer capacity {} group_quota {} group_by {} seed {} decay {}",
+        "buffer capacity {} group_quota {} seed {} decay {}",
         b.capacity,
         b.group_quota,
-        group_by_str(b.group_by),
         b.seed,
         decay_str(b.decay)
     );
@@ -244,24 +230,22 @@ pub(crate) fn decode(text: &str) -> Result<LearnerParts, CheckpointError> {
 
     // Body: strict line-by-line, every section tag and key validated.
     let mut r = LineReader::new(body);
-    let [retrain_every, holdout_every, validation_cap, min_records, warm_trees, max_trees, margin, seed] =
-        r.shape(
-            "config retrain_every _ holdout_every _ validation_cap _ min_records _ warm_trees _ \
-             max_trees _ promote_margin _ seed _",
+    let [retrain_every, holdout_every, min_records, warm_trees, max_trees, margin, seed] = r
+        .shape(
+            "config retrain_every _ holdout_every _ min_records _ warm_trees _ max_trees _ \
+             promote_margin _ seed _",
         )?;
-    let [capacity, group_quota, group_by, buffer_seed, decay] =
-        r.shape("buffer capacity _ group_quota _ group_by _ seed _ decay _")?;
+    let [capacity, group_quota, buffer_seed, decay] =
+        r.shape("buffer capacity _ group_quota _ seed _ decay _")?;
     let config = LearnConfig {
         buffer: BufferConfig {
             capacity: decimal("capacity", capacity)?,
             group_quota: decimal("group_quota", group_quota)?,
-            group_by: group_by_parse(group_by)?,
             seed: decimal("buffer seed", buffer_seed)?,
             decay: decay_parse(decay)?,
         },
         retrain_every: decimal("retrain_every", retrain_every)?,
         holdout_every: decimal("holdout_every", holdout_every)?,
-        validation_cap: decimal("validation_cap", validation_cap)?,
         min_records: decimal("min_records", min_records)?,
         warm_trees: decimal("warm_trees", warm_trees)?,
         max_trees: decimal("max_trees", max_trees)?,

@@ -63,6 +63,11 @@ impl LearnObs {
     }
 }
 
+/// Bound on the validation slice: the oldest held-out records drop out
+/// first. Fixed: every learner ever configured ran with it, and a
+/// checkpoint need not carry it.
+const VALIDATION_CAP: usize = 1024;
+
 /// Learning-loop configuration.
 #[derive(Debug, Clone)]
 pub struct LearnConfig {
@@ -75,8 +80,6 @@ pub struct LearnConfig {
     /// instead of the buffer (0 disables the holdout — promotion is then
     /// unguarded).
     pub holdout_every: usize,
-    /// Bound on the validation slice (oldest records drop out first).
-    pub validation_cap: usize,
     /// Skip retraining while the buffer holds fewer records than this.
     pub min_records: usize,
     /// Warm-start depth: additional boosting rounds per candidate model
@@ -105,7 +108,6 @@ impl Default for LearnConfig {
             buffer: BufferConfig::default(),
             retrain_every: 32,
             holdout_every: 5,
-            validation_cap: 1024,
             min_records: 64,
             warm_trees: 40,
             max_trees: 600,
@@ -237,7 +239,7 @@ impl OnlineLearner {
                 && self.record_counter.is_multiple_of(self.config.holdout_every);
             if holdout {
                 self.validation.push_back(rec.clone());
-                while self.validation.len() > self.config.validation_cap.max(1) {
+                while self.validation.len() > VALIDATION_CAP {
                     self.validation.pop_front();
                 }
             } else {
@@ -296,6 +298,12 @@ impl OnlineLearner {
     /// exactly as the checkpointed one would have.
     pub fn restore(text: &str) -> Result<OnlineLearner, CheckpointError> {
         let parts = checkpoint::decode(text)?;
+        if parts.validation.len() > VALIDATION_CAP {
+            return Err(CheckpointError(format!(
+                "validation {}: more than the {VALIDATION_CAP} records a learner holds out",
+                parts.validation.len()
+            )));
+        }
         let buffer = TrainingBuffer::from_parts(
             parts.config.buffer.clone(),
             parts.records,

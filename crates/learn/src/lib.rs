@@ -82,6 +82,8 @@
 //! [`prosel_monitor::MonitorService::trace_ring`]) to scrape serving and
 //! learning through one exposition.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod checkpoint;
 pub mod hub;
@@ -89,7 +91,7 @@ pub mod learner;
 pub mod subscriber;
 pub mod trainer;
 
-pub use buffer::{BufferConfig, DecayPolicy, GroupBy, TrainingBuffer};
+pub use buffer::{BufferConfig, DecayPolicy, TrainingBuffer};
 pub use checkpoint::CheckpointError;
 pub use hub::SelectorHub;
 pub use learner::{LearnConfig, LearnStats, OnlineLearner, RetrainOutcome};

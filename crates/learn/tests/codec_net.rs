@@ -207,12 +207,72 @@ fn metrics_exposition() {
 #[test]
 fn records_a_learner_cannot_train_on_are_refused_at_restore() {
     let text = tiny_learner().checkpoint();
-    let body = open(&text, "prosel-checkpoint v1", "endcheckpoint").expect("own checkpoint");
+    let body = open(&text, "prosel-checkpoint v2", "endcheckpoint").expect("own checkpoint");
     for label in ["features", "l1", "l2"] {
         let line = body.lines().find(|l| l.starts_with(&format!("{label} "))).expect("a line");
         let short = body.replacen(line, &format!("{label} 1 3f800000"), 1);
-        let resealed = seal("prosel-checkpoint v1", &short, "endcheckpoint");
+        let resealed = seal("prosel-checkpoint v2", &short, "endcheckpoint");
         let err = OnlineLearner::restore(&resealed).err().expect("a short record must not restore");
         assert!(err.to_string().contains(&format!("record 0: {label} has 1 values")), "{err}");
+    }
+}
+
+/// A validation slice longer than the learner's fixed cap (1024 records)
+/// is a state no running learner reaches, so restore refuses it, as the
+/// buffer refuses more records than its capacity.
+#[test]
+fn a_validation_slice_over_the_cap_is_refused_at_restore() {
+    let text = tiny_learner().checkpoint();
+    let body = open(&text, "prosel-checkpoint v2", "endcheckpoint").expect("own checkpoint");
+    let (head, rest) = body.split_once("\nvalidation 1\n").expect("one held-out record");
+    let (record, selector) = rest.split_once("selector lines ").expect("selector section");
+    for (n, refused) in [(1024, false), (1025, true)] {
+        let body = format!("{head}\nvalidation {n}\n{}selector lines {selector}", record.repeat(n));
+        let restored =
+            OnlineLearner::restore(&seal("prosel-checkpoint v2", &body, "endcheckpoint"));
+        match restored {
+            Ok(learner) => {
+                assert!(!refused, "{n} held-out records must not restore");
+                assert_eq!(learner.validation_len(), n);
+            }
+            Err(err) => {
+                assert!(refused, "{n} held-out records must restore: {err}");
+                assert!(err.to_string().contains("validation 1025: more than the 1024"), "{err}");
+            }
+        }
+    }
+}
+
+/// A checkpoint of the v1 format, which still carried the validation
+/// slice's cap and the buffer's grouping key, is refused with a typed
+/// error, never restored as a different learner: under its own header it
+/// is version drift, and a v1 body sealed under the v2 header fails at
+/// the first line that carries a dropped field.
+#[test]
+fn v1_checkpoints_are_refused_not_misread() {
+    let restore = |text: &str| {
+        catch_unwind(|| OnlineLearner::restore(text).map(|_| ()))
+            .expect("restore must not panic")
+            .expect_err("a v1 checkpoint must not restore")
+            .to_string()
+    };
+    let text = tiny_learner().checkpoint();
+    let body = open(&text, "prosel-checkpoint v2", "endcheckpoint").expect("own checkpoint");
+
+    let err = restore(&seal("prosel-checkpoint v1", body, "endcheckpoint"));
+    assert!(err.contains("missing `prosel-checkpoint v2` header"), "{err}");
+
+    let config = body.lines().find(|l| l.starts_with("config ")).expect("config line");
+    let buffer = body.lines().find(|l| l.starts_with("buffer ")).expect("buffer line");
+    let with_cap = config.replacen(" min_records ", " validation_cap 1024 min_records ", 1);
+    let with_group_by = buffer.replacen(" seed ", " group_by workload seed ", 1);
+    for (v1_body, field) in [
+        (body.replacen(config, &with_cap, 1), "validation_cap"),
+        (body.replacen(buffer, &with_group_by, 1), "group_by"),
+        (body.replacen(config, &with_cap, 1).replacen(buffer, &with_group_by, 1), "validation_cap"),
+    ] {
+        assert_ne!(v1_body, body);
+        let err = restore(&seal("prosel-checkpoint v2", &v1_body, "endcheckpoint"));
+        assert!(err.contains("expected `") && err.contains(&format!("{field} ")), "{err}");
     }
 }

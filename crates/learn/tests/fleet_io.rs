@@ -324,7 +324,7 @@ fn hostile_length_fields_are_refused_not_allocated() {
             let line =
                 body.lines().find(|l| l.starts_with(&format!("{field} "))).expect("count line");
             let hostile = body.replacen(line, &format!("{field} {n}"), 1);
-            let text = format!("prosel-checkpoint v1\n{}endcheckpoint\n", sealed(&hostile));
+            let text = format!("prosel-checkpoint v2\n{}endcheckpoint\n", sealed(&hostile));
             let err = OnlineLearner::restore(&text)
                 .err()
                 .unwrap_or_else(|| panic!("{field} {n} must not restore"));

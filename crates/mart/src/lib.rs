@@ -25,6 +25,8 @@
 //! assert!((model.predict(&[1.5]) - 1.5f32.sin()).abs() < 0.2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod boost;
 pub mod dataset;
 pub mod forest;

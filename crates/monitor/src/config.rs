@@ -34,7 +34,7 @@ pub struct MonitorConfig {
     /// value, never a panic — so an open-loop traffic spike degrades into
     /// rejected admissions instead of unbounded shard state.
     pub max_queries: usize,
-    /// Shard-runtime knobs (worker pool size, core affinity) — service
+    /// Shard-runtime knobs (worker pool size) — service
     /// mode only; a plain [`crate::ProgressMonitor`] ignores them.
     pub runtime: RuntimeConfig,
     /// Metrics registry the monitor publishes its counters and latency

@@ -39,7 +39,7 @@
 //!   cell.
 //! * [`MonitorService`] ([`service`]) — N such cores as cooperatively
 //!   scheduled tasks on a small worker pool with one run queue
-//!   ([`runtime`]; sized and pinned via [`RuntimeConfig`]). Its
+//!   ([`runtime`]; sized via [`RuntimeConfig`]). Its
 //!   [`MonitorService::tap`] routes each engine event to the shard owning
 //!   `query % n_shards` (one push body, no broadcast), which drains its
 //!   queue in batches into the core. Reads are the *same* cell methods
@@ -125,6 +125,8 @@
 //! [`MonitorBuilder::metrics`], scrape with
 //! [`MonitorService::metrics`] or render the strict text exposition with
 //! [`MonitorService::render_text`].
+
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod cell;

@@ -24,10 +24,6 @@
 //!   pool has only ever been measured at one or two workers, where
 //!   per-worker queues with stealing bought nothing; split the queue when
 //!   a run on more cores shows it contended.
-//! - **Core affinity.** [`RuntimeConfig::core_ids`] pins worker `i` to
-//!   `core_ids[i % len]` via a raw `sched_setaffinity` call on Linux
-//!   (best-effort, no-op elsewhere) so a latency-sensitive deployment can
-//!   fence the ingest pool away from serving threads.
 //! - **Panic containment.** A task body that panics is caught at the worker
 //!   loop; the worker survives and keeps running other tasks. The service
 //!   layers its own dead-shard accounting on top.
@@ -45,10 +41,6 @@ pub struct RuntimeConfig {
     /// Number of pool workers. `0` (the default) picks
     /// `min(available_parallelism, n_shards)`.
     pub worker_threads: usize,
-    /// Optional CPU pinning: worker `i` is pinned to `core_ids[i % len]`.
-    /// Empty (the default) leaves placement to the OS scheduler. Pinning is
-    /// best-effort and Linux-only; invalid ids are ignored.
-    pub core_ids: Vec<usize>,
 }
 
 impl RuntimeConfig {
@@ -174,19 +166,9 @@ impl Runtime {
             .map(|w| {
                 let rq = Arc::clone(rq);
                 let body = Arc::clone(&body);
-                let pin = if config.core_ids.is_empty() {
-                    None
-                } else {
-                    Some(config.core_ids[w % config.core_ids.len()])
-                };
                 std::thread::Builder::new()
                     .name(format!("prosel-shard-worker-{w}"))
-                    .spawn(move || {
-                        if let Some(core) = pin {
-                            pin_to_core(core);
-                        }
-                        worker_loop(&rq, &*body);
-                    })
+                    .spawn(move || worker_loop(&rq, &*body))
                     .expect("spawn shard runtime worker")
             })
             .collect();
@@ -209,32 +191,6 @@ impl Drop for Runtime {
     }
 }
 
-/// Best-effort thread pinning via a raw `sched_setaffinity(2)` call — the
-/// workspace takes no crates.io dependencies, so the one libc symbol we need
-/// is declared by hand. Failures (bad core id, restricted cpuset) are
-/// ignored: affinity is an optimization, never a correctness requirement.
-#[cfg(target_os = "linux")]
-fn pin_to_core(core: usize) {
-    // Mirrors glibc's cpu_set_t: a 1024-bit mask.
-    #[repr(C)]
-    struct CpuSet {
-        bits: [u64; 16],
-    }
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-    if core >= 1024 {
-        return;
-    }
-    let mut set = CpuSet { bits: [0; 16] };
-    set.bits[core / 64] |= 1u64 << (core % 64);
-    // pid 0 targets the calling thread.
-    let _ = unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_core: usize) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +198,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn config(workers: usize) -> RuntimeConfig {
-        RuntimeConfig { worker_threads: workers, ..RuntimeConfig::default() }
+        RuntimeConfig { worker_threads: workers }
     }
 
     fn run_queue() -> Arc<RunQueue> {

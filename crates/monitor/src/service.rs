@@ -7,7 +7,7 @@
 //! event queue the tap pushes into, and a registry naming the cell
 //! ([`crate::cell`]) of every query registered on it. Shards are not
 //! threads — they are tasks on a small hand-rolled worker pool
-//! ([`crate::runtime`], sized and pinned via [`crate::RuntimeConfig`]
+//! ([`crate::runtime`], sized via [`crate::RuntimeConfig`]
 //! inside [`MonitorConfig`](crate::MonitorConfig)); a shard task drains
 //! its event queue in batches (amortizing wakeups under saturated ingest)
 //! into the core, whose ingest funnel stores into the affected query's
@@ -84,8 +84,8 @@ impl MonitorService {
     /// Serve `cores` — shard `i` is `cores[i]`, built by
     /// [`crate::MonitorBuilder`] with its counters in `metrics` — as one
     /// service. Shard 0's [`crate::RuntimeConfig`] (inside its
-    /// [`crate::MonitorConfig`], which every shard shares) sizes and pins
-    /// the worker pool.
+    /// [`crate::MonitorConfig`], which every shard shares) sizes the
+    /// worker pool.
     pub(crate) fn spawn(
         cores: Vec<ProgressMonitor>,
         metrics: Arc<MetricsRegistry>,

@@ -536,7 +536,7 @@ fn quiesce_waiters_wake_at_their_own_targets_and_rarely() {
 
 /// A service whose shards share one worker.
 fn one_worker(shards: usize) -> MonitorService {
-    let runtime = RuntimeConfig { worker_threads: 1, ..RuntimeConfig::default() };
+    let runtime = RuntimeConfig { worker_threads: 1 };
     dne()
         .config(MonitorConfig { runtime, ..Default::default() })
         .shards(shards)

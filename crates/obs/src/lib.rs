@@ -52,6 +52,8 @@
 //! assert_eq!(MetricsSnapshot::parse_text(&text).unwrap(), snap);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod ring;
 pub mod snapshot;

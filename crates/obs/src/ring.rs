@@ -17,7 +17,6 @@
 use prosel_engine::clock::Clock;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Why a selector publication frame was refused by a subscriber.
@@ -142,7 +141,6 @@ struct RingInner {
     clock: Arc<dyn Clock>,
     capacity: usize,
     buf: Mutex<VecDeque<TraceRecord>>,
-    dropped: AtomicU64,
 }
 
 /// A bounded ring of clock-stamped [`ObsEvent`]s. Cheap to clone (all
@@ -168,19 +166,17 @@ impl TraceRing {
                 clock,
                 capacity: capacity.max(1),
                 buf: Mutex::new(VecDeque::new()),
-                dropped: AtomicU64::new(0),
             }),
         }
     }
 
     /// Append one event, stamped with the ring clock's current reading.
-    /// Evicts the oldest entry when full, and counts the eviction.
+    /// Evicts the oldest entry when full.
     pub fn emit(&self, event: ObsEvent) {
         let at = self.inner.clock.now();
         let mut buf = self.inner.buf.lock().expect("trace ring poisoned");
         if buf.len() == self.inner.capacity {
             buf.pop_front();
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
         buf.push_back(TraceRecord { at, event });
     }
@@ -199,12 +195,6 @@ impl TraceRing {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Events evicted because the ring was full.
-    #[cfg(test)]
-    pub(crate) fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +212,6 @@ mod tests {
         ring.emit(ObsEvent::SwapRefused { dead_shards: 1 });
         let recent = ring.recent();
         assert_eq!(recent.len(), 2);
-        assert_eq!(ring.dropped(), 1);
         assert_eq!(recent[0].at, 15.0);
         assert_eq!(recent[0].event, ObsEvent::ShardPanic { shard: 0 });
         assert_eq!(recent[1].event, ObsEvent::SwapRefused { dead_shards: 1 });

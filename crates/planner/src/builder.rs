@@ -24,19 +24,18 @@ use prosel_engine::plan::{
     AggFunc, CmpOp, NodeId, OperatorKind, PhysicalPlan, PlanNode, Predicate, SeekKind,
 };
 
+/// Use an index-range seek as the access path when some indexed filter
+/// has selectivity at or below this. Fixed: every recorded workload and
+/// experiment was planned with it.
+const SEEK_MAX_SELECTIVITY: f64 = 0.25;
+
 /// Tunables for plan construction.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Use an index-range seek as the access path when some indexed filter
-    /// has selectivity at or below this.
-    pub seek_max_selectivity: f64,
     /// Amortized planner-cost of one inner-side index lookup.
     pub seek_cost: f64,
     /// Planner-cost per build-side row of a hash join.
     pub hash_build_cost: f64,
-    /// Inner tables at or below this many rows may use naive rescan
-    /// nested-loop joins.
-    pub tiny_inner_rows: u64,
     /// Insert a batch sort above nested-loop outers estimated at or above
     /// this many rows.
     pub batch_sort_min_outer: f64,
@@ -44,13 +43,7 @@ pub struct PlannerConfig {
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            seek_max_selectivity: 0.25,
-            seek_cost: 12.0,
-            hash_build_cost: 2.0,
-            tiny_inner_rows: 64,
-            batch_sort_min_outer: 150.0,
-        }
+        PlannerConfig { seek_cost: 12.0, hash_build_cost: 2.0, batch_sort_min_outer: 150.0 }
     }
 }
 
@@ -250,7 +243,7 @@ impl<'a> PlanBuilder<'a> {
                 continue;
             }
             let sel = filter_selectivity(tstats, col_idx(f.col()), f);
-            if sel <= self.cfg.seek_max_selectivity && best_seek.is_none_or(|(_, s)| sel < s) {
+            if sel <= SEEK_MAX_SELECTIVITY && best_seek.is_none_or(|(_, s)| sel < s) {
                 best_seek = Some((fi, sel));
             }
         }

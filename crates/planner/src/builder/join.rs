@@ -8,6 +8,11 @@ use crate::query::{FilterSpec, JoinSpec, QuerySpec, TableRef};
 use prosel_datagen::Table;
 use prosel_engine::plan::{CmpOp, OperatorKind, PlanNode, Predicate, SeekKind};
 
+/// Inner tables at or below this many rows may use naive rescan
+/// nested-loop joins. Fixed: every recorded workload and experiment was
+/// planned with it.
+const TINY_INNER_ROWS: u64 = 64;
+
 /// The right-hand table of one join and what joining it costs, resolved
 /// once by [`PlanBuilder::attach_join`] and read by every constructor.
 struct JoinSide<'s> {
@@ -85,7 +90,7 @@ impl<'a> PlanBuilder<'a> {
         };
         let cost_nlj =
             if idx_on_right { cur.est * eff_seek_cost + post_join } else { f64::INFINITY };
-        let cost_rescan = if tstats.rows <= self.cfg.tiny_inner_rows {
+        let cost_rescan = if tstats.rows <= TINY_INNER_ROWS {
             cur.est * t_rows * 0.5 + post_join
         } else {
             f64::INFINITY

@@ -12,6 +12,8 @@
 //! E_i-based progress estimators unreliable in data- and query-dependent
 //! ways.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cardinality;
 pub mod query;

@@ -12,7 +12,7 @@
 //! cargo run --example monitor_service --release -- 8 4   # 8 queries, 4 shards
 //! ```
 
-use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig};
 use prosel::estimators::EstimatorKind;
 use prosel::monitor::MonitorBuilder;
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -58,9 +58,7 @@ fn main() {
             let tap = service.tap();
             let plans = &plans;
             let catalog = &catalog;
-            scope.spawn(move || {
-                run_concurrent_tapped(catalog, plans, &ConcurrentConfig::default(), tap)
-            })
+            scope.spawn(move || run_concurrent_tapped(catalog, plans, &ExecConfig::default(), tap))
         };
 
         // Main thread = one of arbitrarily many concurrent readers.

@@ -17,7 +17,7 @@
 use prosel::core::pipeline_runs::collect_workload_records;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig};
 use prosel::estimators::EstimatorKind;
 use prosel::mart::BoostParams;
 use prosel::monitor::MonitorBuilder;
@@ -57,9 +57,7 @@ fn main() {
             let tap = service.tap();
             let plans = &plans;
             let catalog = &catalog;
-            scope.spawn(move || {
-                run_concurrent_tapped(catalog, plans, &ConcurrentConfig::default(), tap)
-            })
+            scope.spawn(move || run_concurrent_tapped(catalog, plans, &ExecConfig::default(), tap))
         };
 
         // The scrape loop: each snapshot is a consistent point-in-time

@@ -12,7 +12,7 @@
 use prosel::core::pipeline_runs::collect_workload_records;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig, ExecConfig};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig};
 use prosel::learn::{BufferConfig, LearnConfig, OnlineLearner, SelectorHub, Trainer};
 use prosel::mart::BoostParams;
 use prosel::monitor::{HarvestConfig, MonitorBuilder};
@@ -96,10 +96,7 @@ fn main() {
         for (qi, plan) in plans.iter().enumerate() {
             service.register(qi, plan);
         }
-        let cfg = ConcurrentConfig {
-            exec: ExecConfig { seed: 0xD10 ^ round as u64, ..ExecConfig::default() },
-            ..Default::default()
-        };
+        let cfg = ExecConfig { seed: 0xD10 ^ round as u64, ..ExecConfig::default() };
         run_concurrent_tapped(&catalog, &plans, &cfg, service.tap());
         // Let the shards finish ingesting and the trainer absorb the
         // round before the next one registers (purely cosmetic for the

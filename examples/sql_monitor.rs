@@ -14,7 +14,7 @@
 use prosel::core::pipeline_runs::collect_workload_records;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig};
 use prosel::mart::BoostParams;
 use prosel::monitor::MonitorBuilder;
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -74,7 +74,7 @@ fn main() {
         let plans_ref = &plans;
         let catalog_ref = &catalog;
         let worker = scope.spawn(move || {
-            run_concurrent_tapped(catalog_ref, plans_ref, &ConcurrentConfig::default(), tap)
+            run_concurrent_tapped(catalog_ref, plans_ref, &ExecConfig::default(), tap)
         });
 
         let mut events = 0usize;

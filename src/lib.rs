@@ -48,6 +48,8 @@
 //! println!("selected estimator: {choice:?}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use prosel_core as core;
 pub use prosel_datagen as datagen;
 pub use prosel_engine as engine;

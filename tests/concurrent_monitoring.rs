@@ -7,8 +7,7 @@ use prosel::core::pipeline_runs::{collect_from_workload, records_from_run, Colle
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
 use prosel::engine::{
-    run_concurrent, run_concurrent_tapped, Catalog, ConcurrentConfig, ExecConfig, ManualClock,
-    QueryRun, TraceEvent,
+    run_concurrent, run_concurrent_tapped, Catalog, ExecConfig, ManualClock, QueryRun, TraceEvent,
 };
 use prosel::estimators::{EstimatorKind, PipelineObs};
 use prosel::mart::BoostParams;
@@ -29,10 +28,7 @@ fn concurrent_traces_feed_the_full_stack() {
         let runs = run_concurrent(
             &catalog,
             group,
-            &ConcurrentConfig {
-                exec: ExecConfig { seed: gi as u64, ..ExecConfig::default() },
-                ..Default::default()
-            },
+            &ExecConfig { seed: gi as u64, ..ExecConfig::default() },
         );
         for (qi, run) in runs.iter().enumerate() {
             // Estimator curves stay probabilities on concurrent traces.
@@ -104,12 +100,9 @@ fn monitored_concurrent_execution_is_deterministic_and_nonintrusive() {
     // A fresh manual wall clock per run makes the event streams (wall
     // stamps included) byte-comparable across runs; execution itself
     // never reads it.
-    let make_cfg = || ConcurrentConfig {
-        exec: ExecConfig {
-            wall_clock: std::sync::Arc::new(ManualClock::stepping(0.0, 1e-3)),
-            ..ExecConfig::default()
-        },
-        ..ConcurrentConfig::default()
+    let make_cfg = || ExecConfig {
+        wall_clock: std::sync::Arc::new(ManualClock::stepping(0.0, 1e-3)),
+        ..ExecConfig::default()
     };
     let cfg = make_cfg();
 
@@ -166,7 +159,7 @@ fn shared_clock_orders_query_completions() {
     let catalog = Catalog::new(&w.db, &w.design);
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
     let plans: Vec<_> = w.queries.iter().map(|q| builder.build(q).expect("plan")).collect();
-    let runs = run_concurrent(&catalog, &plans, &ConcurrentConfig::default());
+    let runs = run_concurrent(&catalog, &plans, &ExecConfig::default());
     // All traces live on one shared axis: every pipeline window must fall
     // within the workload makespan.
     let makespan = runs.iter().map(|r| r.trace.total_time).fold(0.0, f64::max);

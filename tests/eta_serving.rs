@@ -7,9 +7,7 @@
 //! **bit-deterministic** under a manual clock — byte-identical between the
 //! shard and the service, and byte-identical across independent runs.
 
-use prosel::engine::{
-    run_concurrent_tapped, Catalog, ConcurrentConfig, ExecConfig, ManualClock, TraceEvent,
-};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig, ManualClock, TraceEvent};
 use prosel::estimators::EstimatorKind;
 use prosel::monitor::{Eta, MonitorBuilder, QueryError};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -38,14 +36,11 @@ fn recorded_events(seed: u64, n_queries: usize) -> Vec<TraceEvent> {
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
     let plans: Vec<_> =
         w.queries.iter().take(n_queries).map(|q| builder.build(q).expect("plan")).collect();
-    let cfg = ConcurrentConfig {
-        exec: ExecConfig {
-            // 50 ms of wall time per emitted event: deterministic stamps,
-            // strictly increasing, shared across the whole batch.
-            wall_clock: Arc::new(ManualClock::stepping(0.0, 0.05)),
-            ..ExecConfig::default()
-        },
-        ..ConcurrentConfig::default()
+    let cfg = ExecConfig {
+        // 50 ms of wall time per emitted event: deterministic stamps,
+        // strictly increasing, shared across the whole batch.
+        wall_clock: Arc::new(ManualClock::stepping(0.0, 0.05)),
+        ..ExecConfig::default()
     };
     let (tap, rx) = std::sync::mpsc::channel();
     run_concurrent_tapped(&catalog, &plans, &cfg, tap);

@@ -5,9 +5,7 @@
 //! same execution.
 
 use prosel::core::pipeline_runs::{records_from_run, PipelineRecord};
-use prosel::engine::{
-    run_concurrent_tapped, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig, QueryRun,
-};
+use prosel::engine::{run_concurrent_tapped, run_plan_tapped, Catalog, ExecConfig, QueryRun};
 use prosel::estimators::kinds::EstimatorKind;
 use prosel::monitor::{HarvestConfig, HarvestedQuery, MonitorBuilder};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -126,10 +124,7 @@ fn concurrent_harvest_with_thinning_is_byte_identical_to_batch_extraction() {
     let (tap, events) = std::sync::mpsc::channel();
     // A small trace buffer forces thinning events mid-stream, so the
     // harvest also exercises the buffer-mirror path.
-    let cfg = ConcurrentConfig {
-        exec: ExecConfig { seed: 0xA112, max_snapshots: 24, ..ExecConfig::default() },
-        ..Default::default()
-    };
+    let cfg = ExecConfig { seed: 0xA112, max_snapshots: 24, ..ExecConfig::default() };
     let runs = run_concurrent_tapped(&catalog, &plans, &cfg, tap);
     monitor.drain(&events);
     let harvests: Vec<HarvestedQuery> = harvest_rx.try_iter().collect();

@@ -14,9 +14,7 @@
 use prosel::core::pipeline_runs::collect_workload_records;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{
-    run_concurrent_tapped, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig, TraceEvent,
-};
+use prosel::engine::{run_concurrent_tapped, run_plan_tapped, Catalog, ExecConfig, TraceEvent};
 use prosel::estimators::EstimatorKind;
 use prosel::learn::{BufferConfig, LearnConfig, OnlineLearner};
 use prosel::mart::BoostParams;
@@ -62,10 +60,7 @@ fn hot_swap_mid_workload_is_invisible_to_registered_queries() {
     // One interleaved event stream, collected up front so both monitors
     // see byte-identical input.
     let (tap, rx) = std::sync::mpsc::channel();
-    let cfg = ConcurrentConfig {
-        exec: ExecConfig { seed: 0x53, ..ExecConfig::default() },
-        ..Default::default()
-    };
+    let cfg = ExecConfig { seed: 0x53, ..ExecConfig::default() };
     run_concurrent_tapped(&catalog, &plans, &cfg, tap);
     let events: Vec<TraceEvent> = rx.try_iter().collect();
     assert!(events.len() > 20);

@@ -6,8 +6,7 @@ use prosel::core::pipeline_runs::{collect_from_workload, CollectConfig};
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
 use prosel::engine::{
-    run_concurrent_tapped, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig, QueryRun,
-    TraceEvent,
+    run_concurrent_tapped, run_plan_tapped, Catalog, ExecConfig, QueryRun, TraceEvent,
 };
 use prosel::estimators::kinds::EstimatorKind;
 use prosel::estimators::{PipelineObs, TraceCtx, ONLINE_KINDS};
@@ -196,7 +195,7 @@ fn selector_driven_monitor_end_to_end() {
         monitor.register(qi, plan);
         initial.push(estimators(&monitor, qi));
     }
-    let runs = run_concurrent_tapped(&catalog, &plans, &ConcurrentConfig::default(), tap);
+    let runs = run_concurrent_tapped(&catalog, &plans, &ExecConfig::default(), tap);
     while let Ok(ev) = rx.try_recv() {
         let q = ev.query();
         monitor.ingest(ev);

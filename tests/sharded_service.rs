@@ -6,7 +6,7 @@
 use prosel::core::pipeline_runs::{collect_from_workload, CollectConfig};
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
 use prosel::core::training::TrainingSet;
-use prosel::engine::{run_concurrent_tapped, Catalog, ConcurrentConfig, ExecConfig};
+use prosel::engine::{run_concurrent_tapped, Catalog, ExecConfig};
 use prosel::estimators::kinds::EstimatorKind;
 use prosel::mart::BoostParams;
 use prosel::monitor::{MonitorBuilder, MonitorConfig, QueryError, RegisterError};
@@ -20,7 +20,7 @@ fn service_matches_single_monitor_on_concurrent_workload() {
     let catalog = Catalog::new(&w.db, &w.design);
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
     let plans: Vec<_> = w.queries.iter().map(|q| builder.build(q).expect("plan")).collect();
-    let cfg = ConcurrentConfig::default();
+    let cfg = ExecConfig::default();
 
     // Run 1: tapped into the sharded service (3 shards on 8 queries so
     // shards hold 3/3/2 queries each).
@@ -85,10 +85,7 @@ fn selector_service_matches_single_monitor_including_switches() {
     let catalog = Catalog::new(&w.db, &w.design);
     let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
     let plans: Vec<_> = w.queries.iter().take(5).map(|q| builder.build(q).expect("plan")).collect();
-    let run_cfg = ConcurrentConfig {
-        exec: ExecConfig { seed: 0xD1CE, ..ExecConfig::default() },
-        ..Default::default()
-    };
+    let run_cfg = ExecConfig { seed: 0xD1CE, ..ExecConfig::default() };
     let monitor_cfg = MonitorConfig { reselect_every: 3, ..MonitorConfig::default() };
 
     let service = MonitorBuilder::with_selector(EstimatorSelector::train(&train, &cfg))
