@@ -6,11 +6,21 @@
 #
 # Callers are the non-test code of crates/*/src, src/, examples/ and
 # benchmark/src (ci/non_test_code.sh's filter; `tests.rs` and
-# `test_support.rs` files are test code). A name counts as called where
-# it appears as `.name`, `::name` or `name(`, outside a `fn name`
-# declaration. The scan matches names, not paths, so a function whose
-# name is used anywhere else (`new`, `get`, a field of the same name)
-# counts as called.
+# `test_support.rs` files are test code). Each `pub fn` has an owner: the
+# column-0 `impl` it sits in (a `pub type` alias resolves to its
+# target), or none for a free fn. Whether it counts as called depends on
+# its shape:
+#
+# * a method (its first parameter is `self`, on any signature line)
+#   through `.name(` or `.name::<`;
+# * a receiver-less associated fn through `Owner::name`, or `Self::name`
+#   inside an `impl` of the owner;
+# * a free fn through a bare `name(` / `name::<` or `::name`.
+#
+# Methods still match by name: a method counts as called whenever any
+# type's method of the same name is called (ROADMAP item 10 lists the
+# ones checked by hand). Reported and allow-listed functions are
+# `path Owner::name`, or `path name` for a free fn.
 #
 # Run from the repository root: bash ci/uncalled_pub_fns.sh
 set -eu
@@ -18,17 +28,80 @@ set -eu
 
 rust_files() { find "$@" -name '*.rs' ! -name tests.rs ! -name test_support.rs | sort; }
 
-# `path name` for each pub fn of the libraries.
-defined=$(non_test_code $(rust_files crates/*/src) \
-    | sed -nE 's/^([^:]+):[0-9]+: +pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/p' | sort -u)
+uncalled=$(non_test_code $(rust_files crates/*/src src examples benchmark/src) | awk "$(cat ci/rust_owner.awk)"'
+    # Is the first parameter of the signature text `s` (everything after
+    # the fn name) `self`? "" until the parameter list has begun.
+    function receiver(s) {
+        s = skip_generics(s)
+        if (!match(s, /\([ \t]*[^ \t]/)) return ""
+        s = substr(s, RSTART + 1)
+        sub(/^[ \t]*/, "", s)
+        return s ~ /^(&[ \t]*('\''[A-Za-z_]+[ \t]+)?)?(mut[ \t]+)?self([^A-Za-z0-9_]|$)/ ? "method" : "assoc"
+    }
+    {
+        path = $0; sub(/:[0-9]+: .*/, "", path)
+        text = $0; sub(/^[^:]+:[0-9]+: /, "", text)
+        if (path != file) { file = path; owner = ""; pending = "" }
+        lib = file ~ /^crates\/[^\/]+\/src\//
+        if (text ~ /^impl[ <]/) owner = impl_owner(text)
+        else if (text ~ /^}/) owner = ""
+        if (lib) record_alias(text)
 
-# Every name used call-shaped anywhere in caller code.
-used=$(non_test_code $(rust_files crates/*/src src examples benchmark/src) \
-    | sed -E 's/^[^:]+:[0-9]+: //; s/\bfn [A-Za-z_][A-Za-z0-9_]*//g' \
-    | grep -oE '::[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*(\(|::<)' \
-    | sed -E 's/^:://; s/(\(|::<)$//' | sort -u)
+        # Definitions: a pub fn, held until its first parameter is seen.
+        if (lib && match(text, /^[ \t]*pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(text, RSTART, RLENGTH); sub(/.*pub fn /, "", name)
+            pending = file SUBSEP owner SUBSEP name
+            sig = substr(text, RSTART + RLENGTH)
+        } else if (pending != "") {
+            sig = sig " " text
+        }
+        if (pending != "" && (kind = receiver(sig)) != "") {
+            split(pending, d, SUBSEP)
+            defs[pending] = d[2] == "" ? "free" : kind
+            pending = ""
+        }
 
-uncalled=$(echo "$defined" | awk 'NR == FNR { used[$0] = 1; next } !($2 in used)' <(echo "$used") -)
+        # Uses, outside fn declarations.
+        s = text
+        gsub(/(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/, " ", s)
+        t = s
+        while (match(t, /\.[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
+            n = substr(t, RSTART + 1, RLENGTH - 1); sub(/(\(|::<)$/, "", n)
+            method[n] = 1
+            t = substr(t, RSTART + RLENGTH)
+        }
+        t = s
+        while (match(t, /[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+/)) {
+            m = split(substr(t, RSTART, RLENGTH), seg, "::")
+            if (RSTART == 1 || substr(t, RSTART - 1, 1) != ".")
+                for (i = 2; i <= m; i++) {
+                    o = seg[i - 1] == "Self" ? owner : seg[i - 1]
+                    assoc[o SUBSEP seg[i]] = 1
+                    free[seg[i]] = 1
+                }
+            t = substr(t, RSTART + RLENGTH)
+        }
+        t = s
+        while (match(t, /(^|[^A-Za-z0-9_.:])[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
+            n = substr(t, RSTART, RLENGTH)
+            sub(/^[^A-Za-z_]/, "", n); sub(/(\(|::<)$/, "", n)
+            free[n] = 1
+            t = substr(t, RSTART + RLENGTH)
+        }
+    }
+    END {
+        for (a in assoc) {
+            split(a, p, SUBSEP)
+            if (p[1] in aliased) assoc[aliased[p[1]] SUBSEP p[2]] = 1
+        }
+        for (k in defs) {
+            split(k, d, SUBSEP)
+            if (defs[k] == "free") called = d[3] in free
+            else if (defs[k] == "method") called = d[3] in method
+            else called = (d[2] SUBSEP d[3]) in assoc
+            if (!called) print d[1], (d[2] == "" ? "" : d[2] "::") d[3]
+        }
+    }' | sort)
 
 allow=ci/uncalled_pub_fns.allow
 allowed=$(grep -vE '^[[:space:]]*(#|$)' "$allow" | awk '{ print $1, $2 }' | sort)

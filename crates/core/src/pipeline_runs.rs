@@ -75,11 +75,6 @@ impl PipelineRecord {
             .expect("non-empty errors")
     }
 
-    /// L1 error of a specific estimator.
-    pub fn l1_of(&self, kind: EstimatorKind) -> f32 {
-        self.errors_l1[kind.candidate_index().expect("candidate")]
-    }
-
     /// `Err` names a vector whose length training and selection do not
     /// index by: [`features::FeatureSchema`]-wide features, one L1 and one
     /// L2 error per [`EstimatorKind::CANDIDATES`] entry.

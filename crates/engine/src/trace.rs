@@ -81,15 +81,6 @@ pub struct ObservationTrace {
 }
 
 impl ObservationTrace {
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-
     /// True query-level progress (elapsed-time fraction) at snapshot `j`.
     pub fn true_progress(&self, j: usize) -> f64 {
         if self.total_time <= 0.0 {
@@ -504,11 +495,6 @@ pub struct QueryRun {
 }
 
 impl QueryRun {
-    /// Total true GetNext calls across all nodes (Σ N_i).
-    pub fn total_getnext(&self) -> u64 {
-        self.trace.final_k.iter().sum()
-    }
-
     /// Weight of pipeline `pid` for query-level progress (eq. (5)):
     /// ΣE_i within the pipeline over ΣE_i in the whole plan.
     pub fn pipeline_weight(&self, pid: usize) -> f64 {

@@ -13,10 +13,9 @@
 //! every recorded snapshot, through the same kernel — and replays each
 //! pipeline against it.
 
-use crate::refine::bounds;
 use crate::soa::BoundsKernel;
 use prosel_engine::plan::PhysicalPlan;
-use prosel_engine::trace::{QueryRun, Snapshot};
+use prosel_engine::trace::QueryRun;
 use std::sync::Arc;
 
 /// Per-snapshot derived state shared by every pipeline of a query: the
@@ -33,11 +32,11 @@ pub struct SnapshotCtx {
 impl SnapshotCtx {
     /// Compute the context for one snapshot with the scalar reference
     /// pass ([`crate::refine::bounds`]) — what the compiled kernel is
-    /// pinned against. Allocates the two bound vectors; production
-    /// consumers refresh a context in place with [`Self::recompute`] /
-    /// [`Self::refresh_from`].
-    pub fn new(plan: &PhysicalPlan, snap: &Snapshot) -> SnapshotCtx {
-        let (lb, ub) = bounds(plan, &snap.k);
+    /// pinned against. Production consumers refresh a context in place
+    /// with [`Self::recompute`] / [`Self::refresh_from`].
+    #[cfg(test)]
+    pub(crate) fn new(plan: &PhysicalPlan, snap: &prosel_engine::trace::Snapshot) -> SnapshotCtx {
+        let (lb, ub) = crate::refine::bounds(plan, &snap.k);
         SnapshotCtx { lb, ub }
     }
 
@@ -48,7 +47,7 @@ impl SnapshotCtx {
 
     /// Refresh the bounds in place from a compiled kernel — the
     /// allocation-free per-snapshot path. Bit-identical to
-    /// [`Self::new`] on the kernel's plan (see [`crate::soa`]).
+    /// [`crate::refine::bounds`] on the kernel's plan (see [`crate::soa`]).
     pub fn recompute(&mut self, kernel: &BoundsKernel, k: &[u64]) {
         kernel.eval_into(k, &mut self.lb, &mut self.ub);
     }
@@ -149,7 +148,9 @@ impl TraceCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refine::bounds;
     use prosel_engine::plan::{OperatorKind, PlanNode};
+    use prosel_engine::trace::Snapshot;
 
     fn scan_plan() -> PhysicalPlan {
         PhysicalPlan {

@@ -51,10 +51,6 @@ const RATIO_FLOOR: f64 = 1e-6;
 /// would otherwise divide by zero. Those points are skipped, as are
 /// non-finite inputs, so the result is always a finite value ≥ 1 — for an
 /// empty or fully-degenerate curve pair the neutral 1.0.
-pub fn ratio_error(est: &[f64], truth: &[f64]) -> f64 {
-    ratio_of(est.iter().copied(), truth)
-}
-
 fn ratio_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
     assert_eq!(est.len(), truth.len());
     let mut worst = 1.0f64;
@@ -79,7 +75,9 @@ impl Column<'_> {
         l2_of(self.iter(), truth)
     }
 
-    /// [`ratio_error`] of this column against `truth`.
+    /// Worst-case ratio error `max(est/true, true/est)` of this column
+    /// against `truth`, skipping points where either side is ~0 or not
+    /// finite (≥ 1, finite).
     pub fn ratio_error(&self, truth: &[f64]) -> f64 {
         ratio_of(self.iter(), truth)
     }
@@ -91,7 +89,7 @@ pub struct EstimatorError {
     pub kind: EstimatorKind,
     pub l1: f64,
     pub l2: f64,
-    /// Worst-case ratio error ([`ratio_error`]; ≥ 1, finite).
+    /// Worst-case ratio error ([`Column::ratio_error`]; ≥ 1, finite).
     pub ratio: f64,
 }
 
@@ -176,6 +174,10 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ratio_error(est: &[f64], truth: &[f64]) -> f64 {
+        ratio_of(est.iter().copied(), truth)
+    }
 
     #[test]
     fn l1_l2_basics() {

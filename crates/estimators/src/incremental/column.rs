@@ -91,7 +91,8 @@ impl<'a> Column<'a> {
     }
 
     /// The value at the latest observation.
-    pub fn last(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn last(&self) -> Option<f64> {
         self.rows.last().map(|r| self.value_of(r))
     }
 

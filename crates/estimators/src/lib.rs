@@ -52,7 +52,7 @@ pub mod soa;
 pub use ctx::{SnapshotCtx, TraceCtx};
 pub use eval::{
     combine_pipeline_curves, evaluate_pipeline_shared, l1_error, l2_error, query_progress_curve,
-    ratio_error, EstimatorError,
+    EstimatorError,
 };
 pub use incremental::{Column, IncrementalObs, ONLINE_KINDS};
 pub use kinds::EstimatorKind;

@@ -32,7 +32,7 @@ use prosel_datagen::{Column, Database, PhysicalDesign, Table, TuningLevel};
 use prosel_engine::plan::{CmpOp, OperatorKind, PhysicalPlan, PlanNode, Predicate};
 use prosel_engine::{run_plan, Catalog, ExecConfig};
 use prosel_estimators::refine::bounds;
-use prosel_estimators::{SnapshotCtx, TraceCtx};
+use prosel_estimators::TraceCtx;
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
@@ -312,9 +312,6 @@ proptest! {
             let (lb, ub) = bounds(&plan, &snap.k);
             prop_assert_eq!(&ctx.snapshot(j).lb, &lb, "ctx/lb diverged at snapshot {}", j);
             prop_assert_eq!(&ctx.snapshot(j).ub, &ub, "ctx/ub diverged at snapshot {}", j);
-            let fresh = SnapshotCtx::new(&plan, snap);
-            prop_assert_eq!(&fresh.lb, &lb);
-            prop_assert_eq!(&fresh.ub, &ub);
         }
     }
 

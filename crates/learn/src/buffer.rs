@@ -277,12 +277,14 @@ impl TrainingBuffer {
     }
 
     /// Live record count of one group (0 for groups never seen).
-    pub fn group_count(&self, group: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn group_count(&self, group: &str) -> usize {
         self.counts.get(group).copied().unwrap_or(0)
     }
 
     /// The buffer's configuration.
-    pub fn config(&self) -> &BufferConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &BufferConfig {
         &self.config
     }
 

@@ -194,11 +194,6 @@ impl SelectorSubscriber {
         self.current.as_ref()
     }
 
-    /// The installed epoch, if any.
-    pub fn epoch(&self) -> Option<u64> {
-        self.current.as_ref().map(|p| p.epoch)
-    }
-
     /// Decode one frame from `reader`.
     ///
     /// * `Ok(Some(publication))` — verified and installed;

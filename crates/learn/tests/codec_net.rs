@@ -1,9 +1,8 @@
 //! One codec net over every persisted artifact: model text, selector
-//! text, learner checkpoints, publication frames, harvest states and
-//! metric expositions.
+//! text, learner checkpoints, publication frames and metric expositions.
 //!
 //! Each artifact must decode and re-encode to the identical bytes and
-//! refuse every strict byte prefix. The four sealed artifacts must also
+//! refuse every strict byte prefix. The three sealed artifacts must also
 //! refuse every single-byte substitution (`^ 0x01`, `^ 0x20`, `'+'`) at
 //! every position — header, meta line and footer included, which the
 //! checksum does not cover. Model and selector text carry no checksum, so
@@ -18,7 +17,7 @@ use prosel_core::training::TrainingSet;
 use prosel_estimators::EstimatorKind;
 use prosel_learn::{BufferConfig, LearnConfig, OnlineLearner, SelectorHub, SelectorSubscriber};
 use prosel_mart::{model_io, BoostParams, TreeParams};
-use prosel_monitor::{HarvestState, HarvestedQuery, ShardStats};
+use prosel_monitor::HarvestedQuery;
 use prosel_obs::{Histogram, MetricsSnapshot, Sample, SampleValue};
 use std::panic::{catch_unwind, RefUnwindSafe};
 use std::sync::Arc;
@@ -159,27 +158,6 @@ fn publication_frame() {
             Ok(None) => Err("no frame".into()),
             Err(e) => Err(e.to_string()),
         }
-    });
-}
-
-#[test]
-fn harvest_state() {
-    let state = HarvestState {
-        epoch: 12,
-        stats: ShardStats {
-            registered: 3,
-            admitted: 41,
-            refused: 2,
-            events_ingested: 1234,
-            events_unroutable: 5,
-            queries_dropped: 1,
-            queries_finished: 38,
-            harvests: 36,
-            events_rejected: 9,
-        },
-    };
-    check("harvest state", &state.to_text(), true, |t| {
-        HarvestState::from_text(t).map(|s| s.to_text()).map_err(|e| e.to_string())
     });
 }
 

@@ -1,8 +1,8 @@
 //! The one place a persisted artifact's framing and line grammar live.
 //!
 //! Every artifact this workspace writes — model text, selector text,
-//! learner checkpoints, publication frames, harvest states and metric
-//! expositions — is strict line-oriented text. Codecs describe their
+//! learner checkpoints, publication frames and metric expositions — is
+//! strict line-oriented text. Codecs describe their
 //! fields; how the text is framed and split is decided here only:
 //!
 //! * **One envelope.** [`seal`] writes `<header>`, `bytes <len> checksum
@@ -333,14 +333,6 @@ impl<'a> LineReader<'a> {
         Ok(values)
     }
 
-    /// Parse the next line as `key1 v1 key2 v2 ...` with the given keys in
-    /// order, returning the raw value strings.
-    pub fn fields(&mut self, keys: &[&str]) -> Result<Vec<&'a str>, String> {
-        let mut values = Vec::with_capacity(keys.len());
-        self.matched(&(keys.join(" _ ") + " _"), |v| values.push(v))?;
-        Ok(values)
-    }
-
     /// Parse the counted vector line [`write_f32s`] writes.
     pub fn f32s(&mut self, label: &str) -> Result<Vec<f32>, String> {
         let line = self.next_line()?;
@@ -437,8 +429,8 @@ mod tests {
     fn line_reader_enforces_the_codec_discipline() {
         let mut r = LineReader::new("header v1\ncount 3 seed 7\n");
         r.expect("header v1").unwrap();
-        let vals = r.fields(&["count", "seed"]).unwrap();
-        assert_eq!(vals, vec!["3", "7"]);
+        let vals = r.shape::<2>("count _ seed _").unwrap();
+        assert_eq!(vals, ["3", "7"]);
         assert_eq!(parse::<usize>("count", vals[0]).unwrap(), 3);
         r.finish().unwrap();
 
@@ -447,7 +439,7 @@ mod tests {
 
         let mut r = LineReader::new("header v1\nseed 7 count 3\n");
         r.expect("header v1").unwrap();
-        assert!(r.fields(&["count", "seed"]).is_err(), "reordered keys are field drift");
+        assert!(r.shape::<2>("count _ seed _").is_err(), "reordered keys are field drift");
 
         let mut r = LineReader::new("header v1\n\n  \njunk\n");
         r.expect("header v1").unwrap();

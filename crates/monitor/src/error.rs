@@ -3,13 +3,11 @@
 //! The monitor's operations fail in three well-typed ways — a read
 //! against an unknown/dead query ([`QueryError`]), a refused registration
 //! ([`RegisterError`]), a partially applied selector swap
-//! ([`SwapError`]) — plus the builder's checkpoint-restore mismatches.
-//! Call sites that only care about *one* operation keep the precise
+//! ([`SwapError`]). Call sites that only care about *one* operation keep the precise
 //! type; callers composing several (the builder, service embeds, `?`
 //! chains in examples) fold them into [`MonitorError`] via the `From`
 //! impls here.
 
-use crate::state::StateError;
 use prosel_estimators::EstimatorKind;
 use std::fmt;
 
@@ -127,10 +125,6 @@ pub enum MonitorError {
     Register(RegisterError),
     /// A selector swap that failed on one or more shards.
     Swap(SwapError),
-    /// A checkpoint-restore mismatch at build time: a rejected
-    /// [`HarvestState`](crate::HarvestState) artifact, or a state count
-    /// that does not match the shard count.
-    Restore(String),
 }
 
 impl fmt::Display for MonitorError {
@@ -139,7 +133,6 @@ impl fmt::Display for MonitorError {
             MonitorError::Query(e) => write!(f, "{e}"),
             MonitorError::Register(e) => write!(f, "{e}"),
             MonitorError::Swap(e) => write!(f, "{e}"),
-            MonitorError::Restore(msg) => write!(f, "restore rejected: {msg}"),
         }
     }
 }
@@ -150,7 +143,6 @@ impl std::error::Error for MonitorError {
             MonitorError::Query(e) => Some(e),
             MonitorError::Register(e) => Some(e),
             MonitorError::Swap(e) => Some(e),
-            MonitorError::Restore(_) => None,
         }
     }
 }
@@ -173,12 +165,6 @@ impl From<SwapError> for MonitorError {
     }
 }
 
-impl From<StateError> for MonitorError {
-    fn from(e: StateError) -> Self {
-        MonitorError::Restore(e.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,9 +183,5 @@ mod tests {
         let s: MonitorError = SwapError { shards: vec![1], epoch: None }.into();
         assert!(s.to_string().contains('1'));
         assert!(s.source().is_some());
-
-        let st: MonitorError = StateError("bad".into()).into();
-        assert!(st.to_string().contains("bad"));
-        assert!(st.source().is_none());
     }
 }

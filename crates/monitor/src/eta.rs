@@ -270,12 +270,6 @@ impl SpeedTracker {
             remaining_hi: left / slow,
         }
     }
-
-    /// Predicted progress at wall instant `deadline`:
-    /// [`Eta::progress_at`] of the current [`Self::estimate`].
-    pub fn progress_at(&self, deadline: f64) -> f64 {
-        self.estimate().progress_at(deadline)
-    }
 }
 
 #[cfg(test)]
@@ -347,13 +341,13 @@ mod tests {
     #[test]
     fn progress_at_deadline_extrapolates_and_clamps() {
         let mut t = SpeedTracker::new(8);
-        assert_eq!(t.progress_at(5.0), 0.0, "no samples yet");
+        assert_eq!(t.estimate().progress_at(5.0), 0.0, "no samples yet");
         t.offer(1.0, 0.2);
-        assert_eq!(t.progress_at(9.0), 0.2, "no speed yet: serve latest");
+        assert_eq!(t.estimate().progress_at(9.0), 0.2, "no speed yet: serve latest");
         t.offer(2.0, 0.3); // 0.1/s
-        assert!((t.progress_at(4.0) - 0.5).abs() < 1e-12);
-        assert_eq!(t.progress_at(1.5), 0.3, "past deadlines serve latest");
-        assert_eq!(t.progress_at(100.0), 1.0, "clamped at completion");
+        assert!((t.estimate().progress_at(4.0) - 0.5).abs() < 1e-12);
+        assert_eq!(t.estimate().progress_at(1.5), 0.3, "past deadlines serve latest");
+        assert_eq!(t.estimate().progress_at(100.0), 1.0, "clamped at completion");
     }
 
     #[test]

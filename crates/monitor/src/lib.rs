@@ -53,8 +53,8 @@
 //! [`prosel_engine::run_concurrent_tapped`]:
 //!
 //! Both shapes are constructed through one surface, [`MonitorBuilder`]
-//! ([`builder`]) — policy, config knobs, shard count, harvest sink and
-//! checkpoint restore in a single chain:
+//! ([`builder`]) — policy, config knobs, shard count and harvest sink in
+//! a single chain:
 //!
 //! ```no_run
 //! use prosel_engine::{run_plan_tapped, Catalog, ExecConfig};
@@ -108,12 +108,8 @@
 //! new model (epoch bumped), in-flight queries keep the selector captured
 //! at their registration.
 //!
-//! For fleet deployments, [`HarvestState`] ([`state`]) checkpoints the
-//! restart-worthy shard state (selector epoch + monotone counters)
-//! through a strict checksummed text codec, and
-//! [`MonitorBuilder::restore`] re-seats it; [`MonitorError`] ([`error`])
-//! is the `?`-friendly umbrella over every typed failure the crate
-//! produces.
+//! [`MonitorError`] ([`error`]) is the `?`-friendly umbrella over every
+//! typed failure the crate produces.
 //!
 //! Every layer is instrumented through [`prosel_obs`]: the shard cores
 //! keep their operation counters and sampled ingest/eval latency
@@ -123,8 +119,8 @@
 //! counts parks and run-queue depth. Pass a
 //! registry via [`MonitorConfig::metrics`] /
 //! [`MonitorBuilder::metrics`], scrape with
-//! [`MonitorService::metrics`] or render the strict text exposition with
-//! [`MonitorService::render_text`].
+//! [`MonitorService::metrics`] and render the strict text exposition
+//! with [`MetricsSnapshot::render_text`].
 
 #![forbid(unsafe_code)]
 
@@ -136,7 +132,6 @@ pub mod eta;
 pub mod runtime;
 pub mod service;
 pub mod shard;
-pub mod state;
 pub mod stats;
 
 pub use builder::MonitorBuilder;
@@ -147,7 +142,6 @@ pub use eta::{Eta, SpeedTracker};
 pub use runtime::RuntimeConfig;
 pub use service::MonitorService;
 pub use shard::{HarvestSink, HarvestedQuery, ProgressMonitor};
-pub use state::{HarvestState, StateError};
 pub use stats::ShardStats;
 
 // Observability surface, re-exported so embedders need no direct

@@ -430,37 +430,12 @@ impl MonitorService {
         self.inner.metrics.snapshot()
     }
 
-    /// [`Self::metrics`] rendered in the strict checksummed text
-    /// exposition format ([`MetricsSnapshot::render_text`]).
-    pub fn render_text(&self) -> String {
-        self.metrics().render_text()
-    }
-
     /// The service's control-plane trace ring: swap installs/refusals and
     /// shard panics, stamped by the service clock. Cloning shares the
     /// buffer — a caller can hand the clone to a
     /// [`prosel_obs::TraceRing`]-aware consumer.
     pub fn trace_ring(&self) -> &TraceRing {
         &self.inner.ring
-    }
-
-    /// Per-shard checkpointable state, in shard order: the selector epoch
-    /// and the monotone counters, for persisting via
-    /// [`HarvestState::to_text`](crate::HarvestState::to_text) and
-    /// re-seating through
-    /// [`MonitorBuilder::restore`](crate::MonitorBuilder::restore).
-    /// Quiesces first so the snapshot reflects every event already sent.
-    /// Dead shards report their state frozen at the crash.
-    pub fn harvest_states(&self) -> Vec<crate::HarvestState> {
-        self.inner.quiesce();
-        self.inner
-            .shards
-            .iter()
-            .map(|slot| {
-                let core = slot.core.lock().unwrap_or_else(|e| e.into_inner());
-                core.harvest_state()
-            })
-            .collect()
     }
 
     /// Deliberately crash one shard task — test hook for the crash-path

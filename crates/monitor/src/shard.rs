@@ -21,7 +21,6 @@ use crate::cell::{PipelineStatus, QueryCell, QueryStatus, Served, SwitchEvent};
 use crate::config::{HarvestConfig, MonitorConfig};
 use crate::error::{QueryError, RegisterError};
 use crate::eta::{Eta, SpeedTracker};
-use crate::state::HarvestState;
 use crate::stats::{ShardCounters, ShardStats};
 use compiled::{CompiledPlan, PlanCache};
 use ingest::IngestScratch;
@@ -492,24 +491,6 @@ impl ProgressMonitor {
             }
             None => Err(QueryError::QueryUnknown(query)),
         }
-    }
-
-    /// Export the harvest-relevant shard state — the selector epoch and
-    /// the monotone counters — for checkpointing. See [`HarvestState`].
-    pub fn harvest_state(&self) -> HarvestState {
-        HarvestState { epoch: self.epoch, stats: self.shard_stats() }
-    }
-
-    /// Re-seat a checkpointed [`HarvestState`]: the selector epoch resumes
-    /// (future swaps keep increasing monotonically across the restart) and
-    /// the monotone counters continue from their checkpointed values. Used
-    /// by [`crate::MonitorBuilder::restore`] as each monitor is built,
-    /// before it has registered a query.
-    pub(crate) fn restore_harvest_state(&mut self, state: &HarvestState) {
-        self.epoch = state.epoch;
-        // `registered` is derived from the live query map on read; only
-        // the monotone counters are carried across the restart.
-        self.counters.reset_to(&state.stats);
     }
 
     /// The monitor's configuration (the service consults the shared clock

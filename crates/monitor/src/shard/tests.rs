@@ -312,8 +312,8 @@ fn swap_selector_affects_future_registrations_only() {
     let favor_tgn = Arc::new(selector_favoring(EstimatorKind::Tgn));
     let mut monitor =
         MonitorBuilder::with_selector(Arc::clone(&favor_dne)).build_monitor().unwrap();
-    assert_eq!(monitor.harvest_state().epoch, 0);
     monitor.register(0, &plan);
+    assert_eq!(monitor.query_selector_epoch(0), Some(0));
     assert_eq!(choices(&monitor, 0), [EstimatorKind::Dne]);
     // Feed the in-flight query half its stream, then swap.
     monitor.ingest(snapshot_event(0, 0, 1.0, 10));
@@ -425,7 +425,8 @@ fn settled_reselection_equals_rescoring_every_time() {
         switched += settling.switch_history(qi).expect("registered").len();
     }
     assert!(thinned > 0 && switched > 0, "{thinned} thinnings, {switched} switches");
-    assert_eq!(settling.harvest_state().epoch, 1, "the swap happened");
+    let last = w.queries.len() - 1;
+    assert_eq!(settling.query_selector_epoch(last), Some(1), "the swap happened");
     let (due, hits) = (&settling.counters.reselect, &settling.counters.reselect_memo_hits);
     assert_eq!(due.get(), rescoring.counters.reselect.get());
     assert!(hits.get() > 0 && hits.get() < due.get(), "{} of {}", hits.get(), due.get());
@@ -462,7 +463,7 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
         (monitor, harvested)
     };
     let ((mut shared, shared_harvest), (mut fresh, fresh_harvest)) = (build(), build());
-    let (mut switched, mut harvested) = (0usize, 0usize);
+    let (mut switched, mut harvested, mut epoch) = (0usize, 0usize, 0u64);
     // Three rounds of four in-flight queries over three templates.
     for round in 0..3 {
         let ids: Vec<usize> = (4 * round..4 * round + 4).collect();
@@ -493,7 +494,8 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
                 let Some(ev) = stream.next() else { continue };
                 ingested += 1;
                 if round == 1 && ingested == 25 {
-                    assert_eq!(shared.swap_selector(Arc::clone(&second)), 1);
+                    epoch = shared.swap_selector(Arc::clone(&second));
+                    assert_eq!(epoch, 1);
                     assert_eq!(fresh.swap_selector(Arc::clone(&second)), 1);
                 }
                 shared.ingest(ev.clone());
@@ -520,7 +522,7 @@ fn shared_admission_records_serve_what_fresh_ones_do() {
         }
     }
     assert!(switched > 0 && harvested > 0, "{switched} switches, {harvested} records");
-    assert_eq!(shared.harvest_state().epoch, 1, "the swap happened");
+    assert_eq!(epoch, 1, "the swap happened");
     assert_eq!(shared.counters.reselect.get(), fresh.counters.reselect.get());
     assert_eq!(shared.plans.len(), templates.len(), "one record per template since the swap");
 }

@@ -150,18 +150,4 @@ impl ShardCounters {
             events_rejected: self.events_rejected.get(),
         }
     }
-
-    /// Re-seat checkpointed monotone counters (restore path).
-    /// `registered` is live state, not a checkpointed value — it stays
-    /// synced to the query map.
-    pub(crate) fn reset_to(&self, stats: &ShardStats) {
-        self.admitted.reset(stats.admitted);
-        self.refused.reset(stats.refused);
-        self.events_ingested.reset(stats.events_ingested);
-        self.events_unroutable.reset(stats.events_unroutable);
-        self.queries_dropped.reset(stats.queries_dropped);
-        self.queries_finished.reset(stats.queries_finished);
-        self.harvests.reset(stats.harvests);
-        self.events_rejected.reset(stats.events_rejected);
-    }
 }

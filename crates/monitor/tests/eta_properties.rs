@@ -89,11 +89,11 @@ proptest! {
             tracker.offer(wall, progress);
         }
         let (as_of, latest) = tracker.latest().expect("samples offered");
-        prop_assert_eq!(tracker.progress_at(as_of), latest);
-        prop_assert_eq!(tracker.progress_at(as_of - 0.5), latest);
+        prop_assert_eq!(tracker.estimate().progress_at(as_of), latest);
+        prop_assert_eq!(tracker.estimate().progress_at(as_of - 0.5), latest);
         let mut prev = 0.0f64;
         for i in 0..8 {
-            let p = tracker.progress_at(as_of + probe * i as f64 / 8.0);
+            let p = tracker.estimate().progress_at(as_of + probe * i as f64 / 8.0);
             prop_assert!((0.0..=1.0).contains(&p));
             prop_assert!(p + 1e-12 >= prev, "prediction must not shrink with later deadlines");
             prev = p;

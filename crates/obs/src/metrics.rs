@@ -55,10 +55,9 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Overwrite the value — **not** for hot paths. Exists so
-    /// checkpoint-restore can re-seed monotone counters to their
-    /// checkpointed values, and so derived counters can mirror an
-    /// authoritative total.
+    /// Overwrite the value — **not** for hot paths. Exists so derived
+    /// counters can mirror an authoritative total (a shard's
+    /// `registered` count follows its live query map).
     pub fn reset(&self, value: u64) {
         self.value.store(value, Ordering::Relaxed);
     }
@@ -165,16 +164,6 @@ impl Histogram {
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample value (0.0 while empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
     }
 
     /// A point-in-time copy of the bucket counts and sum.

@@ -36,16 +36,6 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Mean sample value (0.0 while empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
     /// The `[lo, hi]` range of the bucket holding the `q`-quantile
     /// sample (rank `round((count - 1) · q)`). `None` while empty.
     pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {

@@ -40,7 +40,7 @@ fn main() {
 
     // Inject the registry so this thread can scrape it directly; a
     // service built without `.metrics(...)` still creates a private one
-    // behind `service.metrics()` / `service.render_text()`.
+    // behind `service.metrics()`.
     let registry = Arc::new(MetricsRegistry::new());
     let service = MonitorBuilder::fixed(EstimatorKind::Dne)
         .shards(n_shards)

@@ -1,17 +1,11 @@
 //! Restart-resume at the workspace level: a learning-loop process that
-//! crashes between feedback rounds and comes back from its artifacts
+//! crashes between feedback rounds and comes back from its checkpoint
 //! must be **indistinguishable** from one that never crashed.
 //!
-//! * The learner side: checkpoint → drop → [`OnlineLearner::restore`] in
-//!   a "new process", then drive the restored learner and a never-crashed
-//!   twin with the identical harvest stream — every subsequent
-//!   checkpoint, retrain decision and served model must stay
-//!   byte-identical.
-//! * The monitor side: [`MonitorService::harvest_states`] → persist via
-//!   the [`HarvestState`] text codec → rebuild through
-//!   [`MonitorBuilder::restore`] — the selector epoch stays monotone
-//!   across the restart (no replayed publication can roll it back) and
-//!   the monotone operation counters carry over instead of resetting.
+//! Checkpoint → drop → [`OnlineLearner::restore`] in a "new process",
+//! then drive the restored learner and a never-crashed twin with the
+//! identical harvest stream — every subsequent checkpoint, retrain
+//! decision and served model must stay byte-identical.
 
 use prosel::core::pipeline_runs::collect_workload_records;
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
@@ -19,7 +13,7 @@ use prosel::core::training::TrainingSet;
 use prosel::engine::{run_plan_tapped, Catalog, ExecConfig};
 use prosel::learn::{BufferConfig, LearnConfig, OnlineLearner};
 use prosel::mart::BoostParams;
-use prosel::monitor::{HarvestConfig, HarvestState, HarvestedQuery, MonitorBuilder};
+use prosel::monitor::{HarvestConfig, HarvestedQuery, MonitorBuilder};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::PlanBuilder;
 use std::sync::Arc;
@@ -131,75 +125,4 @@ fn restarted_learner_is_indistinguishable_from_an_uncrashed_one() {
         restored.checkpoint(),
         "the universes stay bit-identical after the restart"
     );
-}
-
-/// Crash a sharded service after swaps and traffic: the successor built
-/// from persisted [`HarvestState`] artifacts resumes the epoch (keeping
-/// post-restart swaps monotone) and the monotone counters.
-#[test]
-fn restarted_service_resumes_epoch_and_counters() {
-    let spec = WorkloadSpec::new(WorkloadKind::TpchLike, 0xF1E5).with_queries(6);
-    let w = materialize(&spec);
-    let catalog = Catalog::new(&w.db, &w.design);
-    let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
-    let plans: Vec<_> = w.queries.iter().map(|q| builder.build(q).expect("plan")).collect();
-    let baseline = Arc::new(selector_on(
-        &WorkloadSpec::new(WorkloadKind::TpchLike, 0xF1E6).with_queries(8).with_scale(0.4),
-    ));
-
-    let service = MonitorBuilder::with_selector(Arc::clone(&baseline))
-        .shards(3)
-        .build_service()
-        .expect("build");
-    // Two swaps advance the epoch; traffic advances the counters.
-    service.swap_selector(Arc::clone(&baseline)).expect("swap");
-    service.swap_selector(Arc::clone(&baseline)).expect("swap");
-    for (qi, plan) in plans.iter().enumerate() {
-        service.try_register(qi, plan).expect("register");
-        let cfg = ExecConfig { seed: 0xF1E5 ^ qi as u64, ..ExecConfig::default() };
-        let _run = run_plan_tapped(&catalog, plan, &cfg, qi, service.tap());
-    }
-    service.quiesce();
-    let states = service.harvest_states();
-    assert_eq!(states.len(), 3);
-    assert!(states.iter().all(|s| s.epoch == 2), "both swaps reached every shard");
-    assert!(states.iter().map(|s| s.stats.events_ingested).sum::<u64>() > 0);
-
-    // Persist through the strict text codec — what a checkpoint file
-    // holds — and crash the process.
-    let persisted: Vec<String> = states.iter().map(HarvestState::to_text).collect();
-    service.shutdown();
-    let recovered: Vec<HarvestState> =
-        persisted.iter().map(|t| HarvestState::from_text(t).expect("own artifact")).collect();
-    assert_eq!(recovered, states, "the codec round-trips the exact states");
-
-    let successor = MonitorBuilder::with_selector(Arc::clone(&baseline))
-        .shards(3)
-        .restore(recovered)
-        .build_service()
-        .expect("restore");
-    let resumed = successor.harvest_states();
-    for (before, after) in states.iter().zip(&resumed) {
-        assert_eq!(after.epoch, before.epoch, "epoch must survive the restart");
-        assert_eq!(
-            after.stats.events_ingested, before.stats.events_ingested,
-            "monotone counters must carry over"
-        );
-        assert_eq!(after.stats.registered, 0, "no phantom registrations after a restart");
-    }
-    // Post-restart swaps continue the monotone epoch sequence instead of
-    // restarting from zero — the stale-publication guard keeps working.
-    let epoch = successor.swap_selector(baseline).expect("swap");
-    assert_eq!(epoch, 3, "the first post-restart swap must advance past the checkpoint");
-
-    // A shard-count mismatch is a refused restore, not a silent partial.
-    let one = vec![HarvestState::default()];
-    let err = MonitorBuilder::fixed(prosel::estimators::EstimatorKind::Dne)
-        .shards(2)
-        .restore(one)
-        .build_service()
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("shard"), "{err}");
-    successor.shutdown();
 }
