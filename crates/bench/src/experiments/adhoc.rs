@@ -1,6 +1,10 @@
-//! Figure 4, Table 6 and Figure 5: estimator selection for fully
-//! "ad-hoc" queries — leave-one-workload-out over the six workloads, so
-//! test queries (and their database) were never seen in training.
+//! Figure 4, Table 6 and Figure 5: estimator selection for "ad-hoc"
+//! queries — leave-one-workload-out over the six workloads. Only three
+//! folds (TPC-DS, Real-1, Real-2) test on a database never seen in
+//! training. The other three each hold out one TPC-H physical design,
+//! and their training folds hold the other two designs, which run the
+//! same seed-11 queries over the same database: many test records'
+//! feature vectors equal training ones bit for bit (ROADMAP item 16).
 //!
 //! Reports:
 //! * Fig. 4 — % of pipelines for which each approach picks/is the optimal

@@ -37,13 +37,7 @@ fn envelopes(records: &[PipelineRecord], round: usize) -> Vec<HarvestedQuery> {
     records
         .chunks(4)
         .enumerate()
-        .map(|(qi, chunk)| HarvestedQuery {
-            query: round * 10_000 + qi,
-            selector_epoch: 0,
-            total_time: 0.0,
-            records: chunk.to_vec(),
-            switches: Vec::new(),
-        })
+        .map(|(qi, chunk)| HarvestedQuery { query: round * 10_000 + qi, records: chunk.to_vec() })
         .collect()
 }
 

@@ -15,12 +15,7 @@
 
 use crate::features::schema::{DYNAMIC_LEN, STATIC_LEN};
 use prosel_engine::plan::{PhysicalPlan, OP_TYPE_COUNT};
-use prosel_engine::{Pipeline, QueryRun};
-
-/// Extract the static feature prefix for pipeline `pid` of a run.
-pub fn extract(run: &QueryRun, pid: usize) -> Vec<f32> {
-    extract_parts(&run.plan, &run.pipelines, pid)
-}
+use prosel_engine::Pipeline;
 
 /// Extract the static feature prefix from the plan and its pipeline
 /// decomposition alone — no execution required. This is the form the
@@ -33,7 +28,7 @@ pub fn extract_parts(plan: &PhysicalPlan, pipelines: &[Pipeline], pid: usize) ->
 
 /// [`extract_parts`] for a single pipeline the caller already holds — the
 /// form the online *harvest* path uses (the monitor retains each pipeline
-/// inside its observation state, not the full decomposition). All three
+/// inside its observation state, not the full decomposition). Both
 /// entry points compute the identical vector.
 pub fn extract_pipeline(plan: &PhysicalPlan, pipeline: &Pipeline) -> Vec<f32> {
     let nodes = &pipeline.nodes;
@@ -113,7 +108,7 @@ pub fn extract_pipeline(plan: &PhysicalPlan, pipeline: &Pipeline) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::features::schema::FeatureSchema;
-    use prosel_engine::{run_plan, Catalog, ExecConfig};
+    use prosel_engine::{run_plan, Catalog, ExecConfig, QueryRun};
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
 
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn static_vector_matches_schema_prefix() {
         let run = a_run();
-        let v = extract(&run, 0);
+        let v = extract_parts(&run.plan, &run.pipelines, 0);
         assert_eq!(v.len(), FeatureSchema::get().static_len());
         assert!(v.iter().all(|x| x.is_finite()));
     }
@@ -139,7 +134,7 @@ mod tests {
         let run = a_run();
         let s = FeatureSchema::get();
         for pid in 0..run.pipelines.len() {
-            let v = extract(&run, pid);
+            let v = extract_parts(&run.plan, &run.pipelines, pid);
             for (i, name) in s.names()[..s.static_len()].iter().enumerate() {
                 if name.starts_with("SelAt")
                     || name.starts_with("SelAbove")
@@ -160,7 +155,7 @@ mod tests {
         let run = a_run();
         let s = FeatureSchema::get();
         for pid in 0..run.pipelines.len() {
-            let v = extract(&run, pid);
+            let v = extract_parts(&run.plan, &run.pipelines, pid);
             let total: f32 = (0..prosel_engine::plan::OP_TYPE_COUNT)
                 .map(|op| {
                     v[s.index_of(&format!("Count_{}", prosel_engine::plan::OP_TYPE_NAMES[op]))

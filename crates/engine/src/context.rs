@@ -433,6 +433,47 @@ mod tests {
         assert!(trace.snapshots.len() >= 8);
     }
 
+    /// The last snapshot is the terminal state whatever the buffer did
+    /// last: thinned at the last interior snapshot, or filled by `finish`
+    /// (an odd-sized buffer would thin that slot away).
+    #[test]
+    fn the_last_snapshot_is_the_terminal_state_at_any_fill() {
+        for max_snapshots in [16, 17] {
+            for stop_one_short in [false, true] {
+                let cfg = ExecConfig {
+                    cost: CostModel::deterministic(),
+                    initial_snapshot_interval: 1.0,
+                    max_snapshots,
+                    ..ExecConfig::default()
+                };
+                let mut ctx = ExecContext::new(&cfg, 1, vec![0], 1);
+                // Stop on a tick that took no snapshot, so the terminal
+                // state differs from every interior one.
+                let (mut ticks, mut thinned) = (0, false);
+                loop {
+                    let before = ctx.snapshots.len();
+                    ctx.tick(0, 0);
+                    ticks += 1;
+                    let after = ctx.snapshots.len();
+                    if after != before {
+                        thinned = after < before;
+                        continue;
+                    }
+                    let full_next = after + 1 == max_snapshots;
+                    if (stop_one_short && full_next) || (!stop_one_short && thinned) {
+                        break;
+                    }
+                }
+                let end = ctx.now();
+                let trace = ctx.finish();
+                let last = trace.snapshots.last().unwrap();
+                assert_eq!(last.k[0], ticks, "max {max_snapshots}, one short {stop_one_short}");
+                assert_eq!(last.time, end);
+                assert_eq!(trace.total_time, end);
+            }
+        }
+    }
+
     #[test]
     fn pipeline_windows_track_activity() {
         let cfg = ExecConfig { cost: CostModel::deterministic(), ..ExecConfig::default() };

@@ -48,29 +48,29 @@ impl SplitMix64 {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// CPU cost of producing one row, indexed by `OperatorKind::type_code()`.
-    pub cpu_per_row: [f64; crate::plan::OP_TYPE_COUNT],
+    pub(crate) cpu_per_row: [f64; crate::plan::OP_TYPE_COUNT],
     /// Extra CPU per *input* row for consuming operators (filter eval, hash
     /// probe, aggregation update), indexed by type code.
-    pub cpu_per_input: [f64; crate::plan::OP_TYPE_COUNT],
+    pub(crate) cpu_per_input: [f64; crate::plan::OP_TYPE_COUNT],
     /// Cost per byte of sequential read.
-    pub seq_read_per_byte: f64,
+    pub(crate) seq_read_per_byte: f64,
     /// Cost per byte written (spills, result output).
-    pub write_per_byte: f64,
+    pub(crate) write_per_byte: f64,
     /// Cost of a random I/O (index seek to a non-local key).
-    pub random_io: f64,
+    pub(crate) random_io: f64,
     /// Cost of a "local" reseek (key close to the previous one — the case
     /// batch sorts create on purpose).
-    pub local_seek: f64,
+    pub(crate) local_seek: f64,
     /// Key distance (in rows) below which a reseek counts as local.
-    pub seek_locality_window: i64,
+    pub(crate) seek_locality_window: i64,
     /// Tables whose total size is at most this many bytes are assumed
     /// buffer-pool resident: every seek into them is local.
-    pub cached_table_bytes: u64,
+    pub(crate) cached_table_bytes: u64,
     /// Multiplicative jitter amplitude (0 = deterministic time).
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Probability of a stall per tick and its cost.
-    pub stall_prob: f64,
-    pub stall_cost: f64,
+    pub(crate) stall_prob: f64,
+    pub(crate) stall_cost: f64,
 }
 
 impl Default for CostModel {
@@ -122,9 +122,9 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A fully deterministic variant (no jitter, no stalls) for tests.
-    #[cfg(test)]
-    pub(crate) fn deterministic() -> Self {
+    /// A fully deterministic variant (no jitter, no stalls) for tests:
+    /// virtual time is a pure function of the work.
+    pub fn deterministic() -> Self {
         CostModel { jitter: 0.0, stall_prob: 0.0, ..CostModel::default() }
     }
 }

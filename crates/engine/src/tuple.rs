@@ -21,17 +21,6 @@ impl Tuple {
         Tuple { vals: [0; MAX_COLS], len: 0 }
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Column values as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[i64] {
@@ -102,7 +91,7 @@ mod tests {
     #[test]
     fn build_and_read() {
         let t = from_slice(&[1, -2, 3]);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.as_slice().len(), 3);
         assert_eq!(t.get(1), -2);
         assert_eq!(t.as_slice(), &[1, -2, 3]);
         assert_eq!(t.width_bytes(), 24);

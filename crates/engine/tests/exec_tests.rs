@@ -48,13 +48,8 @@ fn node(op: OperatorKind, children: Vec<usize>, est: f64, out_cols: usize) -> Pl
     PlanNode { op, children, est_rows: est, est_row_bytes: 8.0 * out_cols as f64, out_cols }
 }
 
-/// No jitter, no stalls: virtual time is a pure function of the work.
-fn det_cost() -> CostModel {
-    CostModel { jitter: 0.0, stall_prob: 0.0, ..CostModel::default() }
-}
-
 fn det_cfg() -> ExecConfig {
-    ExecConfig { cost: det_cost(), ..ExecConfig::default() }
+    ExecConfig { cost: CostModel::deterministic(), ..ExecConfig::default() }
 }
 
 fn full_design(db: &Database) -> PhysicalDesign {
@@ -152,7 +147,7 @@ fn hash_join_spills_under_tiny_budget() {
     };
     let cfg = ExecConfig {
         memory_budget_bytes: 32, // force spilling almost everything
-        cost: det_cost(),
+        cost: CostModel::deterministic(),
         ..ExecConfig::default()
     };
     let run = run_plan(&cat, &plan, &cfg);
@@ -449,8 +444,11 @@ fn snapshots_are_monotone_in_k() {
         )],
         root: 0,
     };
-    let cfg =
-        ExecConfig { cost: det_cost(), initial_snapshot_interval: 1.0, ..ExecConfig::default() };
+    let cfg = ExecConfig {
+        cost: CostModel::deterministic(),
+        initial_snapshot_interval: 1.0,
+        ..ExecConfig::default()
+    };
     let run = run_plan(&cat, &plan, &cfg);
     for w in run.trace.snapshots.windows(2) {
         assert!(w[0].k[0] <= w[1].k[0]);

@@ -38,7 +38,9 @@ proptest! {
 
     /// scan → filter(v in [lo,hi]) → optional agg/top: counters must be
     /// exact and the trace self-consistent, for arbitrary predicates and
-    /// estimate values (estimates never change truth).
+    /// estimate values (estimates never change truth). Small snapshot
+    /// buffers and intervals make the engine thin, sometimes just before
+    /// `finish`; the last snapshot must still be the terminal state.
     #[test]
     fn random_filter_plans_uphold_invariants(
         rows in 50usize..400,
@@ -47,6 +49,8 @@ proptest! {
         est in 1.0f64..10_000.0,
         top in proptest::option::of(1u64..50),
         seed in any::<u64>(),
+        max_snapshots in 0usize..24,
+        interval in 0.25f64..8.0,
     ) {
         let hi = (lo + span).min(999);
         let database = db(rows);
@@ -68,7 +72,13 @@ proptest! {
             root = 2;
         }
         let plan = PhysicalPlan { nodes, root };
-        let cfg = ExecConfig { seed, cost: CostModel::default(), ..ExecConfig::default() };
+        let cfg = ExecConfig {
+            seed,
+            cost: CostModel::default(),
+            max_snapshots,
+            initial_snapshot_interval: interval,
+            ..ExecConfig::default()
+        };
         let run = run_plan(&catalog, &plan, &cfg);
 
         // Ground truth by direct evaluation.
@@ -85,7 +95,10 @@ proptest! {
         // exceeds the scan.
         prop_assert!(run.trace.final_k[0] <= rows as u64);
         prop_assert!(run.trace.final_k[1] <= run.trace.final_k[0]);
-        // Snapshots are monotone and end at the final counters.
+        prop_assert!(run.trace.snapshots.len() <= max_snapshots.max(16));
+        // Snapshots are monotone and end at the terminal state: the final
+        // counters, with the root's count equal to the result rows, at
+        // the end of execution.
         for w in run.trace.snapshots.windows(2) {
             prop_assert!(w[0].time <= w[1].time);
             for i in 0..plan_len(&run) {
@@ -94,6 +107,8 @@ proptest! {
         }
         let last = run.trace.snapshots.last().unwrap();
         prop_assert_eq!(last.k.as_ref(), run.trace.final_k.as_slice());
+        prop_assert_eq!(last.k[root], run.result_rows);
+        prop_assert_eq!(last.time, run.trace.total_time);
         // Pipeline windows fall within [0, total_time].
         for &(a, b) in &run.trace.pipeline_windows {
             if a.is_finite() {

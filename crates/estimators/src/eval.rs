@@ -3,8 +3,8 @@
 //! The paper's primary metric is the average absolute (L1) difference
 //! between estimated and true progress over all observations of a
 //! pipeline, with L2 reported to penalize large deviations (Section 6,
-//! "Error Metric"); the ratio error is retained for the worst-case
-//! estimator discussion.
+//! "Error Metric"). The paper sets the ratio error aside because it
+//! overweights the start of a query.
 
 use crate::ctx::TraceCtx;
 use crate::incremental::Column;
@@ -38,30 +38,6 @@ fn l2_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
     (est.zip(truth).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / truth.len() as f64).sqrt()
 }
 
-/// Minimum magnitude a point must have to enter the ratio: below this the
-/// ratio is dominated by measurement noise, not estimator quality.
-const RATIO_FLOOR: f64 = 1e-6;
-
-/// Maximum ratio error `max(est/true, true/est)` over the observations,
-/// ignoring points where either side is ~0 (the ratio error
-/// overemphasizes the start of a query — the reason the paper prefers L1).
-///
-/// Online use hits the degenerate points on *every* query: the first
-/// snapshot has true progress 0 (and most estimators report 0), which
-/// would otherwise divide by zero. Those points are skipped, as are
-/// non-finite inputs, so the result is always a finite value ≥ 1 — for an
-/// empty or fully-degenerate curve pair the neutral 1.0.
-fn ratio_of(est: impl ExactSizeIterator<Item = f64>, truth: &[f64]) -> f64 {
-    assert_eq!(est.len(), truth.len());
-    let mut worst = 1.0f64;
-    for (e, &t) in est.zip(truth) {
-        if e.is_finite() && t.is_finite() && e > RATIO_FLOOR && t > RATIO_FLOOR {
-            worst = worst.max((e / t).max(t / e));
-        }
-    }
-    worst
-}
-
 /// The error metrics over a column read in place — what scoring every
 /// curve of every pipeline uses instead of copying each curve out first.
 impl Column<'_> {
@@ -74,13 +50,6 @@ impl Column<'_> {
     pub fn l2_error(&self, truth: &[f64]) -> f64 {
         l2_of(self.iter(), truth)
     }
-
-    /// Worst-case ratio error `max(est/true, true/est)` of this column
-    /// against `truth`, skipping points where either side is ~0 or not
-    /// finite (≥ 1, finite).
-    pub fn ratio_error(&self, truth: &[f64]) -> f64 {
-        ratio_of(self.iter(), truth)
-    }
 }
 
 /// Errors of one estimator on one pipeline.
@@ -89,8 +58,6 @@ pub struct EstimatorError {
     pub kind: EstimatorKind,
     pub l1: f64,
     pub l2: f64,
-    /// Worst-case ratio error ([`Column::ratio_error`]; ≥ 1, finite).
-    pub ratio: f64,
 }
 
 /// Evaluate `kinds` on pipeline `pid` of a run, against the run's shared
@@ -108,12 +75,7 @@ pub fn evaluate_pipeline_shared(
             .iter()
             .map(|&kind| {
                 let curve = obs.curve_view(kind);
-                EstimatorError {
-                    kind,
-                    l1: curve.l1_error(&truth),
-                    l2: curve.l2_error(&truth),
-                    ratio: curve.ratio_error(&truth),
-                }
+                EstimatorError { kind, l1: curve.l1_error(&truth), l2: curve.l2_error(&truth) }
             })
             .collect(),
     )
@@ -175,10 +137,6 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
 mod tests {
     use super::*;
 
-    fn ratio_error(est: &[f64], truth: &[f64]) -> f64 {
-        ratio_of(est.iter().copied(), truth)
-    }
-
     #[test]
     fn l1_l2_basics() {
         let truth = vec![0.0, 0.5, 1.0];
@@ -191,40 +149,6 @@ mod tests {
             l2_error(&[0.0, 0.3, 0.0], &[0.0, 0.0, 0.0])
                 > l1_error(&[0.0, 0.3, 0.0], &[0.0, 0.0, 0.0])
         );
-    }
-
-    #[test]
-    fn ratio_ignores_near_zero() {
-        let est = vec![0.0, 0.5];
-        let truth = vec![0.000001, 0.25];
-        assert!((ratio_error(&est, &truth) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ratio_first_snapshot_boundary() {
-        // The online path evaluates from the very first snapshot, where
-        // true progress is exactly 0 — the ratio must not divide by it.
-        let est = vec![0.1, 0.5];
-        let truth = vec![0.0, 0.25];
-        let r = ratio_error(&est, &truth);
-        assert!(r.is_finite());
-        assert!((r - 2.0).abs() < 1e-9, "t=0 point must be skipped, got {r}");
-        // Both sides zero at t=0 (the common case online).
-        assert_eq!(ratio_error(&[0.0], &[0.0]), 1.0);
-    }
-
-    #[test]
-    fn ratio_empty_and_degenerate_is_neutral() {
-        assert_eq!(ratio_error(&[], &[]), 1.0);
-        // All points below the floor: nothing to measure.
-        assert_eq!(ratio_error(&[1e-9, 0.0], &[0.0, 1e-12]), 1.0);
-    }
-
-    #[test]
-    fn ratio_skips_non_finite_points() {
-        let r = ratio_error(&[f64::NAN, f64::INFINITY, 0.5], &[0.5, 0.5, 0.25]);
-        assert!(r.is_finite());
-        assert!((r - 2.0).abs() < 1e-9, "non-finite points must be skipped, got {r}");
     }
 
     #[test]

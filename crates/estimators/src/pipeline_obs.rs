@@ -192,7 +192,7 @@ mod tests {
             &cat,
             &plan,
             &ExecConfig {
-                cost: CostModel { jitter: 0.0, stall_prob: 0.0, ..CostModel::default() },
+                cost: CostModel::deterministic(),
                 initial_snapshot_interval: 50.0,
                 ..ExecConfig::default()
             },

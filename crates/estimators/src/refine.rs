@@ -23,18 +23,6 @@ pub fn bounds(plan: &PhysicalPlan, k: &[u64]) -> (Vec<f64>, Vec<f64>) {
     let n = plan.len();
     let mut lb = vec![0.0f64; n];
     let mut ub = vec![0.0f64; n];
-    bounds_into(plan, k, &mut lb, &mut ub);
-    (lb, ub)
-}
-
-/// [`bounds`] writing into caller-provided scratch instead of allocating.
-/// `lb`/`ub` are resized to the plan width and fully overwritten.
-pub fn bounds_into(plan: &PhysicalPlan, k: &[u64], lb: &mut Vec<f64>, ub: &mut Vec<f64>) {
-    let n = plan.len();
-    lb.clear();
-    lb.resize(n, 0.0);
-    ub.clear();
-    ub.resize(n, 0.0);
     for id in plan.topo_order() {
         let node = plan.node(id);
         let kid = k[id] as f64;
@@ -97,6 +85,7 @@ pub fn bounds_into(plan: &PhysicalPlan, k: &[u64], lb: &mut Vec<f64>, ub: &mut V
         lb[id] = l;
         ub[id] = u.max(l);
     }
+    (lb, ub)
 }
 
 /// Clamp an estimate into `[lb, ub]` (the refinement of \[6\]).

@@ -16,7 +16,7 @@
 //!  engine tap ─▶ ProgressMonitor / MonitorService
 //!                   │  Finished ⇒ harvest: IncrementalObs ─▶ PipelineRecord
 //!                   ▼
-//!            HarvestedQuery (records + switch history + epoch)
+//!            HarvestedQuery (labelled records)
 //!                   │
 //!                   ▼
 //!          TrainingBuffer  — bounded, seeded reservoir with per-group

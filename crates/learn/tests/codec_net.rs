@@ -77,13 +77,7 @@ fn tiny_learner() -> OnlineLearner {
             ..LearnConfig::default()
         },
     );
-    learner.absorb(&HarvestedQuery {
-        query: 0,
-        selector_epoch: 0,
-        total_time: 1.0,
-        records: records(3),
-        switches: Vec::new(),
-    });
+    learner.absorb(&HarvestedQuery { query: 0, records: records(3) });
     learner
 }
 

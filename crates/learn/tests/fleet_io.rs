@@ -77,13 +77,7 @@ fn warm_learner(seed: u64) -> OnlineLearner {
         },
     );
     for (qi, chunk) in synthetic_records(36, seed ^ 0x5EED).chunks(4).enumerate() {
-        learner.absorb(&HarvestedQuery {
-            query: qi,
-            selector_epoch: 0,
-            total_time: 0.0,
-            records: chunk.to_vec(),
-            switches: Vec::new(),
-        });
+        learner.absorb(&HarvestedQuery { query: qi, records: chunk.to_vec() });
     }
     learner
 }

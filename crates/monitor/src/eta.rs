@@ -218,15 +218,6 @@ impl SpeedTracker {
         true
     }
 
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The latest accepted `(wall, progress)` sample.
     pub fn latest(&self) -> Option<(f64, f64)> {
         self.samples.back().copied()
@@ -303,9 +294,9 @@ mod tests {
         assert!(!t.offer(2.0, 0.4), "regressions are dropped");
         assert!(!t.offer(f64::NAN, 0.6));
         assert!(!t.offer(3.0, f64::NAN));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.estimate().samples, 1);
         assert!(t.offer(3.0, 0.6));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.estimate().samples, 2);
     }
 
     #[test]
@@ -335,7 +326,7 @@ mod tests {
         let (slow, fast) = t.speed_bounds().expect("bounds");
         assert!((slow - 0.1).abs() < 1e-12);
         assert!((fast - 0.1).abs() < 1e-12, "evicted speed must not linger, got {fast}");
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.estimate().samples, 3);
     }
 
     #[test]

@@ -102,11 +102,10 @@
 //! [`MonitorBuilder::harvester`] receives every finished query as a
 //! [`HarvestedQuery`] — labelled training records mined from the
 //! finalized incremental state (bit-identical to post-hoc extraction
-//! over the same trace) plus the §4.4 switch history — and retrained selectors
-//! hot-swap back in via [`ProgressMonitor::swap_selector`] /
-//! [`MonitorService::swap_selector`]: new registrations score with the
-//! new model (epoch bumped), in-flight queries keep the selector captured
-//! at their registration.
+//! over the same trace) — and retrained selectors hot-swap back in via
+//! [`ProgressMonitor::swap_selector`] / [`MonitorService::swap_selector`]:
+//! new registrations score with the new model (epoch bumped), in-flight
+//! queries keep the selector captured at their registration.
 //!
 //! [`MonitorError`] ([`error`]) is the `?`-friendly umbrella over every
 //! typed failure the crate produces.

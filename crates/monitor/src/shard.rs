@@ -36,21 +36,13 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-/// Everything one finished query yields for the learning loop: its
-/// labelled records (bit-identical to post-hoc extraction over the same
-/// trace), the estimator-switch history (§4.4's revision points) and the
-/// selector epoch the query was registered under.
+/// What one finished query yields for the learning loop: its labelled
+/// records, bit-identical to post-hoc extraction over the same trace.
 #[derive(Debug, Clone)]
 pub struct HarvestedQuery {
     pub query: usize,
-    /// Selector epoch captured at this query's registration.
-    pub selector_epoch: u64,
-    /// Total virtual execution time reported by the engine.
-    pub total_time: f64,
     /// One record per pipeline that met the observation floor.
     pub records: Vec<PipelineRecord>,
-    /// Estimator switches logged while the query ran.
-    pub switches: Vec<SwitchEvent>,
 }
 
 /// Consumer of harvested queries. Implementations must be cheap and
@@ -226,8 +218,8 @@ impl ProgressMonitor {
     /// score with one model instance). With a harvest sink, every
     /// `Finished` event additionally mines the query's finalized
     /// observation state into labelled [`PipelineRecord`]s (bit-identical
-    /// to post-hoc extraction over the same trace) and delivers them,
-    /// together with the switch history, as one [`HarvestedQuery`].
+    /// to post-hoc extraction over the same trace) and delivers them as
+    /// one [`HarvestedQuery`].
     ///
     /// A service builds one per shard, all sharing the policy's selector
     /// instance and the harvest sink (so one learning loop is fed from

@@ -230,13 +230,7 @@ impl ProgressMonitor {
                     )
                 })
                 .collect();
-            sink.deliver(HarvestedQuery {
-                query,
-                selector_epoch: qs.cell.epoch(),
-                total_time,
-                records,
-                switches: qs.cell.switch_history(),
-            });
+            sink.deliver(HarvestedQuery { query, records });
             env.counters.harvests.inc();
         }
     }

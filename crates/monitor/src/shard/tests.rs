@@ -657,9 +657,7 @@ fn finished_queries_are_harvested_with_batch_equivalent_shape() {
         total_time: 40.0,
     });
     let h = harvested.try_recv().expect("one harvest per finished query");
-    assert_eq!((h.query, h.selector_epoch), (7, 0));
-    assert_eq!(h.total_time, 40.0);
-    assert!(h.switches.is_empty());
+    assert_eq!(h.query, 7);
     assert_eq!(h.records.len(), 1);
     let r = &h.records[0];
     assert_eq!((r.workload.as_str(), r.query_idx, r.pipeline_id), ("live", 7, 0));

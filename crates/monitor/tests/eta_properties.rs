@@ -70,7 +70,7 @@ proptest! {
             } else {
                 prop_assert!(!e.is_known());
             }
-            prop_assert!(tracker.len() <= window, "ring buffer must stay bounded");
+            prop_assert!(e.samples <= window, "ring buffer must stay bounded");
         }
     }
 

@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn tuple_roundtrip(vals in proptest::collection::vec(any::<i64>(), 0..24)) {
         let t = tuple(&vals);
-        prop_assert_eq!(t.len(), vals.len());
+        prop_assert_eq!(t.as_slice().len(), vals.len());
         prop_assert_eq!(t.as_slice(), vals.as_slice());
         prop_assert_eq!(t.width_bytes(), vals.len() as u64 * 8);
     }
